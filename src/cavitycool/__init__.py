@@ -22,6 +22,7 @@ from .config import (
     ProtocolConfig,
     RunConfig,
     config_digest,
+    config_from_items,
     config_items,
     default_run_config,
     load_run_config,

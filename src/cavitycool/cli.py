@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -20,6 +21,7 @@ from .config import (
     PORT_ROLE_COOLING,
     RunConfig,
     config_digest,
+    config_from_items,
     config_items,
     default_run_config,
     load_run_config,
@@ -186,8 +188,36 @@ def cmd_simulate(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _load_analysis_inputs(args):
-    """Resolve analyze inputs: either one .meta sidecar or trace CSVs."""
+def _run_config(args, cfg: RunConfig, meta_path: str, meta: dict) -> RunConfig:
+    """The configuration a run sidecar records, with the [analysis] keys
+    of `--config` / `--seed` when given; any other difference is an error."""
+    try:
+        recorded = config_from_items(meta)
+    except ConfigError as exc:
+        raise DataFormatError(f"{meta_path}: {exc}") from None
+    if config_digest(recorded) != meta.get("config_digest"):
+        raise DataFormatError(
+            f"{meta_path}: configuration does not match its config_digest"
+        )
+    if args.config is None:
+        cfg = recorded if args.seed is None else with_seed(recorded, args.seed)
+    run, given = dict(config_items(recorded)), dict(config_items(cfg))
+    for key in dict.fromkeys([*run, *given]):
+        if not key.startswith("analysis.") and run.get(key) != given.get(key):
+            raise ConfigError(
+                f"{meta_path} records {key}={run.get(key, '(none)')}, but "
+                f"--config/--seed give {given.get(key, '(none)')}; only "
+                "[analysis] keys may differ from the run"
+            )
+    return replace(recorded, analysis=cfg.analysis)
+
+
+def _load_analysis_inputs(args, cfg: RunConfig):
+    """Resolve analyze inputs: either one .meta sidecar or trace CSVs.
+
+    A sidecar also supplies the disconnect time and the run's
+    configuration.
+    """
     disconnect = None
     paths = list(args.inputs)
     if len(paths) == 1 and paths[0].endswith(".meta"):
@@ -203,12 +233,13 @@ def _load_analysis_inputs(args):
                 raise DataFormatError(
                     f"{args.inputs[0]}: bad disconnect_time_s value"
                 ) from None
+        cfg = _run_config(args, cfg, args.inputs[0], meta)
     traces = [tracefile.read_trace_csv(p) for p in paths]
-    return traces, disconnect
+    return traces, disconnect, cfg
 
 
 def cmd_analyze(args, cfg: RunConfig) -> int:
-    traces, meta_disconnect = _load_analysis_inputs(args)
+    traces, meta_disconnect, cfg = _load_analysis_inputs(args, cfg)
     disconnect = (
         args.disconnect_time if args.disconnect_time is not None else meta_disconnect
     )
@@ -377,7 +408,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "inputs", nargs="+", metavar="FILE",
-        help="trace CSV files, or a single run.meta sidecar",
+        help="trace CSV files, or a single run.meta sidecar (which also "
+        "supplies the run's configuration)",
     )
     p.add_argument(
         "--disconnect-time", type=float, metavar="S",

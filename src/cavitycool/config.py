@@ -1,18 +1,23 @@
-"""Run configuration: defaults, INI-style file loading, canonical dumps.
+"""Run configuration: one key schema for loading, checking and dumping.
 
 A run configuration bundles everything a protocol run needs: the mode,
 its thermal environment, the receiver chain, protocol timing, trace
 synthesis knobs, and analysis windows.  Files follow configparser
 syntax with one section per group and repeated `[port.<name>]` sections
 for the baths; every key carries its unit as a suffix.  Unknown
-sections or keys are rejected rather than ignored.
+sections or keys are rejected rather than ignored.  `_SCHEMA` and
+`_PORT_SCHEMA` are the only list of keys; default values live only in
+the bundled `data/bench.defaults`.
 """
 
 from __future__ import annotations
 
 import configparser
+from functools import lru_cache, reduce
 import hashlib
+import os
 from dataclasses import dataclass, replace
+from typing import Mapping
 
 from .errors import ConfigError, DomainError
 from .receiver import LnaNoiseParameters, ReceiverChain
@@ -97,139 +102,162 @@ class RunConfig:
         )
 
 
+# (section, key, type, RunConfig attribute paths), in dump order.  A value
+# is stored at every space-separated path and dumped from the first one;
+# `.real` and `.imag` leaves pair up into a complex.
+_SCHEMA = (
+    ("mode", "frequency_hz", float, "mode.frequency_hz"),
+    ("mode", "intrinsic_q", float, "mode.intrinsic_q"),
+    ("mode", "wall_temperature_k", float, "baths.intrinsic_temperature_k"),
+    ("receiver", "lna_gain_linear", float, "receiver.lna_gain_linear"),
+    ("receiver", "lna_t_min_k", float, "receiver.lna.t_min_k"),
+    ("receiver", "lna_noise_resistance_ohm", float, "receiver.lna.noise_resistance_ohm"),
+    ("receiver", "lna_gamma_opt_real", float, "receiver.lna.gamma_opt.real"),
+    ("receiver", "lna_gamma_opt_imag", float, "receiver.lna.gamma_opt.imag"),
+    ("receiver", "reference_impedance_ohm", float, "receiver.lna.reference_impedance_ohm"),
+    ("receiver", "reference_temperature_k", float, "receiver.lna.reference_temperature_k"),
+    ("receiver", "post_stage_noise_k", float, "receiver.post_stage_noise_k"),
+    ("receiver", "cavity_reflection_real", float, "receiver.cavity_reflection.real"),
+    ("receiver", "cavity_reflection_imag", float, "receiver.cavity_reflection.imag"),
+    ("receiver", "cavity_reflection_ref_real", float, "receiver.cavity_reflection_reference.real"),
+    ("receiver", "cavity_reflection_ref_imag", float, "receiver.cavity_reflection_reference.imag"),
+    ("receiver", "image_noise_k", float, "receiver.image_noise_k"),
+    ("protocol", "cool_duration_s", float, "protocol.cool_duration_s"),
+    ("protocol", "interrogate_delay_s", float, "protocol.interrogate_delay_s"),
+    ("protocol", "trace_length_s", float, "protocol.trace_length_s synth.duration_s"),
+    ("synth", "sample_interval_s", float, "synth.sample_interval_s"),
+    ("synth", "rng_seed", int, "synth.rng_seed"),
+    ("synth", "one_over_f_corner_hz", float, "synth.one_over_f_corner_hz"),
+    ("synth", "artifact_duration_s", float, "synth.artifact_duration_s"),
+    ("synth", "artifact_amplitude_v", float, "synth.artifact_amplitude_v"),
+    ("synth", "voltage_scale", float, "synth.voltage_scale"),
+    ("synth", "n_shots", int, "n_shots"),
+    ("analysis", "boxcar_width_s", float, "analysis.boxcar_width_s"),
+    ("analysis", "band_low_hz", float, "analysis.band_low_hz"),
+    ("analysis", "band_high_hz", float, "analysis.band_high_hz"),
+    ("analysis", "window_samples", int, "analysis.window_samples"),
+    ("analysis", "exclude_before_s", float, "analysis.exclude_before_s"),
+    ("analysis", "cooled_window_s", float, "analysis.cooled_window_s"),
+    ("analysis", "ambient_settle_s", float, "analysis.ambient_settle_s"),
+    ("analysis", "fit_window_s", float, "analysis.fit_window_s"),
+    ("analysis", "psd_segment_samples", int, "analysis.psd_segment_samples"),
+)
+
+# Keys of every [port.<name>] section: (key, type, value if omitted), where
+# None marks a required key.  All but the role are BathPort fields.
+_PORT_ROLE = "role"
+_PORT_SCHEMA = (
+    ("coupling", float, None),
+    ("load_temperature_k", float, None),
+    ("link_loss_db", float, 0.0),
+    ("link_temperature_k", float, 0.0),
+    ("loss_model", LossModel, LossModel.EXACT),
+    (_PORT_ROLE, str, None),
+)
+
+_KEYS: dict[str, set[str]] = {"port.": {row[0] for row in _PORT_SCHEMA}}
+for _row in _SCHEMA:
+    _KEYS.setdefault(_row[0], set()).add(_row[1])
+# Ports are dumped right after the [mode] rows.
+_PORTS_AT = len(_KEYS["mode"])
+
+# Classes built from the attribute paths; any other inner node is a complex.
+_CLASSES = {
+    "": RunConfig, "mode": CavityMode, "baths": BathSet, "receiver": ReceiverChain,
+    "receiver.lna": LnaNoiseParameters, "protocol": ProtocolConfig,
+    "synth": SynthConfig, "analysis": AnalysisConfig,
+}
+
+_DEFAULTS_PATH = os.path.join(os.path.dirname(__file__), "data", "bench.defaults")
+
+
+def _format(kind: type, value) -> str:
+    if kind is float:
+        return repr(float(value))
+    return value.value if kind is LossModel else str(value)
+
+
+def _value(raw: Mapping[str, Mapping[str, str]], section, key, kind, default=None):
+    """Typed value of one key; `default` stands in for a missing key."""
+    text = raw.get(section, {}).get(key)
+    if text is None:
+        if default is None:
+            raise ConfigError(f"section [{section}] missing key '{key}'")
+        return default
+    try:
+        if kind is int:
+            return int(text, 0)
+        return float(text) if kind is float else kind(text.lower())
+    except ValueError:
+        raise ConfigError(f"bad value for '{key}' in section [{section}]: {text!r}") from None
+
+
+def _make(node: dict, prefix: str = ""):
+    cls = _CLASSES.get(prefix.rstrip("."), complex)
+    return cls(**{
+        name: _make(value, f"{prefix}{name}.") if isinstance(value, dict) else value
+        for name, value in node.items()
+    })
+
+
+def _build(raw: Mapping[str, Mapping[str, str]]) -> RunConfig:
+    """Check `{section: {key: text}}` against the schema and assemble the
+    configuration; every key without a value-if-omitted must be present.
+    Raises ConfigError."""
+    for section, entries in raw.items():
+        if section == "port.":
+            raise ConfigError("port section needs a name: [port.<name>]")
+        keys = _KEYS.get("port." if section.startswith("port.") else section)
+        if keys is None:
+            raise ConfigError(f"unknown section [{section}]")
+        unknown = [key for key in entries if key not in keys]
+        if unknown:
+            raise ConfigError(f"unknown key '{unknown[0]}' in section [{section}]")
+    tree: dict = {}
+    for section, key, kind, paths in _SCHEMA:
+        value = _value(raw, section, key, kind)
+        for path in paths.split():
+            *parents, leaf = path.split(".")
+            reduce(lambda node, name: node.setdefault(name, {}), parents, tree)[leaf] = value
+    ports = [
+        {row[0]: _value(raw, section, *row) for row in _PORT_SCHEMA}
+        | {"name": section[len("port."):]}
+        for section in raw if section.startswith("port.")
+    ]
+    tree["port_roles"] = tuple(port.pop(_PORT_ROLE) for port in ports)
+    try:
+        tree["baths"]["ports"] = tuple(BathPort(**port) for port in ports)
+        return _make(tree)
+    except DomainError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _read_ini(path: str) -> dict[str, dict[str, str]]:
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            parser.read_file(fh)
+        except configparser.Error as exc:
+            raise ConfigError(f"{path}: {exc}") from exc
+    return {section: dict(parser.items(section)) for section in parser.sections()}
+
+
+@lru_cache(maxsize=None)
+def _default_raw() -> dict[str, dict[str, str]]:
+    # Shared between calls: callers copy before changing anything.
+    return _read_ini(_DEFAULTS_PATH)
+
+
 def default_run_config() -> RunConfig:
     """The bench calibration this package was validated against.
 
     A 1.4495 GHz mode with unloaded Q of 164000 at room temperature,
     cooled through a strongly overcoupled low-loss path terminated cold,
     monitored through a critically coupled port whose lossy stub and
-    cable sit at room temperature in front of a cold LNA.
+    cable sit at room temperature in front of a cold LNA.  The values
+    are those of the bundled `data/bench.defaults`.
     """
-    mode = CavityMode(frequency_hz=1.4495e9, intrinsic_q=164000.0)
-    baths = BathSet(
-        intrinsic_temperature_k=290.0,
-        ports=(
-            BathPort(
-                coupling=3.8,
-                load_temperature_k=18.4,
-                link_loss_db=0.19,
-                link_temperature_k=290.0,
-                loss_model=LossModel.LINEAR,
-                name="cooling",
-            ),
-            BathPort(
-                coupling=1.0,
-                load_temperature_k=18.4,
-                link_loss_db=6.05,
-                link_temperature_k=290.0,
-                loss_model=LossModel.EXACT,
-                name="monitoring",
-            ),
-        ),
-    )
-    chain = ReceiverChain(
-        lna=LnaNoiseParameters(
-            t_min_k=11.6,
-            noise_resistance_ohm=2.0,
-            gamma_opt=0.073 + 0.125j,
-            reference_impedance_ohm=50.0,
-            reference_temperature_k=290.0,
-        ),
-        lna_gain_linear=166.0,
-        post_stage_noise_k=36.1,
-    )
-    synth = SynthConfig(
-        sample_interval_s=50e-9,
-        duration_s=160e-6,
-        rng_seed=20260817,
-        one_over_f_corner_hz=0.0,
-        artifact_duration_s=2e-6,
-        artifact_amplitude_v=600.0,
-        voltage_scale=1.0,
-    )
-    return RunConfig(
-        mode=mode,
-        baths=baths,
-        port_roles=(PORT_ROLE_COOLING, PORT_ROLE_MONITORING),
-        receiver=chain,
-        protocol=ProtocolConfig(),
-        synth=synth,
-        n_shots=600,
-        analysis=AnalysisConfig(),
-    )
-
-
-_MODE_KEYS = {"frequency_hz", "intrinsic_q", "wall_temperature_k"}
-_PORT_KEYS = {
-    "coupling",
-    "load_temperature_k",
-    "link_loss_db",
-    "link_temperature_k",
-    "loss_model",
-    "role",
-}
-_RECEIVER_KEYS = {
-    "lna_gain_linear",
-    "lna_t_min_k",
-    "lna_noise_resistance_ohm",
-    "lna_gamma_opt_real",
-    "lna_gamma_opt_imag",
-    "reference_impedance_ohm",
-    "reference_temperature_k",
-    "post_stage_noise_k",
-    "cavity_reflection_real",
-    "cavity_reflection_imag",
-    "cavity_reflection_ref_real",
-    "cavity_reflection_ref_imag",
-    "image_noise_k",
-}
-_PROTOCOL_KEYS = {"cool_duration_s", "interrogate_delay_s", "trace_length_s"}
-_SYNTH_KEYS = {
-    "sample_interval_s",
-    "rng_seed",
-    "one_over_f_corner_hz",
-    "artifact_duration_s",
-    "artifact_amplitude_v",
-    "voltage_scale",
-    "n_shots",
-}
-_ANALYSIS_KEYS = {
-    "boxcar_width_s",
-    "band_low_hz",
-    "band_high_hz",
-    "window_samples",
-    "exclude_before_s",
-    "cooled_window_s",
-    "ambient_settle_s",
-    "fit_window_s",
-    "psd_segment_samples",
-}
-_INT_KEYS = {"rng_seed", "n_shots", "window_samples", "psd_segment_samples"}
-_STR_KEYS = {"loss_model", "role"}
-
-
-def _check_keys(section: str, present, allowed) -> None:
-    unknown = sorted(set(present) - allowed)
-    if unknown:
-        raise ConfigError(f"unknown key '{unknown[0]}' in section [{section}]")
-
-
-def _value(parser, section: str, key: str):
-    raw = parser.get(section, key)
-    if key in _STR_KEYS:
-        return raw.strip().lower()
-    try:
-        if key in _INT_KEYS:
-            return int(raw, 0)
-        return float(raw)
-    except ValueError as exc:
-        raise ConfigError(
-            f"bad value for '{key}' in section [{section}]: {raw!r}"
-        ) from exc
-
-
-def _collect(parser, section: str) -> dict:
-    return {k: _value(parser, section, k) for k in parser.options(section)}
+    return _build(_default_raw())
 
 
 def load_run_config(path: str) -> RunConfig:
@@ -238,192 +266,34 @@ def load_run_config(path: str) -> RunConfig:
     Sections may be omitted (their defaults survive), but any [port.*]
     section replaces the whole default port list.  Unknown sections,
     unknown keys, and malformed or out-of-range values raise
-    ConfigError.
+    ConfigError naming the file.
     """
-    parser = configparser.ConfigParser(
-        inline_comment_prefixes=("#",), interpolation=None
-    )
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            parser.read_file(fh)
-    except OSError:
-        raise
-    except configparser.Error as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
-
-    base = default_run_config()
-    known_plain = {
-        "mode": _MODE_KEYS,
-        "receiver": _RECEIVER_KEYS,
-        "protocol": _PROTOCOL_KEYS,
-        "synth": _SYNTH_KEYS,
-        "analysis": _ANALYSIS_KEYS,
+    user = _read_ini(path)
+    own_ports = any(section.startswith("port.") for section in user)
+    raw = {
+        section: dict(entries) for section, entries in _default_raw().items()
+        if not (own_ports and section.startswith("port."))
     }
-    port_sections = []
-    for section in parser.sections():
-        if section.startswith("port."):
-            name = section[len("port."):]
-            if not name:
-                raise ConfigError("port section needs a name: [port.<name>]")
-            _check_keys(section, parser.options(section), _PORT_KEYS)
-            port_sections.append((name, _collect(parser, section)))
-        elif section in known_plain:
-            _check_keys(section, parser.options(section), known_plain[section])
-        else:
-            raise ConfigError(f"unknown section [{section}]")
-
-    def section_dict(name: str) -> dict:
-        return _collect(parser, name) if parser.has_section(name) else {}
-
+    for section, entries in user.items():
+        raw.setdefault(section, {}).update(entries)
     try:
-        mode_vals = section_dict("mode")
-        mode = CavityMode(
-            frequency_hz=mode_vals.get("frequency_hz", base.mode.frequency_hz),
-            intrinsic_q=mode_vals.get("intrinsic_q", base.mode.intrinsic_q),
-        )
-        wall_t = mode_vals.get(
-            "wall_temperature_k", base.baths.intrinsic_temperature_k
-        )
-
-        if port_sections:
-            ports = []
-            roles = []
-            for name, vals in port_sections:
-                missing = {"coupling", "load_temperature_k", "role"} - set(vals)
-                if missing:
-                    raise ConfigError(
-                        f"section [port.{name}] missing key '{sorted(missing)[0]}'"
-                    )
-                model_name = vals.get("loss_model", "exact")
-                try:
-                    model = LossModel(model_name)
-                except ValueError:
-                    raise ConfigError(
-                        f"bad loss_model '{model_name}' in [port.{name}]; "
-                        "use 'exact' or 'linear'"
-                    ) from None
-                role = vals["role"]
-                if role not in (PORT_ROLE_COOLING, PORT_ROLE_MONITORING):
-                    raise ConfigError(
-                        f"bad role '{role}' in [port.{name}]; "
-                        "use 'cooling' or 'monitoring'"
-                    )
-                ports.append(
-                    BathPort(
-                        coupling=vals["coupling"],
-                        load_temperature_k=vals["load_temperature_k"],
-                        link_loss_db=vals.get("link_loss_db", 0.0),
-                        link_temperature_k=vals.get("link_temperature_k", 0.0),
-                        loss_model=model,
-                        name=name,
-                    )
-                )
-                roles.append(role)
-            baths = BathSet(wall_t, tuple(ports))
-            port_roles = tuple(roles)
-        else:
-            baths = replace(base.baths, intrinsic_temperature_k=wall_t)
-            port_roles = base.port_roles
-
-        rx = section_dict("receiver")
-        base_lna = base.receiver.lna
-        lna = LnaNoiseParameters(
-            t_min_k=rx.get("lna_t_min_k", base_lna.t_min_k),
-            noise_resistance_ohm=rx.get(
-                "lna_noise_resistance_ohm", base_lna.noise_resistance_ohm
-            ),
-            gamma_opt=complex(
-                rx.get("lna_gamma_opt_real", base_lna.gamma_opt.real),
-                rx.get("lna_gamma_opt_imag", base_lna.gamma_opt.imag),
-            ),
-            reference_impedance_ohm=rx.get(
-                "reference_impedance_ohm", base_lna.reference_impedance_ohm
-            ),
-            reference_temperature_k=rx.get(
-                "reference_temperature_k", base_lna.reference_temperature_k
-            ),
-        )
-        chain = ReceiverChain(
-            lna=lna,
-            lna_gain_linear=rx.get("lna_gain_linear", base.receiver.lna_gain_linear),
-            post_stage_noise_k=rx.get(
-                "post_stage_noise_k", base.receiver.post_stage_noise_k
-            ),
-            cavity_reflection=complex(
-                rx.get("cavity_reflection_real", 0.0),
-                rx.get("cavity_reflection_imag", 0.0),
-            ),
-            cavity_reflection_reference=complex(
-                rx.get("cavity_reflection_ref_real", 0.0),
-                rx.get("cavity_reflection_ref_imag", 0.0),
-            ),
-            image_noise_k=rx.get("image_noise_k", 0.0),
-        )
-
-        proto_vals = section_dict("protocol")
-        protocol = ProtocolConfig(
-            cool_duration_s=proto_vals.get(
-                "cool_duration_s", base.protocol.cool_duration_s
-            ),
-            interrogate_delay_s=proto_vals.get(
-                "interrogate_delay_s", base.protocol.interrogate_delay_s
-            ),
-            trace_length_s=proto_vals.get(
-                "trace_length_s", base.protocol.trace_length_s
-            ),
-        )
-
-        synth_vals = section_dict("synth")
-        synth = SynthConfig(
-            sample_interval_s=synth_vals.get(
-                "sample_interval_s", base.synth.sample_interval_s
-            ),
-            duration_s=protocol.trace_length_s,
-            rng_seed=synth_vals.get("rng_seed", base.synth.rng_seed),
-            one_over_f_corner_hz=synth_vals.get(
-                "one_over_f_corner_hz", base.synth.one_over_f_corner_hz
-            ),
-            artifact_duration_s=synth_vals.get(
-                "artifact_duration_s", base.synth.artifact_duration_s
-            ),
-            artifact_amplitude_v=synth_vals.get(
-                "artifact_amplitude_v", base.synth.artifact_amplitude_v
-            ),
-            voltage_scale=synth_vals.get("voltage_scale", base.synth.voltage_scale),
-        )
-        n_shots = synth_vals.get("n_shots", base.n_shots)
-
-        ana = section_dict("analysis")
-        analysis_cfg = AnalysisConfig(
-            boxcar_width_s=ana.get("boxcar_width_s", base.analysis.boxcar_width_s),
-            band_low_hz=ana.get("band_low_hz", base.analysis.band_low_hz),
-            band_high_hz=ana.get("band_high_hz", base.analysis.band_high_hz),
-            window_samples=ana.get("window_samples", base.analysis.window_samples),
-            exclude_before_s=ana.get(
-                "exclude_before_s", base.analysis.exclude_before_s
-            ),
-            cooled_window_s=ana.get("cooled_window_s", base.analysis.cooled_window_s),
-            ambient_settle_s=ana.get(
-                "ambient_settle_s", base.analysis.ambient_settle_s
-            ),
-            fit_window_s=ana.get("fit_window_s", base.analysis.fit_window_s),
-            psd_segment_samples=ana.get(
-                "psd_segment_samples", base.analysis.psd_segment_samples
-            ),
-        )
-
-        return RunConfig(
-            mode=mode,
-            baths=baths,
-            port_roles=port_roles,
-            receiver=chain,
-            protocol=protocol,
-            synth=synth,
-            n_shots=n_shots,
-            analysis=analysis_cfg,
-        )
-    except DomainError as exc:
+        return _build(raw)
+    except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
+
+
+def config_from_items(items: Mapping[str, str]) -> RunConfig:
+    """Rebuild a configuration from its `config_items` dump.
+
+    Keys without a dot, such as a run sidecar's own entries, are
+    ignored.  Raises ConfigError, also when a key is missing.
+    """
+    raw: dict[str, dict[str, str]] = {}
+    for name, text in items.items():
+        section, dot, key = name.rpartition(".")
+        if dot:
+            raw.setdefault(section, {})[key] = text
+    return _build(raw)
 
 
 def with_seed(cfg: RunConfig, seed: int) -> RunConfig:
@@ -438,63 +308,19 @@ def with_seed(cfg: RunConfig, seed: int) -> RunConfig:
 
 def config_items(cfg: RunConfig) -> list[tuple[str, str]]:
     """Canonical flat key=value view: porcelain output, sidecars, digests."""
-
-    def fmt(x) -> str:
-        if isinstance(x, float):
-            return repr(x)
-        return str(x)
-
-    items: list[tuple[str, str]] = [
-        ("mode.frequency_hz", fmt(cfg.mode.frequency_hz)),
-        ("mode.intrinsic_q", fmt(cfg.mode.intrinsic_q)),
-        ("mode.wall_temperature_k", fmt(cfg.baths.intrinsic_temperature_k)),
+    items = []
+    for section, key, kind, paths in _SCHEMA:
+        value = reduce(getattr, paths.split()[0].split("."), cfg)
+        items.append((f"{section}.{key}", _format(kind, value)))
+    ports = [
+        (
+            f"port.{port.name or 'unnamed'}.{key}",
+            _format(kind, role if key == _PORT_ROLE else getattr(port, key)),
+        )
+        for port, role in zip(cfg.baths.ports, cfg.port_roles)
+        for key, kind, _ in _PORT_SCHEMA
     ]
-    for port, role in zip(cfg.baths.ports, cfg.port_roles):
-        prefix = f"port.{port.name or 'unnamed'}"
-        items += [
-            (f"{prefix}.coupling", fmt(port.coupling)),
-            (f"{prefix}.load_temperature_k", fmt(port.load_temperature_k)),
-            (f"{prefix}.link_loss_db", fmt(port.link_loss_db)),
-            (f"{prefix}.link_temperature_k", fmt(port.link_temperature_k)),
-            (f"{prefix}.loss_model", port.loss_model.value),
-            (f"{prefix}.role", role),
-        ]
-    rx = cfg.receiver
-    items += [
-        ("receiver.lna_gain_linear", fmt(rx.lna_gain_linear)),
-        ("receiver.lna_t_min_k", fmt(rx.lna.t_min_k)),
-        ("receiver.lna_noise_resistance_ohm", fmt(rx.lna.noise_resistance_ohm)),
-        ("receiver.lna_gamma_opt_real", fmt(rx.lna.gamma_opt.real)),
-        ("receiver.lna_gamma_opt_imag", fmt(rx.lna.gamma_opt.imag)),
-        ("receiver.reference_impedance_ohm", fmt(rx.lna.reference_impedance_ohm)),
-        ("receiver.reference_temperature_k", fmt(rx.lna.reference_temperature_k)),
-        ("receiver.post_stage_noise_k", fmt(rx.post_stage_noise_k)),
-        ("receiver.cavity_reflection_real", fmt(rx.cavity_reflection.real)),
-        ("receiver.cavity_reflection_imag", fmt(rx.cavity_reflection.imag)),
-        ("receiver.cavity_reflection_ref_real", fmt(rx.cavity_reflection_reference.real)),
-        ("receiver.cavity_reflection_ref_imag", fmt(rx.cavity_reflection_reference.imag)),
-        ("receiver.image_noise_k", fmt(rx.image_noise_k)),
-        ("protocol.cool_duration_s", fmt(cfg.protocol.cool_duration_s)),
-        ("protocol.interrogate_delay_s", fmt(cfg.protocol.interrogate_delay_s)),
-        ("protocol.trace_length_s", fmt(cfg.protocol.trace_length_s)),
-        ("synth.sample_interval_s", fmt(cfg.synth.sample_interval_s)),
-        ("synth.rng_seed", str(cfg.synth.rng_seed)),
-        ("synth.one_over_f_corner_hz", fmt(cfg.synth.one_over_f_corner_hz)),
-        ("synth.artifact_duration_s", fmt(cfg.synth.artifact_duration_s)),
-        ("synth.artifact_amplitude_v", fmt(cfg.synth.artifact_amplitude_v)),
-        ("synth.voltage_scale", fmt(cfg.synth.voltage_scale)),
-        ("synth.n_shots", str(cfg.n_shots)),
-        ("analysis.boxcar_width_s", fmt(cfg.analysis.boxcar_width_s)),
-        ("analysis.band_low_hz", fmt(cfg.analysis.band_low_hz)),
-        ("analysis.band_high_hz", fmt(cfg.analysis.band_high_hz)),
-        ("analysis.window_samples", str(cfg.analysis.window_samples)),
-        ("analysis.exclude_before_s", fmt(cfg.analysis.exclude_before_s)),
-        ("analysis.cooled_window_s", fmt(cfg.analysis.cooled_window_s)),
-        ("analysis.ambient_settle_s", fmt(cfg.analysis.ambient_settle_s)),
-        ("analysis.fit_window_s", fmt(cfg.analysis.fit_window_s)),
-        ("analysis.psd_segment_samples", str(cfg.analysis.psd_segment_samples)),
-    ]
-    return items
+    return items[:_PORTS_AT] + ports + items[_PORTS_AT:]
 
 
 def config_digest(cfg: RunConfig) -> str:

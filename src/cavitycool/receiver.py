@@ -253,25 +253,25 @@ def noise_power_reduction_floor_db(chain: ReceiverChain, t_ambient_k: float) -> 
 
 
 def infer_mode_temperature(
-    chain: ReceiverChain,
-    deltap_db: float,
-    t_ambient_k: float,
-    tolerance_k: float = 1e-9,
+    chain: ReceiverChain, deltap_db: float, t_ambient_k: float
 ) -> float:
     """Invert `noise_power_reduction_db` for the mode temperature.
 
-    Bisection on [0, t_ambient_k]; the ratio is strictly monotone in the
-    mode temperature so the bracket is guaranteed once the value is
-    between the 0 K floor and 0 dB.
+    The receiver output S(T) is affine in the mode temperature, so with
+    S_ref the ambient reference state
+
+        T = (10^(deltap/10) S_ref(T_ambient) - S(0)) / (S(1) - S(0)).
 
     Raises
     ------
     DomainError
-        If deltap_db is positive (mode hotter than the reference) or
-        deeper than the chain's floor.
+        If deltap_db is not finite, positive (mode hotter than the
+        reference) or deeper than the chain's floor.
     """
     if t_ambient_k <= 0:
         raise DomainError("ambient reference temperature must be positive")
+    if not math.isfinite(deltap_db):
+        raise DomainError(f"reduction must be finite, got {deltap_db}")
     floor = noise_power_reduction_floor_db(chain, t_ambient_k)
     if deltap_db < floor:
         raise DomainError(
@@ -283,14 +283,10 @@ def infer_mode_temperature(
             f"reduction must be <= 0 dB for inversion on [0, ambient], "
             f"got {deltap_db:.3f} dB"
         )
-    lo, hi = 0.0, float(t_ambient_k)
-    while hi - lo > tolerance_k:
-        mid = 0.5 * (lo + hi)
-        if noise_power_reduction_db(chain, mid, t_ambient_k) < deltap_db:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    reference = system_output_noise_kelvin(chain, t_ambient_k, reference=True)
+    at_zero = system_output_noise_kelvin(chain, 0.0)
+    per_kelvin = system_output_noise_kelvin(chain, 1.0) - at_zero
+    return max(0.0, (10.0 ** (deltap_db / 10.0) * reference - at_zero) / per_kelvin)
 
 
 def noise_power_reduction_curve(

@@ -9,6 +9,7 @@ byte-identical files.
 from __future__ import annotations
 
 import csv
+import itertools
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -34,9 +35,19 @@ def write_trace_csv(path: str, trace: NoiseTrace) -> None:
             fh.write(f"{_fmt(t)},{_fmt(v)}\n")
 
 
+def _sample_line(path: str, index: int) -> int:
+    """File line of the sample at `index`, skipping blank lines; only
+    error messages need it, so it reads the file again."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        lines = (reader.line_num for row in reader if row)
+        return next(itertools.islice(lines, index + 1, None))
+
+
 def read_trace_csv(path: str) -> NoiseTrace:
-    """Read a trace CSV, validating the header, every row, and that the
-    samples sit on a uniform, increasing grid.
+    """Read a trace CSV, validating the header, every row, that every
+    sample is finite, and that the samples sit on a uniform, increasing
+    grid.
 
     Raises DataFormatError with the offending line number (1-based,
     header is line 1) on any violation.
@@ -71,16 +82,21 @@ def read_trace_csv(path: str) -> NoiseTrace:
     if len(times) < 2:
         raise DataFormatError(f"{path}: need at least 2 samples, got {len(times)}")
     t = np.asarray(times)
+    v = np.asarray(volts)
+    finite = np.isfinite(t) & np.isfinite(v)
+    if not finite.all():
+        line = _sample_line(path, int(np.argmin(finite)))
+        raise DataFormatError(f"{path}: line {line}: non-finite sample")
     steps = np.diff(t)
     if np.any(steps <= 0):
-        bad = int(np.argmax(steps <= 0))
+        line = _sample_line(path, int(np.argmax(steps <= 0)) + 1)
         raise DataFormatError(
-            f"{path}: line {bad + 3}: sample times must be strictly increasing"
+            f"{path}: line {line}: sample times must be strictly increasing"
         )
     dt = steps[0]
     if np.max(np.abs(steps - dt)) > _GRID_TOLERANCE * dt:
         raise DataFormatError(f"{path}: sample grid is not uniform")
-    return NoiseTrace(t, np.asarray(volts), {"source": path})
+    return NoiseTrace(t, v, {"source": path})
 
 
 def write_trajectory_csv(path: str, trajectory) -> None:

@@ -322,6 +322,11 @@ def test_read_trace_rejects_bad_grids(tmp_path):
         tracefile.read_trace_csv(write(
             "dup.csv", "time_s,voltage_v\n0.0,0.0\n1e-7,0.0\n1e-7,0.0\n"
         ))
+    # line numbers count blank lines
+    with pytest.raises(DataFormatError, match="line 5"):
+        tracefile.read_trace_csv(write(
+            "dupblank.csv", "time_s,voltage_v\n0.0,0.0\n\n1e-7,0.0\n1e-7,0.0\n"
+        ))
     with pytest.raises(DataFormatError, match="not uniform"):
         tracefile.read_trace_csv(write(
             "warp.csv", "time_s,voltage_v\n0.0,0.0\n1e-7,0.0\n3e-7,0.0\n"
@@ -331,6 +336,21 @@ def test_read_trace_rejects_bad_grids(tmp_path):
         "blank.csv", "time_s,voltage_v\n0.0,0.0\n\n1e-7,0.5\n"
     ))
     assert len(trace) == 2
+
+
+@pytest.mark.parametrize("text, line", [
+    ("0.0,0.0\n1e-7,0.0\n2e-7,nan\n", 4),
+    ("0.0,0.0\nnan,0.0\n2e-7,0.0\n", 3),
+    ("0.0,0.0\n\n1e-7,-inf\n2e-7,0.0\n", 4),
+], ids=["nan-voltage", "nan-time", "inf-voltage"])
+def test_read_trace_rejects_non_finite_samples(tmp_path, capsys, text, line):
+    path = tmp_path / "trace.csv"
+    path.write_text("time_s,voltage_v\n" + text)
+    with pytest.raises(DataFormatError, match=f"line {line}: non-finite"):
+        tracefile.read_trace_csv(str(path))
+    assert cli.main(["analyze", str(path)]) == 4
+    err = capsys.readouterr().err
+    assert str(path) in err and f"line {line}" in err
 
 
 def test_trajectory_csv_format(tmp_path):
@@ -648,6 +668,70 @@ def test_cli_analyze_nonconvergence_exit_code(tmp_path, capsys):
     rc = cli.main(["analyze", str(out / "run.meta"), "--config", wide])
     assert rc == 5
     assert "analysis error" in capsys.readouterr().err
+
+
+def _one_port_run(tmp_path, capsys, n_shots=20):
+    ini = _ini(tmp_path, (
+        "[port.cold]\ncoupling = 3.8\nload_temperature_k = 18.4\n"
+        f"role = cooling\n\n[synth]\nn_shots = {n_shots}\nrng_seed = 7\n"
+    ), "onep.ini")
+    out = tmp_path / "run"
+    assert cli.main(["simulate", "--config", ini, "--out", str(out),
+                     "--porcelain"]) == 0
+    capsys.readouterr()
+    return ini, out / "run.meta"
+
+
+def test_cli_analyze_takes_config_from_meta(tmp_path, capsys):
+    ini, meta = _one_port_run(tmp_path, capsys)
+    assert cli.main(["analyze", str(meta), "--porcelain"]) == 0
+    d = _porcelain(capsys.readouterr().out)
+
+    cfg = load_run_config(ini)
+    sim = simulate_run(cfg)
+    report = analyze_run(sim.traces, cfg, sim.disconnect_time_s)
+    assert d["t_mode_inferred_k"] == repr(report.t_mode_inferred_k)
+    assert d["t_ambient_reference_k"] == repr(report.t_ambient_reference_k)
+    # the built-in two-port bench would give a different answer
+    wrong = analyze_run(sim.traces, default_run_config(), sim.disconnect_time_s)
+    assert wrong.t_mode_inferred_k != report.t_mode_inferred_k
+
+    # the run's own file, or a change to [analysis] only, is accepted
+    assert cli.main(["analyze", str(meta), "--config", ini, "--seed", "7",
+                     "--porcelain"]) == 0
+    assert _porcelain(capsys.readouterr().out) == d
+    wide = _ini(tmp_path, Path(ini).read_text() + (
+        "\n[analysis]\npsd_segment_samples = 2048\n"
+    ), "wide.ini")
+    assert cli.main(["analyze", str(meta), "--config", wide, "--porcelain"]) == 0
+    assert "deltap_band_db" not in _porcelain(capsys.readouterr().out)
+
+
+def test_cli_analyze_rejects_config_that_differs_from_meta(tmp_path, capsys):
+    ini, meta = _one_port_run(tmp_path, capsys, n_shots=2)
+    assert cli.main(["analyze", str(meta), "--seed", "8"]) == 2
+    err = capsys.readouterr().err
+    assert "synth.rng_seed=7" in err and str(meta) in err
+
+    other = _ini(tmp_path, "[synth]\nn_shots = 2\nrng_seed = 7\n", "other.ini")
+    assert cli.main(["analyze", str(meta), "--config", other]) == 2
+    err = capsys.readouterr().err
+    assert "port.cold.coupling=3.8" in err and str(meta) in err
+
+
+def test_cli_analyze_rejects_inconsistent_meta_config(tmp_path, capsys):
+    _, meta = _one_port_run(tmp_path, capsys, n_shots=2)
+    text = meta.read_text()
+
+    meta.write_text(text.replace("mode.intrinsic_q=164000.0\n", ""))
+    assert cli.main(["analyze", str(meta)]) == 4
+    err = capsys.readouterr().err
+    assert "missing key 'intrinsic_q'" in err and str(meta) in err
+
+    meta.write_text(text.replace("mode.intrinsic_q=164000.0", "mode.intrinsic_q=1e5"))
+    assert cli.main(["analyze", str(meta)]) == 4
+    err = capsys.readouterr().err
+    assert "config_digest" in err and str(meta) in err
 
 
 def test_cli_simulate_byte_determinism(tmp_path, capsys):

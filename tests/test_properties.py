@@ -1,0 +1,168 @@
+"""Round-trip properties and pinned digests of the on-disk formats."""
+
+import math
+import tempfile
+from dataclasses import replace
+from pathlib import Path
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from cavitycool import tracefile
+from cavitycool.config import (
+    ProtocolConfig,
+    config_digest,
+    config_from_items,
+    config_items,
+    default_run_config,
+    load_run_config,
+)
+from cavitycool.receiver import (
+    LnaNoiseParameters,
+    ReceiverChain,
+    infer_mode_temperature,
+    noise_power_reduction_db,
+)
+from cavitycool.synth import NoiseTrace
+from cavitycool.thermal import BathPort, BathSet, CavityMode, LossModel
+
+_FEW = settings(max_examples=25, deadline=None)
+
+
+def _finite(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _run_configs(draw):
+    base = default_run_config()
+    names = draw(st.lists(
+        st.from_regex(r"[a-z][a-z0-9_]{0,7}", fullmatch=True),
+        min_size=1, max_size=3, unique=True,
+    ))
+    ports = tuple(
+        BathPort(
+            coupling=draw(_finite(0.0, 50.0)),
+            load_temperature_k=draw(_finite(0.0, 400.0)),
+            link_loss_db=draw(_finite(0.0, 10.0)),
+            link_temperature_k=draw(_finite(0.0, 400.0)),
+            loss_model=draw(st.sampled_from(LossModel)),
+            name=name,
+        )
+        for name in names
+    )
+    roles = tuple(
+        draw(st.sampled_from(("cooling", "monitoring"))) for _ in names
+    )
+    trace = draw(_finite(10e-6, 1e-3))
+    cool = draw(_finite(0.0, trace / 2))
+    rx = base.receiver
+    return replace(
+        base,
+        mode=CavityMode(draw(_finite(1e6, 1e11)), draw(_finite(1.0, 1e7))),
+        baths=BathSet(draw(_finite(0.0, 400.0)), ports),
+        port_roles=roles,
+        receiver=replace(
+            rx,
+            lna=replace(rx.lna, gamma_opt=complex(
+                draw(_finite(-0.6, 0.6)), draw(_finite(-0.6, 0.6))
+            )),
+            lna_gain_linear=draw(_finite(1.0, 1e4)),
+            cavity_reflection_reference=complex(draw(_finite(-0.6, 0.6)), 0.0),
+            image_noise_k=draw(_finite(0.0, 100.0)),
+        ),
+        protocol=ProtocolConfig(cool, draw(_finite(0.0, trace / 2)), trace),
+        synth=replace(
+            base.synth,
+            duration_s=trace,
+            sample_interval_s=draw(_finite(1e-10, trace / 10)),
+            rng_seed=draw(st.integers(0, 2 ** 64 - 1)),
+        ),
+        n_shots=draw(st.integers(1, 10 ** 6)),
+        analysis=replace(
+            base.analysis,
+            boxcar_width_s=draw(_finite(1e-9, 1e-5)),
+            window_samples=draw(st.integers(1, 10 ** 4)),
+        ),
+    )
+
+
+def _as_ini(items):
+    sections = {}
+    for name, value in items:
+        section, _, key = name.rpartition(".")
+        sections.setdefault(section, []).append(f"{key} = {value}")
+    return "".join(
+        f"[{section}]\n" + "\n".join(lines) + "\n\n"
+        for section, lines in sections.items()
+    )
+
+
+@_FEW
+@given(_run_configs())
+def test_config_dump_round_trips_through_ini_and_meta(cfg):
+    digest = config_digest(cfg)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "dump.ini"
+        path.write_text(_as_ini(config_items(cfg)), encoding="utf-8")
+        loaded = load_run_config(str(path))
+    assert loaded == cfg
+    assert config_digest(loaded) == digest
+    rebuilt = config_from_items(dict(config_items(cfg)))
+    assert rebuilt == cfg
+    assert config_digest(rebuilt) == digest
+
+
+@_FEW
+@given(st.integers(2, 40).flatmap(lambda n: st.tuples(
+    _finite(1e-12, 1e-3),
+    st.lists(_finite(-1e300, 1e300), min_size=n, max_size=n),
+)))
+def test_trace_csv_round_trip_is_exact(drawn):
+    dt, volts = drawn
+    trace = NoiseTrace(np.arange(len(volts)) * dt, np.array(volts))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "trace.csv")
+        tracefile.write_trace_csv(path, trace)
+        back = tracefile.read_trace_csv(path)
+    assert np.array_equal(back.times_s, trace.times_s)
+    assert np.array_equal(back.voltages_v, trace.voltages_v)
+
+
+@_FEW
+@given(
+    gain=_finite(1.0, 1e4),
+    post=_finite(0.0, 1e4),
+    t_min=_finite(0.0, 100.0),
+    reflection=_finite(-0.6, 0.6),
+    t_ambient=_finite(1.0, 1000.0),
+    fraction=_finite(0.0, 1.0),
+)
+def test_inversion_recovers_mode_temperature(
+    gain, post, t_min, reflection, t_ambient, fraction
+):
+    chain = ReceiverChain(
+        lna=LnaNoiseParameters(t_min, 2.0, 0.073 + 0.125j),
+        lna_gain_linear=gain,
+        post_stage_noise_k=post,
+        cavity_reflection=complex(reflection, 0.0),
+        cavity_reflection_reference=complex(reflection, 0.0),
+    )
+    t_mode = fraction * t_ambient
+    deltap = noise_power_reduction_db(chain, t_mode, t_ambient)
+    recovered = infer_mode_temperature(chain, deltap, t_ambient)
+    assert math.isclose(recovered, t_mode, rel_tol=1e-9, abs_tol=1e-9 * t_ambient)
+
+
+def test_default_config_digest_pinned():
+    assert config_digest(default_run_config()) == (
+        "ae3dd09d0437c1eb771fb9288b02613adc5675f2b8e020fe30696523294be4fd"
+    )
+
+
+def test_readme_quick_config_digest_pinned(tmp_path):
+    path = tmp_path / "quick.ini"
+    path.write_text("[synth]\nn_shots = 40\nrng_seed = 7\n", encoding="utf-8")
+    assert config_digest(load_run_config(str(path))) == (
+        "9bc383623a0468d748f7cc7ba02d70fb92e4fa327b47700f695908cc54fde8ce"
+    )

@@ -253,7 +253,7 @@ def test_inversion_round_trip():
 def test_inversion_reference_value():
     chain = _simple_chain()
     assert math.isclose(
-        infer_mode_temperature(chain, -3.5, 255.4, tolerance_k=1e-12),
+        infer_mode_temperature(chain, -3.5, 255.4),
         107.083185411094,
         rel_tol=1e-9,
     )
@@ -266,6 +266,9 @@ def test_inversion_rejects_out_of_range():
     floor = noise_power_reduction_floor_db(chain, 256.0)
     with pytest.raises(DomainError):
         infer_mode_temperature(chain, floor - 0.5, 256.0)
+    for value in (math.nan, -math.inf):
+        with pytest.raises(DomainError, match="finite"):
+            infer_mode_temperature(chain, value, 256.0)
 
 
 def test_port_reflection_reduces_mode_contribution():
