@@ -13,7 +13,6 @@ from .analysis import (
     fit_biexponential,
     pooled_mean_square,
     segment_deltap,
-    spectral_density,
     subtract_mean_artifact,
     windowed_deltap_timeseries,
 )
@@ -71,7 +70,6 @@ from .receiver import (
 from .synth import (
     NoiseTrace,
     SynthConfig,
-    inject_switch_artifact,
     shot_seed,
     switch_artifact_waveform,
     synthesize_shot_ensemble,

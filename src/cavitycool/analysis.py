@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 from scipy import optimize, signal, stats
@@ -51,41 +51,28 @@ class NoiseExtractionConfig:
 
 
 def extract_noise(trace: NoiseTrace, cfg: NoiseExtractionConfig) -> NoiseTrace:
-    """Residual after subtracting a centered boxcar running mean.
+    """Residual of every shot after subtracting a centered boxcar running
+    mean.
 
     Windows truncate at the trace edges rather than padding, so the
     first and last few samples are smoothed over fewer points.
     """
     width = cfg.width_samples(trace.sample_interval_s)
     v = trace.voltages_v
-    n = len(v)
+    n = len(trace)
     idx = np.arange(n)
     left = np.maximum(0, idx - (width - 1) // 2)
     right = np.minimum(n - 1, idx + width // 2)
-    csum = np.concatenate([[0.0], np.cumsum(v)])
-    smooth = (csum[right + 1] - csum[left]) / (right - left + 1)
-    return NoiseTrace(trace.times_s.copy(), v - smooth, dict(trace.metadata))
+    csum = np.zeros((trace.n_shots, n + 1))
+    np.cumsum(v, axis=1, out=csum[:, 1:])
+    smooth = csum[:, right + 1]
+    smooth -= csum[:, left]
+    smooth /= right - left + 1
+    return NoiseTrace(trace.times_s, v - smooth)
 
 
-def _require_common_grid(traces: Sequence[NoiseTrace]) -> None:
-    first = traces[0].times_s
-    tol = 1e-12 + 1e-9 * abs(float(first[-1]))
-    for t in traces[1:]:
-        other = t.times_s
-        if other is first:
-            continue
-        # Uniform grids are fixed by (length, endpoints); checking those
-        # keeps this O(1) per trace instead of O(n).
-        if (
-            len(other) != len(first)
-            or abs(float(other[0]) - float(first[0])) > tol
-            or abs(float(other[-1]) - float(first[-1])) > tol
-        ):
-            raise DomainError("traces are not sampled on a common grid")
-
-
-def subtract_mean_artifact(traces: Sequence[NoiseTrace]) -> list[NoiseTrace]:
-    """Remove the shot-ensemble mean from every trace.
+def subtract_mean_artifact(trace: NoiseTrace) -> NoiseTrace:
+    """Remove the shot-ensemble mean from every shot.
 
     Coherent content (switch transients, any injected waveform) repeats
     across shots and survives averaging, while noise averages down, so
@@ -94,15 +81,9 @@ def subtract_mean_artifact(traces: Sequence[NoiseTrace]) -> list[NoiseTrace]:
     the bias is common to every section of every shot and cancels in
     level ratios.
     """
-    if len(traces) < 2:
-        raise DomainError("need at least two traces to estimate the mean transient")
-    _require_common_grid(traces)
-    stack = np.stack([t.voltages_v for t in traces])
-    mean = stack.mean(axis=0)
-    return [
-        NoiseTrace(t.times_s.copy(), t.voltages_v - mean, dict(t.metadata))
-        for t in traces
-    ]
+    if trace.n_shots < 2:
+        raise DomainError("need at least two shots to estimate the mean transient")
+    return NoiseTrace(trace.times_s, trace.voltages_v - trace.voltages_v.mean(axis=0))
 
 
 class SpectralDensity(NamedTuple):
@@ -110,53 +91,25 @@ class SpectralDensity(NamedTuple):
     density: np.ndarray  # one-sided, V^2/Hz
 
 
-def spectral_density(
+def ensemble_spectral_density(
     trace: NoiseTrace, segment_samples: int = 256, window: str = "hann"
 ) -> SpectralDensity:
-    """Welch estimate of the one-sided power spectral density."""
+    """Average of per-shot Welch estimates of the one-sided power
+    spectral density."""
     if segment_samples < 8:
         raise DomainError("segment length must be at least 8 samples")
     if segment_samples > len(trace):
         raise DomainError(
             f"segment length {segment_samples} exceeds trace length {len(trace)}"
         )
-    fs = 1.0 / trace.sample_interval_s
     freqs, psd = signal.welch(
         trace.voltages_v,
-        fs=fs,
+        fs=1.0 / trace.sample_interval_s,
         window=window,
         nperseg=segment_samples,
         noverlap=segment_samples // 2,
         detrend=False,
         scaling="density",
-    )
-    return SpectralDensity(freqs, psd)
-
-
-def ensemble_spectral_density(
-    traces: Sequence[NoiseTrace], segment_samples: int = 256, window: str = "hann"
-) -> SpectralDensity:
-    """Average of per-shot Welch estimates on a common grid."""
-    if not traces:
-        raise DomainError("need at least one trace")
-    _require_common_grid(traces)
-    if segment_samples < 8:
-        raise DomainError("segment length must be at least 8 samples")
-    if segment_samples > len(traces[0]):
-        raise DomainError(
-            f"segment length {segment_samples} exceeds trace length {len(traces[0])}"
-        )
-    fs = 1.0 / traces[0].sample_interval_s
-    stack = np.stack([t.voltages_v for t in traces])
-    freqs, psd = signal.welch(
-        stack,
-        fs=fs,
-        window=window,
-        nperseg=segment_samples,
-        noverlap=segment_samples // 2,
-        detrend=False,
-        scaling="density",
-        axis=-1,
     )
     return SpectralDensity(freqs, psd.mean(axis=0))
 
@@ -208,25 +161,22 @@ def band_averaged_deltap(
 
 
 def pooled_mean_square(
-    traces: Sequence[NoiseTrace], t_start_s: float, t_stop_s: float
+    trace: NoiseTrace, t_start_s: float, t_stop_s: float
 ) -> tuple[float, int]:
     """Mean square voltage pooled over shots within [t_start_s, t_stop_s).
 
     Returns (mean square, total sample count).
     """
-    if not traces:
-        raise DomainError("need at least one trace")
-    total = 0.0
-    count = 0
-    for t in traces:
-        section = t.slice_time(t_start_s, t_stop_s)
-        total += float(np.sum(section.voltages_v**2))
-        count += len(section)
-    return total / count, count
+    section = trace.slice_time(t_start_s, t_stop_s)
+    # Shot sums added in shot order (cumsum is sequential), not one
+    # pairwise sum over the block, so the pooled value does not depend
+    # on how the shots are blocked.
+    per_shot = np.sum(section.voltages_v**2, axis=1)
+    return float(np.cumsum(per_shot)[-1]) / section.voltages_v.size, section.voltages_v.size
 
 
 def segment_deltap(
-    traces: Sequence[NoiseTrace],
+    trace: NoiseTrace,
     cooled_span_s: tuple[float, float],
     ambient_span_s: tuple[float, float],
 ) -> DeltaPEstimate:
@@ -236,8 +186,8 @@ def segment_deltap(
     section; mild sample correlation from boxcar extraction makes it a
     slight underestimate.
     """
-    ms_cold, n_cold = pooled_mean_square(traces, *cooled_span_s)
-    ms_amb, n_amb = pooled_mean_square(traces, *ambient_span_s)
+    ms_cold, n_cold = pooled_mean_square(trace, *cooled_span_s)
+    ms_amb, n_amb = pooled_mean_square(trace, *ambient_span_s)
     if ms_cold <= 0 or ms_amb <= 0:
         raise AnalysisError("non-positive section power; cannot form a level ratio")
     value = 10.0 * math.log10(ms_cold / ms_amb)
@@ -246,7 +196,7 @@ def segment_deltap(
 
 
 def windowed_deltap_timeseries(
-    sections: "Sequence[NoiseTrace] | NoiseTrace",
+    section: NoiseTrace,
     ambient_mean_square: float,
     window_samples: int = 10,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -258,24 +208,17 @@ def windowed_deltap_timeseries(
     first sample of the section.  Windows with non-positive pooled power
     come back as NaN; a trailing partial window is dropped.
     """
-    if isinstance(sections, NoiseTrace):
-        sections = [sections]
-    if not sections:
-        raise DomainError("need at least one section")
     if window_samples < 1:
         raise DomainError("window must be at least one sample")
     if ambient_mean_square <= 0:
         raise DomainError("ambient reference mean square must be positive")
-    _require_common_grid(sections)
-    n = len(sections[0])
-    n_windows = n // window_samples
+    n_windows = len(section) // window_samples
     if n_windows < 1:
         raise AnalysisError("section shorter than one window")
-    pooled = np.mean(
-        np.stack([s.voltages_v**2 for s in sections]), axis=0
-    )[: n_windows * window_samples]
+    used = n_windows * window_samples
+    pooled = np.mean(section.voltages_v**2, axis=0)[:used]
     window_ms = pooled.reshape(n_windows, window_samples).mean(axis=1)
-    rel_times = sections[0].times_s[: n_windows * window_samples] - sections[0].times_s[0]
+    rel_times = section.times_s[:used] - section.times_s[0]
     centers = rel_times.reshape(n_windows, window_samples).mean(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         deltap = np.where(

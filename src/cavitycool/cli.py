@@ -151,10 +151,11 @@ def cmd_simulate(args, cfg: RunConfig) -> int:
     result = simulate_run(cfg)
     trajectory_file = "trajectory.csv"
     tracefile.write_trajectory_csv(_outpath(args, trajectory_file), result.trajectory)
+    traces = result.traces
     trace_files = []
-    for i, trace in enumerate(result.traces):
+    for i, row in enumerate(traces.voltages_v):
         name = f"trace_{i:03d}.csv"
-        tracefile.write_trace_csv(_outpath(args, name), trace)
+        tracefile.write_trace_csv(_outpath(args, name), traces.times_s, row)
         trace_files.append(name)
 
     digest = config_digest(cfg)
@@ -234,8 +235,13 @@ def _load_analysis_inputs(args, cfg: RunConfig):
                     f"{args.inputs[0]}: bad disconnect_time_s value"
                 ) from None
         cfg = _run_config(args, cfg, args.inputs[0], meta)
-    traces = [tracefile.read_trace_csv(p) for p in paths]
-    return traces, disconnect, cfg
+        if len(paths) != cfg.n_shots or meta.get("n_shots") != str(len(paths)):
+            raise DataFormatError(
+                f"{args.inputs[0]}: lists {len(paths)} trace files, but records "
+                f"n_shots={meta.get('n_shots', '(none)')} and "
+                f"synth.n_shots={cfg.n_shots}"
+            )
+    return tracefile.read_trace_ensemble(paths), disconnect, cfg
 
 
 def cmd_analyze(args, cfg: RunConfig) -> int:

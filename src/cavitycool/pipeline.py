@@ -29,7 +29,7 @@ from .thermal import mode_temperature
 @dataclass
 class SimulationResult:
     trajectory: PhotonTrajectory
-    traces: list[NoiseTrace]
+    traces: NoiseTrace
     schedule: SwitchSchedule
     disconnect_time_s: float
 
@@ -90,7 +90,7 @@ class AnalysisReport:
 
 
 def analyze_run(
-    traces: list[NoiseTrace],
+    traces: NoiseTrace,
     cfg: RunConfig,
     disconnect_time_s: float | None = None,
 ) -> AnalysisReport:
@@ -106,32 +106,30 @@ def analyze_run(
 
     `disconnect_time_s` defaults to the configured cooling duration.
     """
-    if not traces:
-        raise AnalysisError("no traces to analyze")
     acfg = cfg.analysis
     if disconnect_time_s is None:
         disconnect_time_s = cfg.protocol.cool_duration_s
     notes: list[str] = []
 
-    if len(traces) >= 2:
+    if traces.n_shots >= 2:
         residuals = analysis.subtract_mean_artifact(traces)
     else:
-        residuals = [traces[0]]
+        residuals = traces
         notes.append(
             "single shot: deterministic transients cannot be separated from noise"
         )
 
     extraction = analysis.NoiseExtractionConfig(acfg.boxcar_width_s)
-    width = extraction.width_samples(residuals[0].sample_interval_s)
+    width = extraction.width_samples(residuals.sample_interval_s)
     if width >= 2:
-        extracted = [analysis.extract_noise(r, extraction) for r in residuals]
+        extracted = analysis.extract_noise(residuals, extraction)
     else:
         extracted = residuals
         notes.append(
             "boxcar width rounds to one sample; spectral extraction skipped"
         )
 
-    t_end = float(residuals[0].times_s[-1])
+    t_end = float(residuals.times_s[-1])
     cooled_span = (disconnect_time_s - acfg.cooled_window_s, disconnect_time_s)
     ambient_span = (disconnect_time_s + acfg.ambient_settle_s, t_end + 1e-12)
     if cooled_span[0] < 0:
@@ -149,11 +147,11 @@ def analyze_run(
     cold_psd = None
     ambient_psd = None
     seg = acfg.psd_segment_samples
-    cold_sections = [r.slice_time(*cooled_span) for r in extracted]
-    ambient_sections = [r.slice_time(*ambient_span) for r in extracted]
-    if seg <= min(len(cold_sections[0]), len(ambient_sections[0])):
-        cold_psd = analysis.ensemble_spectral_density(cold_sections, seg)
-        ambient_psd = analysis.ensemble_spectral_density(ambient_sections, seg)
+    cold_section = extracted.slice_time(*cooled_span)
+    ambient_section = extracted.slice_time(*ambient_span)
+    if seg <= min(len(cold_section), len(ambient_section)):
+        cold_psd = analysis.ensemble_spectral_density(cold_section, seg)
+        ambient_psd = analysis.ensemble_spectral_density(ambient_section, seg)
         try:
             deltap_band = analysis.band_averaged_deltap(
                 cold_psd, ambient_psd, (acfg.band_low_hz, acfg.band_high_hz)
@@ -166,9 +164,10 @@ def analyze_run(
         )
 
     warmup_stop = min(disconnect_time_s + acfg.fit_window_s, t_end)
-    warmup_sections = [r.slice_time(disconnect_time_s, warmup_stop) for r in residuals]
     series_t, series_db = analysis.windowed_deltap_timeseries(
-        warmup_sections, ambient_ms, acfg.window_samples
+        residuals.slice_time(disconnect_time_s, warmup_stop),
+        ambient_ms,
+        acfg.window_samples,
     )
 
     fit = None
@@ -205,6 +204,6 @@ def analyze_run(
         warmup_stderr_s=warmup_stderr,
         t_mode_inferred_k=t_mode,
         t_ambient_reference_k=t_ambient_ref,
-        n_shots=len(traces),
+        n_shots=traces.n_shots,
         notes=notes,
     )

@@ -48,6 +48,18 @@ class LnaNoiseParameters:
             raise DomainError("reference temperature must be positive")
 
 
+def _mismatch_k(lna: LnaNoiseParameters, gamma_source: complex) -> float:
+    """LNA noise from a source away from the optimum match:
+    4 T_0 (R_n/Z_0) |G_s - G_opt|^2 / |1 + G_opt|^2."""
+    scale = (
+        4.0
+        * lna.reference_temperature_k
+        * lna.noise_resistance_ohm
+        / lna.reference_impedance_ohm
+    )
+    return scale * abs(gamma_source - lna.gamma_opt) ** 2 / abs(1.0 + lna.gamma_opt) ** 2
+
+
 def lna_input_noise_temperature(
     lna: LnaNoiseParameters, gamma_source: complex = 0j
 ) -> float:
@@ -65,28 +77,13 @@ def lna_input_noise_temperature(
     gs = complex(gamma_source)
     if abs(gs) >= 1:
         raise DomainError("|gamma_source| must be < 1")
-    go = lna.gamma_opt
-    mismatch = abs(gs - go) ** 2 / ((1.0 - abs(gs) ** 2) * abs(1.0 + go) ** 2)
-    scale = (
-        4.0
-        * lna.reference_temperature_k
-        * lna.noise_resistance_ohm
-        / lna.reference_impedance_ohm
-    )
-    return lna.t_min_k + scale * mismatch
+    return lna.t_min_k + _mismatch_k(lna, gs) / (1.0 - abs(gs) ** 2)
 
 
 def matched_source_excess_k(lna: LnaNoiseParameters) -> float:
     """Mismatch penalty at a reflectionless source (the X term of the
     output-noise bracket): 4 T_0 (R_n/Z_0) |G_opt|^2 / |1 + G_opt|^2."""
-    go = lna.gamma_opt
-    scale = (
-        4.0
-        * lna.reference_temperature_k
-        * lna.noise_resistance_ohm
-        / lna.reference_impedance_ohm
-    )
-    return scale * abs(go) ** 2 / abs(1.0 + go) ** 2
+    return _mismatch_k(lna, 0j)
 
 
 class AmplifierStage(NamedTuple):
@@ -217,16 +214,9 @@ def system_output_noise_kelvin(
         t_mode_k = float(t_mode_k)
     lna = chain.lna
     gc = chain.cavity_reflection_reference if reference else chain.cavity_reflection
-    scale = (
-        4.0
-        * lna.reference_temperature_k
-        * lna.noise_resistance_ohm
-        / lna.reference_impedance_ohm
-    )
-    mismatch = scale * abs(gc - lna.gamma_opt) ** 2 / abs(1.0 + lna.gamma_opt) ** 2
     bracket = (
         (lna.t_min_k + t_mode_k) * (1.0 - abs(gc) ** 2)
-        + mismatch
+        + _mismatch_k(lna, gc)
         + chain.image_noise_k
     )
     return chain.lna_gain_linear * bracket + chain.post_stage_noise_k

@@ -17,9 +17,8 @@ steps are documented so the stream can be reproduced outside Python.
 
 from __future__ import annotations
 
-import hashlib
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import signal as _signal
@@ -107,42 +106,27 @@ class SynthConfig:
     def n_samples(self) -> int:
         return int(math.floor(self.duration_s / self.sample_interval_s + 1e-6)) + 1
 
-    def digest(self) -> str:
-        """Short stable fingerprint of every generation-relevant field."""
-        injected = (
-            "none"
-            if self.injected_signal is None
-            else ",".join(repr(float(v)) for v in np.ravel(self.injected_signal))
-        )
-        text = "|".join(
-            [
-                repr(float(self.sample_interval_s)),
-                repr(float(self.duration_s)),
-                str(int(self.rng_seed)),
-                repr(float(self.one_over_f_corner_hz)),
-                repr(float(self.artifact_duration_s)),
-                repr(float(self.artifact_amplitude_v)),
-                repr(float(self.voltage_scale)),
-                ",".join(repr(float(t)) for t in self.switch_times_s),
-                injected,
-            ]
-        )
-        return hashlib.sha256(text.encode()).hexdigest()[:12]
-
 
 @dataclass
 class NoiseTrace:
-    """A sampled voltage record with free-form string metadata."""
+    """A shot ensemble: row i of `voltages_v`, shape (n_shots, n_samples),
+    is shot i sampled on the common 1-D grid `times_s`.  A single record
+    is a one-row ensemble.
+
+    Both arrays are stored as read-only views, so sections can share one
+    buffer and a stray in-place operation raises instead of corrupting it.
+    """
 
     times_s: np.ndarray
     voltages_v: np.ndarray
-    metadata: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        self.times_s = np.asarray(self.times_s, dtype=float)
-        self.voltages_v = np.asarray(self.voltages_v, dtype=float)
-        if self.times_s.shape != self.voltages_v.shape or self.times_s.ndim != 1:
-            raise DomainError("times and voltages must be matching 1-D arrays")
+        self.times_s = _read_only(self.times_s)
+        self.voltages_v = _read_only(self.voltages_v)
+        if self.voltages_v.ndim != 2 or self.voltages_v.shape[1:] != self.times_s.shape:
+            raise DomainError("voltages must be (n_shots, n_samples) on a 1-D time grid")
+        if self.n_shots < 1:
+            raise DomainError("need at least one shot")
         # Cheap ordering check only; the CSV reader does the full grid
         # validation, and internal producers construct sorted grids.
         n = len(self.times_s)
@@ -154,7 +138,12 @@ class NoiseTrace:
             raise DomainError("sample times must be strictly increasing")
 
     def __len__(self) -> int:
+        """Samples per shot."""
         return len(self.times_s)
+
+    @property
+    def n_shots(self) -> int:
+        return self.voltages_v.shape[0]
 
     @property
     def sample_interval_s(self) -> float:
@@ -163,7 +152,7 @@ class NoiseTrace:
         return float(self.times_s[1] - self.times_s[0])
 
     def slice_time(self, t_start_s: float, t_stop_s: float) -> "NoiseTrace":
-        """Samples with t_start_s <= t < t_stop_s (metadata carried over)."""
+        """View of every shot's samples with t_start_s <= t < t_stop_s."""
         if t_stop_s <= t_start_s:
             raise DomainError("empty time slice")
         lo = int(np.searchsorted(self.times_s, t_start_s, side="left"))
@@ -172,14 +161,13 @@ class NoiseTrace:
             raise DomainError(
                 f"no samples in [{t_start_s}, {t_stop_s}) s"
             )
-        return NoiseTrace(
-            self.times_s[lo:hi].copy(),
-            self.voltages_v[lo:hi].copy(),
-            dict(self.metadata),
-        )
+        return NoiseTrace(self.times_s[lo:hi], self.voltages_v[:, lo:hi])
 
-    def mean_square(self) -> float:
-        return float(np.mean(self.voltages_v**2))
+
+def _read_only(values) -> np.ndarray:
+    view = np.asarray(values, dtype=float).view()
+    view.flags.writeable = False
+    return view
 
 
 def switch_artifact_waveform(cfg: SynthConfig) -> np.ndarray:
@@ -192,19 +180,6 @@ def switch_artifact_waveform(cfg: SynthConfig) -> np.ndarray:
     n = max(1, int(round(cfg.artifact_duration_s / cfg.sample_interval_s)))
     u = np.arange(n) * cfg.sample_interval_s / cfg.artifact_duration_s
     return cfg.artifact_amplitude_v * np.sin(4.0 * math.pi * u) * np.exp(-3.0 * u)
-
-
-def inject_switch_artifact(trace: NoiseTrace, switch_time_s: float, cfg: SynthConfig) -> NoiseTrace:
-    """Copy of `trace` with the switch transient added at `switch_time_s`."""
-    if switch_time_s < 0:
-        raise DomainError("switch time must be >= 0")
-    wave = switch_artifact_waveform(cfg)
-    volts = trace.voltages_v.copy()
-    start = int(np.searchsorted(trace.times_s, switch_time_s - 1e-15, side="left"))
-    stop = min(start + len(wave), len(volts))
-    if start < len(volts):
-        volts[start:stop] += wave[: stop - start]
-    return NoiseTrace(trace.times_s.copy(), volts, dict(trace.metadata))
 
 
 def _flicker_component(
@@ -247,15 +222,16 @@ def _flicker_component(
     return math.sqrt(white_floor / density) * total
 
 
-def synthesize_trace(
-    trajectory: PhotonTrajectory, chain: ReceiverChain, cfg: SynthConfig
+def _synthesize(
+    trajectory: PhotonTrajectory, chain: ReceiverChain, cfg: SynthConfig, seeds: list[int]
 ) -> NoiseTrace:
-    """One receiver output trace for a mode-temperature trajectory.
-
-    The trajectory must be sampled on exactly the grid the config
-    implies.  Draw order (fixed, part of the reproducibility contract):
-    white samples first, then, if enabled, one stationary start plus n
-    drive samples per flicker source from lowest octave index up.
+    """Row i from the Philox stream keyed by seeds[i], drawn in a fixed
+    order (part of the reproducibility contract): white samples first,
+    then, if enabled, one stationary start plus n drive samples per
+    flicker source from lowest octave index up.  The deterministic
+    components (switch transients, injected signal) follow, identical
+    in every row.  The trajectory must be sampled on exactly the grid
+    the config implies.
     """
     n = cfg.n_samples
     if len(trajectory) != n:
@@ -268,15 +244,17 @@ def synthesize_trace(
 
     sysnoise_k = system_output_noise_kelvin(chain, trajectory.temperature_k)
     sigma = cfg.voltage_scale * np.sqrt(sysnoise_k)
+    reference_variance = float(sigma[-1] ** 2)
 
-    rng = np.random.Generator(np.random.Philox(key=cfg.rng_seed))
-    volts = sigma * rng.standard_normal(n)
-
-    if cfg.one_over_f_corner_hz > 0:
-        reference_variance = float(sigma[-1] ** 2)
-        volts += _flicker_component(
-            rng, n, cfg.sample_interval_s, cfg.one_over_f_corner_hz, reference_variance
-        )
+    volts = np.empty((len(seeds), n))
+    for row, seed in zip(volts, seeds):
+        rng = np.random.Generator(np.random.Philox(key=seed))
+        rng.standard_normal(out=row)
+        row *= sigma
+        if cfg.one_over_f_corner_hz > 0:
+            row += _flicker_component(
+                rng, n, cfg.sample_interval_s, cfg.one_over_f_corner_hz, reference_variance
+            )
 
     if cfg.artifact_amplitude_v > 0:
         wave = switch_artifact_waveform(cfg)
@@ -284,16 +262,22 @@ def synthesize_trace(
             start = int(np.searchsorted(times, t_switch - 1e-15, side="left"))
             stop = min(start + len(wave), n)
             if start < n:
-                volts[start:stop] += wave[: stop - start]
+                volts[:, start:stop] += wave[: stop - start]
 
     if cfg.injected_signal is not None:
         injected = np.asarray(cfg.injected_signal, dtype=float).ravel()
         m = min(len(injected), n)
-        volts[:m] += injected[:m]
+        volts[:, :m] += injected[:m]
 
-    return NoiseTrace(
-        times, volts, {"seed": str(cfg.rng_seed), "config": cfg.digest()}
-    )
+    return NoiseTrace(times, volts)
+
+
+def synthesize_trace(
+    trajectory: PhotonTrajectory, chain: ReceiverChain, cfg: SynthConfig
+) -> NoiseTrace:
+    """One receiver output record (a one-row ensemble) for a
+    mode-temperature trajectory, from the stream keyed by cfg.rng_seed."""
+    return _synthesize(trajectory, chain, cfg, [cfg.rng_seed])
 
 
 def synthesize_shot_ensemble(
@@ -301,20 +285,10 @@ def synthesize_shot_ensemble(
     chain: ReceiverChain,
     cfg: SynthConfig,
     n_shots: int,
-) -> list[NoiseTrace]:
-    """Independent repetitions of the same protocol.
-
-    Shot i uses the SplitMix64-derived seed `shot_seed(cfg.rng_seed, i)`;
-    deterministic components (artifact, injected signal) are identical
-    across shots.
-    """
-    if n_shots < 1:
-        raise DomainError("need at least one shot")
-    traces = []
-    for i in range(n_shots):
-        shot_cfg = replace(cfg, rng_seed=shot_seed(cfg.rng_seed, i))
-        trace = synthesize_trace(trajectory, chain, shot_cfg)
-        trace.metadata["shot"] = str(i)
-        trace.metadata["master_seed"] = str(cfg.rng_seed)
-        traces.append(trace)
-    return traces
+) -> NoiseTrace:
+    """Independent repetitions of the same protocol: row i is the record
+    `synthesize_trace` draws from the SplitMix64-derived seed
+    `shot_seed(cfg.rng_seed, i)`."""
+    return _synthesize(
+        trajectory, chain, cfg, [shot_seed(cfg.rng_seed, i) for i in range(n_shots)]
+    )

@@ -28,10 +28,11 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def write_trace_csv(path: str, trace: NoiseTrace) -> None:
+def write_trace_csv(path: str, times_s: np.ndarray, voltages_v: np.ndarray) -> None:
+    """Write one shot: its samples `voltages_v` on the grid `times_s`."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(TRACE_HEADER) + "\n")
-        for t, v in zip(trace.times_s, trace.voltages_v):
+        for t, v in zip(times_s, voltages_v, strict=True):
             fh.write(f"{_fmt(t)},{_fmt(v)}\n")
 
 
@@ -45,7 +46,7 @@ def _sample_line(path: str, index: int) -> int:
 
 
 def read_trace_csv(path: str) -> NoiseTrace:
-    """Read a trace CSV, validating the header, every row, that every
+    """Read a trace CSV as a one-row ensemble, validating the header, every row, that every
     sample is finite, and that the samples sit on a uniform, increasing
     grid.
 
@@ -96,7 +97,29 @@ def read_trace_csv(path: str) -> NoiseTrace:
     dt = steps[0]
     if np.max(np.abs(steps - dt)) > _GRID_TOLERANCE * dt:
         raise DataFormatError(f"{path}: sample grid is not uniform")
-    return NoiseTrace(t, v, {"source": path})
+    return NoiseTrace(t, v[np.newaxis])
+
+
+def read_trace_ensemble(paths: Sequence[str]) -> NoiseTrace:
+    """Read trace CSVs as one ensemble, row i from paths[i].  Every file
+    needs the first file's sample count and endpoints (to within
+    1e-12 + 1e-9 |t_end| s), which fix a uniform grid."""
+    first = read_trace_csv(paths[0])
+    times = first.times_s
+    tol = 1e-12 + 1e-9 * abs(float(times[-1]))
+    volts = np.empty((len(paths), len(times)))
+    volts[0] = first.voltages_v[0]
+    for i, path in enumerate(paths[1:], start=1):
+        trace = read_trace_csv(path)
+        t = trace.times_s
+        if len(t) != len(times) or max(abs(t[0] - times[0]), abs(t[-1] - times[-1])) > tol:
+            raise DataFormatError(
+                f"{path}: {len(t)} samples over [{_fmt(t[0])}, {_fmt(t[-1])}] s; "
+                f"{paths[0]} has {len(times)} over [{_fmt(times[0])}, "
+                f"{_fmt(times[-1])}] s, and traces must share one grid"
+            )
+        volts[i] = trace.voltages_v[0]
+    return NoiseTrace(times, volts)
 
 
 def write_trajectory_csv(path: str, trajectory) -> None:

@@ -19,7 +19,6 @@ from cavitycool.analysis import (
     fit_biexponential,
     pooled_mean_square,
     segment_deltap,
-    spectral_density,
     subtract_mean_artifact,
     windowed_deltap_timeseries,
 )
@@ -27,9 +26,10 @@ from cavitycool.errors import AnalysisError, DomainError
 from cavitycool.synth import NoiseTrace
 
 
-def _trace(volts, dt=1e-7, **metadata):
-    volts = np.asarray(volts, dtype=float)
-    return NoiseTrace(np.arange(len(volts)) * dt, volts, dict(metadata))
+def _trace(volts, dt=1e-7):
+    """Ensemble of the given rows; a 1-D record is a one-row ensemble."""
+    volts = np.atleast_2d(np.asarray(volts, dtype=float))
+    return NoiseTrace(np.arange(volts.shape[1]) * dt, volts)
 
 
 def _white(n, sigma, seed, dt=1e-7):
@@ -50,51 +50,45 @@ def _warmup_db(t):
 
 def test_subtract_mean_artifact_identical_traces():
     base = np.sin(np.linspace(0.0, 6.0, 500))
-    traces = [_trace(base.copy()) for _ in range(4)]
-    out = subtract_mean_artifact(traces)
-    for t in out:
-        assert np.allclose(t.voltages_v, 0.0, atol=1e-15)
+    out = subtract_mean_artifact(_trace([base] * 4))
+    assert out.n_shots == 4
+    assert np.allclose(out.voltages_v, 0.0, atol=1e-15)
 
 
 def test_subtract_mean_artifact_two_traces():
     a = np.linspace(0.0, 1.0, 100)
     b = np.linspace(1.0, 0.0, 100)
-    out = subtract_mean_artifact([_trace(a), _trace(b)])
-    assert np.allclose(out[0].voltages_v, (a - b) / 2.0, atol=1e-15)
-    assert np.allclose(out[1].voltages_v, (b - a) / 2.0, atol=1e-15)
+    out = subtract_mean_artifact(_trace([a, b]))
+    assert np.allclose(out.voltages_v[0], (a - b) / 2.0, atol=1e-15)
+    assert np.allclose(out.voltages_v[1], (b - a) / 2.0, atol=1e-15)
 
 
 def test_subtract_mean_artifact_suppresses_coherent_part():
     n, n_shots, sigma = 2000, 40, 0.5
     rng = np.random.default_rng(101)
     artifact = 2.0 * np.exp(-np.arange(n) / 80.0) * np.sin(np.arange(n) / 5.0)
-    traces = [
-        _trace(artifact + sigma * rng.standard_normal(n)) for _ in range(n_shots)
-    ]
+    traces = _trace(
+        [artifact + sigma * rng.standard_normal(n) for _ in range(n_shots)]
+    )
     cleaned = subtract_mean_artifact(traces)
     # Correlate the residual with the artifact template: the surviving
     # coherent power must be below artifact power / n_shots.
     template = artifact / math.sqrt(float(np.sum(artifact**2)))
-    residual_power = np.mean(
-        [float(np.dot(t.voltages_v, template)) ** 2 for t in cleaned]
-    )
+    residual_power = np.mean((cleaned.voltages_v @ template) ** 2)
     artifact_power = float(np.sum(artifact**2))
     assert residual_power < artifact_power / n_shots
     # Ensemble mean of the output is zero by construction.
-    mean = np.mean([t.voltages_v for t in cleaned], axis=0)
+    mean = cleaned.voltages_v.mean(axis=0)
     assert np.allclose(mean, 0.0, atol=1e-12)
 
 
 def test_subtract_mean_artifact_validation():
     with pytest.raises(DomainError):
-        subtract_mean_artifact([_white(100, 1.0, 0)])
-    a = _white(100, 1.0, 0)
-    b = _white(101, 1.0, 1)
+        subtract_mean_artifact(_white(100, 1.0, 0))
+    # Shots longer than the common grid cannot form one ensemble (files
+    # on different grids are rejected where they are read).
     with pytest.raises(DomainError):
-        subtract_mean_artifact([a, b])
-    c = NoiseTrace(np.arange(100) * 1e-7 + 5e-6, np.zeros(100))
-    with pytest.raises(DomainError):
-        subtract_mean_artifact([a, c])
+        NoiseTrace(np.arange(100) * 1e-7, np.zeros((2, 101)))
 
 
 def test_extract_noise_constant_maps_to_zero():
@@ -140,7 +134,7 @@ def test_extraction_config_validation():
 
 def test_spectral_density_parseval():
     trace = _white(65536, 0.9, 17)
-    freqs, psd = spectral_density(trace, segment_samples=256)
+    freqs, psd = ensemble_spectral_density(trace, segment_samples=256)
     df = float(freqs[1] - freqs[0])
     integral = float(np.sum(psd) * df)
     variance = float(np.var(trace.voltages_v))
@@ -150,7 +144,7 @@ def test_spectral_density_parseval():
 def test_spectral_density_white_is_flat():
     sigma, dt = 0.8, 1e-7
     trace = _white(262144, sigma, 19, dt=dt)
-    freqs, psd = spectral_density(trace, segment_samples=256)
+    freqs, psd = ensemble_spectral_density(trace, segment_samples=256)
     level = 2.0 * dt * sigma**2  # one-sided white density
     interior = psd[1:-1]
     assert abs(float(interior.mean()) - level) / level < 0.01
@@ -170,7 +164,7 @@ def test_spectral_density_sinusoid_concentrates():
     times = np.arange(n) * dt
     amp = 0.3
     trace = _trace(amp * np.sin(2.0 * math.pi * f0 * times), dt=dt)
-    freqs, psd = spectral_density(trace, segment_samples=nperseg)
+    freqs, psd = ensemble_spectral_density(trace, segment_samples=nperseg)
     df = float(freqs[1] - freqs[0])
     assert int(np.argmax(psd)) == k
     # Hann leakage confines the line to the peak bin and its neighbours.
@@ -183,15 +177,15 @@ def test_spectral_density_sinusoid_concentrates():
 def test_spectral_density_validation():
     trace = _white(100, 1.0, 2)
     with pytest.raises(DomainError):
-        spectral_density(trace, segment_samples=4)
+        ensemble_spectral_density(trace, segment_samples=4)
     with pytest.raises(DomainError):
-        spectral_density(trace, segment_samples=128)
+        ensemble_spectral_density(trace, segment_samples=128)
 
 
 def test_ensemble_spectral_density_matches_mean_of_shots():
-    traces = [_white(4096, 1.0, 100 + i) for i in range(6)]
-    ens = ensemble_spectral_density(traces, segment_samples=256)
-    individual = [spectral_density(t, segment_samples=256) for t in traces]
+    rows = [_white(4096, 1.0, 100 + i).voltages_v[0] for i in range(6)]
+    ens = ensemble_spectral_density(_trace(rows), segment_samples=256)
+    individual = [ensemble_spectral_density(_trace(r), segment_samples=256) for r in rows]
     assert np.array_equal(ens.frequencies_hz, individual[0].frequencies_hz)
     assert np.allclose(
         ens.density, np.mean([s.density for s in individual], axis=0), rtol=1e-12
@@ -199,12 +193,11 @@ def test_ensemble_spectral_density_matches_mean_of_shots():
 
 
 def test_ensemble_spectral_density_validation():
+    trace = _trace(np.ones((3, 200)))
     with pytest.raises(DomainError):
-        ensemble_spectral_density([])
-    a = _white(512, 1.0, 0)
-    b = _white(600, 1.0, 1)
+        ensemble_spectral_density(trace, segment_samples=4)
     with pytest.raises(DomainError):
-        ensemble_spectral_density([a, b], segment_samples=256)
+        ensemble_spectral_density(trace, segment_samples=256)
 
 
 def test_band_deltap_identical_spectra():
@@ -253,9 +246,8 @@ def test_band_deltap_validation():
 
 def test_pooled_mean_square():
     # Integer-step grid keeps the half-open slice boundaries exact.
-    a = _trace(np.full(100, 2.0), dt=1.0)
-    b = _trace(np.full(100, 4.0), dt=1.0)
-    ms, count = pooled_mean_square([a, b], 0.0, 50.0)
+    traces = _trace([np.full(100, 2.0), np.full(100, 4.0)], dt=1.0)
+    ms, count = pooled_mean_square(traces, 0.0, 50.0)
     assert count == 100
     assert ms == pytest.approx((50 * 4.0 + 50 * 16.0) / 100.0)
 
@@ -267,7 +259,7 @@ def test_segment_deltap_exact_levels():
     volts[: n // 2] *= 0.5
     trace = _trace(volts)
     est = segment_deltap(
-        [trace], (0.0, n // 2 * 1e-7), (n // 2 * 1e-7, n * 1e-7)
+        trace, (0.0, n // 2 * 1e-7), (n // 2 * 1e-7, n * 1e-7)
     )
     assert est.value_db == pytest.approx(10.0 * math.log10(0.25), abs=1e-12)
     assert est.stderr_db == pytest.approx(
@@ -281,7 +273,7 @@ def test_segment_deltap_recovers_known_ratio():
     volts = rng.standard_normal(n)
     volts[: n // 2] *= 10.0 ** (-3.5 / 20.0)  # -3.5 dB power step
     est = segment_deltap(
-        [_trace(volts)], (0.0, n // 2 * 1e-7), (n // 2 * 1e-7, n * 1e-7)
+        _trace(volts), (0.0, n // 2 * 1e-7), (n // 2 * 1e-7, n * 1e-7)
     )
     assert abs(est.value_db + 3.5) < 4.0 * est.stderr_db
     assert est.stderr_db < 0.06
@@ -312,15 +304,12 @@ def test_windowed_deltap_zero_window_is_nan():
 
 
 def test_windowed_deltap_pools_shots():
-    a = _trace(np.full(20, 1.0))
-    b = _trace(np.full(20, 3.0))
-    _, dp = windowed_deltap_timeseries([a, b], 5.0, window_samples=10)
+    shots = _trace([np.full(20, 1.0), np.full(20, 3.0)])
+    _, dp = windowed_deltap_timeseries(shots, 5.0, window_samples=10)
     assert np.allclose(dp, 0.0, atol=1e-12)  # pooled ms = (1+9)/2 = 5
 
 
 def test_windowed_deltap_validation():
-    with pytest.raises(DomainError):
-        windowed_deltap_timeseries([], 1.0)
     with pytest.raises(DomainError):
         windowed_deltap_timeseries(_trace(np.ones(20)), 1.0, window_samples=0)
     with pytest.raises(DomainError):

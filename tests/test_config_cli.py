@@ -266,22 +266,20 @@ def test_config_digest_stable_and_sensitive():
 
 def test_trace_csv_round_trip(tmp_path):
     rng = np.random.default_rng(3)
-    trace = NoiseTrace(np.arange(48) * 5e-8, rng.normal(size=48))
+    times, volts = np.arange(48) * 5e-8, rng.normal(size=48)
     path = tmp_path / "trace.csv"
-    tracefile.write_trace_csv(str(path), trace)
+    tracefile.write_trace_csv(str(path), times, volts)
     back = tracefile.read_trace_csv(str(path))
-    assert np.array_equal(back.times_s, trace.times_s)
-    assert np.array_equal(back.voltages_v, trace.voltages_v)
-    assert back.metadata["source"] == str(path)
+    assert back.n_shots == 1
+    assert np.array_equal(back.times_s, times)
+    assert np.array_equal(back.voltages_v[0], volts)
 
 
 def test_trace_csv_byte_determinism(tmp_path):
-    trace = NoiseTrace(
-        np.arange(16) * 1e-7, np.random.default_rng(9).normal(size=16)
-    )
+    times, volts = np.arange(16) * 1e-7, np.random.default_rng(9).normal(size=16)
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    tracefile.write_trace_csv(str(a), trace)
-    tracefile.write_trace_csv(str(b), trace)
+    tracefile.write_trace_csv(str(a), times, volts)
+    tracefile.write_trace_csv(str(b), times, volts)
     data = a.read_bytes()
     assert data == b.read_bytes()
     assert data.startswith(b"time_s,voltage_v\n")
@@ -396,7 +394,7 @@ def test_key_value_reader_is_forgiving_about_layout(tmp_path):
 def test_simulate_run_structure():
     cfg = _small_config(3)
     result = simulate_run(cfg)
-    assert len(result.traces) == 3
+    assert result.traces.n_shots == 3
     assert result.disconnect_time_s == cfg.protocol.cool_duration_s
     events = result.schedule.events
     assert [e.time_s for e in events] == [0.0, cfg.protocol.cool_duration_s]
@@ -409,10 +407,8 @@ def test_simulate_run_structure():
     q_ambient = steady_state_occupancy(cfg.mode, cfg.baths.subset((1,)))
     assert traj.occupancy[0] == pytest.approx(q_cold, rel=1e-12)
     assert traj.occupancy[-1] == pytest.approx(q_ambient, rel=1e-4)
-    for i, trace in enumerate(result.traces):
-        assert len(trace) == len(traj)
-        assert trace.metadata["shot"] == str(i)
-        assert trace.metadata["master_seed"] == str(cfg.synth.rng_seed)
+    assert np.array_equal(result.traces.times_s, traj.times_s)
+    assert result.traces.voltages_v.shape == (3, len(traj))
 
 
 def test_analyze_run_recovers_protocol():
@@ -467,8 +463,8 @@ def test_analyze_run_window_validation():
         analyze_run(traces, cfg, disconnect_time_s=10e-6)
     with pytest.raises(AnalysisError):
         analyze_run(traces, cfg, disconnect_time_s=110e-6)
-    with pytest.raises(AnalysisError):
-        analyze_run([], cfg)
+    with pytest.raises(DomainError):
+        analyze_run(NoiseTrace(traces.times_s, traces.voltages_v[:0]), cfg)
 
 
 # ---------------------------------------------------------------------- CLI
@@ -654,6 +650,49 @@ def test_cli_analyze_data_error_exit_codes(tmp_path, capsys):
     meta.write_text("trace_files=missing.csv\ndisconnect_time_s=soon\n")
     assert cli.main(["analyze", str(meta)]) == 4
     assert "disconnect_time_s" in capsys.readouterr().err
+
+
+def test_cli_analyze_rejects_traces_on_different_grids(tmp_path, capsys):
+    ini = _ini(tmp_path, "[synth]\nn_shots = 2\n")
+    out = tmp_path / "run"
+    assert cli.main(["simulate", "--config", ini, "--out", str(out),
+                     "--porcelain"]) == 0
+    capsys.readouterr()
+    first = out / "trace_000.csv"
+    lines = (out / "trace_001.csv").read_text().splitlines(keepends=True)
+    assert len(lines) == 3202
+
+    short = tmp_path / "short.csv"
+    short.write_text("".join(lines[:3001]))
+    shifted = tmp_path / "shifted.csv"
+    shifted.write_text(lines[0] + "".join(
+        f"{float(t) + 1e-7!r},{v}" for t, v in (ln.split(",") for ln in lines[1:])
+    ))
+    for other in (short, shifted):
+        assert cli.main(["analyze", str(first), str(other), "--config", ini]) == 4
+        err = capsys.readouterr().err
+        assert "data format error" in err
+        assert f"{other}: " in err and "share one grid" in err
+
+
+def test_cli_analyze_rejects_truncated_run(tmp_path, capsys):
+    ini = _ini(tmp_path, "[synth]\nn_shots = 3\n")
+    out = tmp_path / "run"
+    assert cli.main(["simulate", "--config", ini, "--out", str(out),
+                     "--porcelain"]) == 0
+    capsys.readouterr()
+    meta = out / "run.meta"
+    text = meta.read_text()
+    listed = "trace_files=trace_000.csv,trace_001.csv,trace_002.csv\n"
+    assert listed in text and "\nn_shots=3\n" in text
+    for edited in (
+        text.replace(listed, "trace_files=trace_000.csv,trace_001.csv\n"),
+        text.replace("\nn_shots=3\n", "\nn_shots=2\n"),
+    ):
+        meta.write_text(edited)
+        assert cli.main(["analyze", str(meta), "--porcelain"]) == 4
+        err = capsys.readouterr().err
+        assert f"{meta}: lists" in err and "n_shots" in err
 
 
 def test_cli_analyze_nonconvergence_exit_code(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Round-trip properties and pinned digests of the on-disk formats."""
 
+import hashlib
 import math
 import tempfile
 from dataclasses import replace
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from cavitycool import tracefile
+from cavitycool import cli, tracefile
 from cavitycool.config import (
     ProtocolConfig,
     config_digest,
@@ -23,7 +24,6 @@ from cavitycool.receiver import (
     infer_mode_temperature,
     noise_power_reduction_db,
 )
-from cavitycool.synth import NoiseTrace
 from cavitycool.thermal import BathPort, BathSet, CavityMode, LossModel
 
 _FEW = settings(max_examples=25, deadline=None)
@@ -120,13 +120,13 @@ def test_config_dump_round_trips_through_ini_and_meta(cfg):
 )))
 def test_trace_csv_round_trip_is_exact(drawn):
     dt, volts = drawn
-    trace = NoiseTrace(np.arange(len(volts)) * dt, np.array(volts))
+    times = np.arange(len(volts)) * dt
     with tempfile.TemporaryDirectory() as tmp:
         path = str(Path(tmp) / "trace.csv")
-        tracefile.write_trace_csv(path, trace)
+        tracefile.write_trace_csv(path, times, np.array(volts))
         back = tracefile.read_trace_csv(path)
-    assert np.array_equal(back.times_s, trace.times_s)
-    assert np.array_equal(back.voltages_v, trace.voltages_v)
+    assert np.array_equal(back.times_s, times)
+    assert np.array_equal(back.voltages_v, [volts])
 
 
 @_FEW
@@ -166,3 +166,51 @@ def test_readme_quick_config_digest_pinned(tmp_path):
     assert config_digest(load_run_config(str(path))) == (
         "9bc383623a0468d748f7cc7ba02d70fb92e4fa327b47700f695908cc54fde8ce"
     )
+
+
+# Pinned outputs of README's quick run (`quick.ini`: 40 shots, seed 7):
+# every written byte and every printed estimate, so a refactor that moves
+# one of them fails here rather than only against itself.
+_QUICK_SHA256 = {
+    "trace_000.csv": "9494e167a07d4cce531f835a0716529d1432685e4021a2b4539f86761b2b6a02",
+    "trajectory.csv": "3634b6f812f28af1f2ea4af4dc787f644efab61d2949213fe78d4a3b3c1cb79f",
+    "run.meta": "36bb1251a78e33b92df8754dc9167490a0498eaf5ad95ea3813bf1405e009280",
+}
+_QUICK_TRACES_SHA256 = "13c61b48b1a5123998e42e0de15ef5d49b24dcf316ab89ad88554fdb285026cf"
+_QUICK_PORCELAIN = """\
+n_shots=40
+deltap_direct_db=-3.479301709379156
+deltap_direct_stderr_db=0.05606717652536908
+deltap_band_db=-3.5312711195359254
+deltap_band_stderr_db=0.162387500672496
+fit_a1_db=-3.75874198857153
+fit_a2_db=0.0
+fit_tau1_s=6.75999278030613e-06
+fit_tau2_s=6.75999278030613e-06
+fit_residual_rms_db=0.08277741670378073
+fit_converged=true
+fit_collapsed_single=true
+warmup_time_s=6.75999278030613e-06
+warmup_stderr_s=5.248680306340364e-07
+depth_fit_db=-3.75874198857153
+depth_fit_stderr_db=0.31593027810471397
+t_mode_inferred_k=108.04972787405657
+t_ambient_reference_k=256.27905243008615
+"""
+
+
+def test_readme_quick_run_outputs_pinned(tmp_path, capsys):
+    ini = tmp_path / "quick.ini"
+    ini.write_text("[synth]\nn_shots = 40\nrng_seed = 7\n", encoding="utf-8")
+    out = tmp_path / "run"
+    assert cli.main(["simulate", "--config", str(ini), "--out", str(out),
+                     "--porcelain"]) == 0
+    capsys.readouterr()
+    for name, digest in _QUICK_SHA256.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+    traces = hashlib.sha256()
+    for i in range(40):
+        traces.update((out / f"trace_{i:03d}.csv").read_bytes())
+    assert traces.hexdigest() == _QUICK_TRACES_SHA256
+    assert cli.main(["analyze", str(out / "run.meta"), "--porcelain"]) == 0
+    assert capsys.readouterr().out == _QUICK_PORCELAIN

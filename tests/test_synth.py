@@ -15,7 +15,6 @@ from cavitycool.receiver import LnaNoiseParameters, ReceiverChain, system_output
 from cavitycool.synth import (
     NoiseTrace,
     SynthConfig,
-    inject_switch_artifact,
     shot_seed,
     switch_artifact_waveform,
     synthesize_shot_ensemble,
@@ -87,7 +86,7 @@ def test_trace_reproducible_bit_for_bit():
     a = synthesize_trace(traj, chain, cfg)
     b = synthesize_trace(traj, chain, cfg)
     assert np.array_equal(a.voltages_v, b.voltages_v)
-    assert a.metadata == b.metadata
+    assert a.n_shots == 1
 
 
 def test_different_seeds_differ():
@@ -132,7 +131,7 @@ def test_white_noise_is_gaussian():
         voltage_scale=1e-3,
     )
     trace = synthesize_trace(_flat_trajectory(cfg, 290.0), _chain(), cfg)
-    jb = stats.jarque_bera(trace.voltages_v).statistic
+    jb = stats.jarque_bera(trace.voltages_v[0]).statistic
     assert jb < stats.chi2.ppf(1.0 - 1e-3, 2)
 
 
@@ -150,7 +149,7 @@ def test_zero_voltage_scale_leaves_only_injected():
     traj = _flat_trajectory(cfg, 290.0)
     trace = synthesize_trace(traj, _chain(), cfg)
     assert len(trace) == n
-    assert np.array_equal(trace.voltages_v, injected)
+    assert np.array_equal(trace.voltages_v[0], injected)
     bare = synthesize_trace(traj, _chain(), replace(cfg, injected_signal=None))
     assert np.all(bare.voltages_v == 0.0)
 
@@ -166,8 +165,8 @@ def test_injected_shorter_than_trace_only_touches_prefix():
         injected_signal=injected,
     )
     trace = synthesize_trace(_flat_trajectory(cfg, 290.0), _chain(), cfg)
-    assert np.all(trace.voltages_v[:10] == 1.0)
-    assert np.all(trace.voltages_v[10:] == 0.0)
+    assert np.all(trace.voltages_v[0, :10] == 1.0)
+    assert np.all(trace.voltages_v[0, 10:] == 0.0)
 
 
 def test_segment_variance_ratio_matches_prediction():
@@ -184,9 +183,8 @@ def test_segment_variance_ratio_matches_prediction():
     traj = _step_trajectory(cfg, 108.217470804590, 256.279052430086)
     trace = synthesize_trace(traj, chain, cfg)
     half = len(trace) // 2
-    ratio_db = 10.0 * math.log10(
-        float(np.var(trace.voltages_v[:half]) / np.var(trace.voltages_v[half:]))
-    )
+    volts = trace.voltages_v[0]
+    ratio_db = 10.0 * math.log10(float(np.var(volts[:half]) / np.var(volts[half:])))
     assert abs(ratio_db - (-3.4733)) < 0.2
 
 
@@ -222,7 +220,7 @@ def test_artifact_deterministic_and_seed_independent():
             traj, chain, replace(base, rng_seed=seed, artifact_amplitude_v=0.02)
         )
         without = synthesize_trace(traj, chain, replace(base, rng_seed=seed))
-        return with_art.voltages_v - without.voltages_v
+        return with_art.voltages_v[0] - without.voltages_v[0]
 
     part_a = artifact_part(5)
     part_b = artifact_part(1234)
@@ -251,24 +249,33 @@ def test_zero_amplitude_disables_artifact():
     assert np.array_equal(with_switches.voltages_v, without.voltages_v)
 
 
-def test_inject_switch_artifact_pure():
+def test_switch_artifact_placement_and_cropping():
     cfg = SynthConfig(
-        sample_interval_s=1e-7, duration_s=100e-6, artifact_amplitude_v=0.1
+        sample_interval_s=1e-7,
+        duration_s=100e-6,
+        artifact_amplitude_v=0.1,
+        voltage_scale=0.0,
+        one_over_f_corner_hz=0.0,
     )
-    times = np.arange(cfg.n_samples) * 1e-7
-    base = NoiseTrace(times, np.zeros(cfg.n_samples))
-    out = inject_switch_artifact(base, 50e-6, cfg)
-    assert np.all(base.voltages_v == 0.0)  # input untouched
+    traj = _flat_trajectory(cfg, 290.0)
+
+    def at(*switch_times_s):
+        cfg_at = replace(cfg, switch_times_s=switch_times_s)
+        return synthesize_trace(traj, _chain(), cfg_at).voltages_v[0]
+
+    out = at(50e-6)
     wave = switch_artifact_waveform(cfg)
     i0 = 500
-    assert np.allclose(out.voltages_v[i0 : i0 + 20], wave, atol=1e-15)
-    assert np.all(out.voltages_v[:i0] == 0.0)
+    assert np.allclose(out[i0 : i0 + 20], wave, atol=1e-15)
+    assert np.all(out[:i0] == 0.0)
+    assert np.all(out[i0 + 20 :] == 0.0)
     # Beyond the end of the record the transient is cropped, not an error.
-    tail = inject_switch_artifact(base, 99.5e-6, cfg)
-    assert np.any(tail.voltages_v != 0.0)
-    assert np.count_nonzero(tail.voltages_v) < np.count_nonzero(out.voltages_v)
-    past = inject_switch_artifact(base, 200e-6, cfg)
-    assert np.all(past.voltages_v == 0.0)
+    tail = at(99.5e-6)
+    assert np.any(tail != 0.0)
+    assert np.count_nonzero(tail) < np.count_nonzero(out)
+    assert np.all(at(200e-6) == 0.0)
+    # Each switch instant gets its own copy of the transient.
+    assert np.array_equal(at(10e-6, 50e-6)[i0:], out[i0:])
 
 
 def test_ensemble_single_shot_equals_direct_call():
@@ -281,13 +288,37 @@ def test_ensemble_single_shot_equals_direct_call():
     )
     traj = _flat_trajectory(cfg, 290.0)
     chain = _chain()
-    shot = synthesize_shot_ensemble(traj, chain, cfg, 1)[0]
+    shot = synthesize_shot_ensemble(traj, chain, cfg, 1)
     direct = synthesize_trace(
         traj, chain, replace(cfg, rng_seed=shot_seed(20260817, 0))
     )
+    assert shot.n_shots == 1
     assert np.array_equal(shot.voltages_v, direct.voltages_v)
-    assert shot.metadata["shot"] == "0"
-    assert shot.metadata["master_seed"] == "20260817"
+    assert np.array_equal(shot.times_s, direct.times_s)
+
+
+def test_ensemble_row_i_is_the_shot_i_stream():
+    # Flicker, transients and an injected waveform on: every row is the
+    # record synthesize_trace draws from shot i's seed, bit for bit.
+    cfg = SynthConfig(
+        sample_interval_s=1e-7,
+        duration_s=100e-6,
+        rng_seed=20260817,
+        one_over_f_corner_hz=1e6,
+        artifact_amplitude_v=0.02,
+        switch_times_s=(0.0, 40e-6),
+        voltage_scale=1e-3,
+        injected_signal=np.linspace(0.0, 1e-3, 300),
+    )
+    traj = _step_trajectory(cfg, 108.0, 256.0)
+    chain = _chain()
+    shots = synthesize_shot_ensemble(traj, chain, cfg, 4)
+    assert shots.voltages_v.shape == (4, cfg.n_samples)
+    for i, row in enumerate(shots.voltages_v):
+        direct = synthesize_trace(
+            traj, chain, replace(cfg, rng_seed=shot_seed(20260817, i))
+        )
+        assert np.array_equal(row, direct.voltages_v[0])
 
 
 def test_ensemble_shots_are_independent_and_reproducible():
@@ -302,11 +333,11 @@ def test_ensemble_shots_are_independent_and_reproducible():
     chain = _chain()
     shots = synthesize_shot_ensemble(traj, chain, cfg, 8)
     again = synthesize_shot_ensemble(traj, chain, cfg, 8)
-    for a, b in zip(shots, again):
-        assert np.array_equal(a.voltages_v, b.voltages_v)
-    for i in range(len(shots)):
-        for j in range(i + 1, len(shots)):
-            assert not np.array_equal(shots[i].voltages_v, shots[j].voltages_v)
+    assert np.array_equal(shots.voltages_v, again.voltages_v)
+    rows = shots.voltages_v
+    for i in range(shots.n_shots):
+        for j in range(i + 1, shots.n_shots):
+            assert not np.array_equal(rows[i], rows[j])
 
 
 def test_ensemble_mean_recovers_deterministic_part():
@@ -323,7 +354,7 @@ def test_ensemble_mean_recovers_deterministic_part():
     traj = _flat_trajectory(cfg, 290.0)
     chain = _chain()
     shots = synthesize_shot_ensemble(traj, chain, cfg, n_shots)
-    mean = np.mean([s.voltages_v for s in shots], axis=0)
+    mean = shots.voltages_v.mean(axis=0)
     sigma = 1e-3 * math.sqrt(system_output_noise_kelvin(chain, 290.0))
     tol = 5.0 * sigma / math.sqrt(n_shots)
     assert np.max(np.abs(mean - injected)) < tol
@@ -343,9 +374,8 @@ def test_flicker_corner_frequency():
     traj = _flat_trajectory(cfg, 290.0)
     chain = _chain()
     shots = synthesize_shot_ensemble(traj, chain, cfg, 12)
-    stack = np.array([s.voltages_v for s in shots])
     freqs, psd = signal.welch(
-        stack, fs=1e7, nperseg=8192, noverlap=4096, axis=-1, scaling="density"
+        shots.voltages_v, fs=1e7, nperseg=8192, noverlap=4096, axis=-1, scaling="density"
     )
     psd = psd.mean(axis=0)
     sigma2 = 1e-6 * system_output_noise_kelvin(chain, 290.0)
@@ -378,8 +408,8 @@ def test_flicker_raises_low_frequency_power():
     chain = _chain()
     with_f = synthesize_trace(traj, chain, cfg)
     without = synthesize_trace(traj, chain, replace(cfg, one_over_f_corner_hz=0.0))
-    freqs, psd_f = signal.welch(with_f.voltages_v, fs=1e7, nperseg=2048)
-    _, psd_w = signal.welch(without.voltages_v, fs=1e7, nperseg=2048)
+    freqs, psd_f = signal.welch(with_f.voltages_v[0], fs=1e7, nperseg=2048)
+    _, psd_w = signal.welch(without.voltages_v[0], fs=1e7, nperseg=2048)
     low = freqs < 2e5
     high = freqs > 4e6
     assert psd_f[low].mean() > 3.0 * psd_w[low].mean()
@@ -423,45 +453,44 @@ def test_config_validation():
         SynthConfig(switch_times_s=(-1e-6,))
 
 
-def test_config_digest_tracks_fields():
-    cfg = SynthConfig()
-    assert cfg.digest() == SynthConfig().digest()
-    assert cfg.digest() != replace(cfg, rng_seed=1).digest()
-    assert cfg.digest() != replace(cfg, voltage_scale=2.0).digest()
-    assert cfg.digest() != replace(cfg, switch_times_s=(1e-6,)).digest()
-    assert (
-        cfg.digest() != replace(cfg, injected_signal=np.zeros(3)).digest()
-    )
-
-
-def test_trace_metadata_records_seed_and_config():
-    cfg = SynthConfig(
-        sample_interval_s=1e-7, duration_s=20e-6, rng_seed=77, voltage_scale=1e-3,
-        one_over_f_corner_hz=0.0,
-    )
-    trace = synthesize_trace(_flat_trajectory(cfg, 290.0), _chain(), cfg)
-    assert trace.metadata["seed"] == "77"
-    assert trace.metadata["config"] == cfg.digest()
-
-
 def test_noise_trace_validation_and_slicing():
     times = np.arange(100) * 1e-7
-    volts = np.ones(100)
+    volts = np.ones((3, 100))
     with pytest.raises(DomainError):
-        NoiseTrace(times, np.ones(99))
+        NoiseTrace(times, np.ones((3, 99)))
+    with pytest.raises(DomainError):
+        NoiseTrace(times, np.ones(100))  # a record is a one-row ensemble
+    with pytest.raises(DomainError):
+        NoiseTrace(times, np.ones((0, 100)))
     with pytest.raises(DomainError):
         NoiseTrace(times[::-1].copy(), volts)
-    trace = NoiseTrace(times, volts, {"k": "v"})
+    trace = NoiseTrace(times, volts)
+    assert trace.n_shots == 3
+    assert len(trace) == 100
     assert trace.sample_interval_s == pytest.approx(1e-7)
-    assert trace.mean_square() == pytest.approx(1.0)
     # Exactly representable grid (steps of 0.5) for crisp half-open slicing.
-    exact = NoiseTrace(np.arange(100) * 0.5, volts, {"k": "v"})
+    exact = NoiseTrace(np.arange(100) * 0.5, np.arange(300.0).reshape(3, 100))
     part = exact.slice_time(10.0, 25.0)
     assert len(part) == 30
+    assert part.n_shots == 3
     assert part.times_s[0] == 10.0
     assert part.times_s[-1] == 24.5
-    assert part.metadata == {"k": "v"}
+    assert np.array_equal(part.voltages_v, exact.voltages_v[:, 20:50])
     with pytest.raises(DomainError):
         exact.slice_time(25.0, 10.0)
     with pytest.raises(DomainError):
         exact.slice_time(1000.0, 2000.0)
+
+
+def test_noise_trace_sections_are_read_only_views():
+    source = np.zeros((2, 100))
+    trace = NoiseTrace(np.arange(100) * 0.5, source)
+    part = trace.slice_time(10.0, 25.0)
+    assert np.shares_memory(part.voltages_v, source)
+    assert np.shares_memory(part.times_s, trace.times_s)
+    for array in (trace.voltages_v, trace.times_s, part.voltages_v, part.times_s):
+        with pytest.raises(ValueError):
+            array += 1.0
+    # The caller's own array stays writable; only the views are locked.
+    source[0, 0] = 1.0
+    assert trace.voltages_v[0, 0] == 1.0
