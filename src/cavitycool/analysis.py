@@ -138,11 +138,14 @@ def band_averaged_deltap(
     ):
         raise DomainError("spectra are not on a common frequency grid")
     f = cold.frequencies_hz
-    if hi > f[-1] * (1 + 1e-9):
+    # Band edges may fall on a bin (the default band does); the slack
+    # keeps that bin whatever the last bit of the sample spacing.
+    slack = 1e-9 * f[-1]
+    if hi > f[-1] + slack:
         raise DomainError(
             f"band upper edge {hi} Hz extends past the spectrum ({f[-1]} Hz)"
         )
-    mask = (f >= lo) & (f <= hi)
+    mask = (f >= lo - slack) & (f <= hi + slack)
     count = int(mask.sum())
     if count == 0:
         raise DomainError("no spectral bins inside the band")

@@ -244,6 +244,24 @@ def test_band_deltap_validation():
         band_averaged_deltap(sd, other, (1e6, 3e6))
 
 
+def test_band_deltap_edge_bins_do_not_hang_on_the_last_bit_of_the_spacing():
+    # The default band [5, 10] MHz falls exactly on bins 64 and 128 of a
+    # 256-point segment at 20 MS/s.  Identical spectra on the grids of
+    # three spacings one rounding apart must give identical estimates.
+    rng = np.random.default_rng(47)
+    cold = 1e-9 * (1.0 + 0.3 * rng.standard_normal(129)) ** 2
+    amb = 2e-9 * (1.0 + 0.3 * rng.standard_normal(129)) ** 2
+    estimates = []
+    for dt in (5e-08, 5.0000000000001215e-08, 4.9999999999999e-08):
+        probe = NoiseTrace(np.arange(256) * dt, np.zeros((1, 256)))
+        f = ensemble_spectral_density(probe, segment_samples=256).frequencies_hz
+        estimates.append(band_averaged_deltap(
+            SpectralDensity(f, cold), SpectralDensity(f, amb), (5e6, 10e6)
+        ))
+    assert estimates[1] == estimates[0]
+    assert estimates[2] == estimates[0]
+
+
 def test_pooled_mean_square():
     # Integer-step grid keeps the half-open slice boundaries exact.
     traces = _trace([np.full(100, 2.0), np.full(100, 4.0)], dt=1.0)

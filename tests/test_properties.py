@@ -181,8 +181,8 @@ _QUICK_PORCELAIN = """\
 n_shots=40
 deltap_direct_db=-3.479301709379156
 deltap_direct_stderr_db=0.05606717652536908
-deltap_band_db=-3.5312711195359254
-deltap_band_stderr_db=0.162387500672496
+deltap_band_db=-3.5278900029247624
+deltap_band_stderr_db=0.16519464340103737
 fit_a1_db=-3.75874198857153
 fit_a2_db=0.0
 fit_tau1_s=6.75999278030613e-06
