@@ -51,8 +51,7 @@ class NoiseExtractionConfig:
 
 
 def extract_noise(trace: NoiseTrace, cfg: NoiseExtractionConfig) -> NoiseTrace:
-    """Residual of every shot after subtracting a centered boxcar running
-    mean.
+    """Every shot's residual after subtracting a centered boxcar running mean.
 
     Windows truncate at the trace edges rather than padding, so the
     first and last few samples are smoothed over fewer points.
@@ -94,8 +93,7 @@ class SpectralDensity(NamedTuple):
 def ensemble_spectral_density(
     trace: NoiseTrace, segment_samples: int = 256, window: str = "hann"
 ) -> SpectralDensity:
-    """Average of per-shot Welch estimates of the one-sided power
-    spectral density."""
+    """Mean of the shots' Welch estimates of the one-sided power spectral density."""
     if segment_samples < 8:
         raise DomainError("segment length must be at least 8 samples")
     if segment_samples > len(trace):

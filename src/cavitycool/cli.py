@@ -151,11 +151,10 @@ def cmd_simulate(args, cfg: RunConfig) -> int:
     result = simulate_run(cfg)
     trajectory_file = "trajectory.csv"
     tracefile.write_trajectory_csv(_outpath(args, trajectory_file), result.trajectory)
-    traces = result.traces
     trace_files = []
-    for i, row in enumerate(traces.voltages_v):
+    for i, row in enumerate(result.traces.voltages_v):
         name = f"trace_{i:03d}.csv"
-        tracefile.write_trace_csv(_outpath(args, name), traces.times_s, row)
+        tracefile.write_trace_csv(_outpath(args, name), result.traces.times_s, row)
         trace_files.append(name)
 
     digest = config_digest(cfg)

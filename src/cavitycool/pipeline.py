@@ -22,7 +22,7 @@ from .dynamics import (
 )
 from .errors import AnalysisError, DomainError
 from .receiver import infer_mode_temperature
-from .synth import NoiseTrace, SynthConfig, synthesize_shot_ensemble
+from .synth import NoiseTrace, synthesize_shot_ensemble
 from .thermal import mode_temperature
 
 
@@ -165,9 +165,7 @@ def analyze_run(
 
     warmup_stop = min(disconnect_time_s + acfg.fit_window_s, t_end)
     series_t, series_db = analysis.windowed_deltap_timeseries(
-        residuals.slice_time(disconnect_time_s, warmup_stop),
-        ambient_ms,
-        acfg.window_samples,
+        residuals.slice_time(disconnect_time_s, warmup_stop), ambient_ms, acfg.window_samples
     )
 
     fit = None

@@ -7,11 +7,12 @@ noise for the instantaneous mode temperature, an optional 1/f component
 pinned to a corner frequency, a deterministic switch transient at each
 switching instant, and an optional injected waveform.
 
-Reproducibility contract: a trace is a pure function of the
-configuration (seed included) and the trajectory.  Per-shot seeds are
-derived from the master seed with SplitMix64 (output element i of the
-sequence seeded by the master), and each shot's samples come from a
-Philox counter-based generator keyed with that derived seed.  Both
+Reproducibility contract: an ensemble is a pure function of the
+configuration (seed included), the shot count and the trajectory.
+Per-shot seeds are derived from the master seed with SplitMix64 (output
+element i of the sequence seeded by the master), and row i of the
+ensemble comes from a Philox counter-based generator keyed with shot
+i's derived seed, so a row does not depend on the other shots.  Both
 steps are documented so the stream can be reproduced outside Python.
 """
 
@@ -158,9 +159,7 @@ class NoiseTrace:
         lo = int(np.searchsorted(self.times_s, t_start_s, side="left"))
         hi = int(np.searchsorted(self.times_s, t_stop_s, side="left"))
         if hi <= lo:
-            raise DomainError(
-                f"no samples in [{t_start_s}, {t_stop_s}) s"
-            )
+            raise DomainError(f"no samples in [{t_start_s}, {t_stop_s}) s")
         return NoiseTrace(self.times_s[lo:hi], self.voltages_v[:, lo:hi])
 
 

@@ -114,9 +114,8 @@ def read_trace_ensemble(paths: Sequence[str]) -> NoiseTrace:
         t = trace.times_s
         if len(t) != len(times) or max(abs(t[0] - times[0]), abs(t[-1] - times[-1])) > tol:
             raise DataFormatError(
-                f"{path}: {len(t)} samples over [{_fmt(t[0])}, {_fmt(t[-1])}] s; "
-                f"{paths[0]} has {len(times)} over [{_fmt(times[0])}, "
-                f"{_fmt(times[-1])}] s, and traces must share one grid"
+                f"{path}: {len(t)} samples over [{_fmt(t[0])}, {_fmt(t[-1])}] s, not on the "
+                f"grid of {paths[0]} ({len(times)} over [{_fmt(times[0])}, {_fmt(times[-1])}] s)"
             )
         volts[i] = trace.voltages_v[0]
     return NoiseTrace(times, volts)

@@ -672,7 +672,7 @@ def test_cli_analyze_rejects_traces_on_different_grids(tmp_path, capsys):
         assert cli.main(["analyze", str(first), str(other), "--config", ini]) == 4
         err = capsys.readouterr().err
         assert "data format error" in err
-        assert f"{other}: " in err and "share one grid" in err
+        assert f"{other}: " in err and "not on the grid of" in err
 
 
 def test_cli_analyze_rejects_truncated_run(tmp_path, capsys):
