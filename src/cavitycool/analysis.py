@@ -173,7 +173,8 @@ def pooled_mean_square(
     # pairwise sum over the block, so the pooled value does not depend
     # on how the shots are blocked.
     per_shot = np.sum(section.voltages_v**2, axis=1)
-    return float(np.cumsum(per_shot)[-1]) / section.voltages_v.size, section.voltages_v.size
+    count = section.voltages_v.size
+    return float(np.cumsum(per_shot)[-1]) / count, count
 
 
 def segment_deltap(

@@ -46,9 +46,9 @@ def _sample_line(path: str, index: int) -> int:
 
 
 def read_trace_csv(path: str) -> NoiseTrace:
-    """Read a trace CSV as a one-row ensemble, validating the header, every row, that every
-    sample is finite, and that the samples sit on a uniform, increasing
-    grid.
+    """Read a trace CSV as a one-row ensemble, validating the header,
+    every row, that every sample is finite, and that the samples sit on
+    a uniform, increasing grid.
 
     Raises DataFormatError with the offending line number (1-based,
     header is line 1) on any violation.
