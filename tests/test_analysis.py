@@ -193,11 +193,13 @@ def test_ensemble_spectral_density_matches_mean_of_shots():
 
 
 def test_ensemble_spectral_density_validation():
-    trace = _trace(np.ones((3, 200)))
+    # A segment may span a whole shot of a multi-shot ensemble, not more.
+    trace = _trace(np.ones((3, 256)))
+    assert ensemble_spectral_density(trace, segment_samples=256).density.shape == (129,)
+    with pytest.raises(DomainError):
+        ensemble_spectral_density(trace, segment_samples=257)
     with pytest.raises(DomainError):
         ensemble_spectral_density(trace, segment_samples=4)
-    with pytest.raises(DomainError):
-        ensemble_spectral_density(trace, segment_samples=256)
 
 
 def test_band_deltap_identical_spectra():
