@@ -5,8 +5,10 @@ reduced: average repeated shots to isolate and subtract deterministic
 transients, strip slow structure with a short boxcar so only noise
 remains, then compare mean-square levels between the cooled and ambient
 sections, either broadband in time, band-averaged in frequency, or
-window-by-window through the warm-up, with a two-exponential fit tying
-the warm-up curve back to the moment the cold path disconnects.
+window-by-window through the warm-up.  The warm-up series is fitted with
+the exact single-relaxation model, a level ratio 1 + A exp(-t/tau) against
+ambient, which ties the curve back to the moment the cold path
+disconnects.
 """
 
 from __future__ import annotations
@@ -16,19 +18,12 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import optimize, signal, stats
+from scipy import optimize, signal
 
 from .errors import AnalysisError, DomainError
 from .synth import NoiseTrace
 
 _DB = 10.0 / math.log(10.0)
-
-# Fitted time constants closer than this are one physical constant.
-_TAU_COLLAPSE_FRACTION = 0.05
-
-# Significance level at which a second exponential component must beat
-# the single-component fit (extra-sum-of-squares F-test) to be kept.
-_SECOND_COMPONENT_ALPHA = 0.01
 
 
 @dataclass(frozen=True)
@@ -178,18 +173,17 @@ def pooled_mean_square(
 
 
 def segment_deltap(
-    trace: NoiseTrace,
-    cooled_span_s: tuple[float, float],
-    ambient_span_s: tuple[float, float],
+    cooled: tuple[float, int], ambient: tuple[float, int]
 ) -> DeltaPEstimate:
-    """Broadband cooled-vs-ambient level from two time sections.
+    """Broadband cooled-vs-ambient level from two pooled time sections.
 
-    The standard error uses the Gaussian mean-square scatter 2/n per
-    section; mild sample correlation from boxcar extraction makes it a
-    slight underestimate.
+    Each section is its `pooled_mean_square` result, (mean square,
+    sample count).  The standard error uses the Gaussian mean-square
+    scatter 2/n per section; mild sample correlation from boxcar
+    extraction makes it a slight underestimate.
     """
-    ms_cold, n_cold = pooled_mean_square(trace, *cooled_span_s)
-    ms_amb, n_amb = pooled_mean_square(trace, *ambient_span_s)
+    ms_cold, n_cold = cooled
+    ms_amb, n_amb = ambient
     if ms_cold <= 0 or ms_amb <= 0:
         raise AnalysisError("non-positive section power; cannot form a level ratio")
     value = 10.0 * math.log10(ms_cold / ms_amb)
@@ -231,74 +225,29 @@ def windowed_deltap_timeseries(
 
 @dataclass(frozen=True)
 class BiExpFit:
-    """Result of the two-exponential warm-up fit.
+    """Result of the warm-up fit of 1 + A exp(-t/tau) to the level ratio.
 
-    Parameter order everywhere is (a1, a2, tau1, tau2) with
-    tau1 <= tau2.  When the data support only one exponential the fit
-    collapses to it: a2 = 0, tau2 = tau1, collapsed_single = True.
+    `a1_db` is the fitted level at the disconnect, 10 log10(1 + A), and
+    `tau1_s` the relaxation time; their standard errors come from the
+    fit covariance by the delta method.  The warm-up has one relaxation
+    rate, so the second-component fields are constants: a2_db = 0,
+    tau2_s = tau1_s and collapsed_single = True.
     """
 
     a1_db: float
-    a2_db: float
     tau1_s: float
-    tau2_s: float
-    stderr: tuple[float, float, float, float]
-    covariance: np.ndarray
+    a1_stderr_db: float
+    tau1_stderr_s: float
     residual_rms_db: float
     n_points: int
     converged: bool
-    collapsed_single: bool
 
+    a2_db = 0.0
+    collapsed_single = True
 
-def _scaled_covariance(
-    result: "optimize.OptimizeResult", tau_scales: np.ndarray, n_points: int
-) -> tuple[np.ndarray, float]:
-    """Parameter covariance from an LM solution in log-tau coordinates."""
-    n_params = result.jac.shape[1]
-    dof = n_points - n_params
-    ssr = 2.0 * result.cost
-    rms = math.sqrt(ssr / n_points)
-    if dof <= 0:
-        return np.full((n_params, n_params), np.nan), rms
-    jtj = result.jac.T @ result.jac
-    try:
-        cov_theta = np.linalg.inv(jtj) * (ssr / dof)
-    except np.linalg.LinAlgError:
-        cov_theta = np.linalg.pinv(jtj) * (ssr / dof)
-    scale = np.diag(tau_scales)
-    return scale @ cov_theta @ scale, rms
-
-
-def _fit_exponentials(
-    t: np.ndarray, y: np.ndarray, tau_guesses: tuple[float, ...], max_nfev: int
-) -> "optimize.OptimizeResult":
-    """Damped least squares for y = sum_i a_i exp(-t/tau_i), tau in log space."""
-
-    n_comp = len(tau_guesses)
-
-    def unpack(theta):
-        return theta[:n_comp], np.exp(theta[n_comp:])
-
-    def residual(theta):
-        # Extreme trial steps overflow exp(log tau) to inf or underflow
-        # to 0; both give finite residuals (flat or instant decay), so
-        # let them through silently and let the optimizer back off.
-        with np.errstate(over="ignore", divide="ignore"):
-            amps, taus = unpack(theta)
-            return (np.exp(-t[:, None] / taus[None, :]) @ amps) - y
-
-    design = np.exp(-t[:, None] / np.asarray(tau_guesses)[None, :])
-    amp0, *_ = np.linalg.lstsq(design, y, rcond=None)
-    theta0 = np.concatenate([amp0, np.log(tau_guesses)])
-    return optimize.least_squares(
-        residual,
-        theta0,
-        method="lm",
-        ftol=1e-10,
-        xtol=1e-10,
-        gtol=1e-12,
-        max_nfev=max_nfev,
-    )
+    @property
+    def tau2_s(self) -> float:
+        return self.tau1_s
 
 
 def fit_biexponential(
@@ -307,26 +256,21 @@ def fit_biexponential(
     exclude_before_s: float = 2e-6,
     max_nfev: int = 2500,
 ) -> BiExpFit:
-    """Fit a1 exp(-t/tau1) + a2 exp(-t/tau2) to a warm-up level series.
+    """Fit the warm-up level ratio r = 10^(dB/10) with 1 + A exp(-t/tau).
 
-    Points earlier than `exclude_before_s` (switch transient territory)
-    and non-finite values are dropped.  Both a two-component and a
-    single-component fit are run; the two-component solution is kept
-    only when it beats the single under an extra-sum-of-squares F-test
-    and its time constants are genuinely distinct.  Otherwise the single
-    fit is reported with `collapsed_single` set: a free second
-    exponential on marginal data tends to wander off into a
-    small-amplitude, long-tau component that says nothing about the
-    underlying decay.
-
-    The two-component search starts from tau guesses at {0.3x, 3x} of a
-    third of the series span, and retries seeded by the single fit's
-    time constant, keeping the lower-residual solution.
+    The receiver output is affine in the mode temperature and the mode
+    relaxes with one rate once the cold path is off, so this model is
+    exact.  The residual is relative, (1 + A exp(-t/tau)) / r - 1: it
+    stays finite for any trial A and weights the points so that the
+    reported standard errors match the scatter of refits.  Points
+    earlier than `exclude_before_s` (switch transient territory) and
+    non-finite values are dropped.
 
     Raises
     ------
     AnalysisError
-        Fewer than 8 usable points.
+        Fewer than 8 usable points, or a fitted curve with no positive
+        level at the disconnect.
     """
     t_all = np.asarray(times_s, dtype=float)
     y_all = np.asarray(values_db, dtype=float)
@@ -342,88 +286,49 @@ def fit_biexponential(
     span = float(t[-1] - t[0])
     if span <= 0:
         raise AnalysisError("degenerate time axis")
+    inv_r = 10.0 ** (-y / 10.0)
 
-    single = _fit_exponentials(t, y, (0.3 * span,), max_nfev)
-    double = _fit_exponentials(t, y, (0.1 * span, span), max_nfev)
-    tau_single = float(math.exp(single.x[1]))
-    if tau_single > 0 and math.isfinite(tau_single):
-        retry = _fit_exponentials(t, y, (tau_single / 3.0, tau_single), max_nfev)
-        if retry.cost < double.cost:
-            double = retry
+    def residual(theta):
+        # Extreme trial steps overflow exp(log tau) to inf or underflow
+        # to 0; both give finite residuals (flat or instant decay), so
+        # let them through silently and let the optimizer back off.
+        with np.errstate(over="ignore", divide="ignore"):
+            return (1.0 + theta[0] * np.exp(-t / np.exp(theta[1]))) * inv_r - 1.0
 
-    amps = double.x[:2]
-    taus = np.exp(double.x[2:])
-    scale = max(np.max(np.abs(amps)), 1e-300)
-    tau_close = abs(taus[0] - taus[1]) <= _TAU_COLLAPSE_FRACTION * max(taus)
-    amp_negligible = np.min(np.abs(amps)) < 1e-8 * scale
-
-    ssr_single = 2.0 * single.cost
-    ssr_double = 2.0 * double.cost
-    if ssr_double <= 0.0:
-        second_component_earned = ssr_single > 0.0
-    else:
-        f_stat = ((ssr_single - ssr_double) / 2.0) / (ssr_double / (len(t) - 4))
-        f_crit = stats.f.ppf(1.0 - _SECOND_COMPONENT_ALPHA, 2, len(t) - 4)
-        second_component_earned = f_stat > f_crit
-
-    if tau_close or amp_negligible or not second_component_earned:
-        a = float(single.x[0])
-        tau = float(math.exp(single.x[1]))
-        cov2, rms = _scaled_covariance(single, np.array([1.0, tau]), len(t))
-        cov = np.zeros((4, 4))
-        cov[0, 0] = cov2[0, 0]
-        cov[2, 2] = cov2[1, 1]
-        cov[3, 3] = cov2[1, 1]
-        cov[0, 2] = cov[2, 0] = cov2[0, 1]
-        stderr = (
-            math.sqrt(max(cov2[0, 0], 0.0)),
-            0.0,
-            math.sqrt(max(cov2[1, 1], 0.0)),
-            math.sqrt(max(cov2[1, 1], 0.0)),
-        )
-        return BiExpFit(
-            a1_db=a,
-            a2_db=0.0,
-            tau1_s=tau,
-            tau2_s=tau,
-            stderr=stderr,
-            covariance=cov,
-            residual_rms_db=rms,
-            n_points=len(t),
-            converged=single.status > 0,
-            collapsed_single=True,
-        )
-
-    order = np.argsort(taus)
-    a_sorted = amps[order]
-    tau_sorted = taus[order]
-    cov, rms = _scaled_covariance(
-        double, np.array([1.0, 1.0, taus[0], taus[1]]), len(t)
+    # Start from a third of the span, with A solved linearly there.
+    decay = np.exp(-t / (0.3 * span)) * inv_r
+    a0 = float(decay @ (1.0 - inv_r) / (decay @ decay))
+    result = optimize.least_squares(
+        residual,
+        [a0, math.log(0.3 * span)],
+        method="lm",
+        ftol=1e-10,
+        xtol=1e-10,
+        gtol=1e-12,
+        max_nfev=max_nfev,
     )
-    # Covariance rows follow (a1, a2, log tau1, log tau2); reorder to the
-    # sorted parameter order (a1, a2, tau1, tau2).
-    perm = np.concatenate([order, order + 2])
-    cov = cov[np.ix_(perm, perm)]
-    stderr = tuple(math.sqrt(max(cov[i, i], 0.0)) for i in range(4))
+    a = float(result.x[0])
+    tau = float(math.exp(result.x[1]))
+    if not 1.0 + a > 0.0:
+        raise AnalysisError(
+            "fitted warm-up curve has no positive level at the disconnect"
+        )
+    # Covariance of (A, log tau), scaled by the residual variance.
+    cov = np.linalg.pinv(result.jac.T @ result.jac) * (2.0 * result.cost / (len(t) - 2))
+    model_db = 10.0 * np.log10(1.0 + a * np.exp(-t / tau))
     return BiExpFit(
-        a1_db=float(a_sorted[0]),
-        a2_db=float(a_sorted[1]),
-        tau1_s=float(tau_sorted[0]),
-        tau2_s=float(tau_sorted[1]),
-        stderr=stderr,
-        covariance=cov,
-        residual_rms_db=rms,
+        a1_db=10.0 * math.log10(1.0 + a),
+        tau1_s=tau,
+        a1_stderr_db=_DB * math.sqrt(cov[0, 0]) / (1.0 + a),
+        tau1_stderr_s=tau * math.sqrt(cov[1, 1]),
+        residual_rms_db=float(np.sqrt(np.mean((y - model_db) ** 2))),
         n_points=len(t),
-        converged=double.status > 0,
-        collapsed_single=False,
+        converged=result.status > 0,
     )
 
 
 def cooling_depth_from_fit(fit: BiExpFit) -> DeltaPEstimate:
-    """Warm-up curve extrapolated back to the disconnect instant:
-    a1 + a2, with the error propagated through their covariance."""
+    """Warm-up curve extrapolated back to the disconnect instant."""
     if not fit.converged:
         raise AnalysisError("exponential fit did not converge")
-    var = fit.covariance[0, 0] + fit.covariance[1, 1] + 2.0 * fit.covariance[0, 1]
-    stderr = math.sqrt(var) if var >= 0 and math.isfinite(var) else float("nan")
-    return DeltaPEstimate(fit.a1_db + fit.a2_db, stderr)
+    return DeltaPEstimate(fit.a1_db, fit.a1_stderr_db)

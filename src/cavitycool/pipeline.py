@@ -140,8 +140,9 @@ def analyze_run(
     if ambient_span[0] >= t_end:
         raise AnalysisError("no settled ambient section after the disconnect")
 
-    deltap_direct = analysis.segment_deltap(residuals, cooled_span, ambient_span)
-    ambient_ms, _ = analysis.pooled_mean_square(residuals, *ambient_span)
+    cooled = analysis.pooled_mean_square(residuals, *cooled_span)
+    ambient = analysis.pooled_mean_square(residuals, *ambient_span)
+    deltap_direct = analysis.segment_deltap(cooled, ambient)
 
     deltap_band = None
     cold_psd = None
@@ -165,7 +166,7 @@ def analyze_run(
 
     warmup_stop = min(disconnect_time_s + acfg.fit_window_s, t_end)
     series_t, series_db = analysis.windowed_deltap_timeseries(
-        residuals.slice_time(disconnect_time_s, warmup_stop), ambient_ms, acfg.window_samples
+        residuals.slice_time(disconnect_time_s, warmup_stop), ambient[0], acfg.window_samples
     )
 
     fit = None
@@ -175,8 +176,8 @@ def analyze_run(
     try:
         fit = analysis.fit_biexponential(series_t, series_db, acfg.exclude_before_s)
         depth = analysis.cooling_depth_from_fit(fit)
-        warmup_time = fit.tau2_s
-        warmup_stderr = fit.stderr[3]
+        warmup_time = fit.tau1_s
+        warmup_stderr = fit.tau1_stderr_s
     except AnalysisError as exc:
         notes.append(f"warm-up fit unavailable: {exc}")
 

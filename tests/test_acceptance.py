@@ -230,10 +230,14 @@ def test_criterion_08_companion_actual_linear_model_envelope():
 def test_criterion_09_fit_robustness():
     t0 = time.perf_counter()
     t = np.arange(60) * 0.5e-6 + 0.25e-6
-    clean = -3.5 * np.exp(-t / 9.0e-6)
+    clean = 10.0 * np.log10(1.0 + (10.0 ** -0.35 - 1.0) * np.exp(-t / 9.0e-6))
     fit = fit_biexponential(t, clean, exclude_before_s=0.0)
     tau_err = abs(fit.tau2_s - 9.0e-6) / 9.0e-6
-    nearly_equal = -1.2 * np.exp(-t / 5.0e-6) - 1.3 * np.exp(-t / 5.05e-6)
+    nearly_equal = 10.0 * np.log10(
+        1.0
+        + (10.0 ** -0.12 - 1.0) * np.exp(-t / 5.0e-6)
+        + (10.0 ** -0.13 - 1.0) * np.exp(-t / 5.05e-6)
+    )
     degenerate = fit_biexponential(t, nearly_equal, exclude_before_s=0.0)
     elapsed = time.perf_counter() - t0
     ok = (

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import cavitycool
-from cavitycool import cli, tracefile
+from cavitycool import analysis, cli, tracefile
 from cavitycool.config import (
     AnalysisConfig,
     ProtocolConfig,
@@ -426,6 +426,22 @@ def test_analyze_run_recovers_protocol():
     assert 4e-6 < report.warmup_time_s < 16e-6
     assert 80.0 < report.t_mode_inferred_k < 140.0
     assert report.t_ambient_reference_k == pytest.approx(256.279052430086)
+
+
+def test_analyze_run_pools_each_section_once(monkeypatch):
+    cfg = _small_config(3)
+    result = simulate_run(cfg)
+    pooled = analysis.pooled_mean_square
+    spans = []
+
+    def counting(trace, t_start_s, t_stop_s):
+        spans.append((t_start_s, t_stop_s))
+        return pooled(trace, t_start_s, t_stop_s)
+
+    monkeypatch.setattr(analysis, "pooled_mean_square", counting)
+    analyze_run(result.traces, cfg, result.disconnect_time_s)
+    assert len(spans) == 2
+    assert len(set(spans)) == 2
 
 
 def test_analyze_run_single_shot_note():
