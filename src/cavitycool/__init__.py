@@ -4,7 +4,6 @@ noise-trace analysis for pre-cooled microwave cavity modes."""
 from .analysis import (
     BiExpFit,
     DeltaPEstimate,
-    NoiseExtractionConfig,
     SpectralDensity,
     band_averaged_deltap,
     cooling_depth_from_fit,

@@ -26,42 +26,29 @@ from .synth import NoiseTrace
 _DB = 10.0 / math.log(10.0)
 
 
-@dataclass(frozen=True)
-class NoiseExtractionConfig:
-    """Boxcar residual extraction: subtract a centered running mean.
+def extract_noise(trace: NoiseTrace, width: int) -> NoiseTrace:
+    """Every shot's residual after subtracting a centered running mean
+    over `width` samples.
 
-    A width that rounds to a single sample makes the smoother an
-    identity and the residual identically zero; widths of at least two
-    samples are needed for a meaningful extraction.
+    Sample i is averaged over [i - (width - 1)//2, i + width//2].  Windows
+    truncate at the trace edges rather than padding, so the first and
+    last few samples are smoothed over fewer points.  A width of one
+    makes the smoother an identity and the residual zero.
     """
-
-    boxcar_width_s: float
-
-    def __post_init__(self) -> None:
-        if self.boxcar_width_s <= 0:
-            raise DomainError("boxcar width must be positive")
-
-    def width_samples(self, sample_interval_s: float) -> int:
-        return max(1, int(round(self.boxcar_width_s / sample_interval_s)))
-
-
-def extract_noise(trace: NoiseTrace, cfg: NoiseExtractionConfig) -> NoiseTrace:
-    """Every shot's residual after subtracting a centered boxcar running mean.
-
-    Windows truncate at the trace edges rather than padding, so the
-    first and last few samples are smoothed over fewer points.
-    """
-    width = cfg.width_samples(trace.sample_interval_s)
+    if width < 1:
+        raise DomainError("boxcar width must be at least one sample")
     v = trace.voltages_v
     n = len(trace)
+    lead, trail = (width - 1) // 2, width // 2
+    # Running sum with `lead` zeros in front and the row total repeated
+    # `trail` times behind, so every window sum, truncated ones included,
+    # is csum[:, i + width] - csum[:, i].
+    csum = np.zeros((trace.n_shots, n + width))
+    np.cumsum(v, axis=1, out=csum[:, lead + 1 : lead + 1 + n])
+    csum[:, lead + 1 + n :] = csum[:, lead + n, None]
+    smooth = csum[:, width:] - csum[:, :n]
     idx = np.arange(n)
-    left = np.maximum(0, idx - (width - 1) // 2)
-    right = np.minimum(n - 1, idx + width // 2)
-    csum = np.zeros((trace.n_shots, n + 1))
-    np.cumsum(v, axis=1, out=csum[:, 1:])
-    smooth = csum[:, right + 1]
-    smooth -= csum[:, left]
-    smooth /= right - left + 1
+    smooth /= np.minimum(idx + trail, n - 1) - np.maximum(idx - lead, 0) + 1
     return NoiseTrace(trace.times_s, v - smooth)
 
 
@@ -86,9 +73,9 @@ class SpectralDensity(NamedTuple):
 
 
 def ensemble_spectral_density(
-    trace: NoiseTrace, segment_samples: int = 256, window: str = "hann"
+    trace: NoiseTrace, segment_samples: int = 256
 ) -> SpectralDensity:
-    """Mean of the shots' Welch estimates of the one-sided power spectral density."""
+    """Mean of the shots' Hann-window Welch estimates of the one-sided PSD."""
     if segment_samples < 8:
         raise DomainError("segment length must be at least 8 samples")
     if segment_samples > len(trace):
@@ -98,7 +85,7 @@ def ensemble_spectral_density(
     freqs, psd = signal.welch(
         trace.voltages_v,
         fs=1.0 / trace.sample_interval_s,
-        window=window,
+        window="hann",
         nperseg=segment_samples,
         noverlap=segment_samples // 2,
         detrend=False,

@@ -10,6 +10,7 @@ failure, 4 malformed data file, 5 estimator non-convergence.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import replace
@@ -41,6 +42,17 @@ _EXIT_NONCONVERGENCE = 5
 
 def _fmt(value: float) -> str:
     return repr(float(value))
+
+
+def _finite_float(text: str) -> float:
+    """Type of every float option: NaN and +-inf would pass its range checks."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"invalid finite float value: {text!r}")
+    return value
 
 
 def _emit(args, items: list[tuple[str, str]], human_lines: list[str]) -> None:
@@ -390,11 +402,11 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common],
         help="mode temperature over a (coupling, cold load) grid",
     )
-    p.add_argument("--coupling-min", type=float, default=0.1)
-    p.add_argument("--coupling-max", type=float, default=100.0)
+    p.add_argument("--coupling-min", type=_finite_float, default=0.1)
+    p.add_argument("--coupling-max", type=_finite_float, default=100.0)
     p.add_argument("--coupling-points", type=int, default=25)
-    p.add_argument("--cold-min", type=float, default=2.0, metavar="K")
-    p.add_argument("--cold-max", type=float, default=290.0, metavar="K")
+    p.add_argument("--cold-min", type=_finite_float, default=2.0, metavar="K")
+    p.add_argument("--cold-max", type=_finite_float, default=290.0, metavar="K")
     p.add_argument("--cold-points", type=int, default=25)
     p.add_argument("--port", metavar="NAME", help="port to sweep (default: first cooling port)")
     p.set_defaults(func=cmd_sweep)
@@ -417,7 +429,7 @@ def build_parser() -> argparse.ArgumentParser:
         "supplies the run's configuration)",
     )
     p.add_argument(
-        "--disconnect-time", type=float, metavar="S",
+        "--disconnect-time", type=_finite_float, metavar="S",
         help="override the disconnect instant (seconds)",
     )
     p.add_argument("--emit-series", action="store_true",

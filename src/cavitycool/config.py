@@ -15,6 +15,7 @@ from __future__ import annotations
 import configparser
 from functools import lru_cache, reduce
 import hashlib
+import math
 import os
 from dataclasses import dataclass, replace
 from typing import Mapping
@@ -93,6 +94,8 @@ class RunConfig:
                 raise DomainError(f"unknown port role {role!r}")
         if self.n_shots < 1:
             raise DomainError("need at least one shot")
+        if self.protocol.trace_length_s < 10 * self.synth.sample_interval_s:
+            raise DomainError("trace must cover at least 10 samples")
 
     def persistent_port_indices(self) -> tuple[int, ...]:
         """Ports that stay connected after the cold path disconnects."""
@@ -102,9 +105,9 @@ class RunConfig:
         )
 
 
-# (section, key, type, RunConfig attribute paths), in dump order.  A value
-# is stored at every space-separated path and dumped from the first one;
-# `.real` and `.imag` leaves pair up into a complex.
+# (section, key, type, RunConfig attribute path), in dump order: one path
+# per key, so no value is kept in two places.  `.real` and `.imag` leaves
+# pair up into a complex.
 _SCHEMA = (
     ("mode", "frequency_hz", float, "mode.frequency_hz"),
     ("mode", "intrinsic_q", float, "mode.intrinsic_q"),
@@ -124,7 +127,7 @@ _SCHEMA = (
     ("receiver", "image_noise_k", float, "receiver.image_noise_k"),
     ("protocol", "cool_duration_s", float, "protocol.cool_duration_s"),
     ("protocol", "interrogate_delay_s", float, "protocol.interrogate_delay_s"),
-    ("protocol", "trace_length_s", float, "protocol.trace_length_s synth.duration_s"),
+    ("protocol", "trace_length_s", float, "protocol.trace_length_s"),
     ("synth", "sample_interval_s", float, "synth.sample_interval_s"),
     ("synth", "rng_seed", int, "synth.rng_seed"),
     ("synth", "one_over_f_corner_hz", float, "synth.one_over_f_corner_hz"),
@@ -178,7 +181,8 @@ def _format(kind: type, value) -> str:
 
 
 def _value(raw: Mapping[str, Mapping[str, str]], section, key, kind, default=None):
-    """Typed value of one key; `default` stands in for a missing key."""
+    """Typed value of one key; `default` stands in for a missing key.
+    A float must be finite: NaN would pass every range check."""
     text = raw.get(section, {}).get(key)
     if text is None:
         if default is None:
@@ -187,9 +191,14 @@ def _value(raw: Mapping[str, Mapping[str, str]], section, key, kind, default=Non
     try:
         if kind is int:
             return int(text, 0)
-        return float(text) if kind is float else kind(text.lower())
+        if kind is not float:
+            return kind(text.lower())
+        value = float(text)
+        if math.isfinite(value):
+            return value
     except ValueError:
-        raise ConfigError(f"bad value for '{key}' in section [{section}]: {text!r}") from None
+        pass
+    raise ConfigError(f"bad value for '{key}' in section [{section}]: {text!r}")
 
 
 def _make(node: dict, prefix: str = ""):
@@ -214,11 +223,10 @@ def _build(raw: Mapping[str, Mapping[str, str]]) -> RunConfig:
         if unknown:
             raise ConfigError(f"unknown key '{unknown[0]}' in section [{section}]")
     tree: dict = {}
-    for section, key, kind, paths in _SCHEMA:
-        value = _value(raw, section, key, kind)
-        for path in paths.split():
-            *parents, leaf = path.split(".")
-            reduce(lambda node, name: node.setdefault(name, {}), parents, tree)[leaf] = value
+    for section, key, kind, path in _SCHEMA:
+        *parents, leaf = path.split(".")
+        node = reduce(lambda node, name: node.setdefault(name, {}), parents, tree)
+        node[leaf] = _value(raw, section, key, kind)
     ports = [
         {row[0]: _value(raw, section, *row) for row in _PORT_SCHEMA}
         | {"name": section[len("port."):]}
@@ -309,8 +317,8 @@ def with_seed(cfg: RunConfig, seed: int) -> RunConfig:
 def config_items(cfg: RunConfig) -> list[tuple[str, str]]:
     """Canonical flat key=value view: porcelain output, sidecars, digests."""
     items = []
-    for section, key, kind, paths in _SCHEMA:
-        value = reduce(getattr, paths.split()[0].split("."), cfg)
+    for section, key, kind, path in _SCHEMA:
+        value = reduce(getattr, path.split("."), cfg)
         items.append((f"{section}.{key}", _format(kind, value)))
     ports = [
         (

@@ -58,11 +58,7 @@ def simulate_run(cfg: RunConfig) -> SimulationResult:
         proto.trace_length_s,
         cfg.synth.sample_interval_s,
     )
-    synth_cfg = replace(
-        cfg.synth,
-        duration_s=proto.trace_length_s,
-        switch_times_s=(0.0, proto.cool_duration_s),
-    )
+    synth_cfg = replace(cfg.synth, switch_times_s=(0.0, proto.cool_duration_s))
     traces = synthesize_shot_ensemble(
         trajectory, cfg.receiver, synth_cfg, cfg.n_shots
     )
@@ -119,10 +115,9 @@ def analyze_run(
             "single shot: deterministic transients cannot be separated from noise"
         )
 
-    extraction = analysis.NoiseExtractionConfig(acfg.boxcar_width_s)
-    width = extraction.width_samples(residuals.sample_interval_s)
+    width = max(1, round(acfg.boxcar_width_s / residuals.sample_interval_s))
     if width >= 2:
-        extracted = analysis.extract_noise(residuals, extraction)
+        extracted = analysis.extract_noise(residuals, width)
     else:
         extracted = residuals
         notes.append(

@@ -59,8 +59,11 @@ def shot_seed(master_seed: int, shot_index: int) -> int:
 
 @dataclass(frozen=True)
 class SynthConfig:
-    """Knobs for one synthesized trace.
+    """Knobs for trace synthesis.
 
+    The record length is not one of them: a trace takes its grid, and
+    so its sample count, from the mode-temperature trajectory it is
+    drawn for, which must be sampled every sample_interval_s from t = 0.
     voltage_scale is the detector calibration in volts per sqrt(kelvin)
     of receiver output noise; the per-sample standard deviation is
     voltage_scale * sqrt(system output noise in K).  A corner frequency
@@ -69,7 +72,6 @@ class SynthConfig:
     """
 
     sample_interval_s: float = 100e-9
-    duration_s: float = 500e-6
     rng_seed: int = 0
     one_over_f_corner_hz: float = 1e6
     artifact_duration_s: float = 2e-6
@@ -81,8 +83,6 @@ class SynthConfig:
     def __post_init__(self) -> None:
         if self.sample_interval_s <= 0:
             raise DomainError("sample interval must be positive")
-        if self.duration_s < 10 * self.sample_interval_s:
-            raise DomainError("duration must cover at least 10 samples")
         if not 0 <= self.rng_seed <= _MASK64:
             raise DomainError("seed must fit in 64 bits")
         if self.one_over_f_corner_hz < 0:
@@ -102,10 +102,6 @@ class SynthConfig:
         if any(t < 0 for t in self.switch_times_s):
             raise DomainError("switch times must be >= 0")
         object.__setattr__(self, "switch_times_s", tuple(self.switch_times_s))
-
-    @property
-    def n_samples(self) -> int:
-        return int(math.floor(self.duration_s / self.sample_interval_s + 1e-6)) + 1
 
 
 @dataclass
@@ -229,17 +225,13 @@ def _synthesize(
     then, if enabled, one stationary start plus n drive samples per
     flicker source from lowest octave index up.  The deterministic
     components (switch transients, injected signal) follow, identical
-    in every row.  The trajectory must be sampled on exactly the grid
-    the config implies.
+    in every row.  The rows share the trajectory's grid, which must sit
+    on k * cfg.sample_interval_s.
     """
-    n = cfg.n_samples
-    if len(trajectory) != n:
-        raise DomainError(
-            f"trajectory has {len(trajectory)} samples, config implies {n}"
-        )
+    n = len(trajectory)
     times = np.arange(n) * cfg.sample_interval_s
     if not np.allclose(trajectory.times_s, times, rtol=0.0, atol=cfg.sample_interval_s * 1e-6):
-        raise DomainError("trajectory grid does not match the synthesis grid")
+        raise DomainError("trajectory grid is not k * sample_interval_s")
 
     sysnoise_k = system_output_noise_kelvin(chain, trajectory.temperature_k)
     sigma = cfg.voltage_scale * np.sqrt(sysnoise_k)

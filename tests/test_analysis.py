@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from cavitycool.analysis import (
-    NoiseExtractionConfig,
     SpectralDensity,
     band_averaged_deltap,
     cooling_depth_from_fit,
@@ -90,15 +89,32 @@ def test_subtract_mean_artifact_validation():
 
 
 def test_extract_noise_constant_maps_to_zero():
-    cfg = NoiseExtractionConfig(boxcar_width_s=1e-6)
-    out = extract_noise(_trace(np.full(300, 2.5)), cfg)
+    out = extract_noise(_trace(np.full(300, 2.5)), 10)
     assert np.allclose(out.voltages_v, 0.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("n_shots, n", [(1, 1), (1, 2), (3, 5), (2, 17), (4, 40)])
+def test_extract_noise_matches_direct_truncated_mean(n_shots, n):
+    # Sample i minus the plain mean over [i - (w-1)//2, i + w//2] cut to
+    # the record, for widths up to and past the record length.
+    rng = np.random.default_rng(n_shots * 100 + n)
+    trace = _trace(rng.standard_normal((n_shots, n)))
+    v = trace.voltages_v
+    for width in (1, 2, 3, 7, n, n + 3):
+        expected = np.array([
+            [v[s, i] - v[s, max(0, i - (width - 1) // 2): i + width // 2 + 1].mean()
+             for i in range(n)]
+            for s in range(n_shots)
+        ])
+        out = extract_noise(trace, width)
+        assert out.voltages_v.shape == (n_shots, n)
+        assert np.allclose(out.voltages_v, expected, rtol=0.0, atol=1e-12)
+        assert np.array_equal(out.times_s, trace.times_s)
+
+
 def test_extract_noise_single_sample_width_is_identity_smoother():
-    cfg = NoiseExtractionConfig(boxcar_width_s=100e-9)  # rounds to one sample
     trace = _white(500, 1.0, 3)
-    out = extract_noise(trace, cfg)
+    out = extract_noise(trace, 1)
     # Zero up to the round-off of the running-sum smoother.
     assert np.max(np.abs(out.voltages_v)) < 1e-12
 
@@ -109,25 +125,25 @@ def test_extract_noise_ramp_plus_white():
     rng = np.random.default_rng(11)
     ramp = np.linspace(0.0, 5.0, n)
     trace = _trace(ramp + sigma * rng.standard_normal(n))
-    out = extract_noise(trace, NoiseExtractionConfig(boxcar_width_s=5e-6))
+    out = extract_noise(trace, 50)
     assert abs(float(np.var(out.voltages_v)) - sigma**2) / sigma**2 < 0.05
 
 
 def test_extract_noise_idempotent_in_distribution():
     n, sigma = 500_000, 1.0
     trace = _white(n, sigma, 13)
-    cfg = NoiseExtractionConfig(boxcar_width_s=20e-6)  # 200 samples
-    once = extract_noise(trace, cfg)
-    twice = extract_noise(once, cfg)
+    once = extract_noise(trace, 200)
+    twice = extract_noise(once, 200)
     v1 = float(np.var(once.voltages_v))
     v2 = float(np.var(twice.voltages_v))
     assert abs(v2 - v1) / v1 < 0.01
 
 
-def test_extraction_config_validation():
+def test_extract_noise_validation():
+    with pytest.raises(DomainError, match="at least one sample"):
+        extract_noise(_white(100, 1.0, 0), 0)
     with pytest.raises(DomainError):
-        NoiseExtractionConfig(boxcar_width_s=0.0)
-    assert NoiseExtractionConfig(boxcar_width_s=1e-6).width_samples(1e-7) == 10
+        extract_noise(_white(100, 1.0, 0), -3)
 
 
 def test_spectral_density_parseval():

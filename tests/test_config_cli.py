@@ -61,7 +61,7 @@ def test_default_config_values():
     assert cfg.receiver.lna.t_min_k == 11.6
     assert cfg.n_shots == 600
     assert cfg.synth.sample_interval_s == 50e-9
-    assert cfg.synth.duration_s == cfg.protocol.trace_length_s
+    assert cfg.protocol.trace_length_s == 160e-6
     assert cfg.persistent_port_indices() == (1,)
 
 
@@ -100,6 +100,8 @@ def test_run_config_validation():
         replace(base, port_roles=("cooling", "bystander"))
     with pytest.raises(DomainError):
         replace(base, n_shots=0)
+    with pytest.raises(DomainError, match="10 samples"):
+        replace(base, protocol=ProtocolConfig(0.0, 0.0, 9 * base.synth.sample_interval_s))
 
 
 def test_persistent_indices_empty_when_all_ports_cool():
@@ -150,7 +152,6 @@ window_samples = 80
     assert cfg.receiver.lna_gain_linear == 200.0
     assert cfg.receiver.lna.t_min_k == 11.6
     assert cfg.protocol.trace_length_s == 200e-6
-    assert cfg.synth.duration_s == 200e-6
     assert cfg.synth.rng_seed == 0xDEADBEEF
     assert cfg.n_shots == 7
     assert cfg.analysis.window_samples == 80
@@ -213,6 +214,38 @@ def test_load_wraps_out_of_range_values(tmp_path):
         load_run_config(path)
     except ConfigError as exc:
         assert "run.ini" in str(exc)
+
+
+def test_load_rejects_trace_shorter_than_ten_samples(tmp_path, capsys):
+    # 450 ns at the default 50 ns interval is 9 sample intervals.
+    path = _ini(tmp_path, "[protocol]\ncool_duration_s = 0\ntrace_length_s = 450e-9\n")
+    with pytest.raises(ConfigError, match="run.ini: trace must cover at least 10 samples"):
+        load_run_config(path)
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", path, "--out", str(out)]) == 2
+    assert "10 samples" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("section, key, command", [
+    ("port.cooling", "coupling", "steady"),
+    ("mode", "wall_temperature_k", "steady"),
+    ("synth", "voltage_scale", "simulate"),
+])
+@pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+def test_non_finite_config_value_exits_2(tmp_path, capsys, section, key, command, text):
+    # NaN passes every range check (x < 0 is False), so it must be
+    # refused where the value is parsed, with the file, section and key.
+    body = f"[{section}]\n{key} = {text}\n"
+    if section.startswith("port."):
+        body += "load_temperature_k = 18.4\nrole = cooling\n"
+    path = _ini(tmp_path, body)
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", path, "--out", str(out), "--porcelain"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"run.ini: bad value for '{key}' in section [{section}]: '{text}'" in captured.err
+    assert not out.exists()
 
 
 def test_load_missing_file_raises_oserror(tmp_path):
@@ -402,7 +435,7 @@ def test_simulate_run_structure():
     assert events[1].active_ports == (1,)
 
     traj = result.trajectory
-    assert len(traj) == cfg.synth.n_samples
+    assert len(traj) == 3201  # 160 us every 50 ns, both ends included
     q_cold = steady_state_occupancy(cfg.mode, cfg.baths)
     q_ambient = steady_state_occupancy(cfg.mode, cfg.baths.subset((1,)))
     assert traj.occupancy[0] == pytest.approx(q_cold, rel=1e-12)
@@ -542,6 +575,23 @@ def test_cli_config_error_exit_codes(tmp_path, capsys):
     rc = cli.main(["steady", "--seed", "-1"])
     assert rc == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, option, text", [
+    (["sweep"], "--coupling-min", "nan"),
+    (["sweep"], "--cold-max", "inf"),
+    (["sweep"], "--coupling-max", "-inf"),
+    (["sweep"], "--cold-min", "x"),
+    (["analyze", "run.meta"], "--disconnect-time", "inf"),
+])
+def test_cli_refuses_non_finite_float_options(tmp_path, capsys, command, option, text):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*command, f"{option}={text}", "--out", str(out)])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {option}: invalid finite float value: '{text}'" in err
+    assert not out.exists()
 
 
 def test_cli_sweep_writes_grid(tmp_path, capsys):

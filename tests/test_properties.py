@@ -74,7 +74,6 @@ def _run_configs(draw):
         protocol=ProtocolConfig(cool, draw(_finite(0.0, trace / 2)), trace),
         synth=replace(
             base.synth,
-            duration_s=trace,
             sample_interval_s=draw(_finite(1e-10, trace / 10)),
             rng_seed=draw(st.integers(0, 2 ** 64 - 1)),
         ),

@@ -32,17 +32,15 @@ def _chain():
     )
 
 
-def _flat_trajectory(cfg: SynthConfig, temperature_k: float) -> PhotonTrajectory:
-    n = cfg.n_samples
+def _flat_trajectory(cfg: SynthConfig, n: int, temperature_k: float) -> PhotonTrajectory:
     times = np.arange(n) * cfg.sample_interval_s
     temps = np.full(n, temperature_k)
     return PhotonTrajectory(times, np.full(n, 1000.0), temps)
 
 
 def _step_trajectory(
-    cfg: SynthConfig, t_first_k: float, t_second_k: float
+    cfg: SynthConfig, n: int, t_first_k: float, t_second_k: float
 ) -> PhotonTrajectory:
-    n = cfg.n_samples
     times = np.arange(n) * cfg.sample_interval_s
     temps = np.full(n, t_first_k)
     temps[n // 2 :] = t_second_k
@@ -74,14 +72,13 @@ def test_shot_seed_validation():
 def test_trace_reproducible_bit_for_bit():
     cfg = SynthConfig(
         sample_interval_s=1e-7,
-        duration_s=100e-6,
         rng_seed=99,
         one_over_f_corner_hz=1e6,
         artifact_amplitude_v=0.01,
         switch_times_s=(40e-6,),
         voltage_scale=1e-3,
     )
-    traj = _flat_trajectory(cfg, 290.0)
+    traj = _flat_trajectory(cfg, 1001, 290.0)
     chain = _chain()
     a = synthesize_trace(traj, chain, cfg)
     b = synthesize_trace(traj, chain, cfg)
@@ -91,10 +88,10 @@ def test_trace_reproducible_bit_for_bit():
 
 def test_different_seeds_differ():
     cfg = SynthConfig(
-        sample_interval_s=1e-7, duration_s=100e-6, rng_seed=1, voltage_scale=1e-3,
+        sample_interval_s=1e-7, rng_seed=1, voltage_scale=1e-3,
         one_over_f_corner_hz=0.0,
     )
-    traj = _flat_trajectory(cfg, 290.0)
+    traj = _flat_trajectory(cfg, 1001, 290.0)
     chain = _chain()
     a = synthesize_trace(traj, chain, cfg)
     b = synthesize_trace(traj, chain, replace(cfg, rng_seed=2))
@@ -106,12 +103,11 @@ def test_constant_temperature_variance_tracks_system_noise():
     # voltage_scale^2 * system output noise.
     cfg = SynthConfig(
         sample_interval_s=1e-7,
-        duration_s=0.0999999e0,
         rng_seed=7,
         one_over_f_corner_hz=0.0,
         voltage_scale=1e-3,
     )
-    traj = _flat_trajectory(cfg, 290.0)
+    traj = _flat_trajectory(cfg, 1_000_000, 290.0)
     chain = _chain()
     trace = synthesize_trace(traj, chain, cfg)
     assert len(trace) >= 10**6
@@ -125,12 +121,11 @@ def test_white_noise_is_gaussian():
     # the statistic is chi-squared with 2 dof under normality.
     cfg = SynthConfig(
         sample_interval_s=1e-7,
-        duration_s=0.0999999e0,
         rng_seed=11,
         one_over_f_corner_hz=0.0,
         voltage_scale=1e-3,
     )
-    trace = synthesize_trace(_flat_trajectory(cfg, 290.0), _chain(), cfg)
+    trace = synthesize_trace(_flat_trajectory(cfg, 1_000_000, 290.0), _chain(), cfg)
     jb = stats.jarque_bera(trace.voltages_v[0]).statistic
     assert jb < stats.chi2.ppf(1.0 - 1e-3, 2)
 
@@ -140,13 +135,12 @@ def test_zero_voltage_scale_leaves_only_injected():
     injected = 0.5 * np.sin(np.linspace(0.0, 8.0, n))
     cfg = SynthConfig(
         sample_interval_s=1e-7,
-        duration_s=99.9e-6,
         rng_seed=3,
         voltage_scale=0.0,
         one_over_f_corner_hz=0.0,
         injected_signal=injected,
     )
-    traj = _flat_trajectory(cfg, 290.0)
+    traj = _flat_trajectory(cfg, n, 290.0)
     trace = synthesize_trace(traj, _chain(), cfg)
     assert len(trace) == n
     assert np.array_equal(trace.voltages_v[0], injected)
@@ -158,13 +152,12 @@ def test_injected_shorter_than_trace_only_touches_prefix():
     injected = np.ones(10)
     cfg = SynthConfig(
         sample_interval_s=1e-7,
-        duration_s=99.9e-6,
         rng_seed=3,
         voltage_scale=0.0,
         one_over_f_corner_hz=0.0,
         injected_signal=injected,
     )
-    trace = synthesize_trace(_flat_trajectory(cfg, 290.0), _chain(), cfg)
+    trace = synthesize_trace(_flat_trajectory(cfg, 1000, 290.0), _chain(), cfg)
     assert np.all(trace.voltages_v[0, :10] == 1.0)
     assert np.all(trace.voltages_v[0, 10:] == 0.0)
 
@@ -174,13 +167,12 @@ def test_segment_variance_ratio_matches_prediction():
     # must reproduce the receiver prediction for those two temperatures.
     cfg = SynthConfig(
         sample_interval_s=1e-7,
-        duration_s=9.9999e-3,
         rng_seed=17,
         one_over_f_corner_hz=0.0,
         voltage_scale=1e-3,
     )
     chain = _chain()
-    traj = _step_trajectory(cfg, 108.217470804590, 256.279052430086)
+    traj = _step_trajectory(cfg, 100_000, 108.217470804590, 256.279052430086)
     trace = synthesize_trace(traj, chain, cfg)
     half = len(trace) // 2
     volts = trace.voltages_v[0]
@@ -189,9 +181,7 @@ def test_segment_variance_ratio_matches_prediction():
 
 
 def test_artifact_waveform_shape():
-    cfg = SynthConfig(
-        sample_interval_s=1e-7, duration_s=100e-6, artifact_amplitude_v=0.25
-    )
+    cfg = SynthConfig(sample_interval_s=1e-7, artifact_amplitude_v=0.25)
     wave = switch_artifact_waveform(cfg)
     # Default transient duration is 2 us.
     assert len(wave) == 20
@@ -206,13 +196,12 @@ def test_artifact_waveform_shape():
 def test_artifact_deterministic_and_seed_independent():
     base = SynthConfig(
         sample_interval_s=1e-7,
-        duration_s=100e-6,
         rng_seed=5,
         one_over_f_corner_hz=0.0,
         voltage_scale=1e-3,
         switch_times_s=(40e-6,),
     )
-    traj = _flat_trajectory(base, 290.0)
+    traj = _flat_trajectory(base, 1001, 290.0)
     chain = _chain()
 
     def artifact_part(seed):
@@ -235,14 +224,13 @@ def test_artifact_deterministic_and_seed_independent():
 def test_zero_amplitude_disables_artifact():
     cfg = SynthConfig(
         sample_interval_s=1e-7,
-        duration_s=100e-6,
         rng_seed=5,
         one_over_f_corner_hz=0.0,
         voltage_scale=1e-3,
         switch_times_s=(40e-6,),
         artifact_amplitude_v=0.0,
     )
-    traj = _flat_trajectory(cfg, 290.0)
+    traj = _flat_trajectory(cfg, 1001, 290.0)
     chain = _chain()
     with_switches = synthesize_trace(traj, chain, cfg)
     without = synthesize_trace(traj, chain, replace(cfg, switch_times_s=()))
@@ -252,12 +240,11 @@ def test_zero_amplitude_disables_artifact():
 def test_switch_artifact_placement_and_cropping():
     cfg = SynthConfig(
         sample_interval_s=1e-7,
-        duration_s=100e-6,
         artifact_amplitude_v=0.1,
         voltage_scale=0.0,
         one_over_f_corner_hz=0.0,
     )
-    traj = _flat_trajectory(cfg, 290.0)
+    traj = _flat_trajectory(cfg, 1001, 290.0)
 
     def at(*switch_times_s):
         cfg_at = replace(cfg, switch_times_s=switch_times_s)
@@ -281,12 +268,11 @@ def test_switch_artifact_placement_and_cropping():
 def test_ensemble_single_shot_equals_direct_call():
     cfg = SynthConfig(
         sample_interval_s=1e-7,
-        duration_s=100e-6,
         rng_seed=20260817,
         one_over_f_corner_hz=1e6,
         voltage_scale=1e-3,
     )
-    traj = _flat_trajectory(cfg, 290.0)
+    traj = _flat_trajectory(cfg, 1001, 290.0)
     chain = _chain()
     shot = synthesize_shot_ensemble(traj, chain, cfg, 1)
     direct = synthesize_trace(
@@ -302,7 +288,6 @@ def test_ensemble_row_i_is_the_shot_i_stream():
     # record synthesize_trace draws from shot i's seed, bit for bit.
     cfg = SynthConfig(
         sample_interval_s=1e-7,
-        duration_s=100e-6,
         rng_seed=20260817,
         one_over_f_corner_hz=1e6,
         artifact_amplitude_v=0.02,
@@ -310,10 +295,10 @@ def test_ensemble_row_i_is_the_shot_i_stream():
         voltage_scale=1e-3,
         injected_signal=np.linspace(0.0, 1e-3, 300),
     )
-    traj = _step_trajectory(cfg, 108.0, 256.0)
+    traj = _step_trajectory(cfg, 1001, 108.0, 256.0)
     chain = _chain()
     shots = synthesize_shot_ensemble(traj, chain, cfg, 4)
-    assert shots.voltages_v.shape == (4, cfg.n_samples)
+    assert shots.voltages_v.shape == (4, 1001)
     for i, row in enumerate(shots.voltages_v):
         direct = synthesize_trace(
             traj, chain, replace(cfg, rng_seed=shot_seed(20260817, i))
@@ -324,12 +309,11 @@ def test_ensemble_row_i_is_the_shot_i_stream():
 def test_ensemble_shots_are_independent_and_reproducible():
     cfg = SynthConfig(
         sample_interval_s=1e-7,
-        duration_s=20e-6,
         rng_seed=8,
         one_over_f_corner_hz=0.0,
         voltage_scale=1e-3,
     )
-    traj = _flat_trajectory(cfg, 290.0)
+    traj = _flat_trajectory(cfg, 201, 290.0)
     chain = _chain()
     shots = synthesize_shot_ensemble(traj, chain, cfg, 8)
     again = synthesize_shot_ensemble(traj, chain, cfg, 8)
@@ -345,13 +329,12 @@ def test_ensemble_mean_recovers_deterministic_part():
     injected = 0.5 * signal.sawtooth(np.linspace(0.0, 20.0, 200), width=0.5)
     cfg = SynthConfig(
         sample_interval_s=1e-7,
-        duration_s=19.9e-6,
         rng_seed=31,
         one_over_f_corner_hz=0.0,
         voltage_scale=1e-3,
         injected_signal=injected,
     )
-    traj = _flat_trajectory(cfg, 290.0)
+    traj = _flat_trajectory(cfg, 200, 290.0)
     chain = _chain()
     shots = synthesize_shot_ensemble(traj, chain, cfg, n_shots)
     mean = shots.voltages_v.mean(axis=0)
@@ -366,12 +349,11 @@ def test_flicker_corner_frequency():
     corner = 1e6
     cfg = SynthConfig(
         sample_interval_s=1e-7,
-        duration_s=6.5536e-3,
         rng_seed=23,
         one_over_f_corner_hz=corner,
         voltage_scale=1e-3,
     )
-    traj = _flat_trajectory(cfg, 290.0)
+    traj = _flat_trajectory(cfg, 65_537, 290.0)
     chain = _chain()
     shots = synthesize_shot_ensemble(traj, chain, cfg, 12)
     freqs, psd = signal.welch(
@@ -399,12 +381,11 @@ def test_flicker_corner_frequency():
 def test_flicker_raises_low_frequency_power():
     cfg = SynthConfig(
         sample_interval_s=1e-7,
-        duration_s=999.9e-6,
         rng_seed=29,
         one_over_f_corner_hz=1e6,
         voltage_scale=1e-3,
     )
-    traj = _flat_trajectory(cfg, 290.0)
+    traj = _flat_trajectory(cfg, 10_000, 290.0)
     chain = _chain()
     with_f = synthesize_trace(traj, chain, cfg)
     without = synthesize_trace(traj, chain, replace(cfg, one_over_f_corner_hz=0.0))
@@ -417,14 +398,12 @@ def test_flicker_raises_low_frequency_power():
 
 
 def test_trajectory_grid_must_match_config():
-    cfg = SynthConfig(sample_interval_s=1e-7, duration_s=100e-6, voltage_scale=1e-3)
+    # The trace takes its length from the trajectory, whose samples must
+    # sit on k * sample_interval_s.
+    cfg = SynthConfig(sample_interval_s=1e-7, voltage_scale=1e-3)
     chain = _chain()
-    short = PhotonTrajectory(
-        np.arange(10) * 1e-7, np.full(10, 1000.0), np.full(10, 290.0)
-    )
-    with pytest.raises(DomainError):
-        synthesize_trace(short, chain, cfg)
-    n = cfg.n_samples
+    n = 1001
+    assert len(synthesize_trace(_flat_trajectory(cfg, n, 290.0), chain, cfg)) == n
     shifted = PhotonTrajectory(
         np.arange(n) * 1e-7 + 1e-9, np.full(n, 1000.0), np.full(n, 290.0)
     )
@@ -435,8 +414,6 @@ def test_trajectory_grid_must_match_config():
 def test_config_validation():
     with pytest.raises(DomainError):
         SynthConfig(sample_interval_s=0.0)
-    with pytest.raises(DomainError):
-        SynthConfig(sample_interval_s=1e-7, duration_s=5e-7)
     with pytest.raises(DomainError):
         SynthConfig(rng_seed=-1)
     with pytest.raises(DomainError):
