@@ -49,22 +49,13 @@ from .errors import (
 )
 from .pipeline import AnalysisReport, SimulationResult, analyze_run, simulate_run
 from .receiver import (
-    AmplifierStage,
-    FriisResult,
     LnaNoiseParameters,
     ReceiverChain,
-    YFactorResult,
-    friis_cascade,
     infer_mode_temperature,
-    lna_input_noise_temperature,
-    matched_source_excess_k,
-    noise_figure_db_from_temperature,
     noise_power_reduction_curve,
     noise_power_reduction_db,
     noise_power_reduction_floor_db,
     system_output_noise_kelvin,
-    temperature_from_noise_figure_db,
-    y_factor_noise_temperature,
 )
 from .synth import (
     NoiseTrace,
@@ -78,7 +69,6 @@ from .thermal import (
     BathPort,
     BathSet,
     LossModel,
-    cooled_mode_temperature_closed_form,
     link_output_temperature,
     mode_temperature,
     photon_occupancy,

@@ -227,10 +227,10 @@ def _run_config(args, cfg: RunConfig, meta_path: str, meta: dict) -> RunConfig:
 def _load_analysis_inputs(args, cfg: RunConfig):
     """Resolve analyze inputs: either one .meta sidecar or trace CSVs.
 
-    A sidecar also supplies the disconnect time and the run's
-    configuration.
+    A sidecar also supplies the run's configuration, whose
+    `protocol.cool_duration_s` is the disconnect time; its
+    `disconnect_time_s` line is a copy that must carry the same text.
     """
-    disconnect = None
     paths = list(args.inputs)
     if len(paths) == 1 and paths[0].endswith(".meta"):
         meta = tracefile.read_key_values(paths[0])
@@ -238,13 +238,12 @@ def _load_analysis_inputs(args, cfg: RunConfig):
             raise DataFormatError(f"{paths[0]}: missing 'trace_files' entry")
         base = os.path.dirname(paths[0])
         paths = [os.path.join(base, name) for name in meta["trace_files"].split(",")]
-        if "disconnect_time_s" in meta:
-            try:
-                disconnect = float(meta["disconnect_time_s"])
-            except ValueError:
-                raise DataFormatError(
-                    f"{args.inputs[0]}: bad disconnect_time_s value"
-                ) from None
+        cool = meta.get("protocol.cool_duration_s", "(none)")
+        if meta.get("disconnect_time_s", cool) != cool:
+            raise DataFormatError(
+                f"{args.inputs[0]}: disconnect_time_s={meta['disconnect_time_s']} "
+                f"differs from protocol.cool_duration_s={cool}"
+            )
         cfg = _run_config(args, cfg, args.inputs[0], meta)
         if len(paths) != cfg.n_shots or meta.get("n_shots") != str(len(paths)):
             raise DataFormatError(
@@ -252,15 +251,12 @@ def _load_analysis_inputs(args, cfg: RunConfig):
                 f"n_shots={meta.get('n_shots', '(none)')} and "
                 f"synth.n_shots={cfg.n_shots}"
             )
-    return tracefile.read_trace_ensemble(paths), disconnect, cfg
+    return tracefile.read_trace_ensemble(paths), cfg
 
 
 def cmd_analyze(args, cfg: RunConfig) -> int:
-    traces, meta_disconnect, cfg = _load_analysis_inputs(args, cfg)
-    disconnect = (
-        args.disconnect_time if args.disconnect_time is not None else meta_disconnect
-    )
-    report = analyze_run(traces, cfg, disconnect)
+    traces, cfg = _load_analysis_inputs(args, cfg)
+    report = analyze_run(traces, cfg, args.disconnect_time)
 
     items = [
         ("n_shots", str(report.n_shots)),

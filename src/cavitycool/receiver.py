@@ -1,5 +1,5 @@
-"""Receiver noise arithmetic: LNA noise parameters, cascades, and the
-cooled-vs-ambient noise power ratio.
+"""Receiver noise arithmetic: LNA noise parameters and the cooled-vs-ambient
+noise power ratio.
 
 The observable this package ultimately predicts is the reduction in
 receiver output noise power when the cavity mode is cold versus at
@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -58,108 +57,6 @@ def _mismatch_k(lna: LnaNoiseParameters, gamma_source: complex) -> float:
         / lna.reference_impedance_ohm
     )
     return scale * abs(gamma_source - lna.gamma_opt) ** 2 / abs(1.0 + lna.gamma_opt) ** 2
-
-
-def lna_input_noise_temperature(
-    lna: LnaNoiseParameters, gamma_source: complex = 0j
-) -> float:
-    """Input-referred noise temperature of the LNA for a given source match.
-
-        T = T_min + 4 T_0 (R_n/Z_0) |G_s - G_opt|^2
-                    / ((1 - |G_s|^2) |1 + G_opt|^2)
-
-    Parameters
-    ----------
-    lna : LnaNoiseParameters
-    gamma_source : complex
-        Source reflection coefficient, |gamma_source| < 1.
-    """
-    gs = complex(gamma_source)
-    if abs(gs) >= 1:
-        raise DomainError("|gamma_source| must be < 1")
-    return lna.t_min_k + _mismatch_k(lna, gs) / (1.0 - abs(gs) ** 2)
-
-
-def matched_source_excess_k(lna: LnaNoiseParameters) -> float:
-    """Mismatch penalty at a reflectionless source (the X term of the
-    output-noise bracket): 4 T_0 (R_n/Z_0) |G_opt|^2 / |1 + G_opt|^2."""
-    return _mismatch_k(lna, 0j)
-
-
-class AmplifierStage(NamedTuple):
-    """One gain stage for cascade bookkeeping."""
-
-    gain_linear: float
-    noise_temperature_k: float
-
-
-class FriisResult(NamedTuple):
-    gain_linear: float
-    noise_temperature_k: float
-
-
-def friis_cascade(stages: "list[AmplifierStage] | tuple[AmplifierStage, ...]") -> FriisResult:
-    """Input-referred noise temperature and total gain of a cascade.
-
-    T = T_1 + T_2/G_1 + T_3/(G_1 G_2) + ...
-    """
-    if not stages:
-        raise DomainError("cascade needs at least one stage")
-    total_t = 0.0
-    running_gain = 1.0
-    for stage in stages:
-        if stage.gain_linear <= 0:
-            raise DomainError(f"stage gain must be positive, got {stage.gain_linear}")
-        if stage.noise_temperature_k < 0:
-            raise DomainError("stage noise temperature must be >= 0 K")
-        total_t += stage.noise_temperature_k / running_gain
-        running_gain *= stage.gain_linear
-    return FriisResult(running_gain, total_t)
-
-
-class YFactorResult(NamedTuple):
-    noise_temperature_k: float
-    clamped: bool
-
-
-def y_factor_noise_temperature(
-    t_hot_k: float, t_cold_k: float, y_ratio: float
-) -> YFactorResult:
-    """Device noise temperature from a hot/cold load power ratio.
-
-        T = (T_hot - Y T_cold) / (Y - 1)
-
-    A measured Y exceeding the noiseless ratio T_hot/T_cold gives a
-    negative temperature; the result is then clamped to 0 K and flagged.
-    """
-    if t_hot_k <= t_cold_k:
-        raise DomainError("t_hot must exceed t_cold")
-    if t_cold_k < 0:
-        raise DomainError("t_cold must be >= 0 K")
-    if y_ratio <= 1:
-        raise DomainError(f"Y must exceed 1, got {y_ratio}")
-    t = (t_hot_k - y_ratio * t_cold_k) / (y_ratio - 1.0)
-    if t < 0:
-        return YFactorResult(0.0, True)
-    return YFactorResult(t, False)
-
-
-def noise_figure_db_from_temperature(
-    noise_temperature_k: float, reference_k: float = IEEE_T0
-) -> float:
-    """NF in dB of a stage with the given input-referred noise temperature."""
-    if noise_temperature_k < 0:
-        raise DomainError("noise temperature must be >= 0 K")
-    return 10.0 * math.log10(1.0 + noise_temperature_k / reference_k)
-
-
-def temperature_from_noise_figure_db(
-    noise_figure_db: float, reference_k: float = IEEE_T0
-) -> float:
-    """Inverse of `noise_figure_db_from_temperature`."""
-    if noise_figure_db < 0:
-        raise DomainError("noise figure must be >= 0 dB")
-    return reference_k * (10.0 ** (noise_figure_db / 10.0) - 1.0)
 
 
 @dataclass(frozen=True)

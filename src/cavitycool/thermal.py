@@ -229,39 +229,6 @@ def mode_temperature(baths: BathSet) -> float:
     return weighted / (1.0 + baths.total_coupling())
 
 
-def cooled_mode_temperature_closed_form(
-    t_ambient_k: float,
-    coupling: float,
-    loss_factor: float,
-    t_cold_k: float,
-    t_monitor_k: float,
-) -> float:
-    """Cooled mode temperature for the canonical two-port arrangement.
-
-    One overcoupled port (coefficient `coupling`) delivers a cold load at
-    `t_cold_k` through a short link whose loss enters as the dimensionless
-    `loss_factor` = L_dB/4.34 at ambient temperature; a second, critically
-    coupled port delivers `t_monitor_k`.  The closed form is
-
-        T = ((1 + coupling*loss_factor)*T_ambient
-             + coupling*T_cold + T_monitor) / (2 + coupling)
-
-    Equivalent to `mode_temperature` on the matching two-port `BathSet`.
-    """
-    if coupling < 0:
-        raise DomainError(f"coupling must be >= 0, got {coupling}")
-    if loss_factor < 0 or loss_factor >= 1:
-        raise DomainError(f"loss factor must be in [0, 1), got {loss_factor}")
-    if min(t_ambient_k, t_cold_k, t_monitor_k) < 0:
-        raise DomainError("temperatures must be >= 0 K")
-    numerator = (
-        (1.0 + coupling * loss_factor) * t_ambient_k
-        + coupling * t_cold_k
-        + t_monitor_k
-    )
-    return numerator / (2.0 + coupling)
-
-
 def sweep_mode_temperature(
     baths: BathSet,
     port_index: int,

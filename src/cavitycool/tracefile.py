@@ -146,7 +146,8 @@ def write_key_values(path: str, items: Iterable[tuple[str, str]]) -> None:
 
 
 def read_key_values(path: str) -> dict[str, str]:
-    """Read a key=value sidecar; '#' lines and blanks are skipped."""
+    """Read a key=value sidecar; '#' lines and blanks are skipped, and a
+    key may appear once."""
     out: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -158,5 +159,8 @@ def read_key_values(path: str) -> dict[str, str]:
                     f"{path}: line {lineno}: expected key=value, got {line!r}"
                 )
             key, _, value = line.partition("=")
-            out[key.strip()] = value.strip()
+            key = key.strip()
+            if key in out:
+                raise DataFormatError(f"{path}: line {lineno}: repeated key {key!r}")
+            out[key] = value.strip()
     return out

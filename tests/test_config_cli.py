@@ -419,6 +419,10 @@ def test_key_value_reader_is_forgiving_about_layout(tmp_path):
     bad.write_text("just words\n")
     with pytest.raises(DataFormatError, match="line 1"):
         tracefile.read_key_values(str(bad))
+    # a second value for a key would silently replace the first
+    bad.write_text("alpha=1\n# note\n alpha = 1\n")
+    with pytest.raises(DataFormatError, match=r"bad\.meta: line 3: repeated key 'alpha'"):
+        tracefile.read_key_values(str(bad))
 
 
 # ----------------------------------------------------------------- pipeline
@@ -759,6 +763,40 @@ def test_cli_analyze_rejects_truncated_run(tmp_path, capsys):
         assert cli.main(["analyze", str(meta), "--porcelain"]) == 4
         err = capsys.readouterr().err
         assert f"{meta}: lists" in err and "n_shots" in err
+
+
+def _four_shot_meta(tmp_path, capsys):
+    ini = _ini(tmp_path, "[synth]\nn_shots = 4\n")
+    out = tmp_path / "run"
+    assert cli.main(["simulate", "--config", ini, "--out", str(out),
+                     "--porcelain"]) == 0
+    capsys.readouterr()
+    return out / "run.meta"
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "4.1e-05"])
+def test_cli_analyze_rejects_sidecar_disconnect_off_the_config(tmp_path, capsys, value):
+    # the disconnect is protocol.cool_duration_s, which the digest covers;
+    # the disconnect_time_s line is a copy that must agree with it
+    meta = _four_shot_meta(tmp_path, capsys)
+    text = meta.read_text()
+    line = "\ndisconnect_time_s=4e-05\n"
+    assert line in text and "\nprotocol.cool_duration_s=4e-05\n" in text
+    meta.write_text(text.replace(line, f"\ndisconnect_time_s={value}\n"))
+    assert cli.main(["analyze", str(meta), "--porcelain"]) == 4
+    err = capsys.readouterr().err
+    assert f"{meta}: disconnect_time_s={value}" in err
+
+
+def test_cli_analyze_rejects_repeated_sidecar_key(tmp_path, capsys):
+    meta = _four_shot_meta(tmp_path, capsys)
+    text = meta.read_text()
+    meta.write_text(
+        text + "trace_files=trace_001.csv,trace_001.csv,trace_002.csv,trace_003.csv\n"
+    )
+    assert cli.main(["analyze", str(meta), "--porcelain"]) == 4
+    line = len(text.splitlines()) + 1
+    assert f"{meta}: line {line}: repeated key 'trace_files'" in capsys.readouterr().err
 
 
 def test_cli_analyze_nonconvergence_exit_code(tmp_path, capsys):

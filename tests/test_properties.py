@@ -213,3 +213,13 @@ def test_readme_quick_run_outputs_pinned(tmp_path, capsys):
     assert traces.hexdigest() == _QUICK_TRACES_SHA256
     assert cli.main(["analyze", str(out / "run.meta"), "--porcelain"]) == 0
     assert capsys.readouterr().out == _QUICK_PORCELAIN
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library use\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    printed = capsys.readouterr().out.split()
+    assert len(printed) == 2
+    assert all(math.isfinite(float(value)) for value in printed)
