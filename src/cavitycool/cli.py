@@ -28,6 +28,7 @@ from .config import (
     load_run_config,
     with_seed,
 )
+from .dynamics import _validated_grid
 from .errors import AnalysisError, ConfigError, DataFormatError, DomainError
 from .pipeline import analyze_run, simulate_run
 from .receiver import noise_power_reduction_curve, noise_power_reduction_db
@@ -166,7 +167,8 @@ def cmd_simulate(args, cfg: RunConfig) -> int:
     trace_files = []
     for i, row in enumerate(result.traces.voltages_v):
         name = f"trace_{i:03d}.csv"
-        tracefile.write_trace_csv(_outpath(args, name), result.traces.times_s, row)
+        path = os.path.join(args.out, name)
+        tracefile.write_trace_csv(path, result.traces.times_s, row)
         trace_files.append(name)
 
     digest = config_digest(cfg)
@@ -181,7 +183,7 @@ def cmd_simulate(args, cfg: RunConfig) -> int:
         ("trajectory_file", trajectory_file),
         ("trace_files", ",".join(trace_files)),
     ] + config_items(cfg)
-    meta_path = _outpath(args, "run.meta")
+    meta_path = os.path.join(args.out, "run.meta")
     tracefile.write_key_values(meta_path, meta_items)
 
     _emit(
@@ -224,33 +226,63 @@ def _run_config(args, cfg: RunConfig, meta_path: str, meta: dict) -> RunConfig:
     return replace(recorded, analysis=cfg.analysis)
 
 
+# Sidecar lines that copy a configuration key for readers: (copy, key).
+# `protocol.cool_duration_s` is the disconnect time.
+_SIDECAR_COPIES = (
+    ("master_seed", "synth.rng_seed"),
+    ("sample_interval_s", "synth.sample_interval_s"),
+    ("disconnect_time_s", "protocol.cool_duration_s"),
+    ("trace_length_s", "protocol.trace_length_s"),
+)
+
+
+def _check_run_grid(meta_path: str, first_path: str, traces, cfg: RunConfig) -> None:
+    """Traces a sidecar lists must lie on its run's grid: as many samples
+    as `dynamics._validated_grid` makes, every `synth.sample_interval_s`
+    from t = 0, to within the trace reader's spacing tolerance."""
+    dt = cfg.synth.sample_interval_s
+    n = len(_validated_grid(cfg.protocol.trace_length_s, dt))
+    t = traces.times_s
+    step = float(t[-1] - t[0]) / (len(t) - 1)
+    tol = tracefile._GRID_TOLERANCE * dt
+    if len(t) != n or abs(t[0]) > tol or abs(step - dt) > tol:
+        raise DataFormatError(
+            f"{meta_path}: {first_path} has {len(t)} samples every {_fmt(step)} s "
+            f"from {_fmt(t[0])} s, not the run's {n} every {_fmt(dt)} s from 0.0 s"
+        )
+
+
 def _load_analysis_inputs(args, cfg: RunConfig):
     """Resolve analyze inputs: either one .meta sidecar or trace CSVs.
 
-    A sidecar also supplies the run's configuration, whose
-    `protocol.cool_duration_s` is the disconnect time; its
-    `disconnect_time_s` line is a copy that must carry the same text.
+    A sidecar also supplies the run's configuration; its lines in
+    `_SIDECAR_COPIES` must carry the same text as the keys they copy,
+    and the traces it lists must lie on the run's grid.
     """
     paths = list(args.inputs)
     if len(paths) == 1 and paths[0].endswith(".meta"):
-        meta = tracefile.read_key_values(paths[0])
+        meta_path = paths[0]
+        meta = tracefile.read_key_values(meta_path)
         if "trace_files" not in meta:
-            raise DataFormatError(f"{paths[0]}: missing 'trace_files' entry")
-        base = os.path.dirname(paths[0])
+            raise DataFormatError(f"{meta_path}: missing 'trace_files' entry")
+        base = os.path.dirname(meta_path)
         paths = [os.path.join(base, name) for name in meta["trace_files"].split(",")]
-        cool = meta.get("protocol.cool_duration_s", "(none)")
-        if meta.get("disconnect_time_s", cool) != cool:
-            raise DataFormatError(
-                f"{args.inputs[0]}: disconnect_time_s={meta['disconnect_time_s']} "
-                f"differs from protocol.cool_duration_s={cool}"
-            )
-        cfg = _run_config(args, cfg, args.inputs[0], meta)
+        for copy, key in _SIDECAR_COPIES:
+            text = meta.get(key, "(none)")
+            if meta.get(copy, text) != text:
+                raise DataFormatError(
+                    f"{meta_path}: {copy}={meta[copy]} differs from {key}={text}"
+                )
+        cfg = _run_config(args, cfg, meta_path, meta)
         if len(paths) != cfg.n_shots or meta.get("n_shots") != str(len(paths)):
             raise DataFormatError(
-                f"{args.inputs[0]}: lists {len(paths)} trace files, but records "
+                f"{meta_path}: lists {len(paths)} trace files, but records "
                 f"n_shots={meta.get('n_shots', '(none)')} and "
                 f"synth.n_shots={cfg.n_shots}"
             )
+        traces = tracefile.read_trace_ensemble(paths)
+        _check_run_grid(meta_path, paths[0], traces, cfg)
+        return traces, cfg
     return tracefile.read_trace_ensemble(paths), cfg
 
 

@@ -4,11 +4,26 @@ Trace CSV: header `time_s,voltage_v`, one sample per line, LF endings,
 floats in shortest round-trip (repr) form.  Sidecars are plain
 `key=value` lines.  Writers are deterministic: identical inputs produce
 byte-identical files.
+
+A run writes and reads one trace file per shot, all on one time grid, so
+both directions handle the time column once per grid: `write_trace_csv`
+formats it once, and `read_trace_csv` parses and checks it once.  Each
+keeps it in a one-entry cache whose key is exact (the grid's float64
+bytes, or the column's text), so a cache never returns another grid.
+
+`read_trace_csv` first tries a whole-file fast path.  It takes only a
+file with the exact header line, ASCII text, LF endings, no `"` and no
+carriage return, exactly one comma on every line and a final newline,
+and parses every field with `float()` as the line reader does; its
+samples must then pass the line reader's checks.  Any other file goes to
+the validating line reader, which is the only source of error messages,
+so both paths return the same array or raise the same error.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 from typing import Iterable, Sequence
 
@@ -23,17 +38,33 @@ TRAJECTORY_HEADER = ("time_s", "occupancy", "temperature_k")
 # Allowed relative wobble of the sample spacing inside a trace file.
 _GRID_TOLERANCE = 1e-6
 
+_TRACE_HEADER_LINE = ",".join(TRACE_HEADER) + "\n"
+
 
 def _fmt(value: float) -> str:
     return repr(float(value))
 
 
+def _write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence[float]]) -> None:
+    """Write `header` and `rows` of Python floats, each in repr form."""
+    lines = [",".join(header), *(",".join(map(repr, row)) for row in rows), ""]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("\n".join(lines))
+
+
+@functools.lru_cache(maxsize=1)
+def _time_fields(grid_bytes: bytes) -> tuple[str, ...]:
+    """The `"t,"` start of each line for the float64 grid `grid_bytes`."""
+    return tuple(f"{t!r}," for t in np.frombuffer(grid_bytes).tolist())
+
+
 def write_trace_csv(path: str, times_s: np.ndarray, voltages_v: np.ndarray) -> None:
     """Write one shot: its samples `voltages_v` on the grid `times_s`."""
+    starts = _time_fields(np.asarray(times_s, dtype=float).tobytes())
+    volts = np.asarray(voltages_v, dtype=float).tolist()
+    text = "".join(f"{t}{v!r}\n" for t, v in zip(starts, volts, strict=True))
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(TRACE_HEADER) + "\n")
-        for t, v in zip(times_s, voltages_v, strict=True):
-            fh.write(f"{_fmt(t)},{_fmt(v)}\n")
+        fh.write(_TRACE_HEADER_LINE + text)
 
 
 def _sample_line(path: str, index: int) -> int:
@@ -53,6 +84,73 @@ def read_trace_csv(path: str) -> NoiseTrace:
     Raises DataFormatError with the offending line number (1-based,
     header is line 1) on any violation.
     """
+    with open(path, "rb") as fh:
+        trace = _plain_trace(fh.read())
+    return trace if trace is not None else _read_trace_lines(path)
+
+
+def _plain_trace(data: bytes) -> NoiseTrace | None:
+    """The trace in `data` when it has the plain layout the module
+    docstring gives and passes every check of `_read_trace_lines`;
+    None sends the file to that line reader."""
+    head = len(_TRACE_HEADER_LINE)
+    if (
+        not data.startswith(_TRACE_HEADER_LINE.encode())
+        or not data.endswith(b"\n")
+        or not data.isascii()
+        or b"\r" in data
+        or b'"' in data
+    ):
+        return None
+    body = np.frombuffer(data, dtype=np.uint8)[head:]
+    commas = np.flatnonzero(body == ord(","))
+    newlines = np.flatnonzero(body == ord("\n"))
+    # At least 2 lines; commas and newlines alternate, starting with a
+    # comma, so every line has exactly one comma and none is blank; and
+    # no line is longer than the csv module's field limit.
+    if (
+        len(newlines) < 2
+        or len(commas) != len(newlines)
+        or np.any(commas > newlines)
+        or np.any(commas[1:] < newlines[:-1])
+        or np.max(np.diff(newlines, prepend=-1)) > csv.field_size_limit()
+    ):
+        return None
+    fields = data[head:-1].decode("ascii").replace("\n", ",").split(",")
+    times = _checked_grid(tuple(fields[0::2]))
+    if times is None:
+        return None
+    try:
+        volts = np.array([float(v) for v in fields[1::2]])
+    except ValueError:
+        return None
+    if not np.isfinite(volts).all():
+        return None
+    return NoiseTrace(times, volts[np.newaxis])
+
+
+@functools.lru_cache(maxsize=1)
+def _checked_grid(fields: tuple[str, ...]) -> np.ndarray | None:
+    """The read-only grid that the time column `fields` spells, or None
+    unless it has at least 2 samples, all finite, strictly increasing
+    and uniform as `_read_trace_lines` requires."""
+    try:
+        t = np.array([float(f) for f in fields])
+    except ValueError:
+        return None
+    if len(t) < 2 or not np.isfinite(t).all():
+        return None
+    steps = np.diff(t)
+    dt = steps[0]
+    if np.any(steps <= 0) or np.max(np.abs(steps - dt)) > _GRID_TOLERANCE * dt:
+        return None
+    t.flags.writeable = False
+    return t
+
+
+def _read_trace_lines(path: str) -> NoiseTrace:
+    """`read_trace_csv` line by line: the validating reader that names
+    the file and line of the first fault."""
     times = []
     volts = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -122,21 +220,14 @@ def read_trace_ensemble(paths: Sequence[str]) -> NoiseTrace:
 
 
 def write_trajectory_csv(path: str, trajectory) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(TRAJECTORY_HEADER) + "\n")
-        for t, q, temp in zip(
-            trajectory.times_s, trajectory.occupancy, trajectory.temperature_k
-        ):
-            fh.write(f"{_fmt(t)},{_fmt(q)},{_fmt(temp)}\n")
+    columns = (trajectory.times_s, trajectory.occupancy, trajectory.temperature_k)
+    _write_csv(path, TRAJECTORY_HEADER, np.array(columns, dtype=float).T.tolist())
 
 
 def write_table_csv(
     path: str, header: Sequence[str], rows: Iterable[Sequence[float]]
 ) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
+    _write_csv(path, header, np.asarray(list(rows), dtype=float).tolist())
 
 
 def write_key_values(path: str, items: Iterable[tuple[str, str]]) -> None:

@@ -1,5 +1,6 @@
 """Configuration loading, on-disk formats, pipeline wiring, and the CLI."""
 
+import csv
 import subprocess
 import sys
 from dataclasses import replace
@@ -382,6 +383,92 @@ def test_read_trace_rejects_non_finite_samples(tmp_path, capsys, text, line):
     assert cli.main(["analyze", str(path)]) == 4
     err = capsys.readouterr().err
     assert str(path) in err and f"line {line}" in err
+
+
+def _read_outcome(read, path):
+    """What a trace reader makes of `path`: its arrays, or its error text."""
+    try:
+        trace = read(str(path))
+    except (DataFormatError, csv.Error) as exc:
+        return str(exc)
+    return trace.times_s.tolist(), trace.voltages_v.tolist()
+
+
+_HEAD = "time_s,voltage_v\n"
+
+
+@pytest.mark.parametrize("text, expected", [
+    (_HEAD + "0.0,1.5\n1e-07,-2.0\n", [1.5, -2.0]),
+    (_HEAD + "0.0,1.5\n\n1e-07,-2.0\n", [1.5, -2.0]),
+    ("time_s,voltage_v\r\n0.0,1.5\r\n1e-07,-2.0\r\n", [1.5, -2.0]),
+    (_HEAD + '0.0,"1.5"\n1e-07,-2.0\n', [1.5, -2.0]),
+    (_HEAD + "0.0, 1.5 \n 1e-07 ,-2.0\n", [1.5, -2.0]),
+    (" time_s , voltage_v\n0.0,1.5\n1e-07,-2.0\n", [1.5, -2.0]),
+    (_HEAD + "# note\n0.0,1.5\n1e-07,-2.0\n", "line 2: expected 2 fields, got 1"),
+    (_HEAD + "0.0,1_0\n1e-07,-2.0\n", [10.0, -2.0]),
+    (_HEAD + "0.0,\u0661\n1e-07,-2.0\n", [1.0, -2.0]),
+    (_HEAD + "0.0,1.5,9\n1e-07\n2e-07,0.5\n", "line 2: expected 2 fields, got 3"),
+    (_HEAD + "0.0,1.5\n1e-07,-2.0", [1.5, -2.0]),
+    (_HEAD + "0.0,nan\n1e-07,-2.0\n", "line 2: non-finite sample"),
+    (_HEAD + "0.0,1.5\n1e-07,-2.0\ninf,0.5\n", "line 4: non-finite sample"),
+    (_HEAD + "0.0,1.5\n1e-07,0.0\n1e-07,0.0\n", "line 4: sample times must be strictly"),
+    (_HEAD + "0.0,0.0\n1e-07,0.0\n3e-07,0.0\n", "sample grid is not uniform"),
+    (_HEAD + "0.0,1.5\n", "need at least 2 samples, got 1"),
+    (_HEAD, "need at least 2 samples, got 0"),
+    (_HEAD + "0.0,1.5\x00\n1e-07,-2.0\n", "line 2: non-numeric sample"),
+    (_HEAD + "0.0," + "0" * 140000 + "1\n1e-07,-2.0\n", "field larger than field limit"),
+], ids=[
+    "plain", "blank-line", "crlf", "quoted", "spaces", "header-spaces", "hash-line",
+    "underscore", "non-ascii-digit", "three-then-one-field", "no-final-newline",
+    "nan", "inf-time", "non-increasing", "non-uniform", "one-sample", "no-sample",
+    "nul", "oversized-field",
+])
+def test_read_trace_fast_path_agrees_with_line_reader(tmp_path, text, expected):
+    path = tmp_path / "trace.csv"
+    path.write_bytes(text.encode("utf-8"))
+    lines = _read_outcome(tracefile._read_trace_lines, path)
+    assert _read_outcome(tracefile.read_trace_csv, path) == lines
+    if isinstance(expected, str):
+        assert expected in lines
+    else:
+        assert lines[1] == [expected]
+
+
+def test_read_trace_takes_written_files_without_the_line_reader(tmp_path, monkeypatch):
+    times, volts = np.arange(64) * 5e-8, np.random.default_rng(4).normal(size=64)
+    path = str(tmp_path / "trace.csv")
+    tracefile.write_trace_csv(path, times, volts)
+
+    def refuse(path):
+        raise AssertionError(f"{path} went to the line reader")
+
+    monkeypatch.setattr(tracefile, "_read_trace_lines", refuse)
+    back = tracefile.read_trace_csv(path)
+    assert np.array_equal(back.times_s, times)
+    assert np.array_equal(back.voltages_v[0], volts)
+
+
+def test_trace_grid_caches_keep_each_file_on_its_own_grid(tmp_path):
+    rng = np.random.default_rng(6)
+    runs = {
+        str(tmp_path / name): (np.arange(40) * dt, rng.normal(size=40))
+        for name, dt in (("a.csv", 5e-8), ("b.csv", 1e-7))
+    }
+    written = {}
+    for _ in range(3):
+        for path, (times, volts) in runs.items():
+            tracefile.write_trace_csv(path, times, volts)
+            data = Path(path).read_bytes()
+            assert written.setdefault(path, data) == data
+            assert data.splitlines()[2] == f"{float(times[1])!r},{float(volts[1])!r}".encode()
+            back = tracefile.read_trace_csv(path)
+            assert np.array_equal(back.times_s, times)
+            assert np.array_equal(back.voltages_v[0], volts)
+    a, b = runs
+    with pytest.raises(DataFormatError) as exc:
+        tracefile.read_trace_ensemble([a, b])
+    assert str(exc.value).startswith(f"{b}: 40 samples over [0.0, 3.9e-06] s")
+    assert f"not on the grid of {a} (40 over [0.0, 1.95e-06] s)" in str(exc.value)
 
 
 def test_trajectory_csv_format(tmp_path):
@@ -786,6 +873,51 @@ def test_cli_analyze_rejects_sidecar_disconnect_off_the_config(tmp_path, capsys,
     assert cli.main(["analyze", str(meta), "--porcelain"]) == 4
     err = capsys.readouterr().err
     assert f"{meta}: disconnect_time_s={value}" in err
+
+
+@pytest.mark.parametrize("copy, key, value", [
+    ("master_seed", "synth.rng_seed", "999"),
+    ("sample_interval_s", "synth.sample_interval_s", "0.001"),
+    ("trace_length_s", "protocol.trace_length_s", "nan"),
+])
+def test_cli_analyze_rejects_sidecar_copy_off_the_config(tmp_path, capsys, copy, key, value):
+    meta = _four_shot_meta(tmp_path, capsys)
+    text = meta.read_text()
+    recorded = tracefile.read_key_values(str(meta))
+    line = f"\n{copy}={recorded[copy]}\n"
+    assert line in text and recorded[copy] == recorded[key]
+    meta.write_text(text.replace(line, f"\n{copy}={value}\n"))
+    assert cli.main(["analyze", str(meta), "--porcelain"]) == 4
+    err = capsys.readouterr().err
+    assert f"{meta}: {copy}={value} differs from {key}={recorded[key]}" in err
+
+
+def test_cli_analyze_rejects_traces_off_the_run_grid(tmp_path, capsys):
+    meta = _four_shot_meta(tmp_path, capsys)
+    first = meta.parent / "trace_000.csv"
+    coarse = _ini(tmp_path, (
+        "[synth]\nn_shots = 4\nsample_interval_s = 1e-07\n"
+    ), "coarse.ini")
+    other = tmp_path / "coarse"
+    assert cli.main(["simulate", "--config", coarse, "--out", str(other),
+                     "--porcelain"]) == 0
+    capsys.readouterr()
+    lines = first.read_text().splitlines(keepends=True)
+    # the run's sample count and spacing, but from t = 50 ns
+    shifted = lines[0] + "".join(
+        f"{float(t) + 5e-8!r},{v}" for t, v in (ln.split(",") for ln in lines[1:])
+    )
+    names = [f"trace_{i:03d}.csv" for i in range(4)]
+    for traces, found in (
+        ([(other / name).read_text() for name in names], "1601 samples every 1e-07 s from 0.0 s"),
+        ([shifted] * 4, "3201 samples every"),
+    ):
+        for name, text in zip(names, traces):
+            (meta.parent / name).write_text(text)
+        assert cli.main(["analyze", str(meta), "--porcelain"]) == 4
+        err = capsys.readouterr().err
+        assert f"{meta}: {first} has {found}" in err
+        assert "not the run's 3201 every 5e-08 s from 0.0 s" in err
 
 
 def test_cli_analyze_rejects_repeated_sidecar_key(tmp_path, capsys):

@@ -18,6 +18,7 @@ from cavitycool.config import (
     default_run_config,
     load_run_config,
 )
+from cavitycool.errors import DataFormatError
 from cavitycool.receiver import (
     LnaNoiseParameters,
     ReceiverChain,
@@ -126,6 +127,41 @@ def test_trace_csv_round_trip_is_exact(drawn):
         back = tracefile.read_trace_csv(path)
     assert np.array_equal(back.times_s, times)
     assert np.array_equal(back.voltages_v, [volts])
+
+
+_FIELDS = st.sampled_from(
+    ["1.5", "-2.0", " 3 ", "1_0", "nan", "-inf", '"4.0"', "x", "", "\u0661"]
+)
+
+
+def _read_outcome(read, path):
+    try:
+        trace = read(path)
+    except DataFormatError as exc:
+        return str(exc)
+    return trace.times_s.tolist(), trace.voltages_v.tolist()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    rows=st.lists(st.tuples(_FIELDS, _FIELDS, st.integers(0, 11)), max_size=6),
+    newline=st.sampled_from(["\n", "\r\n"]),
+    final=st.booleans(),
+)
+def test_trace_reader_fast_path_matches_line_reader(rows, newline, final):
+    # Rows on the grid k * 1e-7, each with a 1 in 3 chance of a quirk: a
+    # blank line before it, a wrong separator, or an off-grid time.
+    lines = ["time_s,voltage_v"]
+    for k, (time, volt, quirk) in enumerate(rows):
+        lines += [""] * (quirk == 0)
+        time = time if quirk == 3 else repr(k * 1e-7)
+        lines.append(time + {1: ",,", 2: ";"}.get(quirk, ",") + volt)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "trace.csv")
+        Path(path).write_bytes((newline.join(lines) + newline * final).encode("utf-8"))
+        assert _read_outcome(tracefile.read_trace_csv, path) == _read_outcome(
+            tracefile._read_trace_lines, path
+        )
 
 
 @_FEW
