@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import optimize, signal
 
 from .errors import AnalysisError, DomainError
 from .synth import NoiseTrace
@@ -76,6 +75,8 @@ def ensemble_spectral_density(
     trace: NoiseTrace, segment_samples: int = 256
 ) -> SpectralDensity:
     """Mean of the shots' Hann-window Welch estimates of the one-sided PSD."""
+    from scipy import signal
+
     if segment_samples < 8:
         raise DomainError("segment length must be at least 8 samples")
     if segment_samples > len(trace):
@@ -259,6 +260,8 @@ def fit_biexponential(
         Fewer than 8 usable points, or a fitted curve with no positive
         level at the disconnect.
     """
+    from scipy import optimize
+
     t_all = np.asarray(times_s, dtype=float)
     y_all = np.asarray(values_db, dtype=float)
     if t_all.shape != y_all.shape or t_all.ndim != 1:

@@ -247,6 +247,10 @@ def _read_ini(path: str) -> dict[str, dict[str, str]]:
             parser.read_file(fh)
         except configparser.Error as exc:
             raise ConfigError(f"{path}: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise ConfigError(
+                f"{path}: byte 0x{exc.object[exc.start]:02x} is not UTF-8 text"
+            ) from None
     return {section: dict(parser.items(section)) for section in parser.sections()}
 
 

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal as _signal
 
 from .dynamics import PhotonTrajectory
 from .errors import DomainError
@@ -186,6 +185,8 @@ def _flicker_component(
     Normalised so the summed one-sided power spectral density equals the
     white floor `2 * dt * white_variance` at the corner frequency.
     """
+    from scipy import signal
+
     nyquist = 0.5 / dt
     lowest_useful = 1.0 / (n * dt)
     freqs = []
@@ -203,7 +204,7 @@ def _flicker_component(
         x0 = rng.standard_normal()
         drive = rng.standard_normal(n)
         # x[j] = a x[j-1] + s w[j], started from a stationary draw.
-        x, _ = _signal.lfilter([s], [1.0, -a], drive, zi=np.array([a * x0]))
+        x, _ = signal.lfilter([s], [1.0, -a], drive, zi=np.array([a * x0]))
         total += x
 
     # One-sided PSD of the summed bank at the corner, for unit sources.

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import io
 import itertools
 from typing import Iterable, Sequence
 
@@ -65,6 +66,22 @@ def write_trace_csv(path: str, times_s: np.ndarray, voltages_v: np.ndarray) -> N
     text = "".join(f"{t}{v!r}\n" for t, v in zip(starts, volts, strict=True))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(_TRACE_HEADER_LINE + text)
+
+
+def _read_text(path: str, newline: str | None) -> io.StringIO:
+    """The UTF-8 text of `path`, split into lines as `open` splits them
+    with `newline`; DataFormatError names the line of the first byte
+    that is not UTF-8."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return io.StringIO(data.decode("utf-8"), newline=newline)
+    except UnicodeDecodeError as exc:
+        # The bad byte is neither CR nor LF, so it ends the last line here.
+        line = len(data[: exc.start + 1].splitlines())
+        raise DataFormatError(
+            f"{path}: line {line}: byte 0x{data[exc.start]:02x} is not UTF-8 text"
+        ) from None
 
 
 def _sample_line(path: str, index: int) -> int:
@@ -153,12 +170,11 @@ def _read_trace_lines(path: str) -> NoiseTrace:
     the file and line of the first fault."""
     times = []
     volts = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataFormatError(f"{path}: line 1: empty file") from None
+    reader = csv.reader(_read_text(path, newline=""))
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise DataFormatError(f"{path}: line 1: empty file")
         if [h.strip() for h in header] != list(TRACE_HEADER):
             raise DataFormatError(
                 f"{path}: line 1: expected header "
@@ -178,6 +194,8 @@ def _read_trace_lines(path: str) -> NoiseTrace:
                 raise DataFormatError(
                     f"{path}: line {lineno}: non-numeric sample {row!r}"
                 ) from None
+    except csv.Error as exc:
+        raise DataFormatError(f"{path}: line {reader.line_num}: {exc}") from None
     if len(times) < 2:
         raise DataFormatError(f"{path}: need at least 2 samples, got {len(times)}")
     t = np.asarray(times)
@@ -240,18 +258,17 @@ def read_key_values(path: str) -> dict[str, str]:
     """Read a key=value sidecar; '#' lines and blanks are skipped, and a
     key may appear once."""
     out: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise DataFormatError(
-                    f"{path}: line {lineno}: expected key=value, got {line!r}"
-                )
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key in out:
-                raise DataFormatError(f"{path}: line {lineno}: repeated key {key!r}")
-            out[key] = value.strip()
+    for lineno, line in enumerate(_read_text(path, newline=None), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise DataFormatError(
+                f"{path}: line {lineno}: expected key=value, got {line!r}"
+            )
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if key in out:
+            raise DataFormatError(f"{path}: line {lineno}: repeated key {key!r}")
+        out[key] = value.strip()
     return out

@@ -668,6 +668,14 @@ def test_cli_config_error_exit_codes(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_cli_non_utf8_config_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.ini"
+    bad.write_bytes(b"[synth]\nn_shots = \xff\n")
+    assert cli.main(["steady", "--config", str(bad), "--porcelain"]) == 2
+    err = capsys.readouterr().err
+    assert f"config error: {bad}: byte 0xff is not UTF-8 text" in err
+
+
 @pytest.mark.parametrize("command, option, text", [
     (["sweep"], "--coupling-min", "nan"),
     (["sweep"], "--cold-max", "inf"),
@@ -929,6 +937,28 @@ def test_cli_analyze_rejects_repeated_sidecar_key(tmp_path, capsys):
     assert cli.main(["analyze", str(meta), "--porcelain"]) == 4
     line = len(text.splitlines()) + 1
     assert f"{meta}: line {line}: repeated key 'trace_files'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("body, found", [
+    (b"0.0,1.5\n1e-07,\xff\n", "line 3: byte 0xff is not UTF-8 text"),
+    (b"0.0,1.5\n1e-07," + b"0" * 140000 + b"1\n2e-07,0.5\n",
+     "line 3: field larger than field limit (131072)"),
+], ids=["non-utf8", "oversized-field"])
+def test_cli_analyze_rejects_undecodable_trace(tmp_path, capsys, body, found):
+    path = tmp_path / "trace.csv"
+    path.write_bytes(b"time_s,voltage_v\n" + body)
+    assert cli.main(["analyze", str(path), "--porcelain"]) == 4
+    assert f"data format error: {path}: {found}" in capsys.readouterr().err
+
+
+def test_cli_analyze_rejects_non_utf8_sidecar(tmp_path, capsys):
+    meta = _four_shot_meta(tmp_path, capsys)
+    text = meta.read_bytes()
+    meta.write_bytes(text + b"note=\xff\n")
+    assert cli.main(["analyze", str(meta), "--porcelain"]) == 4
+    line = text.count(b"\n") + 1
+    err = capsys.readouterr().err
+    assert f"data format error: {meta}: line {line}: byte 0xff is not UTF-8 text" in err
 
 
 def test_cli_analyze_nonconvergence_exit_code(tmp_path, capsys):
