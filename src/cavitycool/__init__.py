@@ -1,9 +1,9 @@
 """Mode-temperature prediction, switching-protocol simulation, and
 noise-trace analysis for pre-cooled microwave cavity modes.
 
-scipy is imported inside the three functions that call it (the Welch
-PSD, the warm-up fit and 1/f synthesis), so importing the package and
-the closed-form predictions never pay its load of about a second.
+The Welch PSD and the warm-up fit are numpy; scipy is imported only
+inside 1/f synthesis, so importing the package, the closed-form
+predictions and trace analysis never pay its load of about a second.
 """
 
 from .analysis import (

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import AnalysisError, DomainError
 from .synth import NoiseTrace
@@ -74,25 +75,29 @@ class SpectralDensity(NamedTuple):
 def ensemble_spectral_density(
     trace: NoiseTrace, segment_samples: int = 256
 ) -> SpectralDensity:
-    """Mean of the shots' Hann-window Welch estimates of the one-sided PSD."""
-    from scipy import signal
+    """Mean over shots of the Hann-window Welch estimate of the one-sided PSD.
 
-    if segment_samples < 8:
+    Each shot is cut into segments of `segment_samples` that overlap by
+    half, after Welch (IEEE Trans. Audio Electroacoust. 15, 70 (1967)).
+    Every segment's windowed periodogram is scaled to a density, the
+    segments of a shot are averaged, and then the shots.
+    """
+    m = segment_samples
+    if m < 8:
         raise DomainError("segment length must be at least 8 samples")
-    if segment_samples > len(trace):
-        raise DomainError(
-            f"segment length {segment_samples} exceeds trace length {len(trace)}"
-        )
-    freqs, psd = signal.welch(
-        trace.voltages_v,
-        fs=1.0 / trace.sample_interval_s,
-        window="hann",
-        nperseg=segment_samples,
-        noverlap=segment_samples // 2,
-        detrend=False,
-        scaling="density",
-    )
-    return SpectralDensity(freqs, psd.mean(axis=0))
+    if m > len(trace):
+        raise DomainError(f"segment length {m} exceeds trace length {len(trace)}")
+    # Periodic Hann window, sampled as scipy.signal.get_window("hann", m).
+    window = 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, m + 1)[:-1])
+    segments = sliding_window_view(trace.voltages_v, m, axis=1)[:, :: m - m // 2]
+    spectra = np.fft.rfft(segments * window, axis=-1)
+    power = spectra.real**2 + spectra.imag**2
+    power *= trace.sample_interval_s / np.sum(window**2)
+    # One-sided: fold in the negative frequencies, which DC and (for even
+    # m) the Nyquist bin do not have.
+    power[..., 1 : (m + 1) // 2] *= 2.0
+    freqs = np.fft.rfftfreq(m, trace.sample_interval_s)
+    return SpectralDensity(freqs, power.mean(axis=1).mean(axis=0))
 
 
 class DeltaPEstimate(NamedTuple):
@@ -217,9 +222,10 @@ class BiExpFit:
 
     `a1_db` is the fitted level at the disconnect, 10 log10(1 + A), and
     `tau1_s` the relaxation time; their standard errors come from the
-    fit covariance by the delta method.  The warm-up has one relaxation
-    rate, so the second-component fields are constants: a2_db = 0,
-    tau2_s = tau1_s and collapsed_single = True.
+    fit covariance by the delta method.  `nfev` counts the tau values
+    the scan and the golden section tried.  The warm-up has one
+    relaxation rate, so the second-component fields are constants:
+    a2_db = 0, tau2_s = tau1_s and collapsed_single = True.
     """
 
     a1_db: float
@@ -229,6 +235,7 @@ class BiExpFit:
     residual_rms_db: float
     n_points: int
     converged: bool
+    nfev: int
 
     a2_db = 0.0
     collapsed_single = True
@@ -236,6 +243,14 @@ class BiExpFit:
     @property
     def tau2_s(self) -> float:
         return self.tau1_s
+
+
+# The profile is scanned over tau = span * 10^[-3, 3], ten points a
+# decade, and refined by golden section until the log-tau bracket is
+# narrower than _LOG_TAU_TOL.
+_SCAN_LOG_TAU = np.log(10.0) * np.linspace(-3.0, 3.0, 61)
+_LOG_TAU_TOL = 1e-10
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def fit_biexponential(
@@ -249,10 +264,16 @@ def fit_biexponential(
     The receiver output is affine in the mode temperature and the mode
     relaxes with one rate once the cold path is off, so this model is
     exact.  The residual is relative, (1 + A exp(-t/tau)) / r - 1: it
-    stays finite for any trial A and weights the points so that the
-    reported standard errors match the scatter of refits.  Points
-    earlier than `exclude_before_s` (switch transient territory) and
-    non-finite values are dropped.
+    weights the points so that the reported standard errors match the
+    scatter of refits.  Points earlier than `exclude_before_s` (switch
+    transient territory) and non-finite values are dropped.
+
+    The residual is linear in A, so A is profiled out in closed form
+    (variable projection, Golub & Pereyra, SIAM J. Numer. Anal. 10, 413
+    (1973)) and the sum of squares is minimised over log tau alone: a
+    coarse scan, then golden section.  The fit has converged when the
+    scan's minimum is interior (or the profile is flat) and the bracket
+    closed within `max_nfev` profile evaluations.
 
     Raises
     ------
@@ -260,8 +281,6 @@ def fit_biexponential(
         Fewer than 8 usable points, or a fitted curve with no positive
         level at the disconnect.
     """
-    from scipy import optimize
-
     t_all = np.asarray(times_s, dtype=float)
     y_all = np.asarray(values_db, dtype=float)
     if t_all.shape != y_all.shape or t_all.ndim != 1:
@@ -277,35 +296,55 @@ def fit_biexponential(
     if span <= 0:
         raise AnalysisError("degenerate time axis")
     inv_r = 10.0 ** (-y / 10.0)
+    b = 1.0 - inv_r
+    # Decays are taken from the first kept point, so u cannot underflow
+    # for a short tau late in the record; A carries exp(-t0/tau) there.
+    dt = t - t[0]
 
-    def residual(theta):
-        # Extreme trial steps overflow exp(log tau) to inf or underflow
-        # to 0; both give finite residuals (flat or instant decay), so
-        # let them through silently and let the optimizer back off.
-        with np.errstate(over="ignore", divide="ignore"):
-            return (1.0 + theta[0] * np.exp(-t / np.exp(theta[1]))) * inv_r - 1.0
+    def profile(log_tau):
+        """A(tau) e^(-t0/tau) and the residual sum of squares, for a
+        scalar log tau or a 1-D array of them."""
+        u = np.exp(np.multiply.outer(-np.exp(-log_tau), dt)) * inv_r
+        a = (u @ b) / np.sum(u * u, axis=-1)
+        res = a[..., None] * u - b
+        return a, np.sum(res * res, axis=-1)
 
-    # Start from a third of the span, with A solved linearly there.
-    decay = np.exp(-t / (0.3 * span)) * inv_r
-    a0 = float(decay @ (1.0 - inv_r) / (decay @ decay))
-    result = optimize.least_squares(
-        residual,
-        [a0, math.log(0.3 * span)],
-        method="lm",
-        ftol=1e-10,
-        xtol=1e-10,
-        gtol=1e-12,
-        max_nfev=max_nfev,
-    )
-    a = float(result.x[0])
-    tau = float(math.exp(result.x[1]))
-    if not 1.0 + a > 0.0:
+    grid = math.log(span) + _SCAN_LOG_TAU
+    _, costs = profile(grid)
+    nfev = len(grid)
+    k = int(np.argmin(costs))
+    interior = 0 < k < len(grid) - 1 or costs.min() == costs.max()
+    k = min(max(k, 1), len(grid) - 2)
+    lo, hi = grid[k - 1], grid[k + 1]
+    x1 = hi - _GOLDEN * (hi - lo)
+    x2 = lo + _GOLDEN * (hi - lo)
+    f1, f2 = profile(x1)[1], profile(x2)[1]
+    nfev += 2
+    while hi - lo > _LOG_TAU_TOL and nfev < max_nfev:
+        if f1 <= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - _GOLDEN * (hi - lo)
+            f1 = profile(x1)[1]
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + _GOLDEN * (hi - lo)
+            f2 = profile(x2)[1]
+        nfev += 1
+    log_tau = x1 if f1 <= f2 else x2
+    tau = math.exp(log_tau)
+    with np.errstate(over="ignore"):
+        a = float(profile(log_tau)[0] * np.exp(t[0] / tau))
+    if not 0.0 < 1.0 + a < math.inf:
         raise AnalysisError(
             "fitted warm-up curve has no positive level at the disconnect"
         )
-    # Covariance of (A, log tau), scaled by the residual variance.
-    cov = np.linalg.pinv(result.jac.T @ result.jac) * (2.0 * result.cost / (len(t) - 2))
-    model_db = 10.0 * np.log10(1.0 + a * np.exp(-t / tau))
+    decay = np.exp(-t / tau)
+    res = (1.0 + a * decay) * inv_r - 1.0
+    # Covariance of (A, log tau) from the analytic Jacobian, scaled by
+    # the residual variance.
+    jac = np.column_stack([decay * inv_r, a * decay * inv_r * t / tau])
+    cov = np.linalg.pinv(jac.T @ jac) * (float(res @ res) / (len(t) - 2))
+    model_db = 10.0 * np.log10(1.0 + a * decay)
     return BiExpFit(
         a1_db=10.0 * math.log10(1.0 + a),
         tau1_s=tau,
@@ -313,7 +352,8 @@ def fit_biexponential(
         tau1_stderr_s=tau * math.sqrt(cov[1, 1]),
         residual_rms_db=float(np.sqrt(np.mean((y - model_db) ** 2))),
         n_points=len(t),
-        converged=result.status > 0,
+        converged=bool(interior and hi - lo <= _LOG_TAU_TOL),
+        nfev=nfev,
     )
 
 

@@ -321,6 +321,7 @@ def cmd_analyze(args, cfg: RunConfig) -> int:
             ("fit_collapsed_single", str(fit.collapsed_single).lower()),
             ("warmup_time_s", _fmt(report.warmup_time_s)),
             ("warmup_stderr_s", _fmt(report.warmup_stderr_s)),
+            ("fit_nfev", str(fit.nfev)),
         ]
         human.append(
             f"warm-up time constant             : {report.warmup_time_s * 1e6:8.3f}"

@@ -128,12 +128,19 @@ def analyze_run(
     cooled_span = (disconnect_time_s - acfg.cooled_window_s, disconnect_time_s)
     ambient_span = (disconnect_time_s + acfg.ambient_settle_s, t_end + 1e-12)
     if cooled_span[0] < 0:
-        raise AnalysisError(
+        raise DomainError(
             "cooled comparison window starts before the trace; "
-            "cooling duration too short for the configured window"
+            "cooling duration too short for the configured window "
+            f"(disconnect at {disconnect_time_s!r} s, "
+            f"analysis.cooled_window_s = {acfg.cooled_window_s!r} s)"
         )
     if ambient_span[0] >= t_end:
-        raise AnalysisError("no settled ambient section after the disconnect")
+        raise DomainError(
+            "no settled ambient section after the disconnect "
+            f"(disconnect at {disconnect_time_s!r} s, "
+            f"analysis.ambient_settle_s = {acfg.ambient_settle_s!r} s, "
+            f"trace ends at {t_end!r} s)"
+        )
 
     cooled = analysis.pooled_mean_square(residuals, *cooled_span)
     ambient = analysis.pooled_mean_square(residuals, *ambient_span)

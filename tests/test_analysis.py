@@ -206,6 +206,25 @@ def test_ensemble_spectral_density_matches_mean_of_shots():
     )
 
 
+@pytest.mark.parametrize("n_shots", [1, 6])
+@pytest.mark.parametrize("segment", [8, 9, 255, 256])
+@pytest.mark.parametrize("whole_trace", [False, True])
+def test_spectral_density_matches_scipy_welch(n_shots, segment, whole_trace):
+    # Odd segments have no Nyquist bin, so every bin but DC is doubled.
+    from scipy import signal
+
+    n = segment if whole_trace else 4 * segment + 3
+    rng = np.random.default_rng(segment + 10 * n_shots)
+    trace = _trace(rng.standard_normal((n_shots, n)), dt=5e-8)
+    freqs, psd = ensemble_spectral_density(trace, segment_samples=segment)
+    ref_freqs, ref = signal.welch(
+        trace.voltages_v, fs=1.0 / trace.sample_interval_s, window="hann",
+        nperseg=segment, noverlap=segment // 2, detrend=False,
+    )
+    np.testing.assert_allclose(freqs, ref_freqs, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(psd, ref.mean(axis=0), rtol=1e-12, atol=0)
+
+
 def test_ensemble_spectral_density_validation():
     # A segment may span a whole shot of a multi-shot ensemble, not more.
     trace = _trace(np.ones((3, 256)))
@@ -402,6 +421,16 @@ def test_fit_drops_non_finite_points():
     assert fit.n_points == 108
 
 
+def test_fit_of_a_warmup_seen_only_late_in_the_record():
+    # exp(-t/tau) underflows at the short end of the tau scan this far
+    # into the record; the fit must still find the relaxation.
+    t = np.linspace(20e-6, 40e-6, 80)
+    fit = fit_biexponential(t, _warmup_db(t, 10.0 ** -0.3 - 1.0, 9e-6))
+    assert fit.converged
+    assert abs(fit.tau1_s - 9e-6) / 9e-6 < 1e-6
+    assert abs(fit.a1_db + 3.0) < 1e-5
+
+
 def test_fit_validation():
     with pytest.raises(DomainError):
         fit_biexponential(np.arange(10.0), np.arange(9.0))
@@ -436,6 +465,68 @@ def test_fit_unconverged_result_flagged_and_depth_refuses():
     assert not fit.converged
     with pytest.raises(AnalysisError):
         cooling_depth_from_fit(fit)
+
+
+def test_fit_nfev_counts_profile_evaluations_against_max_nfev():
+    t = np.linspace(2e-6, 32e-6, 120)
+    rng = np.random.default_rng(31)
+    y = _warmup_db(t) + 0.05 * rng.standard_normal(120)
+    fit = fit_biexponential(t, y)
+    assert fit.converged and fit.nfev <= 2500
+    assert fit_biexponential(t, y, max_nfev=fit.nfev) == fit
+    assert not fit_biexponential(t, y, max_nfev=fit.nfev - 1).converged
+
+
+def test_fit_without_warmup_is_not_converged():
+    # A constant level is best fitted by an ever slower relaxation, so the
+    # profile's minimum sits on the edge of the tau scan.
+    t = np.linspace(2e-6, 32e-6, 50)
+    fit = fit_biexponential(t, np.full(50, -1.0))
+    assert not fit.converged
+    with pytest.raises(AnalysisError):
+        cooling_depth_from_fit(fit)
+
+
+def _lm_oracle(t, y):
+    """The Levenberg-Marquardt fit over (A, log tau) that variable
+    projection replaced: A, tau and the residual sum of squares."""
+    from scipy import optimize
+
+    inv_r = 10.0 ** (-y / 10.0)
+    span = float(t[-1] - t[0])
+
+    def residual(theta):
+        with np.errstate(over="ignore", divide="ignore"):
+            return (1.0 + theta[0] * np.exp(-t / np.exp(theta[1]))) * inv_r - 1.0
+
+    decay = np.exp(-t / (0.3 * span)) * inv_r
+    a0 = float(decay @ (1.0 - inv_r) / (decay @ decay))
+    result = optimize.least_squares(
+        residual, [a0, math.log(0.3 * span)], method="lm",
+        ftol=1e-10, xtol=1e-10, gtol=1e-12, max_nfev=2500,
+    )
+    return float(result.x[0]), math.exp(result.x[1]), 2.0 * result.cost
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_fit_matches_levenberg_marquardt_oracle(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(9, 150))
+    t = np.linspace(2e-6, rng.uniform(15e-6, 40e-6), n)
+    sigma_db = (0.005, 0.02, 0.05, 0.1, 0.2)[seed % 5]
+    y = _warmup_db(t, rng.uniform(-0.7, -0.05), rng.uniform(3e-6, 15e-6))
+    y += sigma_db * rng.standard_normal(n)
+    fit = fit_biexponential(t, y)
+    a_ref, tau_ref, cost_ref = _lm_oracle(t, y)
+    a = 10.0 ** (fit.a1_db / 10.0) - 1.0
+    res = (1.0 + a * np.exp(-t / fit.tau1_s)) * 10.0 ** (-y / 10.0) - 1.0
+    assert fit.converged
+    assert float(res @ res) <= cost_ref * (1.0 + 1e-12)
+    # Above 0.05 dB the profile is so flat at its minimum that the
+    # oracle's ftol stop leaves tau up to 1.5e-5 off, at a larger cost.
+    if sigma_db <= 0.05:
+        assert fit.tau1_s == pytest.approx(tau_ref, rel=1e-6)
+        assert a == pytest.approx(a_ref, rel=1e-6)
 
 
 def test_fit_warmup_curve_at_low_noise():

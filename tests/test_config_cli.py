@@ -23,7 +23,6 @@ from cavitycool.config import (
 )
 from cavitycool.dynamics import PhotonTrajectory, steady_state_occupancy
 from cavitycool.errors import (
-    AnalysisError,
     ConfigError,
     DataFormatError,
     DomainError,
@@ -599,9 +598,9 @@ def test_analyze_run_notes_short_spectral_sections():
 def test_analyze_run_window_validation():
     cfg = _small_config(2)
     traces = simulate_run(cfg).traces
-    with pytest.raises(AnalysisError):
+    with pytest.raises(DomainError, match=r"1e-05 s, analysis\.cooled_window_s"):
         analyze_run(traces, cfg, disconnect_time_s=10e-6)
-    with pytest.raises(AnalysisError):
+    with pytest.raises(DomainError, match=r"0\.00011 s, analysis\.ambient_settle_s"):
         analyze_run(traces, cfg, disconnect_time_s=110e-6)
     with pytest.raises(DomainError):
         analyze_run(NoiseTrace(traces.times_s, traces.voltages_v[:0]), cfg)
@@ -973,6 +972,26 @@ def test_cli_analyze_nonconvergence_exit_code(tmp_path, capsys):
     rc = cli.main(["analyze", str(out / "run.meta"), "--config", wide])
     assert rc == 5
     assert "analysis error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("disconnect, key", [
+    ("0", "analysis.cooled_window_s = 2e-05"),
+    ("5e-6", "analysis.cooled_window_s = 2e-05"),
+    ("1.9e-4", "analysis.ambient_settle_s = 6e-05"),
+    ("2e-4", "analysis.ambient_settle_s = 6e-05"),
+    ("3e-4", "analysis.ambient_settle_s = 6e-05"),
+])
+def test_cli_analyze_disconnect_outside_the_comparison_windows_exits_2(
+    tmp_path, capsys, disconnect, key
+):
+    # a disconnect that leaves no cooled or no settled ambient section is a
+    # configuration fault, not a fit that failed to converge
+    meta = _four_shot_meta(tmp_path, capsys)
+    rc = cli.main(["analyze", str(meta), "--disconnect-time", disconnect])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("config error: ")
+    assert f"disconnect at {float(disconnect)!r} s" in err and key in err
 
 
 def _one_port_run(tmp_path, capsys, n_shots=20):

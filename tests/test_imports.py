@@ -1,9 +1,10 @@
-"""Which commands load scipy: only `analyze` and a 1/f-on `simulate`.
+"""Which commands load scipy: only a 1/f-on `simulate`.
 
-scipy's import costs about a second, far more than the closed-form
-`steady` and `sweep` compute, so the package imports it inside the three
-functions that call it.  The pytest process has scipy loaded already, so
-each command runs in a fresh interpreter.
+scipy's import costs about a second, far more than `steady`, `sweep` or
+`analyze` compute.  The package imports it only inside the 1/f
+synthesis that filters with it; the Welch PSD and the warm-up fit are
+numpy.  The pytest process has scipy loaded already, so each command
+runs in a fresh interpreter.
 """
 
 import ast
@@ -55,33 +56,25 @@ def _small_run_ini(tmp_path, corner_hz):
     return str(path)
 
 
-def test_prediction_and_plain_simulate_never_load_scipy(tmp_path):
+def test_prediction_simulate_and_analyze_never_load_scipy(tmp_path):
+    run = tmp_path / "run"
     steps = _fresh_run(
         ["steady", "--porcelain"],
         ["sweep", "--porcelain", "--out", str(tmp_path / "sweep")],
         ["simulate", "--config", _small_run_ini(tmp_path, 0),
-         "--out", str(tmp_path / "run"), "--porcelain"],
+         "--out", str(run), "--porcelain"],
+        ["analyze", str(run / "run.meta"), "--porcelain"],
     )
     assert steps == [
         ["import", 0, []],
         ["steady", 0, []],
         ["sweep", 0, []],
         ["simulate", 0, []],
+        ["analyze", 0, []],
     ]
-    assert (tmp_path / "run" / "run.meta").is_file()
 
 
-def test_analyze_and_flicker_simulate_load_scipy_on_first_use(tmp_path):
-    run = tmp_path / "run"
-    [_, [_, code, loaded]] = _fresh_run(
-        ["simulate", "--config", _small_run_ini(tmp_path, 0), "--out", str(run)]
-    )
-    assert code == 0 and loaded == []
-
-    [_, [_, code, loaded]] = _fresh_run(["analyze", str(run / "run.meta"), "--porcelain"])
-    assert code == 0
-    assert {"scipy.signal", "scipy.optimize"} <= set(loaded)
-
+def test_flicker_simulate_loads_scipy_signal_on_first_use(tmp_path):
     [_, [_, code, loaded]] = _fresh_run(
         ["simulate", "--config", _small_run_ini(tmp_path, 2e5),
          "--out", str(tmp_path / "flicker")]
@@ -99,16 +92,27 @@ def _run_at_import(nodes):
             yield from _run_at_import(ast.iter_child_nodes(node))
 
 
+def _scipy_import_lines(nodes):
+    for node in nodes:
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names = [node.module]
+        else:
+            continue
+        if any(name.split(".")[0] == "scipy" for name in names):
+            yield node.lineno
+
+
 def test_no_module_level_scipy_import():
     found = []
     for path in sorted((_SRC / "cavitycool").glob("*.py")):
-        for node in _run_at_import(ast.parse(path.read_text(encoding="utf-8")).body):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and not node.level:
-                names = [node.module]
-            else:
-                continue
-            if any(name.split(".")[0] == "scipy" for name in names):
-                found.append(f"{path.name}:{node.lineno}")
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += [f"{path.name}:{line}" for line in _scipy_import_lines(_run_at_import(tree.body))]
     assert found == [], f"module-level scipy import at {', '.join(found)}"
+
+
+def test_analysis_has_no_scipy_import():
+    path = _SRC / "cavitycool" / "analysis.py"
+    found = list(_scipy_import_lines(ast.walk(ast.parse(path.read_text(encoding="utf-8")))))
+    assert found == [], f"scipy import in analysis.py at lines {found}"

@@ -216,19 +216,20 @@ _QUICK_PORCELAIN = """\
 n_shots=40
 deltap_direct_db=-3.479301709379156
 deltap_direct_stderr_db=0.05606717652536908
-deltap_band_db=-3.5278900029247624
-deltap_band_stderr_db=0.16519464340103737
-fit_a1_db=-4.519119784700903
+deltap_band_db=-3.527890002924761
+deltap_band_stderr_db=0.16519464340103734
+fit_a1_db=-4.519119952598745
 fit_a2_db=0.0
-fit_tau1_s=7.702392895261349e-06
-fit_tau2_s=7.702392895261349e-06
-fit_residual_rms_db=0.08890105129275978
+fit_tau1_s=7.702392690967565e-06
+fit_tau2_s=7.702392690967565e-06
+fit_residual_rms_db=0.088901051026007
 fit_converged=true
 fit_collapsed_single=true
-warmup_time_s=7.702392895261349e-06
-warmup_stderr_s=6.429346318640467e-07
-depth_fit_db=-4.519119784700903
-depth_fit_stderr_db=0.6005057886385882
+warmup_time_s=7.702392690967565e-06
+warmup_stderr_s=6.429345345839351e-07
+fit_nfev=110
+depth_fit_db=-4.519119952598745
+depth_fit_stderr_db=0.6005057753420161
 t_mode_inferred_k=108.04972787405657
 t_ambient_reference_k=256.27905243008615
 """
