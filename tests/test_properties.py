@@ -252,6 +252,35 @@ def test_readme_quick_run_outputs_pinned(tmp_path, capsys):
     assert capsys.readouterr().out == _QUICK_PORCELAIN
 
 
+# Pinned closed-form outputs of the default configuration: `steady` in both
+# forms and the default 25 x 25 `sweep.csv`.
+_STEADY_PORCELAIN = """\
+t_mode_cooled_k=108.21747080459033
+occupancy_cooled=1555.1304237965653
+t_mode_ambient_k=256.27905243008615
+occupancy_ambient=3683.5214125981342
+deltap_predicted_db=-3.4732703062661936
+weight_intrinsic=0.1724137931034483
+port.cooling.delivered_k=30.29032258064516
+port.cooling.weight=0.6551724137931034
+port.monitoring.delivered_k=222.5581048601723
+port.monitoring.weight=0.1724137931034483
+"""
+_STEADY_HUMAN_SHA256 = "46f7f06626e3f1910be16599a02c5531a81864ded8dcadda1a8da915358aa443"
+_SWEEP_SHA256 = "3034e5e63c8c0e200a1a08113f409c9f9ad736f78abe13249fa6d31641774e4a"
+
+
+def test_default_steady_and_sweep_outputs_pinned(tmp_path, capsys):
+    assert cli.main(["steady", "--porcelain"]) == 0
+    assert capsys.readouterr().out == _STEADY_PORCELAIN
+    assert cli.main(["steady"]) == 0
+    human = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(human).hexdigest() == _STEADY_HUMAN_SHA256
+    assert cli.main(["sweep", "--porcelain", "--out", str(tmp_path)]) == 0
+    assert "rows=625\n" in capsys.readouterr().out
+    assert hashlib.sha256((tmp_path / "sweep.csv").read_bytes()).hexdigest() == _SWEEP_SHA256
+
+
 def test_readme_library_example_runs(capsys):
     readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     section = readme.split("\n## Library use\n", 1)[1]
