@@ -15,8 +15,6 @@ import os
 import sys
 from dataclasses import replace
 
-import numpy as np
-
 from . import __version__
 from .config import (
     PORT_ROLE_COOLING,
@@ -28,12 +26,9 @@ from .config import (
     load_run_config,
     with_seed,
 )
-from .dynamics import _validated_grid
 from .errors import AnalysisError, ConfigError, DataFormatError, DomainError
-from .pipeline import analyze_run, simulate_run
-from .receiver import noise_power_reduction_curve, noise_power_reduction_db
-from .thermal import mode_temperature, photon_occupancy, sweep_mode_temperature
-from . import tracefile
+from .receiver import noise_power_reduction_db
+from .thermal import mode_temperature, photon_occupancy
 
 _EXIT_CONFIG = 2
 _EXIT_IO = 3
@@ -112,6 +107,11 @@ def cmd_steady(args, cfg: RunConfig) -> int:
 
 
 def cmd_sweep(args, cfg: RunConfig) -> int:
+    import numpy as np
+
+    from . import tracefile
+    from .thermal import sweep_mode_temperature
+
     if args.coupling_min <= 0 or args.coupling_max < args.coupling_min:
         raise ConfigError("need 0 < coupling-min <= coupling-max")
     if args.cold_min < 0 or args.cold_max < args.cold_min:
@@ -161,6 +161,9 @@ def cmd_sweep(args, cfg: RunConfig) -> int:
 
 
 def cmd_simulate(args, cfg: RunConfig) -> int:
+    from . import tracefile
+    from .pipeline import simulate_run
+
     result = simulate_run(cfg)
     trajectory_file = "trajectory.csv"
     tracefile.write_trajectory_csv(_outpath(args, trajectory_file), result.trajectory)
@@ -240,6 +243,9 @@ def _check_run_grid(meta_path: str, first_path: str, traces, cfg: RunConfig) -> 
     """Traces a sidecar lists must lie on its run's grid: as many samples
     as `dynamics._validated_grid` makes, every `synth.sample_interval_s`
     from t = 0, to within the trace reader's spacing tolerance."""
+    from . import tracefile
+    from .dynamics import _validated_grid
+
     dt = cfg.synth.sample_interval_s
     n = len(_validated_grid(cfg.protocol.trace_length_s, dt))
     t = traces.times_s
@@ -257,8 +263,11 @@ def _load_analysis_inputs(args, cfg: RunConfig):
 
     A sidecar also supplies the run's configuration; its lines in
     `_SIDECAR_COPIES` must carry the same text as the keys they copy,
-    and the traces it lists must lie on the run's grid.
+    the traces it lists must lie on the run's grid, and a
+    `--disconnect-time` must equal the recorded disconnect.
     """
+    from . import tracefile
+
     paths = list(args.inputs)
     if len(paths) == 1 and paths[0].endswith(".meta"):
         meta_path = paths[0]
@@ -274,6 +283,14 @@ def _load_analysis_inputs(args, cfg: RunConfig):
                     f"{meta_path}: {copy}={meta[copy]} differs from {key}={text}"
                 )
         cfg = _run_config(args, cfg, meta_path, meta)
+        recorded = cfg.protocol.cool_duration_s
+        if args.disconnect_time not in (None, recorded):
+            raise ConfigError(
+                f"{meta_path} records the disconnect at "
+                f"protocol.cool_duration_s={_fmt(recorded)}, but --disconnect-time "
+                f"gives {_fmt(args.disconnect_time)}; a run's disconnect is part "
+                "of the run"
+            )
         if len(paths) != cfg.n_shots or meta.get("n_shots") != str(len(paths)):
             raise DataFormatError(
                 f"{meta_path}: lists {len(paths)} trace files, but records "
@@ -287,6 +304,12 @@ def _load_analysis_inputs(args, cfg: RunConfig):
 
 
 def cmd_analyze(args, cfg: RunConfig) -> int:
+    import numpy as np
+
+    from . import tracefile
+    from .pipeline import analyze_run
+    from .receiver import noise_power_reduction_curve
+
     traces, cfg = _load_analysis_inputs(args, cfg)
     report = analyze_run(traces, cfg, args.disconnect_time)
 
@@ -459,7 +482,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--disconnect-time", type=_finite_float, metavar="S",
-        help="override the disconnect instant (seconds)",
+        help="disconnect instant in seconds for bare trace files (default: "
+        "protocol.cool_duration_s); with a run.meta it must equal the "
+        "recorded protocol.cool_duration_s",
     )
     p.add_argument("--emit-series", action="store_true",
                    help="write the windowed warm-up series CSV")

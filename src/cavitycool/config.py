@@ -22,11 +22,62 @@ from typing import Mapping
 
 from .errors import ConfigError, DomainError
 from .receiver import LnaNoiseParameters, ReceiverChain
-from .synth import SynthConfig
 from .thermal import BathPort, BathSet, CavityMode, LossModel
 
 PORT_ROLE_COOLING = "cooling"
 PORT_ROLE_MONITORING = "monitoring"
+
+# Seeds are 64-bit: the SplitMix64 state of `synth.shot_seed`.
+_MASK64 = (1 << 64) - 1
+
+
+@dataclass(frozen=True)
+class SynthConfig:
+    """Knobs for trace synthesis.
+
+    The record length is not one of them: a trace takes its grid, and
+    so its sample count, from the mode-temperature trajectory it is
+    drawn for, which must be sampled every sample_interval_s from t = 0.
+    voltage_scale is the detector calibration in volts per sqrt(kelvin)
+    of receiver output noise; the per-sample standard deviation is
+    voltage_scale * sqrt(system output noise in K).  A corner frequency
+    of 0 disables the 1/f component.  switch_times_s lists the instants
+    that receive the deterministic switch transient.  injected_signal,
+    when given, is an array-like waveform in volts, one value per sample
+    from t = 0, added to every shot.
+    """
+
+    sample_interval_s: float = 100e-9
+    rng_seed: int = 0
+    one_over_f_corner_hz: float = 1e6
+    artifact_duration_s: float = 2e-6
+    artifact_amplitude_v: float = 0.0
+    voltage_scale: float = 1.0
+    switch_times_s: tuple[float, ...] = ()
+    injected_signal: object = None
+
+    def __post_init__(self) -> None:
+        if self.sample_interval_s <= 0:
+            raise DomainError("sample interval must be positive")
+        if not 0 <= self.rng_seed <= _MASK64:
+            raise DomainError("seed must fit in 64 bits")
+        if self.one_over_f_corner_hz < 0:
+            raise DomainError("corner frequency must be >= 0")
+        nyquist = 0.5 / self.sample_interval_s
+        if self.one_over_f_corner_hz >= nyquist:
+            raise DomainError(
+                f"corner frequency {self.one_over_f_corner_hz} Hz must sit "
+                f"below Nyquist ({nyquist} Hz)"
+            )
+        if self.artifact_duration_s <= 0:
+            raise DomainError("artifact duration must be positive")
+        if self.artifact_amplitude_v < 0:
+            raise DomainError("artifact amplitude must be >= 0")
+        if self.voltage_scale < 0:
+            raise DomainError("voltage scale must be >= 0")
+        if any(t < 0 for t in self.switch_times_s):
+            raise DomainError("switch times must be >= 0")
+        object.__setattr__(self, "switch_times_s", tuple(self.switch_times_s))
 
 
 @dataclass(frozen=True)

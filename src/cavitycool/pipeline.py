@@ -12,17 +12,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import analysis
+# The stages are called through their modules, so a replaced module
+# attribute (a test's monkeypatch, a tracing wrapper) reaches every call,
+# also when this module is first imported while the attribute is replaced.
+from . import analysis, dynamics, receiver, synth
 from .config import RunConfig
-from .dynamics import (
-    PhotonTrajectory,
-    SwitchSchedule,
-    build_protocol,
-    evolve_occupancy,
-)
+from .dynamics import PhotonTrajectory, SwitchSchedule, build_protocol
 from .errors import AnalysisError, DomainError
-from .receiver import infer_mode_temperature
-from .synth import NoiseTrace, synthesize_shot_ensemble
+from .synth import NoiseTrace
 from .thermal import mode_temperature
 
 
@@ -51,7 +48,7 @@ def simulate_run(cfg: RunConfig) -> SimulationResult:
         cool_ports=cool_ports,
         hold_ports=hold_ports,
     )
-    trajectory = evolve_occupancy(
+    trajectory = dynamics.evolve_occupancy(
         cfg.mode,
         cfg.baths,
         schedule,
@@ -59,7 +56,7 @@ def simulate_run(cfg: RunConfig) -> SimulationResult:
         cfg.synth.sample_interval_s,
     )
     synth_cfg = replace(cfg.synth, switch_times_s=(0.0, proto.cool_duration_s))
-    traces = synthesize_shot_ensemble(
+    traces = synth.synthesize_shot_ensemble(
         trajectory, cfg.receiver, synth_cfg, cfg.n_shots
     )
     return SimulationResult(trajectory, traces, schedule, proto.cool_duration_s)
@@ -185,8 +182,8 @@ def analyze_run(
 
     t_ambient_ref = mode_temperature(cfg.baths.subset(cfg.persistent_port_indices()))
     try:
-        t_mode = infer_mode_temperature(
-            cfg.receiver, min(deltap_direct.value_db, 0.0), t_ambient_ref
+        t_mode = receiver.infer_mode_temperature(
+            cfg.receiver, deltap_direct.value_db, t_ambient_ref
         )
     except DomainError as exc:
         t_mode = float("nan")

@@ -13,8 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .constants import IEEE_T0
 from .errors import DomainError
 
@@ -102,13 +100,20 @@ def system_output_noise_kelvin(
 
     With G_c = 0 and no image band this reduces to
     G [ T_min + T_mode + X ] + T_post.  Accepts scalar or ndarray mode
-    temperatures.
+    temperatures; a Python float or int never touches numpy.
     """
-    t_mode_k = np.asarray(t_mode_k, dtype=float)
-    if np.any(t_mode_k < 0):
-        raise DomainError("mode temperature must be >= 0 K")
-    if t_mode_k.ndim == 0:
+    if isinstance(t_mode_k, (float, int)):
         t_mode_k = float(t_mode_k)
+        negative = t_mode_k < 0
+    else:
+        import numpy as np
+
+        t_mode_k = np.asarray(t_mode_k, dtype=float)
+        negative = np.any(t_mode_k < 0)
+        if t_mode_k.ndim == 0:
+            t_mode_k = float(t_mode_k)
+    if negative:
+        raise DomainError("mode temperature must be >= 0 K")
     lna = chain.lna
     gc = chain.cavity_reflection_reference if reference else chain.cavity_reflection
     bracket = (
@@ -179,9 +184,11 @@ def infer_mode_temperature(
 def noise_power_reduction_curve(
     chain: ReceiverChain,
     t_ambient_k: float,
-    t_mode_grid_k: "np.typing.ArrayLike",
-) -> np.ndarray:
+    t_mode_grid_k: "numpy.typing.ArrayLike",
+) -> "numpy.ndarray":
     """Vectorised `noise_power_reduction_db` over a grid of mode temperatures."""
+    import numpy as np
+
     grid = np.asarray(t_mode_grid_k, dtype=float)
     if grid.size == 0:
         raise DomainError("temperature grid must be non-empty")

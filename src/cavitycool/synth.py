@@ -23,11 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import receiver
+from .config import _MASK64, SynthConfig
 from .dynamics import PhotonTrajectory
 from .errors import DomainError
-from .receiver import ReceiverChain, system_output_noise_kelvin
+from .receiver import ReceiverChain
 
-_MASK64 = (1 << 64) - 1
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
 
 # Octave-spaced relaxation sources below Nyquist build the 1/f slope;
@@ -54,53 +55,6 @@ def shot_seed(master_seed: int, shot_index: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return (z ^ (z >> 31)) & _MASK64
-
-
-@dataclass(frozen=True)
-class SynthConfig:
-    """Knobs for trace synthesis.
-
-    The record length is not one of them: a trace takes its grid, and
-    so its sample count, from the mode-temperature trajectory it is
-    drawn for, which must be sampled every sample_interval_s from t = 0.
-    voltage_scale is the detector calibration in volts per sqrt(kelvin)
-    of receiver output noise; the per-sample standard deviation is
-    voltage_scale * sqrt(system output noise in K).  A corner frequency
-    of 0 disables the 1/f component.  switch_times_s lists the instants
-    that receive the deterministic switch transient.
-    """
-
-    sample_interval_s: float = 100e-9
-    rng_seed: int = 0
-    one_over_f_corner_hz: float = 1e6
-    artifact_duration_s: float = 2e-6
-    artifact_amplitude_v: float = 0.0
-    voltage_scale: float = 1.0
-    switch_times_s: tuple[float, ...] = ()
-    injected_signal: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        if self.sample_interval_s <= 0:
-            raise DomainError("sample interval must be positive")
-        if not 0 <= self.rng_seed <= _MASK64:
-            raise DomainError("seed must fit in 64 bits")
-        if self.one_over_f_corner_hz < 0:
-            raise DomainError("corner frequency must be >= 0")
-        nyquist = 0.5 / self.sample_interval_s
-        if self.one_over_f_corner_hz >= nyquist:
-            raise DomainError(
-                f"corner frequency {self.one_over_f_corner_hz} Hz must sit "
-                f"below Nyquist ({nyquist} Hz)"
-            )
-        if self.artifact_duration_s <= 0:
-            raise DomainError("artifact duration must be positive")
-        if self.artifact_amplitude_v < 0:
-            raise DomainError("artifact amplitude must be >= 0")
-        if self.voltage_scale < 0:
-            raise DomainError("voltage scale must be >= 0")
-        if any(t < 0 for t in self.switch_times_s):
-            raise DomainError("switch times must be >= 0")
-        object.__setattr__(self, "switch_times_s", tuple(self.switch_times_s))
 
 
 @dataclass
@@ -234,7 +188,8 @@ def _synthesize(
     if not np.allclose(trajectory.times_s, times, rtol=0.0, atol=cfg.sample_interval_s * 1e-6):
         raise DomainError("trajectory grid is not k * sample_interval_s")
 
-    sysnoise_k = system_output_noise_kelvin(chain, trajectory.temperature_k)
+    # Through the module, as `pipeline` calls its stages.
+    sysnoise_k = receiver.system_output_noise_kelvin(chain, trajectory.temperature_k)
     sigma = cfg.voltage_scale * np.sqrt(sysnoise_k)
     reference_variance = float(sigma[-1] ** 2)
 

@@ -13,9 +13,7 @@ from __future__ import annotations
 import enum
 import math
 import warnings
-from dataclasses import dataclass, field, replace
-
-import numpy as np
+from dataclasses import dataclass, replace
 
 from .constants import BOLTZMANN_K, PLANCK_H
 from .errors import DomainError
@@ -232,15 +230,17 @@ def mode_temperature(baths: BathSet) -> float:
 def sweep_mode_temperature(
     baths: BathSet,
     port_index: int,
-    couplings: "np.typing.ArrayLike",
-    load_temperatures_k: "np.typing.ArrayLike",
-) -> np.ndarray:
+    couplings: "numpy.typing.ArrayLike",
+    load_temperatures_k: "numpy.typing.ArrayLike",
+) -> "numpy.ndarray":
     """Mode temperature over a (coupling, load temperature) grid.
 
     The port at `port_index` is swept; every other port and the intrinsic
     bath stay fixed.  Returns an array of shape
     (len(couplings), len(load_temperatures_k)).
     """
+    import numpy as np
+
     couplings = np.asarray(couplings, dtype=float)
     loads = np.asarray(load_temperatures_k, dtype=float)
     if couplings.ndim != 1 or loads.ndim != 1 or couplings.size == 0 or loads.size == 0:

@@ -6,9 +6,14 @@ makes `perfbench/run.py --trace 1` fail, so the names are checked here,
 with the benchmark's own instrumentation code.
 """
 
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SRC = PERFBENCH.parent / "src"
 
 
 def test_every_benchmark_target_resolves_and_is_restored(monkeypatch):
@@ -22,3 +27,24 @@ def test_every_benchmark_target_resolves_and_is_restored(monkeypatch):
         patched = {name for _, name, _ in patches}
         assert {attr for _, attr, _, _ in worker.TARGETS} <= patched
     assert spans.leftover_wrappers("cavitycool") == []
+
+
+def test_no_wrapper_is_left_when_the_array_layer_loads_inside_the_traced_run():
+    # A fresh `steady` or `sweep` process has not imported `pipeline` or
+    # `synth` when tracing starts; importing them inside the traced run
+    # must bind no wrapper that outlives it.
+    code = (
+        "import json, sys\n"
+        f"sys.path.insert(0, {str(PERFBENCH)!r})\n"
+        "import cavitycool.cli, spans, worker\n"
+        "with spans.instrumented(spans.Tracer(), 'cavitycool', worker.TARGETS):\n"
+        "    pass\n"
+        "print(json.dumps(spans.leftover_wrappers('cavitycool')))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=False
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []

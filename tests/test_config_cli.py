@@ -1,6 +1,7 @@
 """Configuration loading, on-disk formats, pipeline wiring, and the CLI."""
 
 import csv
+import math
 import subprocess
 import sys
 from dataclasses import replace
@@ -595,6 +596,23 @@ def test_analyze_run_notes_short_spectral_sections():
     assert any("band-averaged level skipped" in note for note in report.notes)
 
 
+def test_analyze_run_does_not_invert_a_mode_hotter_than_the_reference():
+    # a cooled window noisier than the ambient section gives dP > 0; the
+    # inversion refuses it instead of reporting the ambient temperature
+    cfg = _small_config(8)
+    n = 3201
+    times = np.arange(n) * cfg.synth.sample_interval_s
+    volts = np.random.default_rng(3).standard_normal((cfg.n_shots, n))
+    volts[:, (times >= 15e-6) & (times < 45e-6)] *= 2.0
+    report = analyze_run(NoiseTrace(times, volts), cfg)
+    assert report.deltap_direct.value_db > 5.0
+    assert math.isnan(report.t_mode_inferred_k)
+    assert (
+        "mode temperature inversion unavailable: reduction must be <= 0 dB "
+        f"for inversion on [0, ambient], got {report.deltap_direct.value_db:.3f} dB"
+    ) in report.notes
+
+
 def test_analyze_run_window_validation():
     cfg = _small_config(2)
     traces = simulate_run(cfg).traces
@@ -985,13 +1003,37 @@ def test_cli_analyze_disconnect_outside_the_comparison_windows_exits_2(
     tmp_path, capsys, disconnect, key
 ):
     # a disconnect that leaves no cooled or no settled ambient section is a
-    # configuration fault, not a fit that failed to converge
+    # configuration fault, not a fit that failed to converge; only a bare
+    # trace list takes a disconnect other than the run's
     meta = _four_shot_meta(tmp_path, capsys)
-    rc = cli.main(["analyze", str(meta), "--disconnect-time", disconnect])
+    traces = [str(meta.parent / f"trace_{i:03d}.csv") for i in range(4)]
+    rc = cli.main(["analyze", *traces, "--config", str(tmp_path / "run.ini"),
+                   "--disconnect-time", disconnect])
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("config error: ")
     assert f"disconnect at {float(disconnect)!r} s" in err and key in err
+
+
+def test_cli_analyze_refuses_a_disconnect_the_sidecar_contradicts(tmp_path, capsys):
+    meta = _four_shot_meta(tmp_path, capsys)
+    rc = cli.main(["analyze", str(meta), "--porcelain", "--disconnect-time", "9.99e-5"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert captured.err == (
+        f"config error: {meta} records the disconnect at "
+        "protocol.cool_duration_s=4e-05, but --disconnect-time gives 9.99e-05; "
+        "a run's disconnect is part of the run\n"
+    )
+
+
+@pytest.mark.parametrize("value", ["4e-05", "0.00004", "40e-6"])
+def test_cli_analyze_accepts_the_recorded_disconnect_with_a_sidecar(tmp_path, capsys, value):
+    meta = _four_shot_meta(tmp_path, capsys)
+    rc = cli.main(["analyze", str(meta), "--porcelain"])
+    plain = capsys.readouterr()
+    assert cli.main(["analyze", str(meta), "--porcelain", "--disconnect-time", value]) == rc
+    assert capsys.readouterr() == plain
 
 
 def _one_port_run(tmp_path, capsys, n_shots=20):

@@ -85,6 +85,37 @@ def test_system_output_noise_vectorised():
         assert math.isclose(v, system_output_noise_kelvin(chain, float(t)), rel_tol=1e-15)
 
 
+def test_system_output_noise_scalar_path_matches_the_array_path_bit_for_bit():
+    # Python floats and ints take a branch that never builds an array.
+    reflective = ReceiverChain(
+        lna=_bench_lna(),
+        lna_gain_linear=166.0,
+        post_stage_noise_k=36.1,
+        cavity_reflection=0.31 - 0.22j,
+        cavity_reflection_reference=-0.05 + 0.4j,
+        image_noise_k=3.7,
+    )
+    grid = np.concatenate([np.linspace(0.0, 400.0, 37), [1e-300, 108.21747080459033, 5e6]])
+    for chain in (_simple_chain(), reflective):
+        for reference in (False, True):
+            vec = system_output_noise_kelvin(chain, grid, reference=reference)
+            for t, v in zip(grid.tolist(), vec.tolist()):
+                for scalar in (t, np.float64(t)):
+                    got = system_output_noise_kelvin(chain, scalar, reference=reference)
+                    assert type(got) is float and got == v, (chain, reference, t)
+            assert system_output_noise_kelvin(chain, 250, reference=reference) == (
+                system_output_noise_kelvin(chain, np.array([250.0]), reference=reference)[0]
+            )
+
+
+def test_system_output_noise_refuses_negative_scalars_and_arrays_alike():
+    chain = _simple_chain()
+    for bad in (-1e-9, -3, np.float64(-0.5), np.array([1.0, -2.0]), [[4.0], [-0.1]]):
+        with pytest.raises(DomainError) as exc:
+            system_output_noise_kelvin(chain, bad)
+        assert str(exc.value) == "mode temperature must be >= 0 K"
+
+
 def test_reduction_reference_values():
     chain = _simple_chain()
     assert math.isclose(
