@@ -48,7 +48,6 @@ _EXPORTS = {
     ),
     "constants": ("BOLTZMANN_K", "IEEE_T0", "PLANCK_H"),
     "dynamics": (
-        "EventLabel",
         "PhotonTrajectory",
         "ScheduleEvent",
         "SwitchSchedule",

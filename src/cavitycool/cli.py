@@ -274,8 +274,11 @@ def _load_analysis_inputs(args, cfg: RunConfig):
         meta = tracefile.read_key_values(meta_path)
         if "trace_files" not in meta:
             raise DataFormatError(f"{meta_path}: missing 'trace_files' entry")
+        names = meta["trace_files"].split(",")
+        if "" in names:
+            raise DataFormatError(f"{meta_path}: 'trace_files' has an empty entry")
         base = os.path.dirname(meta_path)
-        paths = [os.path.join(base, name) for name in meta["trace_files"].split(",")]
+        paths = [os.path.join(base, name) for name in names]
         for copy, key in _SIDECAR_COPIES:
             text = meta.get(key, "(none)")
             if meta.get(copy, text) != text:
@@ -503,10 +506,7 @@ def main(argv: "list[str] | None" = None) -> int:
         if args.seed is not None:
             cfg = with_seed(cfg, args.seed)
         return args.func(args, cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return _EXIT_CONFIG
-    except DomainError as exc:
+    except (ConfigError, DomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG
     except DataFormatError as exc:

@@ -75,14 +75,16 @@ class SynthConfig:
             raise DomainError("artifact amplitude must be >= 0")
         if self.voltage_scale < 0:
             raise DomainError("voltage scale must be >= 0")
+        object.__setattr__(self, "switch_times_s", tuple(self.switch_times_s))
         if any(t < 0 for t in self.switch_times_s):
             raise DomainError("switch times must be >= 0")
-        object.__setattr__(self, "switch_times_s", tuple(self.switch_times_s))
 
 
 @dataclass(frozen=True)
 class ProtocolConfig:
-    """Timing of the cool / disconnect / interrogate sequence."""
+    """Timing of the cool / disconnect / interrogate sequence.
+    interrogate_delay_s marks the interrogation instant; no simulated sample
+    depends on it."""
 
     cool_duration_s: float = 40e-6
     interrogate_delay_s: float = 0.0

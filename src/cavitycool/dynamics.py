@@ -9,7 +9,6 @@ alongside it as an independent cross-check.
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -24,28 +23,18 @@ from .thermal import BathSet, CavityMode, mode_temperature, photons_per_kelvin
 MAX_STEP_FRACTION = 0.1
 
 
-class EventLabel(enum.Enum):
-    COOL = "cool"
-    DISCONNECT = "disconnect"
-    LASER_FIRE = "laser_fire"
-    INTERROGATE = "interrogate"
-
-
 @dataclass(frozen=True)
 class ScheduleEvent:
     """A switching instant: which ports are connected from this time on."""
 
     time_s: float
     active_ports: tuple[int, ...]
-    labels: tuple[EventLabel, ...]
 
     def __post_init__(self) -> None:
         if self.time_s < 0:
             raise DomainError(f"event time must be >= 0, got {self.time_s}")
         if len(set(self.active_ports)) != len(self.active_ports):
             raise DomainError(f"duplicate port index in {self.active_ports}")
-        if not self.labels:
-            raise DomainError("event needs at least one label")
 
 
 @dataclass(frozen=True)
@@ -67,53 +56,23 @@ class SwitchSchedule:
 
 def build_protocol(
     cool_duration_s: float,
-    interrogate_delay_s: float,
     trace_length_s: float,
     cool_ports: tuple[int, ...] = (0, 1),
     hold_ports: tuple[int, ...] = (1,),
 ) -> SwitchSchedule:
-    """The canonical three-step schedule.
-
-    Cooling ports connect at t = 0; at t = cool_duration_s the cold path
-    is disconnected and the excitation fires (one coincident event); the
-    interrogation marker follows after interrogate_delay_s.  Coincident
-    events are merged, with the later port configuration winning.
-    """
-    if cool_duration_s < 0 or interrogate_delay_s < 0:
-        raise DomainError("durations must be >= 0")
+    """The canonical schedule: cooling ports from t = 0, hold ports from
+    t = cool_duration_s (the hold ports alone when that is 0)."""
+    if cool_duration_s < 0:
+        raise DomainError("cooling time must be >= 0")
     if trace_length_s <= 0:
         raise DomainError("trace length must be positive")
-    if cool_duration_s + interrogate_delay_s > trace_length_s:
+    if cool_duration_s > trace_length_s:
         raise DomainError(
             "protocol events extend past the trace "
-            f"({cool_duration_s + interrogate_delay_s} > {trace_length_s} s)"
+            f"({cool_duration_s} > {trace_length_s} s)"
         )
-    raw = [
-        (0.0, tuple(cool_ports), [EventLabel.COOL]),
-        (
-            cool_duration_s,
-            tuple(hold_ports),
-            [EventLabel.DISCONNECT, EventLabel.LASER_FIRE],
-        ),
-        (
-            cool_duration_s + interrogate_delay_s,
-            tuple(hold_ports),
-            [EventLabel.INTERROGATE],
-        ),
-    ]
-    merged: list[tuple[float, tuple[int, ...], list[EventLabel]]] = []
-    for time_s, ports, labels in raw:
-        if merged and merged[-1][0] == time_s:
-            prev_time, _, prev_labels = merged[-1]
-            merged[-1] = (prev_time, ports, prev_labels + labels)
-        else:
-            merged.append((time_s, ports, list(labels)))
-    return SwitchSchedule(
-        tuple(
-            ScheduleEvent(time_s, ports, tuple(labels))
-            for time_s, ports, labels in merged
-        )
-    )
+    cool = [ScheduleEvent(0.0, tuple(cool_ports))] if cool_duration_s > 0 else []
+    return SwitchSchedule([*cool, ScheduleEvent(cool_duration_s, tuple(hold_ports))])
 
 
 def relaxation_rate(mode: CavityMode, baths: BathSet) -> float:

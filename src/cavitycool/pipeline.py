@@ -43,7 +43,6 @@ def simulate_run(cfg: RunConfig) -> SimulationResult:
     hold_ports = cfg.persistent_port_indices()
     schedule = build_protocol(
         proto.cool_duration_s,
-        proto.interrogate_delay_s,
         proto.trace_length_s,
         cool_ports=cool_ports,
         hold_ports=hold_ports,

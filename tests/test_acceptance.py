@@ -16,7 +16,6 @@ from cavitycool import cli
 from cavitycool.analysis import fit_biexponential
 from cavitycool.config import default_run_config, with_seed
 from cavitycool.dynamics import (
-    EventLabel,
     ScheduleEvent,
     SwitchSchedule,
     evolve_occupancy,
@@ -151,11 +150,7 @@ def test_criterion_07_integrator_matches_closed_form():
             if len(np.unique(times)) == n_events:
                 break
         events = tuple(
-            ScheduleEvent(
-                float(t),
-                port_menu[rng.integers(0, len(port_menu))],
-                (EventLabel.COOL,),
-            )
+            ScheduleEvent(float(t), port_menu[rng.integers(0, len(port_menu))])
             for t in times
         )
         schedule = SwitchSchedule(events)

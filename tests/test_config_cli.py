@@ -877,6 +877,29 @@ def test_cli_analyze_rejects_truncated_run(tmp_path, capsys):
         assert f"{meta}: lists" in err and "n_shots" in err
 
 
+@pytest.mark.parametrize(
+    ("n_shots", "listed"),
+    [(1, "trace_files=\n"), (2, "trace_files=trace_000.csv,\n")],
+)
+def test_cli_analyze_rejects_an_empty_trace_files_entry(
+    tmp_path, capsys, n_shots, listed
+):
+    ini = _ini(tmp_path, f"[synth]\nn_shots = {n_shots}\n")
+    out = tmp_path / "run"
+    assert cli.main(["simulate", "--config", ini, "--out", str(out),
+                     "--porcelain"]) == 0
+    capsys.readouterr()
+    meta = out / "run.meta"
+    text = meta.read_text()
+    recorded = "trace_files=" + ",".join(
+        f"trace_{i:03d}.csv" for i in range(n_shots)) + "\n"
+    assert recorded in text
+    meta.write_text(text.replace(recorded, listed))
+    assert cli.main(["analyze", str(meta), "--porcelain"]) == 4
+    err = capsys.readouterr().err
+    assert err == f"data format error: {meta}: 'trace_files' has an empty entry\n"
+
+
 def _four_shot_meta(tmp_path, capsys):
     ini = _ini(tmp_path, "[synth]\nn_shots = 4\n")
     out = tmp_path / "run"

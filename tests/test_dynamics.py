@@ -2,13 +2,13 @@
 closed-form/Runge-Kutta agreement.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from cavitycool.dynamics import (
-    EventLabel,
     ScheduleEvent,
     SwitchSchedule,
     build_protocol,
@@ -86,57 +86,58 @@ def test_steady_state_occupancy_is_equipartition():
     )
 
 
-def test_protocol_merges_coincident_events():
-    schedule = build_protocol(40e-6, 0.0, 160e-6)
-    assert len(schedule.events) == 2
-    assert schedule.events[0].active_ports == (0, 1)
-    assert schedule.events[1].active_ports == (1,)
-    labels = schedule.events[1].labels
-    assert EventLabel.DISCONNECT in labels
-    assert EventLabel.LASER_FIRE in labels
-    assert EventLabel.INTERROGATE in labels
-
-
-def test_protocol_with_delay_keeps_interrogate_separate():
-    schedule = build_protocol(40e-6, 5e-6, 160e-6)
-    assert len(schedule.events) == 3
-    assert schedule.events[2].time_s == pytest.approx(45e-6)
-    assert schedule.events[2].labels == (EventLabel.INTERROGATE,)
-    # The interrogation marker does not change the connected ports.
-    assert schedule.events[2].active_ports == schedule.events[1].active_ports
+def test_protocol_is_cool_then_hold():
+    schedule = build_protocol(40e-6, 160e-6)
+    assert [(e.time_s, e.active_ports) for e in schedule.events] == [
+        (0.0, (0, 1)),
+        (40e-6, (1,)),
+    ]
+    # With no cooling time only the hold configuration is scheduled.
+    schedule = build_protocol(0.0, 160e-6)
+    assert [(e.time_s, e.active_ports) for e in schedule.events] == [(0.0, (1,))]
 
 
 def test_protocol_validation():
     with pytest.raises(DomainError):
-        build_protocol(-1e-6, 0.0, 160e-6)
+        build_protocol(-1e-6, 160e-6)
     with pytest.raises(DomainError):
-        build_protocol(40e-6, 0.0, 30e-6)
+        build_protocol(40e-6, 30e-6)
     with pytest.raises(DomainError):
         SwitchSchedule(
-            (ScheduleEvent(1e-6, (0,), (EventLabel.COOL,)),)
+            (ScheduleEvent(1e-6, (0,)),)
         )  # first event not at t=0
     with pytest.raises(DomainError):
         SwitchSchedule(
             (
-                ScheduleEvent(0.0, (0,), (EventLabel.COOL,)),
-                ScheduleEvent(0.0, (1,), (EventLabel.DISCONNECT,)),
+                ScheduleEvent(0.0, (0,)),
+                ScheduleEvent(0.0, (1,)),
             )
         )
 
 
+def test_schedule_event_holds_only_time_and_ports():
+    import cavitycool
+    from cavitycool import dynamics
+
+    assert [f.name for f in dataclasses.fields(ScheduleEvent)] == [
+        "time_s", "active_ports",
+    ]
+    for holder in (cavitycool, dynamics):
+        with pytest.raises(AttributeError):
+            holder.EventLabel
+
+
 def test_event_validation():
     with pytest.raises(DomainError):
-        ScheduleEvent(-1e-6, (0,), (EventLabel.COOL,))
+        ScheduleEvent(-1e-6, (0,))
     with pytest.raises(DomainError):
-        ScheduleEvent(0.0, (0, 0), (EventLabel.COOL,))
-    with pytest.raises(DomainError):
-        ScheduleEvent(0.0, (0,), ())
+        ScheduleEvent(0.0, (0, 0))
 
 
 def test_evolution_reaches_segment_steady_states():
     mode = _bench_mode()
     baths = _bench_baths()
-    schedule = build_protocol(60e-6, 0.0, 260e-6)
+    schedule = build_protocol(60e-6, 260e-6)
     traj = evolve_occupancy(mode, baths, schedule, 260e-6, 20e-9)
 
     cooled = steady_state_occupancy(mode, baths)
@@ -158,7 +159,7 @@ def test_evolution_single_segment_is_one_exponential():
     mode = _bench_mode()
     baths = _bench_baths().subset((1,))
     schedule = SwitchSchedule(
-        (ScheduleEvent(0.0, (0,), (EventLabel.INTERROGATE,)),)
+        (ScheduleEvent(0.0, (0,)),)
     )
     q0 = 1000.0
     traj = evolve_occupancy(mode, baths, schedule, 50e-6, 100e-9, q_initial=q0)
@@ -173,7 +174,7 @@ def test_warm_up_tail_time_constant():
     # monitoring-only relaxation time.
     mode = _bench_mode()
     baths = _bench_baths()
-    schedule = build_protocol(40e-6, 0.0, 200e-6)
+    schedule = build_protocol(40e-6, 200e-6)
     traj = evolve_occupancy(mode, baths, schedule, 200e-6, 50e-9)
     ambient = steady_state_occupancy(mode, baths.subset((1,)))
     sel = (traj.times_s >= 45e-6) & (traj.times_s <= 80e-6)
@@ -192,8 +193,8 @@ def test_reversibility_cool_then_warm():
     duration = t_switch + 7.0 * tau_warm
     schedule = SwitchSchedule(
         (
-            ScheduleEvent(0.0, (0, 1), (EventLabel.COOL,)),
-            ScheduleEvent(t_switch, (1,), (EventLabel.DISCONNECT,)),
+            ScheduleEvent(0.0, (0, 1)),
+            ScheduleEvent(t_switch, (1,)),
         )
     )
     ambient = steady_state_occupancy(mode, baths.subset((1,)))
@@ -208,7 +209,7 @@ def test_temperature_channel_matches_occupancy():
 
     mode = _bench_mode()
     baths = _bench_baths()
-    schedule = build_protocol(20e-6, 0.0, 60e-6)
+    schedule = build_protocol(20e-6, 60e-6)
     traj = evolve_occupancy(mode, baths, schedule, 60e-6, 100e-9)
     for i in (0, len(traj) // 2, len(traj) - 1):
         assert math.isclose(
@@ -221,7 +222,7 @@ def test_temperature_channel_matches_occupancy():
 def test_rk4_matches_closed_form():
     mode = _bench_mode()
     baths = _bench_baths()
-    schedule = build_protocol(40e-6, 0.0, 160e-6)
+    schedule = build_protocol(40e-6, 160e-6)
     closed = evolve_occupancy(mode, baths, schedule, 160e-6, 100e-9)
     rk4 = evolve_occupancy_rk4(mode, baths, schedule, 160e-6, 100e-9)
     assert np.allclose(rk4.occupancy, closed.occupancy, rtol=1e-9, atol=0.0)
@@ -234,9 +235,9 @@ def test_rk4_matches_closed_form_off_grid_switch():
     baths = _bench_baths()
     schedule = SwitchSchedule(
         (
-            ScheduleEvent(0.0, (0, 1), (EventLabel.COOL,)),
-            ScheduleEvent(13.7e-6, (1,), (EventLabel.DISCONNECT,)),
-            ScheduleEvent(51.3e-6, (), (EventLabel.INTERROGATE,)),
+            ScheduleEvent(0.0, (0, 1)),
+            ScheduleEvent(13.7e-6, (1,)),
+            ScheduleEvent(51.3e-6, ()),
         )
     )
     closed = evolve_occupancy(mode, baths, schedule, 90e-6, 250e-9, q_initial=500.0)
@@ -247,7 +248,7 @@ def test_rk4_matches_closed_form_off_grid_switch():
 def test_step_size_guard():
     mode = _bench_mode()
     baths = _bench_baths()
-    schedule = build_protocol(40e-6, 0.0, 160e-6)
+    schedule = build_protocol(40e-6, 160e-6)
     # Fastest tau in this schedule is ~3.1 us; a 1 us step exceeds the
     # enforced tenth-of-tau ceiling.
     with pytest.raises(DomainError):
@@ -257,7 +258,7 @@ def test_step_size_guard():
 def test_evolution_validation():
     mode = _bench_mode()
     baths = _bench_baths()
-    schedule = build_protocol(40e-6, 0.0, 160e-6)
+    schedule = build_protocol(40e-6, 160e-6)
     with pytest.raises(DomainError):
         evolve_occupancy(mode, baths, schedule, -1.0, 1e-7)
     with pytest.raises(DomainError):

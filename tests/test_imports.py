@@ -185,7 +185,7 @@ def test_array_commands_still_run_and_load_numpy(tmp_path):
 
 
 # The names the package root exported when it imported every module
-# eagerly, by the module it took each from.
+# eagerly, by the module it took each from, less those since removed.
 _EXPORTED = {
     "analysis": [
         "BiExpFit", "DeltaPEstimate", "SpectralDensity", "band_averaged_deltap",
@@ -200,7 +200,7 @@ _EXPORTED = {
     ],
     "constants": ["BOLTZMANN_K", "IEEE_T0", "PLANCK_H"],
     "dynamics": [
-        "CavityMode", "EventLabel", "PhotonTrajectory", "ScheduleEvent",
+        "CavityMode", "PhotonTrajectory", "ScheduleEvent",
         "SwitchSchedule", "build_protocol", "evolve_occupancy",
         "evolve_occupancy_rk4", "relaxation_rate", "relaxation_time",
         "steady_state_occupancy",

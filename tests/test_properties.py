@@ -252,6 +252,26 @@ def test_readme_quick_run_outputs_pinned(tmp_path, capsys):
     assert capsys.readouterr().out == _QUICK_PORCELAIN
 
 
+def test_interrogate_delay_leaves_the_quick_run_unchanged(tmp_path, capsys):
+    # The interrogation instant connects no port, so the run's samples and
+    # estimates are those of the delay-0 run; only run.meta records it.
+    ini = tmp_path / "quick.ini"
+    ini.write_text("[synth]\nn_shots = 40\nrng_seed = 7\n"
+                   "[protocol]\ninterrogate_delay_s = 5e-6\n", encoding="utf-8")
+    out = tmp_path / "run"
+    assert cli.main(["simulate", "--config", str(ini), "--out", str(out),
+                     "--porcelain"]) == 0
+    capsys.readouterr()
+    trajectory = (out / "trajectory.csv").read_bytes()
+    assert hashlib.sha256(trajectory).hexdigest() == _QUICK_SHA256["trajectory.csv"]
+    traces = hashlib.sha256()
+    for i in range(40):
+        traces.update((out / f"trace_{i:03d}.csv").read_bytes())
+    assert traces.hexdigest() == _QUICK_TRACES_SHA256
+    assert cli.main(["analyze", str(out / "run.meta"), "--porcelain"]) == 0
+    assert capsys.readouterr().out == _QUICK_PORCELAIN
+
+
 # Pinned closed-form outputs of the default configuration: `steady` in both
 # forms and the default 25 x 25 `sweep.csv`.
 _STEADY_PORCELAIN = """\

@@ -430,6 +430,13 @@ def test_config_validation():
         SynthConfig(switch_times_s=(-1e-6,))
 
 
+def test_synth_config_keeps_switch_times_from_a_generator():
+    cfg = SynthConfig(switch_times_s=(t for t in (1e-6, 5e-6)))
+    assert cfg.switch_times_s == (1e-6, 5e-6)
+    with pytest.raises(DomainError):
+        SynthConfig(switch_times_s=(t for t in (1e-6, -5e-6)))
+
+
 def test_noise_trace_validation_and_slicing():
     times = np.arange(100) * 1e-7
     volts = np.ones((3, 100))
