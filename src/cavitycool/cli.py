@@ -20,7 +20,6 @@ from .config import (
     PORT_ROLE_COOLING,
     RunConfig,
     config_digest,
-    config_from_items,
     config_items,
     default_run_config,
     load_run_config,
@@ -165,57 +164,39 @@ def cmd_simulate(args, cfg: RunConfig) -> int:
     from .pipeline import simulate_run
 
     result = simulate_run(cfg)
-    trajectory_file = "trajectory.csv"
-    tracefile.write_trajectory_csv(_outpath(args, trajectory_file), result.trajectory)
-    trace_files = []
-    for i, row in enumerate(result.traces.voltages_v):
-        name = f"trace_{i:03d}.csv"
-        path = os.path.join(args.out, name)
-        tracefile.write_trace_csv(path, result.traces.times_s, row)
-        trace_files.append(name)
-
+    meta_path = tracefile.write_run(args.out, cfg, result)
+    trajectory_file = tracefile.TRAJECTORY_FILE
     digest = config_digest(cfg)
-    meta_items = [
-        ("format", "cavitycool-run/1"),
-        ("config_digest", digest),
-        ("master_seed", str(cfg.synth.rng_seed)),
-        ("n_shots", str(cfg.n_shots)),
-        ("sample_interval_s", _fmt(cfg.synth.sample_interval_s)),
-        ("disconnect_time_s", _fmt(result.disconnect_time_s)),
-        ("trace_length_s", _fmt(cfg.protocol.trace_length_s)),
-        ("trajectory_file", trajectory_file),
-        ("trace_files", ",".join(trace_files)),
-    ] + config_items(cfg)
-    meta_path = os.path.join(args.out, "run.meta")
-    tracefile.write_key_values(meta_path, meta_items)
-
     _emit(
         args,
         [
             ("run_meta", meta_path),
             ("config_digest", digest),
-            ("n_traces", str(len(trace_files))),
+            ("n_traces", str(cfg.n_shots)),
             ("trajectory_csv", os.path.join(args.out, trajectory_file)),
         ],
         [
-            f"wrote {len(trace_files)} traces and {trajectory_file} to {args.out}",
+            f"wrote {cfg.n_shots} traces and {trajectory_file} to {args.out}",
             f"run sidecar: {meta_path}  (config digest {digest[:12]})",
         ],
     )
     return 0
 
 
-def _run_config(args, cfg: RunConfig, meta_path: str, meta: dict) -> RunConfig:
-    """The configuration a run sidecar records, with the [analysis] keys
-    of `--config` / `--seed` when given; any other difference is an error."""
-    try:
-        recorded = config_from_items(meta)
-    except ConfigError as exc:
-        raise DataFormatError(f"{meta_path}: {exc}") from None
-    if config_digest(recorded) != meta.get("config_digest"):
-        raise DataFormatError(
-            f"{meta_path}: configuration does not match its config_digest"
-        )
+def _load_analysis_inputs(args, cfg: RunConfig):
+    """Resolve analyze inputs: either one .meta sidecar or trace CSVs.
+
+    A sidecar supplies the run and its configuration: `--config` and
+    `--seed` may change only its [analysis] keys, and a
+    `--disconnect-time` must equal the recorded disconnect.
+    """
+    from . import tracefile
+
+    paths = list(args.inputs)
+    if not (len(paths) == 1 and paths[0].endswith(".meta")):
+        return tracefile.read_trace_ensemble(paths), cfg
+    meta_path = paths[0]
+    recorded, traces = tracefile.read_run(meta_path)
     if args.config is None:
         cfg = recorded if args.seed is None else with_seed(recorded, args.seed)
     run, given = dict(config_items(recorded)), dict(config_items(cfg))
@@ -226,84 +207,15 @@ def _run_config(args, cfg: RunConfig, meta_path: str, meta: dict) -> RunConfig:
                 f"--config/--seed give {given.get(key, '(none)')}; only "
                 "[analysis] keys may differ from the run"
             )
-    return replace(recorded, analysis=cfg.analysis)
-
-
-# Sidecar lines that copy a configuration key for readers: (copy, key).
-# `protocol.cool_duration_s` is the disconnect time.
-_SIDECAR_COPIES = (
-    ("master_seed", "synth.rng_seed"),
-    ("sample_interval_s", "synth.sample_interval_s"),
-    ("disconnect_time_s", "protocol.cool_duration_s"),
-    ("trace_length_s", "protocol.trace_length_s"),
-)
-
-
-def _check_run_grid(meta_path: str, first_path: str, traces, cfg: RunConfig) -> None:
-    """Traces a sidecar lists must lie on its run's grid: as many samples
-    as `dynamics._validated_grid` makes, every `synth.sample_interval_s`
-    from t = 0, to within the trace reader's spacing tolerance."""
-    from . import tracefile
-    from .dynamics import _validated_grid
-
-    dt = cfg.synth.sample_interval_s
-    n = len(_validated_grid(cfg.protocol.trace_length_s, dt))
-    t = traces.times_s
-    step = float(t[-1] - t[0]) / (len(t) - 1)
-    tol = tracefile._GRID_TOLERANCE * dt
-    if len(t) != n or abs(t[0]) > tol or abs(step - dt) > tol:
-        raise DataFormatError(
-            f"{meta_path}: {first_path} has {len(t)} samples every {_fmt(step)} s "
-            f"from {_fmt(t[0])} s, not the run's {n} every {_fmt(dt)} s from 0.0 s"
+    disconnect = recorded.protocol.cool_duration_s
+    if args.disconnect_time not in (None, disconnect):
+        raise ConfigError(
+            f"{meta_path} records the disconnect at "
+            f"protocol.cool_duration_s={_fmt(disconnect)}, but --disconnect-time "
+            f"gives {_fmt(args.disconnect_time)}; a run's disconnect is part "
+            "of the run"
         )
-
-
-def _load_analysis_inputs(args, cfg: RunConfig):
-    """Resolve analyze inputs: either one .meta sidecar or trace CSVs.
-
-    A sidecar also supplies the run's configuration; its lines in
-    `_SIDECAR_COPIES` must carry the same text as the keys they copy,
-    the traces it lists must lie on the run's grid, and a
-    `--disconnect-time` must equal the recorded disconnect.
-    """
-    from . import tracefile
-
-    paths = list(args.inputs)
-    if len(paths) == 1 and paths[0].endswith(".meta"):
-        meta_path = paths[0]
-        meta = tracefile.read_key_values(meta_path)
-        if "trace_files" not in meta:
-            raise DataFormatError(f"{meta_path}: missing 'trace_files' entry")
-        names = meta["trace_files"].split(",")
-        if "" in names:
-            raise DataFormatError(f"{meta_path}: 'trace_files' has an empty entry")
-        base = os.path.dirname(meta_path)
-        paths = [os.path.join(base, name) for name in names]
-        for copy, key in _SIDECAR_COPIES:
-            text = meta.get(key, "(none)")
-            if meta.get(copy, text) != text:
-                raise DataFormatError(
-                    f"{meta_path}: {copy}={meta[copy]} differs from {key}={text}"
-                )
-        cfg = _run_config(args, cfg, meta_path, meta)
-        recorded = cfg.protocol.cool_duration_s
-        if args.disconnect_time not in (None, recorded):
-            raise ConfigError(
-                f"{meta_path} records the disconnect at "
-                f"protocol.cool_duration_s={_fmt(recorded)}, but --disconnect-time "
-                f"gives {_fmt(args.disconnect_time)}; a run's disconnect is part "
-                "of the run"
-            )
-        if len(paths) != cfg.n_shots or meta.get("n_shots") != str(len(paths)):
-            raise DataFormatError(
-                f"{meta_path}: lists {len(paths)} trace files, but records "
-                f"n_shots={meta.get('n_shots', '(none)')} and "
-                f"synth.n_shots={cfg.n_shots}"
-            )
-        traces = tracefile.read_trace_ensemble(paths)
-        _check_run_grid(meta_path, paths[0], traces, cfg)
-        return traces, cfg
-    return tracefile.read_trace_ensemble(paths), cfg
+    return traces, replace(recorded, analysis=cfg.analysis)
 
 
 def cmd_analyze(args, cfg: RunConfig) -> int:

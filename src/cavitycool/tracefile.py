@@ -1,9 +1,15 @@
-"""On-disk formats: trace CSV, trajectory CSV, tables, key=value sidecars.
+"""On-disk formats: run directories, trace CSV, trajectory CSV, tables,
+key=value sidecars.
 
 Trace CSV: header `time_s,voltage_v`, one sample per line, LF endings,
 floats in shortest round-trip (repr) form.  Sidecars are plain
 `key=value` lines.  Writers are deterministic: identical inputs produce
 byte-identical files.
+
+A run directory (`write_run`, `read_run`) holds `trajectory.csv`, one
+`trace_NNN.csv` per shot and the `run.meta` sidecar: the `format` and
+`config_digest` lines, the `_RUN_COPIES` lines, `trajectory_file`, the
+comma-separated `trace_files` and the run's `config_items`.
 
 A run writes and reads one trace file per shot, all on one time grid, so
 both directions handle the time column once per grid: `write_trace_csv`
@@ -25,12 +31,14 @@ from __future__ import annotations
 import csv
 import functools
 import io
-import itertools
+import os
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DataFormatError
+from .config import RunConfig, config_digest, config_from_items, config_items
+from .dynamics import _validated_grid
+from .errors import ConfigError, DataFormatError
 from .synth import NoiseTrace
 
 TRACE_HEADER = ("time_s", "voltage_v")
@@ -40,6 +48,19 @@ TRAJECTORY_HEADER = ("time_s", "occupancy", "temperature_k")
 _GRID_TOLERANCE = 1e-6
 
 _TRACE_HEADER_LINE = ",".join(TRACE_HEADER) + "\n"
+
+_RUN_FORMAT = "cavitycool-run/1"
+TRAJECTORY_FILE = "trajectory.csv"
+
+# Sidecar lines that copy a configuration key for readers, in file
+# order: (copy, key).  `protocol.cool_duration_s` is the disconnect time.
+_RUN_COPIES = (
+    ("master_seed", "synth.rng_seed"),
+    ("n_shots", "synth.n_shots"),
+    ("sample_interval_s", "synth.sample_interval_s"),
+    ("disconnect_time_s", "protocol.cool_duration_s"),
+    ("trace_length_s", "protocol.trace_length_s"),
+)
 
 
 def _fmt(value: float) -> str:
@@ -82,15 +103,6 @@ def _read_text(path: str, newline: str | None) -> io.StringIO:
         raise DataFormatError(
             f"{path}: line {line}: byte 0x{data[exc.start]:02x} is not UTF-8 text"
         ) from None
-
-
-def _sample_line(path: str, index: int) -> int:
-    """File line of the sample at `index`, skipping blank lines; only
-    error messages need it, so it reads the file again."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        lines = (reader.line_num for row in reader if row)
-        return next(itertools.islice(lines, index + 1, None))
 
 
 def read_trace_csv(path: str) -> NoiseTrace:
@@ -170,6 +182,7 @@ def _read_trace_lines(path: str) -> NoiseTrace:
     the file and line of the first fault."""
     times = []
     volts = []
+    lines = []  # the file line of each sample, for error messages
     reader = csv.reader(_read_text(path, newline=""))
     try:
         header = next(reader, None)
@@ -190,6 +203,7 @@ def _read_trace_lines(path: str) -> NoiseTrace:
             try:
                 times.append(float(row[0]))
                 volts.append(float(row[1]))
+                lines.append(reader.line_num)
             except ValueError:
                 raise DataFormatError(
                     f"{path}: line {lineno}: non-numeric sample {row!r}"
@@ -202,11 +216,11 @@ def _read_trace_lines(path: str) -> NoiseTrace:
     v = np.asarray(volts)
     finite = np.isfinite(t) & np.isfinite(v)
     if not finite.all():
-        line = _sample_line(path, int(np.argmin(finite)))
+        line = lines[int(np.argmin(finite))]
         raise DataFormatError(f"{path}: line {line}: non-finite sample")
     steps = np.diff(t)
     if np.any(steps <= 0):
-        line = _sample_line(path, int(np.argmax(steps <= 0)) + 1)
+        line = lines[int(np.argmax(steps <= 0)) + 1]
         raise DataFormatError(
             f"{path}: line {line}: sample times must be strictly increasing"
         )
@@ -272,3 +286,72 @@ def read_key_values(path: str) -> dict[str, str]:
             raise DataFormatError(f"{path}: line {lineno}: repeated key {key!r}")
         out[key] = value.strip()
     return out
+
+
+def write_run(out_dir: str, cfg: RunConfig, result) -> str:
+    """Write the simulated run `result` of `cfg` as a run directory in
+    `out_dir` (see the module docstring); returns the sidecar's path."""
+    os.makedirs(out_dir, exist_ok=True)
+    write_trajectory_csv(os.path.join(out_dir, TRAJECTORY_FILE), result.trajectory)
+    traces = result.traces
+    names = [f"trace_{i:03d}.csv" for i in range(traces.n_shots)]
+    for name, row in zip(names, traces.voltages_v):
+        write_trace_csv(os.path.join(out_dir, name), traces.times_s, row)
+    items = config_items(cfg)
+    text = dict(items)
+    meta_path = os.path.join(out_dir, "run.meta")
+    write_key_values(meta_path, [
+        ("format", _RUN_FORMAT), ("config_digest", config_digest(cfg)),
+        *((copy, text[key]) for copy, key in _RUN_COPIES),
+        ("trajectory_file", TRAJECTORY_FILE), ("trace_files", ",".join(names)), *items,
+    ])
+    return meta_path
+
+
+def read_run(meta_path: str) -> tuple[RunConfig, NoiseTrace]:
+    """The configuration and traces of the run whose sidecar is
+    `meta_path`; DataFormatError, naming the sidecar, on any fault."""
+    meta = read_key_values(meta_path)
+    if "trace_files" not in meta:
+        raise DataFormatError(f"{meta_path}: missing 'trace_files' entry")
+    names = meta["trace_files"].split(",")
+    if "" in names:
+        raise DataFormatError(f"{meta_path}: 'trace_files' has an empty entry")
+    seen = [os.path.normpath(name) for name in names]
+    if len(set(seen)) < len(seen):
+        twice = next(n for i, n in enumerate(names) if seen[i] in seen[:i])
+        raise DataFormatError(f"{meta_path}: 'trace_files' lists {twice} twice")
+    if meta.get("n_shots", str(len(names))) != str(len(names)):
+        raise DataFormatError(
+            f"{meta_path}: lists {len(names)} trace files, but records "
+            f"n_shots={meta['n_shots']}"
+        )
+    for copy, key in _RUN_COPIES:
+        copied, text = meta.get(copy, "(none)"), meta.get(key, "(none)")
+        if copied != text:
+            raise DataFormatError(f"{meta_path}: {copy}={copied} differs from {key}={text}")
+    if meta.get("format") != _RUN_FORMAT:
+        raise DataFormatError(
+            f"{meta_path}: format={meta.get('format', '(none)')}, "
+            f"expected {_RUN_FORMAT}"
+        )
+    try:
+        cfg = config_from_items(meta)
+    except ConfigError as exc:
+        raise DataFormatError(f"{meta_path}: {exc}") from None
+    if config_digest(cfg) != meta.get("config_digest"):
+        raise DataFormatError(f"{meta_path}: configuration does not match its config_digest")
+    paths = [os.path.join(os.path.dirname(meta_path), name) for name in names]
+    traces = read_trace_ensemble(paths)
+    # The run's grid: the simulation's sample count, every dt from t = 0.
+    dt = cfg.synth.sample_interval_s
+    n = len(_validated_grid(cfg.protocol.trace_length_s, dt))
+    t = traces.times_s
+    step = float(t[-1] - t[0]) / (len(t) - 1)
+    tol = _GRID_TOLERANCE * dt
+    if len(t) != n or abs(t[0]) > tol or abs(step - dt) > tol:
+        raise DataFormatError(
+            f"{meta_path}: {paths[0]} has {len(t)} samples every {_fmt(step)} s "
+            f"from {_fmt(t[0])} s, not the run's {n} every {_fmt(dt)} s from 0.0 s"
+        )
+    return cfg, traces

@@ -900,6 +900,22 @@ def test_cli_analyze_rejects_an_empty_trace_files_entry(
     assert err == f"data format error: {meta}: 'trace_files' has an empty entry\n"
 
 
+def test_cli_analyze_rejects_a_repeated_trace_files_entry(tmp_path, capsys):
+    # a shot listed twice would be averaged twice, with exit 0
+    meta = _four_shot_meta(tmp_path, capsys)
+    text = meta.read_text()
+    recorded = "trace_files=trace_000.csv,trace_001.csv,"
+    assert recorded in text
+    for twice in ("trace_000.csv", "./trace_000.csv"):
+        meta.write_text(text.replace(recorded, f"trace_files=trace_000.csv,{twice},"))
+        assert cli.main(["analyze", str(meta), "--porcelain"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"data format error: {meta}: 'trace_files' lists {twice} twice\n"
+        )
+
+
 def _four_shot_meta(tmp_path, capsys):
     ini = _ini(tmp_path, "[synth]\nn_shots = 4\n")
     out = tmp_path / "run"
@@ -927,6 +943,12 @@ def test_cli_analyze_rejects_sidecar_disconnect_off_the_config(tmp_path, capsys,
     ("master_seed", "synth.rng_seed", "999"),
     ("sample_interval_s", "synth.sample_interval_s", "0.001"),
     ("trace_length_s", "protocol.trace_length_s", "nan"),
+    # None: the copy's line is deleted
+    ("master_seed", "synth.rng_seed", None),
+    ("n_shots", "synth.n_shots", None),
+    ("sample_interval_s", "synth.sample_interval_s", None),
+    ("disconnect_time_s", "protocol.cool_duration_s", None),
+    ("trace_length_s", "protocol.trace_length_s", None),
 ])
 def test_cli_analyze_rejects_sidecar_copy_off_the_config(tmp_path, capsys, copy, key, value):
     meta = _four_shot_meta(tmp_path, capsys)
@@ -934,10 +956,26 @@ def test_cli_analyze_rejects_sidecar_copy_off_the_config(tmp_path, capsys, copy,
     recorded = tracefile.read_key_values(str(meta))
     line = f"\n{copy}={recorded[copy]}\n"
     assert line in text and recorded[copy] == recorded[key]
-    meta.write_text(text.replace(line, f"\n{copy}={value}\n"))
+    meta.write_text(text.replace(line, "\n" if value is None else f"\n{copy}={value}\n"))
     assert cli.main(["analyze", str(meta), "--porcelain"]) == 4
     err = capsys.readouterr().err
-    assert f"{meta}: {copy}={value} differs from {key}={recorded[key]}" in err
+    shown = "(none)" if value is None else value
+    assert f"{meta}: {copy}={shown} differs from {key}={recorded[key]}" in err
+
+
+@pytest.mark.parametrize("line", ["format=someone-else/9\n", ""], ids=["other", "missing"])
+def test_cli_analyze_rejects_a_sidecar_of_another_format(tmp_path, capsys, line):
+    meta = _four_shot_meta(tmp_path, capsys)
+    text = meta.read_text()
+    assert text.startswith("format=cavitycool-run/1\n")
+    meta.write_text(line + text.split("\n", 1)[1])
+    assert cli.main(["analyze", str(meta), "--porcelain"]) == 4
+    captured = capsys.readouterr()
+    found = line.strip().partition("=")[2] or "(none)"
+    assert captured.out == ""
+    assert captured.err == (
+        f"data format error: {meta}: format={found}, expected cavitycool-run/1\n"
+    )
 
 
 def test_cli_analyze_rejects_traces_off_the_run_grid(tmp_path, capsys):
@@ -966,6 +1004,44 @@ def test_cli_analyze_rejects_traces_off_the_run_grid(tmp_path, capsys):
         err = capsys.readouterr().err
         assert f"{meta}: {first} has {found}" in err
         assert "not the run's 3201 every 5e-08 s from 0.0 s" in err
+
+
+def test_write_run_reads_back_through_read_run(tmp_path):
+    cfg = _small_config(4)
+    sim = simulate_run(cfg)
+    meta = tracefile.write_run(str(tmp_path / "run"), cfg, sim)
+    assert meta == str(tmp_path / "run" / "run.meta")
+    back, traces = tracefile.read_run(meta)
+    assert config_digest(back) == config_digest(cfg)
+    fresh = simulate_run(cfg).traces
+    assert traces.voltages_v.tobytes() == fresh.voltages_v.tobytes()
+    assert np.array_equal(traces.times_s, fresh.times_s)
+
+
+def test_read_run_rejects_traces_off_the_run_grid(tmp_path):
+    # the inputs of test_cli_analyze_rejects_traces_off_the_run_grid
+    cfg = _small_config(4)
+    run = tmp_path / "run"
+    meta = tracefile.write_run(str(run), cfg, simulate_run(cfg))
+    coarse = replace(cfg, synth=replace(cfg.synth, sample_interval_s=1e-7))
+    other = tmp_path / "coarse"
+    tracefile.write_run(str(other), coarse, simulate_run(coarse))
+    first = run / "trace_000.csv"
+    lines = first.read_text().splitlines(keepends=True)
+    shifted = lines[0] + "".join(
+        f"{float(t) + 5e-8!r},{v}" for t, v in (ln.split(",") for ln in lines[1:])
+    )
+    names = [f"trace_{i:03d}.csv" for i in range(4)]
+    for traces, found in (
+        ([(other / name).read_text() for name in names], "1601 samples every 1e-07 s from 0.0 s"),
+        ([shifted] * 4, "3201 samples every"),
+    ):
+        for name, text in zip(names, traces):
+            (run / name).write_text(text)
+        with pytest.raises(DataFormatError) as err:
+            tracefile.read_run(meta)
+        assert f"{meta}: {first} has {found}" in str(err.value)
+        assert "not the run's 3201 every 5e-08 s from 0.0 s" in str(err.value)
 
 
 def test_cli_analyze_rejects_repeated_sidecar_key(tmp_path, capsys):
