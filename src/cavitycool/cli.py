@@ -94,11 +94,10 @@ def cmd_steady(args, cfg: RunConfig) -> int:
     for port, role in zip(cfg.baths.ports, cfg.port_roles):
         delivered = port.delivered_temperature_k()
         weight = port.coupling / total
-        label = port.name or "port"
-        items.append((f"port.{label}.delivered_k", _fmt(delivered)))
-        items.append((f"port.{label}.weight", _fmt(weight)))
+        items.append((f"port.{port.name}.delivered_k", _fmt(delivered)))
+        items.append((f"port.{port.name}.weight", _fmt(weight)))
         human.append(
-            f"  {label:12s} ({role:10s}) coupling {port.coupling:7.3f}"
+            f"  {port.name:12s} ({role:10s}) coupling {port.coupling:7.3f}"
             f"  delivers {delivered:9.3f} K  weight {weight:6.3f}"
         )
     _emit(args, items, human)
@@ -151,7 +150,7 @@ def cmd_sweep(args, cfg: RunConfig) -> int:
         args,
         [
             ("sweep_csv", path),
-            ("swept_port", cfg.baths.ports[port_index].name or str(port_index)),
+            ("swept_port", cfg.baths.ports[port_index].name),
             ("rows", str(grid.size)),
         ],
         [f"wrote {grid.size} grid points to {path}"],
@@ -187,8 +186,7 @@ def _load_analysis_inputs(args, cfg: RunConfig):
     """Resolve analyze inputs: either one .meta sidecar or trace CSVs.
 
     A sidecar supplies the run and its configuration: `--config` and
-    `--seed` may change only its [analysis] keys, and a
-    `--disconnect-time` must equal the recorded disconnect.
+    `--seed` may change only its [analysis] keys.
     """
     from . import tracefile
 
@@ -207,14 +205,6 @@ def _load_analysis_inputs(args, cfg: RunConfig):
                 f"--config/--seed give {given.get(key, '(none)')}; only "
                 "[analysis] keys may differ from the run"
             )
-    disconnect = recorded.protocol.cool_duration_s
-    if args.disconnect_time not in (None, disconnect):
-        raise ConfigError(
-            f"{meta_path} records the disconnect at "
-            f"protocol.cool_duration_s={_fmt(disconnect)}, but --disconnect-time "
-            f"gives {_fmt(args.disconnect_time)}; a run's disconnect is part "
-            "of the run"
-        )
     return traces, replace(recorded, analysis=cfg.analysis)
 
 
@@ -226,7 +216,7 @@ def cmd_analyze(args, cfg: RunConfig) -> int:
     from .receiver import noise_power_reduction_curve
 
     traces, cfg = _load_analysis_inputs(args, cfg)
-    report = analyze_run(traces, cfg, args.disconnect_time)
+    report = analyze_run(traces, cfg)
 
     items = [
         ("n_shots", str(report.n_shots)),
@@ -393,13 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "inputs", nargs="+", metavar="FILE",
         help="trace CSV files, or a single run.meta sidecar (which also "
-        "supplies the run's configuration)",
-    )
-    p.add_argument(
-        "--disconnect-time", type=_finite_float, metavar="S",
-        help="disconnect instant in seconds for bare trace files (default: "
-        "protocol.cool_duration_s); with a run.meta it must equal the "
-        "recorded protocol.cool_duration_s",
+        "supplies the run's configuration); the disconnect is the run's "
+        "protocol.cool_duration_s",
     )
     p.add_argument("--emit-series", action="store_true",
                    help="write the windowed warm-up series CSV")

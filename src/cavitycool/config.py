@@ -6,8 +6,12 @@ synthesis knobs, and analysis windows.  Files follow configparser
 syntax with one section per group and repeated `[port.<name>]` sections
 for the baths; every key carries its unit as a suffix.  Unknown
 sections or keys are rejected rather than ignored.  `_SCHEMA` and
-`_PORT_SCHEMA` are the only list of keys; default values live only in
-the bundled `data/bench.defaults`.
+`_PORT_SCHEMA` are the only list of keys, and `_SCHEMA` holds the range
+of every `[protocol]`, `[synth]` and `[analysis]` key, which
+`_check_bounds` applies to direct construction and loads alike.  A run's
+default values come from the bundled `data/bench.defaults`; the
+dataclasses' field defaults serve direct construction from Python, and
+only `SynthConfig`'s differ from that file (see its docstring).
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ import configparser
 from functools import lru_cache, reduce
 import hashlib
 import math
+import operator
 import os
 from dataclasses import dataclass, replace
 from typing import Mapping
@@ -29,6 +34,22 @@ PORT_ROLE_MONITORING = "monitoring"
 
 # Seeds are 64-bit: the SplitMix64 state of `synth.shot_seed`.
 _MASK64 = (1 << 64) - 1
+
+_COMPARE = {">": operator.gt, ">=": operator.ge, "<=": operator.le}
+
+
+def _check_bounds(obj, prefix: str) -> None:
+    """Raise DomainError, naming the key, for the first value of `obj` (the
+    node at attribute path `prefix`) outside its `_SCHEMA` bounds."""
+    for section, key, _, path, *bounds in _SCHEMA:
+        parent, _, leaf = path.rpartition(".")
+        if parent != prefix:
+            continue
+        value = getattr(obj, leaf)
+        for bound in bounds:
+            op, limit = bound.split()
+            if not _COMPARE[op](value, int(limit)):
+                raise DomainError(f"[{section}] {key} must be {bound}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -45,6 +66,11 @@ class SynthConfig:
     that receive the deterministic switch transient.  injected_signal,
     when given, is an array-like waveform in volts, one value per sample
     from t = 0, added to every shot.
+
+    The field defaults are a standalone synthesis setup for scripts and
+    tests: 100 ns sampling, a 1 MHz 1/f corner, no switch transient and
+    seed 0.  A run takes its values from `data/bench.defaults` instead
+    (50 ns, no 1/f noise, 600 V transients, seed 20260817).
     """
 
     sample_interval_s: float = 100e-9
@@ -57,24 +83,13 @@ class SynthConfig:
     injected_signal: object = None
 
     def __post_init__(self) -> None:
-        if self.sample_interval_s <= 0:
-            raise DomainError("sample interval must be positive")
-        if not 0 <= self.rng_seed <= _MASK64:
-            raise DomainError("seed must fit in 64 bits")
-        if self.one_over_f_corner_hz < 0:
-            raise DomainError("corner frequency must be >= 0")
+        _check_bounds(self, "synth")
         nyquist = 0.5 / self.sample_interval_s
         if self.one_over_f_corner_hz >= nyquist:
             raise DomainError(
                 f"corner frequency {self.one_over_f_corner_hz} Hz must sit "
                 f"below Nyquist ({nyquist} Hz)"
             )
-        if self.artifact_duration_s <= 0:
-            raise DomainError("artifact duration must be positive")
-        if self.artifact_amplitude_v < 0:
-            raise DomainError("artifact amplitude must be >= 0")
-        if self.voltage_scale < 0:
-            raise DomainError("voltage scale must be >= 0")
         object.__setattr__(self, "switch_times_s", tuple(self.switch_times_s))
         if any(t < 0 for t in self.switch_times_s):
             raise DomainError("switch times must be >= 0")
@@ -82,20 +97,15 @@ class SynthConfig:
 
 @dataclass(frozen=True)
 class ProtocolConfig:
-    """Timing of the cool / disconnect / interrogate sequence.
-    interrogate_delay_s marks the interrogation instant; no simulated sample
-    depends on it."""
+    """Timing of the cool / disconnect sequence: the cold load is
+    disconnected at cool_duration_s, the one instant the analysis needs."""
 
     cool_duration_s: float = 40e-6
-    interrogate_delay_s: float = 0.0
     trace_length_s: float = 160e-6
 
     def __post_init__(self) -> None:
-        if self.cool_duration_s < 0 or self.interrogate_delay_s < 0:
-            raise DomainError("protocol durations must be >= 0")
-        if self.trace_length_s <= 0:
-            raise DomainError("trace length must be positive")
-        if self.cool_duration_s + self.interrogate_delay_s > self.trace_length_s:
+        _check_bounds(self, "protocol")
+        if self.cool_duration_s > self.trace_length_s:
             raise DomainError("protocol events extend past the trace")
 
 
@@ -114,18 +124,9 @@ class AnalysisConfig:
     psd_segment_samples: int = 256
 
     def __post_init__(self) -> None:
-        if self.boxcar_width_s <= 0:
-            raise DomainError("boxcar width must be positive")
-        if not 0 <= self.band_low_hz < self.band_high_hz:
+        _check_bounds(self, "analysis")
+        if self.band_low_hz >= self.band_high_hz:
             raise DomainError("need 0 <= band_low < band_high")
-        if self.window_samples < 1:
-            raise DomainError("window must be at least one sample")
-        if self.exclude_before_s < 0:
-            raise DomainError("exclusion must be >= 0")
-        if min(self.cooled_window_s, self.ambient_settle_s, self.fit_window_s) <= 0:
-            raise DomainError("analysis windows must be positive")
-        if self.psd_segment_samples < 8:
-            raise DomainError("spectral segment must be at least 8 samples")
 
 
 @dataclass(frozen=True)
@@ -145,8 +146,14 @@ class RunConfig:
         for role in self.port_roles:
             if role not in (PORT_ROLE_COOLING, PORT_ROLE_MONITORING):
                 raise DomainError(f"unknown port role {role!r}")
-        if self.n_shots < 1:
-            raise DomainError("need at least one shot")
+        # A name is a key prefix of the key=value dump: `port.<name>.<key>`.
+        names = [port.name for port in self.baths.ports]
+        for name in names:
+            if not name or "=" in name or names.count(name) > 1:
+                raise DomainError(
+                    f"[port.{name}] port name must be non-empty, unique and without '='"
+                )
+        _check_bounds(self, "")
         if self.protocol.trace_length_s < 10 * self.synth.sample_interval_s:
             raise DomainError("trace must cover at least 10 samples")
 
@@ -158,9 +165,10 @@ class RunConfig:
         )
 
 
-# (section, key, type, RunConfig attribute path), in dump order: one path
-# per key, so no value is kept in two places.  `.real` and `.imag` leaves
-# pair up into a complex.
+# (section, key, type, RunConfig attribute path, *bounds), in dump order:
+# one path per key, so no value is kept in two places.  `.real` and `.imag`
+# leaves pair up into a complex.  Each bound, such as "> 0", is checked by
+# `_check_bounds` when the class holding the value is built.
 _SCHEMA = (
     ("mode", "frequency_hz", float, "mode.frequency_hz"),
     ("mode", "intrinsic_q", float, "mode.intrinsic_q"),
@@ -178,25 +186,24 @@ _SCHEMA = (
     ("receiver", "cavity_reflection_ref_real", float, "receiver.cavity_reflection_reference.real"),
     ("receiver", "cavity_reflection_ref_imag", float, "receiver.cavity_reflection_reference.imag"),
     ("receiver", "image_noise_k", float, "receiver.image_noise_k"),
-    ("protocol", "cool_duration_s", float, "protocol.cool_duration_s"),
-    ("protocol", "interrogate_delay_s", float, "protocol.interrogate_delay_s"),
-    ("protocol", "trace_length_s", float, "protocol.trace_length_s"),
-    ("synth", "sample_interval_s", float, "synth.sample_interval_s"),
-    ("synth", "rng_seed", int, "synth.rng_seed"),
-    ("synth", "one_over_f_corner_hz", float, "synth.one_over_f_corner_hz"),
-    ("synth", "artifact_duration_s", float, "synth.artifact_duration_s"),
-    ("synth", "artifact_amplitude_v", float, "synth.artifact_amplitude_v"),
-    ("synth", "voltage_scale", float, "synth.voltage_scale"),
-    ("synth", "n_shots", int, "n_shots"),
-    ("analysis", "boxcar_width_s", float, "analysis.boxcar_width_s"),
-    ("analysis", "band_low_hz", float, "analysis.band_low_hz"),
-    ("analysis", "band_high_hz", float, "analysis.band_high_hz"),
-    ("analysis", "window_samples", int, "analysis.window_samples"),
-    ("analysis", "exclude_before_s", float, "analysis.exclude_before_s"),
-    ("analysis", "cooled_window_s", float, "analysis.cooled_window_s"),
-    ("analysis", "ambient_settle_s", float, "analysis.ambient_settle_s"),
-    ("analysis", "fit_window_s", float, "analysis.fit_window_s"),
-    ("analysis", "psd_segment_samples", int, "analysis.psd_segment_samples"),
+    ("protocol", "cool_duration_s", float, "protocol.cool_duration_s", ">= 0"),
+    ("protocol", "trace_length_s", float, "protocol.trace_length_s", "> 0"),
+    ("synth", "sample_interval_s", float, "synth.sample_interval_s", "> 0"),
+    ("synth", "rng_seed", int, "synth.rng_seed", ">= 0", f"<= {_MASK64}"),
+    ("synth", "one_over_f_corner_hz", float, "synth.one_over_f_corner_hz", ">= 0"),
+    ("synth", "artifact_duration_s", float, "synth.artifact_duration_s", "> 0"),
+    ("synth", "artifact_amplitude_v", float, "synth.artifact_amplitude_v", ">= 0"),
+    ("synth", "voltage_scale", float, "synth.voltage_scale", ">= 0"),
+    ("synth", "n_shots", int, "n_shots", ">= 1"),
+    ("analysis", "boxcar_width_s", float, "analysis.boxcar_width_s", "> 0"),
+    ("analysis", "band_low_hz", float, "analysis.band_low_hz", ">= 0"),
+    ("analysis", "band_high_hz", float, "analysis.band_high_hz", "> 0"),
+    ("analysis", "window_samples", int, "analysis.window_samples", ">= 1"),
+    ("analysis", "exclude_before_s", float, "analysis.exclude_before_s", ">= 0"),
+    ("analysis", "cooled_window_s", float, "analysis.cooled_window_s", "> 0"),
+    ("analysis", "ambient_settle_s", float, "analysis.ambient_settle_s", "> 0"),
+    ("analysis", "fit_window_s", float, "analysis.fit_window_s", "> 0"),
+    ("analysis", "psd_segment_samples", int, "analysis.psd_segment_samples", ">= 8"),
 )
 
 # Keys of every [port.<name>] section: (key, type, value if omitted), where
@@ -267,8 +274,6 @@ def _build(raw: Mapping[str, Mapping[str, str]]) -> RunConfig:
     configuration; every key without a value-if-omitted must be present.
     Raises ConfigError."""
     for section, entries in raw.items():
-        if section == "port.":
-            raise ConfigError("port section needs a name: [port.<name>]")
         keys = _KEYS.get("port." if section.startswith("port.") else section)
         if keys is None:
             raise ConfigError(f"unknown section [{section}]")
@@ -276,7 +281,7 @@ def _build(raw: Mapping[str, Mapping[str, str]]) -> RunConfig:
         if unknown:
             raise ConfigError(f"unknown key '{unknown[0]}' in section [{section}]")
     tree: dict = {}
-    for section, key, kind, path in _SCHEMA:
+    for section, key, kind, path, *_ in _SCHEMA:
         *parents, leaf = path.split(".")
         node = reduce(lambda node, name: node.setdefault(name, {}), parents, tree)
         node[leaf] = _value(raw, section, key, kind)
@@ -331,7 +336,7 @@ def load_run_config(path: str) -> RunConfig:
     Sections may be omitted (their defaults survive), but any [port.*]
     section replaces the whole default port list.  Unknown sections,
     unknown keys, and malformed or out-of-range values raise
-    ConfigError naming the file.
+    ConfigError naming the file, and the section and key of the value.
     """
     user = _read_ini(path)
     own_ports = any(section.startswith("port.") for section in user)
@@ -363,8 +368,6 @@ def config_from_items(items: Mapping[str, str]) -> RunConfig:
 
 def with_seed(cfg: RunConfig, seed: int) -> RunConfig:
     """Copy of the configuration with a different master seed."""
-    if seed < 0:
-        raise ConfigError("seed must be >= 0")
     try:
         return replace(cfg, synth=replace(cfg.synth, rng_seed=seed))
     except DomainError as exc:
@@ -374,12 +377,12 @@ def with_seed(cfg: RunConfig, seed: int) -> RunConfig:
 def config_items(cfg: RunConfig) -> list[tuple[str, str]]:
     """Canonical flat key=value view: porcelain output, sidecars, digests."""
     items = []
-    for section, key, kind, path in _SCHEMA:
+    for section, key, kind, path, *_ in _SCHEMA:
         value = reduce(getattr, path.split("."), cfg)
         items.append((f"{section}.{key}", _format(kind, value)))
     ports = [
         (
-            f"port.{port.name or 'unnamed'}.{key}",
+            f"port.{port.name}.{key}",
             _format(kind, role if key == _PORT_ROLE else getattr(port, key)),
         )
         for port, role in zip(cfg.baths.ports, cfg.port_roles)

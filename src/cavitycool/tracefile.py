@@ -49,7 +49,7 @@ _GRID_TOLERANCE = 1e-6
 
 _TRACE_HEADER_LINE = ",".join(TRACE_HEADER) + "\n"
 
-_RUN_FORMAT = "cavitycool-run/1"
+_RUN_FORMAT = "cavitycool-run/2"
 TRAJECTORY_FILE = "trajectory.csv"
 
 # Sidecar lines that copy a configuration key for readers, in file
@@ -312,6 +312,11 @@ def read_run(meta_path: str) -> tuple[RunConfig, NoiseTrace]:
     """The configuration and traces of the run whose sidecar is
     `meta_path`; DataFormatError, naming the sidecar, on any fault."""
     meta = read_key_values(meta_path)
+    if meta.get("format") != _RUN_FORMAT:
+        raise DataFormatError(
+            f"{meta_path}: format={meta.get('format', '(none)')}, "
+            f"expected {_RUN_FORMAT}"
+        )
     if "trace_files" not in meta:
         raise DataFormatError(f"{meta_path}: missing 'trace_files' entry")
     names = meta["trace_files"].split(",")
@@ -330,11 +335,6 @@ def read_run(meta_path: str) -> tuple[RunConfig, NoiseTrace]:
         copied, text = meta.get(copy, "(none)"), meta.get(key, "(none)")
         if copied != text:
             raise DataFormatError(f"{meta_path}: {copy}={copied} differs from {key}={text}")
-    if meta.get("format") != _RUN_FORMAT:
-        raise DataFormatError(
-            f"{meta_path}: format={meta.get('format', '(none)')}, "
-            f"expected {_RUN_FORMAT}"
-        )
     try:
         cfg = config_from_items(meta)
     except ConfigError as exc:

@@ -1,10 +1,12 @@
 """Configuration loading, on-disk formats, pipeline wiring, and the CLI."""
 
+import argparse
 import csv
 import math
 import subprocess
 import sys
 from dataclasses import replace
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +15,8 @@ import pytest
 import cavitycool
 from cavitycool import analysis, cli, tracefile
 from cavitycool.config import (
+    _PORT_SCHEMA,
+    _SCHEMA,
     AnalysisConfig,
     ProtocolConfig,
     RunConfig,
@@ -72,8 +76,7 @@ def test_protocol_config_validation():
     with pytest.raises(DomainError):
         ProtocolConfig(trace_length_s=0.0)
     with pytest.raises(DomainError):
-        ProtocolConfig(cool_duration_s=100e-6, interrogate_delay_s=100e-6,
-                       trace_length_s=160e-6)
+        ProtocolConfig(cool_duration_s=200e-6, trace_length_s=160e-6)
 
 
 def test_analysis_config_validation():
@@ -102,7 +105,7 @@ def test_run_config_validation():
     with pytest.raises(DomainError):
         replace(base, n_shots=0)
     with pytest.raises(DomainError, match="10 samples"):
-        replace(base, protocol=ProtocolConfig(0.0, 0.0, 9 * base.synth.sample_interval_s))
+        replace(base, protocol=ProtocolConfig(0.0, 9 * base.synth.sample_interval_s))
 
 
 def test_persistent_indices_empty_when_all_ports_cool():
@@ -269,6 +272,92 @@ def test_with_seed():
         with_seed(cfg, -1)
     with pytest.raises(ConfigError):
         with_seed(cfg, 2 ** 64)
+
+
+def _out_of_range(bound):
+    op, limit = bound.split()
+    return int(limit) + {">": 0, ">=": -1, "<=": 1}[op]
+
+
+@pytest.mark.parametrize("section, key, kind, path, bound", [
+    pytest.param(section, key, kind, path, bound, id=f"{section}.{key}{bound.replace(' ', '')}")
+    for section, key, kind, path, *bounds in _SCHEMA
+    for bound in bounds
+])
+def test_schema_bound_names_the_key_at_load_and_construction(
+    tmp_path, capsys, section, key, kind, path, bound
+):
+    value = kind(_out_of_range(bound))
+    message = f"[{section}] {key} must be {bound}, got {value!r}"
+    ini = _ini(tmp_path, f"[{section}]\n{key} = {value!r}\n")
+    assert cli.main(["steady", "--config", ini, "--porcelain"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: {ini}: {message}\n"
+    *parents, leaf = path.split(".")
+    holder = reduce(getattr, parents, default_run_config())
+    with pytest.raises(DomainError) as exc:
+        replace(holder, **{leaf: value})
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("name", ["a=b", ""], ids=["equals-sign", "empty"])
+def test_cli_refuses_a_port_name_the_dump_cannot_carry(tmp_path, capsys, name):
+    # `port.a=b.coupling=3.8` does not read back as one key=value line
+    ini = _ini(tmp_path, (
+        f"[port.{name}]\ncoupling = 3.8\nload_temperature_k = 18.4\nrole = cooling\n"
+        "[synth]\nn_shots = 2\n"
+    ))
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", ini, "--out", str(out), "--porcelain"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"config error: {ini}: [port.{name}] port name must be non-empty, "
+        "unique and without '='\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("names, bad", [
+    (("cooling", "cooling"), "cooling"),
+    (("", ""), ""),
+    (("cooling", ""), ""),
+], ids=["repeated", "both-empty", "one-empty"])
+def test_run_config_refuses_port_names_that_dump_to_one_key(names, bad):
+    # two ports named alike would dump to one set of port.<name>.* keys
+    base = default_run_config()
+    ports = tuple(replace(port, name=name) for port, name in zip(base.baths.ports, names))
+    with pytest.raises(DomainError) as exc:
+        replace(base, baths=replace(base.baths, ports=ports))
+    assert str(exc.value) == (
+        f"[port.{bad}] port name must be non-empty, unique and without '='"
+    )
+
+
+def test_cli_surface_pinned():
+    # A new option or configuration key changes this pin, and says why.
+    subcommands = next(
+        action for action in cli.build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ).choices
+    options = {
+        name: sorted(o for a in parser._actions for o in a.option_strings or [a.dest])
+        for name, parser in subcommands.items()
+    }
+    common = ["--config", "--help", "--out", "--porcelain", "--seed", "-h"]
+    assert options == {
+        "steady": common,
+        "sweep": sorted(common + [
+            "--coupling-min", "--coupling-max", "--coupling-points",
+            "--cold-min", "--cold-max", "--cold-points", "--port",
+        ]),
+        "simulate": common,
+        "analyze": sorted(common + [
+            "inputs", "--emit-series", "--emit-psd", "--emit-deltap-curve",
+        ]),
+    }
+    assert (len(_SCHEMA), len(_PORT_SCHEMA)) == (34, 6)
 
 
 def test_config_items_canonical():
@@ -698,7 +787,6 @@ def test_cli_non_utf8_config_exits_2(tmp_path, capsys):
     (["sweep"], "--cold-max", "inf"),
     (["sweep"], "--coupling-max", "-inf"),
     (["sweep"], "--cold-min", "x"),
-    (["analyze", "run.meta"], "--disconnect-time", "inf"),
 ])
 def test_cli_refuses_non_finite_float_options(tmp_path, capsys, command, option, text):
     out = tmp_path / "out"
@@ -753,7 +841,7 @@ def test_cli_simulate_analyze_round_trip(tmp_path, capsys):
 
     cfg = load_run_config(ini)
     meta = tracefile.read_key_values(str(out / "run.meta"))
-    assert meta["format"] == "cavitycool-run/1"
+    assert meta["format"] == "cavitycool-run/2"
     assert meta["config_digest"] == config_digest(cfg) == d["config_digest"]
     assert meta["n_shots"] == "40"
     assert float(meta["disconnect_time_s"]) == cfg.protocol.cool_duration_s
@@ -803,15 +891,18 @@ def test_cli_analyze_accepts_raw_trace_list(tmp_path, capsys):
 
     rc_default = cli.main(["analyze", *paths, "--config", ini, "--porcelain"])
     default_out = _porcelain(capsys.readouterr().out)
-    rc_explicit = cli.main([
-        "analyze", *paths, "--config", ini, "--porcelain",
-        "--disconnect-time", "4e-05",
-    ])
-    explicit_out = _porcelain(capsys.readouterr().out)
-    # without a sidecar the disconnect defaults to the configured cooling
-    # duration, so an explicit override at that value changes nothing
-    assert rc_default == rc_explicit
-    assert default_out["deltap_direct_db"] == explicit_out["deltap_direct_db"]
+    # without a sidecar the disconnect is protocol.cool_duration_s of
+    # --config: spelling out the run's value changes nothing, another moves
+    # the comparison windows
+    outs = []
+    for cool in ("4e-05", "5e-05"):
+        timed = _ini(tmp_path, (
+            f"[synth]\nn_shots = 2\n[protocol]\ncool_duration_s = {cool}\n"
+        ), f"cool_{cool}.ini")
+        assert cli.main(["analyze", *paths, "--config", timed, "--porcelain"]) == rc_default
+        outs.append(_porcelain(capsys.readouterr().out))
+    assert outs[0] == default_out
+    assert outs[1]["deltap_direct_db"] != default_out["deltap_direct_db"]
     assert default_out["n_shots"] == "2"
 
 
@@ -825,11 +916,11 @@ def test_cli_analyze_data_error_exit_codes(tmp_path, capsys):
     assert "i/o error" in capsys.readouterr().err
 
     meta = tmp_path / "run.meta"
-    meta.write_text("format=cavitycool-run/1\n")
+    meta.write_text("format=cavitycool-run/2\n")
     assert cli.main(["analyze", str(meta)]) == 4
     assert "trace_files" in capsys.readouterr().err
 
-    meta.write_text("trace_files=missing.csv\ndisconnect_time_s=soon\n")
+    meta.write_text("format=cavitycool-run/2\ntrace_files=missing.csv\ndisconnect_time_s=soon\n")
     assert cli.main(["analyze", str(meta)]) == 4
     assert "disconnect_time_s" in capsys.readouterr().err
 
@@ -967,14 +1058,37 @@ def test_cli_analyze_rejects_sidecar_copy_off_the_config(tmp_path, capsys, copy,
 def test_cli_analyze_rejects_a_sidecar_of_another_format(tmp_path, capsys, line):
     meta = _four_shot_meta(tmp_path, capsys)
     text = meta.read_text()
-    assert text.startswith("format=cavitycool-run/1\n")
-    meta.write_text(line + text.split("\n", 1)[1])
+    assert text.startswith("format=cavitycool-run/2\n")
+    # the format line is checked first, whatever else the file lacks: here
+    # its trace list and a copy line
+    rest = [
+        row for row in text.splitlines(keepends=True)[1:]
+        if not row.startswith(("trace_files=", "master_seed="))
+    ]
+    meta.write_text(line + "".join(rest))
     assert cli.main(["analyze", str(meta), "--porcelain"]) == 4
     captured = capsys.readouterr()
     found = line.strip().partition("=")[2] or "(none)"
     assert captured.out == ""
     assert captured.err == (
-        f"data format error: {meta}: format={found}, expected cavitycool-run/1\n"
+        f"data format error: {meta}: format={found}, expected cavitycool-run/2\n"
+    )
+
+
+def test_cli_analyze_rejects_a_sidecar_of_the_previous_format(tmp_path, capsys):
+    # cavitycool-run/1 also recorded [protocol] interrogate_delay_s
+    meta = _four_shot_meta(tmp_path, capsys)
+    text = meta.read_text()
+    line = "\nprotocol.cool_duration_s=4e-05\n"
+    assert text.startswith("format=cavitycool-run/2\n") and line in text
+    meta.write_text(text.replace("/2\n", "/1\n", 1).replace(
+        line, line + "protocol.interrogate_delay_s=0.0\n"
+    ))
+    assert cli.main(["analyze", str(meta), "--porcelain"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"data format error: {meta}: format=cavitycool-run/1, expected cavitycool-run/2\n"
     )
 
 
@@ -1103,36 +1217,18 @@ def test_cli_analyze_disconnect_outside_the_comparison_windows_exits_2(
 ):
     # a disconnect that leaves no cooled or no settled ambient section is a
     # configuration fault, not a fit that failed to converge; only a bare
-    # trace list takes a disconnect other than the run's
+    # trace list takes a disconnect other than the run's, from --config
     meta = _four_shot_meta(tmp_path, capsys)
     traces = [str(meta.parent / f"trace_{i:03d}.csv") for i in range(4)]
-    rc = cli.main(["analyze", *traces, "--config", str(tmp_path / "run.ini"),
-                   "--disconnect-time", disconnect])
+    timed = _ini(tmp_path, (
+        "[synth]\nn_shots = 4\n[protocol]\ntrace_length_s = 1e-3\n"
+        f"cool_duration_s = {disconnect}\n"
+    ), "timed.ini")
+    rc = cli.main(["analyze", *traces, "--config", timed])
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("config error: ")
     assert f"disconnect at {float(disconnect)!r} s" in err and key in err
-
-
-def test_cli_analyze_refuses_a_disconnect_the_sidecar_contradicts(tmp_path, capsys):
-    meta = _four_shot_meta(tmp_path, capsys)
-    rc = cli.main(["analyze", str(meta), "--porcelain", "--disconnect-time", "9.99e-5"])
-    captured = capsys.readouterr()
-    assert rc == 2 and captured.out == ""
-    assert captured.err == (
-        f"config error: {meta} records the disconnect at "
-        "protocol.cool_duration_s=4e-05, but --disconnect-time gives 9.99e-05; "
-        "a run's disconnect is part of the run\n"
-    )
-
-
-@pytest.mark.parametrize("value", ["4e-05", "0.00004", "40e-6"])
-def test_cli_analyze_accepts_the_recorded_disconnect_with_a_sidecar(tmp_path, capsys, value):
-    meta = _four_shot_meta(tmp_path, capsys)
-    rc = cli.main(["analyze", str(meta), "--porcelain"])
-    plain = capsys.readouterr()
-    assert cli.main(["analyze", str(meta), "--porcelain", "--disconnect-time", value]) == rc
-    assert capsys.readouterr() == plain
 
 
 def _one_port_run(tmp_path, capsys, n_shots=20):
