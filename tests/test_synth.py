@@ -2,6 +2,7 @@
 component, switch transients, and injected waveforms.
 """
 
+import hashlib
 import math
 from dataclasses import replace
 
@@ -376,6 +377,26 @@ def test_flicker_corner_frequency():
     frac = smooth[i] / (smooth[i] - smooth[i + 1])
     f_cross = f_sel[i] + frac * (f_sel[i + 1] - f_sel[i])
     assert 0.8 * corner < f_cross < 1.2 * corner
+
+
+# Bytes of a small 1/f-on ensemble with switch transients: the flicker
+# bank's draw order and filter are part of the reproducibility contract.
+_FLICKER_ENSEMBLE_SHA256 = "934ba000c7fc5e55aaaa6d086989b934c2379d3d01a5056dd1936fdeba4d6f58"
+
+
+def test_flicker_ensemble_bytes_pinned():
+    cfg = SynthConfig(
+        sample_interval_s=1e-7,
+        rng_seed=20260817,
+        one_over_f_corner_hz=1e6,
+        artifact_amplitude_v=0.02,
+        switch_times_s=(0.0, 40e-6),
+        voltage_scale=1e-3,
+    )
+    traj = _step_trajectory(cfg, 1001, 108.0, 256.0)
+    shots = synthesize_shot_ensemble(traj, _chain(), cfg, 5)
+    digest = hashlib.sha256(shots.voltages_v.tobytes()).hexdigest()
+    assert digest == _FLICKER_ENSEMBLE_SHA256
 
 
 def test_flicker_raises_low_frequency_power():
