@@ -91,13 +91,13 @@ def cmd_steady(args, cfg: RunConfig) -> int:
     ]
     total = 1.0 + cfg.baths.total_coupling()
     items.append(("weight_intrinsic", _fmt(1.0 / total)))
-    for port, role in zip(cfg.baths.ports, cfg.port_roles):
+    for port in cfg.baths.ports:
         delivered = port.delivered_temperature_k()
         weight = port.coupling / total
         items.append((f"port.{port.name}.delivered_k", _fmt(delivered)))
         items.append((f"port.{port.name}.weight", _fmt(weight)))
         human.append(
-            f"  {port.name:12s} ({role:10s}) coupling {port.coupling:7.3f}"
+            f"  {port.name:12s} ({port.role:10s}) coupling {port.coupling:7.3f}"
             f"  delivers {delivered:9.3f} K  weight {weight:6.3f}"
         )
     _emit(args, items, human)
@@ -117,21 +117,12 @@ def cmd_sweep(args, cfg: RunConfig) -> int:
     if args.coupling_points < 1 or args.cold_points < 1:
         raise ConfigError("point counts must be >= 1")
 
-    port_index = None
-    if args.port is not None:
-        for i, port in enumerate(cfg.baths.ports):
-            if port.name == args.port:
-                port_index = i
-                break
-        if port_index is None:
-            raise ConfigError(f"no port named '{args.port}' in the configuration")
-    else:
-        for i, role in enumerate(cfg.port_roles):
-            if role == PORT_ROLE_COOLING:
-                port_index = i
-                break
-        if port_index is None:
-            port_index = 0
+    # The named port, or else the first cooling port, or else the first port.
+    field, wanted = ("role", PORT_ROLE_COOLING) if args.port is None else ("name", args.port)
+    found = [i for i, port in enumerate(cfg.baths.ports) if getattr(port, field) == wanted]
+    if not found and args.port is not None:
+        raise ConfigError(f"no port named '{args.port}' in the configuration")
+    port_index = (found or [0])[0]
 
     couplings = np.geomspace(args.coupling_min, args.coupling_max, args.coupling_points)
     colds = np.linspace(args.cold_min, args.cold_max, args.cold_points)
@@ -162,6 +153,8 @@ def cmd_simulate(args, cfg: RunConfig) -> int:
     from . import tracefile
     from .pipeline import simulate_run
 
+    if args.seed is not None:
+        cfg = with_seed(cfg, args.seed)
     result = simulate_run(cfg)
     meta_path = tracefile.write_run(args.out, cfg, result)
     trajectory_file = tracefile.TRAJECTORY_FILE
@@ -185,8 +178,8 @@ def cmd_simulate(args, cfg: RunConfig) -> int:
 def _load_analysis_inputs(args, cfg: RunConfig):
     """Resolve analyze inputs: either one .meta sidecar or trace CSVs.
 
-    A sidecar supplies the run and its configuration: `--config` and
-    `--seed` may change only its [analysis] keys.
+    A sidecar supplies the run and its configuration: `--config` may
+    change only its [analysis] keys.
     """
     from . import tracefile
 
@@ -196,13 +189,13 @@ def _load_analysis_inputs(args, cfg: RunConfig):
     meta_path = paths[0]
     recorded, traces = tracefile.read_run(meta_path)
     if args.config is None:
-        cfg = recorded if args.seed is None else with_seed(recorded, args.seed)
+        return traces, recorded
     run, given = dict(config_items(recorded)), dict(config_items(cfg))
     for key in dict.fromkeys([*run, *given]):
         if not key.startswith("analysis.") and run.get(key) != given.get(key):
             raise ConfigError(
                 f"{meta_path} records {key}={run.get(key, '(none)')}, but "
-                f"--config/--seed give {given.get(key, '(none)')}; only "
+                f"--config gives {given.get(key, '(none)')}; only "
                 "[analysis] keys may differ from the run"
             )
     return traces, replace(recorded, analysis=cfg.analysis)
@@ -335,14 +328,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="run configuration file (defaults to the built-in bench calibration)",
     )
     common.add_argument(
-        "--seed", type=int, metavar="N", help="override the master RNG seed"
-    )
-    common.add_argument(
         "--porcelain",
         action="store_true",
         help="stable machine-readable key=value output",
     )
-    common.add_argument(
+    writes = argparse.ArgumentParser(add_help=False)
+    writes.add_argument(
         "--out", metavar="DIR", default=".", help="directory for generated files"
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -356,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "sweep",
-        parents=[common],
+        parents=[common, writes],
         help="mode temperature over a (coupling, cold load) grid",
     )
     p.add_argument("--coupling-min", type=_finite_float, default=0.1)
@@ -370,14 +361,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "simulate",
-        parents=[common],
+        parents=[common, writes],
         help="run the switching protocol and write trace CSVs",
     )
+    p.add_argument("--seed", type=int, metavar="N", help="override the master RNG seed")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser(
         "analyze",
-        parents=[common],
+        parents=[common, writes],
         help="recover cooling depth and warm-up time from traces",
     )
     p.add_argument(
@@ -400,8 +392,6 @@ def main(argv: "list[str] | None" = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_run_config(args.config) if args.config else default_run_config()
-        if args.seed is not None:
-            cfg = with_seed(cfg, args.seed)
         return args.func(args, cfg)
     except (ConfigError, DomainError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -62,10 +62,10 @@ class SynthConfig:
     voltage_scale is the detector calibration in volts per sqrt(kelvin)
     of receiver output noise; the per-sample standard deviation is
     voltage_scale * sqrt(system output noise in K).  A corner frequency
-    of 0 disables the 1/f component.  switch_times_s lists the instants
-    that receive the deterministic switch transient.  injected_signal,
-    when given, is an array-like waveform in volts, one value per sample
-    from t = 0, added to every shot.
+    of 0 disables the 1/f component.  The artifact fields shape the
+    deterministic transient added at each switch instant; the instants
+    themselves are not configuration but come from the schedule
+    (`synth.synthesize_shot_ensemble` takes them as an argument).
 
     The field defaults are a standalone synthesis setup for scripts and
     tests: 100 ns sampling, a 1 MHz 1/f corner, no switch transient and
@@ -79,8 +79,6 @@ class SynthConfig:
     artifact_duration_s: float = 2e-6
     artifact_amplitude_v: float = 0.0
     voltage_scale: float = 1.0
-    switch_times_s: tuple[float, ...] = ()
-    injected_signal: object = None
 
     def __post_init__(self) -> None:
         _check_bounds(self, "synth")
@@ -90,9 +88,6 @@ class SynthConfig:
                 f"corner frequency {self.one_over_f_corner_hz} Hz must sit "
                 f"below Nyquist ({nyquist} Hz)"
             )
-        object.__setattr__(self, "switch_times_s", tuple(self.switch_times_s))
-        if any(t < 0 for t in self.switch_times_s):
-            raise DomainError("switch times must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -133,7 +128,6 @@ class AnalysisConfig:
 class RunConfig:
     mode: CavityMode
     baths: BathSet
-    port_roles: tuple[str, ...]
     receiver: ReceiverChain
     protocol: ProtocolConfig
     synth: SynthConfig
@@ -141,17 +135,17 @@ class RunConfig:
     analysis: AnalysisConfig
 
     def __post_init__(self) -> None:
-        if len(self.port_roles) != len(self.baths.ports):
-            raise DomainError("one role per bath port required")
-        for role in self.port_roles:
-            if role not in (PORT_ROLE_COOLING, PORT_ROLE_MONITORING):
-                raise DomainError(f"unknown port role {role!r}")
-        # A name is a key prefix of the key=value dump: `port.<name>.<key>`.
+        for port in self.baths.ports:
+            if port.role not in (PORT_ROLE_COOLING, PORT_ROLE_MONITORING):
+                raise DomainError(f"unknown port role {port.role!r}")
+        # A name is a key prefix of the key=value dump, `port.<name>.<key>`,
+        # and must keep that key on one line.
         names = [port.name for port in self.baths.ports]
         for name in names:
-            if not name or "=" in name or names.count(name) > 1:
+            if not name or not name.isprintable() or "=" in name or names.count(name) > 1:
                 raise DomainError(
-                    f"[port.{name}] port name must be non-empty, unique and without '='"
+                    f"[port.{name}] port name must be non-empty, unique, printable "
+                    "and without '='"
                 )
         _check_bounds(self, "")
         if self.protocol.trace_length_s < 10 * self.synth.sample_interval_s:
@@ -160,8 +154,8 @@ class RunConfig:
     def persistent_port_indices(self) -> tuple[int, ...]:
         """Ports that stay connected after the cold path disconnects."""
         return tuple(
-            i for i, role in enumerate(self.port_roles)
-            if role == PORT_ROLE_MONITORING
+            i for i, port in enumerate(self.baths.ports)
+            if port.role == PORT_ROLE_MONITORING
         )
 
 
@@ -206,16 +200,15 @@ _SCHEMA = (
     ("analysis", "psd_segment_samples", int, "analysis.psd_segment_samples", ">= 8"),
 )
 
-# Keys of every [port.<name>] section: (key, type, value if omitted), where
-# None marks a required key.  All but the role are BathPort fields.
-_PORT_ROLE = "role"
+# Keys of every [port.<name>] section, each a BathPort field, in dump order:
+# (key, type, value if omitted), where None marks a required key.
 _PORT_SCHEMA = (
     ("coupling", float, None),
     ("load_temperature_k", float, None),
     ("link_loss_db", float, 0.0),
     ("link_temperature_k", float, 0.0),
     ("loss_model", LossModel, LossModel.EXACT),
-    (_PORT_ROLE, str, None),
+    ("role", str, None),
 )
 
 _KEYS: dict[str, set[str]] = {"port.": {row[0] for row in _PORT_SCHEMA}}
@@ -290,7 +283,6 @@ def _build(raw: Mapping[str, Mapping[str, str]]) -> RunConfig:
         | {"name": section[len("port."):]}
         for section in raw if section.startswith("port.")
     ]
-    tree["port_roles"] = tuple(port.pop(_PORT_ROLE) for port in ports)
     try:
         tree["baths"]["ports"] = tuple(BathPort(**port) for port in ports)
         return _make(tree)
@@ -381,11 +373,8 @@ def config_items(cfg: RunConfig) -> list[tuple[str, str]]:
         value = reduce(getattr, path.split("."), cfg)
         items.append((f"{section}.{key}", _format(kind, value)))
     ports = [
-        (
-            f"port.{port.name}.{key}",
-            _format(kind, role if key == _PORT_ROLE else getattr(port, key)),
-        )
-        for port, role in zip(cfg.baths.ports, cfg.port_roles)
+        (f"port.{port.name}.{key}", _format(kind, getattr(port, key)))
+        for port in cfg.baths.ports
         for key, kind, _ in _PORT_SCHEMA
     ]
     return items[:_PORTS_AT] + ports + items[_PORTS_AT:]

@@ -8,7 +8,7 @@ mode temperature.  The CLI subcommands are thin wrappers over these.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,8 +35,9 @@ def simulate_run(cfg: RunConfig) -> SimulationResult:
     """Run the canonical protocol described by a full configuration.
 
     All ports cool from t = 0; at the end of the cooling window the
-    non-persistent ports disconnect (one switch transient at each of the
-    two actuations) and the trace continues to its configured length.
+    non-persistent ports disconnect and the trace continues to its
+    configured length.  Each schedule event gets one switch transient:
+    two, or one when the cooling time is 0.
     """
     proto = cfg.protocol
     cool_ports = tuple(range(len(cfg.baths.ports)))
@@ -54,9 +55,12 @@ def simulate_run(cfg: RunConfig) -> SimulationResult:
         proto.trace_length_s,
         cfg.synth.sample_interval_s,
     )
-    synth_cfg = replace(cfg.synth, switch_times_s=(0.0, proto.cool_duration_s))
     traces = synth.synthesize_shot_ensemble(
-        trajectory, cfg.receiver, synth_cfg, cfg.n_shots
+        trajectory,
+        cfg.receiver,
+        cfg.synth,
+        cfg.n_shots,
+        [event.time_s for event in schedule.events],
     )
     return SimulationResult(trajectory, traces, schedule, proto.cool_duration_s)
 

@@ -4,11 +4,12 @@ Generates the baseband noise a square-law-free homodyne receiver would
 deliver while the mode temperature follows a given trajectory: white
 Gaussian noise whose per-sample variance tracks the receiver output
 noise for the instantaneous mode temperature, an optional 1/f component
-pinned to a corner frequency, a deterministic switch transient at each
-switching instant, and an optional injected waveform.
+pinned to a corner frequency, and a deterministic switch transient at
+each switching instant.
 
 Reproducibility contract: an ensemble is a pure function of the
-configuration (seed included), the shot count and the trajectory.
+configuration (seed included), the shot count, the trajectory and the
+switch instants.
 Per-shot seeds are derived from the master seed with SplitMix64 (output
 element i of the sequence seeded by the master), and row i of the
 ensemble comes from a Philox counter-based generator keyed with shot
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -173,16 +175,23 @@ def _flicker_component(
 
 
 def _synthesize(
-    trajectory: PhotonTrajectory, chain: ReceiverChain, cfg: SynthConfig, seeds: list[int]
+    trajectory: PhotonTrajectory,
+    chain: ReceiverChain,
+    cfg: SynthConfig,
+    seeds: list[int],
+    switch_times_s: Iterable[float],
 ) -> NoiseTrace:
     """Row i from the Philox stream keyed by seeds[i], drawn in a fixed
     order (part of the reproducibility contract): white samples first,
     then, if enabled, one stationary start plus n drive samples per
-    flicker source from lowest octave index up.  The deterministic
-    components (switch transients, injected signal) follow, identical
-    in every row.  The rows share the trajectory's grid, which must sit
-    on k * cfg.sample_interval_s.
+    flicker source from lowest octave index up.  One switch transient
+    per entry of switch_times_s follows, identical in every row.  The
+    rows share the trajectory's grid, which must sit on
+    k * cfg.sample_interval_s.
     """
+    switch_times_s = tuple(switch_times_s)
+    if any(t < 0 for t in switch_times_s):
+        raise DomainError("switch times must be >= 0")
     n = len(trajectory)
     times = np.arange(n) * cfg.sample_interval_s
     if not np.allclose(trajectory.times_s, times, rtol=0.0, atol=cfg.sample_interval_s * 1e-6):
@@ -205,26 +214,25 @@ def _synthesize(
 
     if cfg.artifact_amplitude_v > 0:
         wave = switch_artifact_waveform(cfg)
-        for t_switch in cfg.switch_times_s:
+        for t_switch in switch_times_s:
             start = int(np.searchsorted(times, t_switch - 1e-15, side="left"))
             stop = min(start + len(wave), n)
             if start < n:
                 volts[:, start:stop] += wave[: stop - start]
 
-    if cfg.injected_signal is not None:
-        injected = np.asarray(cfg.injected_signal, dtype=float).ravel()
-        m = min(len(injected), n)
-        volts[:, :m] += injected[:m]
-
     return NoiseTrace(times, volts)
 
 
 def synthesize_trace(
-    trajectory: PhotonTrajectory, chain: ReceiverChain, cfg: SynthConfig
+    trajectory: PhotonTrajectory,
+    chain: ReceiverChain,
+    cfg: SynthConfig,
+    switch_times_s: Iterable[float] = (),
 ) -> NoiseTrace:
     """One receiver output record (a one-row ensemble) for a
-    mode-temperature trajectory, from the stream keyed by cfg.rng_seed."""
-    return _synthesize(trajectory, chain, cfg, [cfg.rng_seed])
+    mode-temperature trajectory, from the stream keyed by cfg.rng_seed,
+    with a switch transient at each of switch_times_s (each >= 0)."""
+    return _synthesize(trajectory, chain, cfg, [cfg.rng_seed], switch_times_s)
 
 
 def synthesize_shot_ensemble(
@@ -232,10 +240,10 @@ def synthesize_shot_ensemble(
     chain: ReceiverChain,
     cfg: SynthConfig,
     n_shots: int,
+    switch_times_s: Iterable[float] = (),
 ) -> NoiseTrace:
     """Independent repetitions of the same protocol: row i is the record
     `synthesize_trace` draws from the SplitMix64-derived seed
-    `shot_seed(cfg.rng_seed, i)`."""
-    return _synthesize(
-        trajectory, chain, cfg, [shot_seed(cfg.rng_seed, i) for i in range(n_shots)]
-    )
+    `shot_seed(cfg.rng_seed, i)` with the same switch_times_s."""
+    seeds = [shot_seed(cfg.rng_seed, i) for i in range(n_shots)]
+    return _synthesize(trajectory, chain, cfg, seeds, switch_times_s)

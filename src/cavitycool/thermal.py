@@ -158,6 +158,8 @@ class BathPort:
     `coupling` is the coupling coefficient (ratio of external to intrinsic
     energy decay rate).  The load at `load_temperature_k` is seen through a
     link with `link_loss_db` of insertion loss at `link_temperature_k`.
+    `name` and `role` (what the port does in a protocol run, see `config`)
+    label the port; the closed form ignores both.
     """
 
     coupling: float
@@ -166,6 +168,7 @@ class BathPort:
     link_temperature_k: float = 0.0
     loss_model: LossModel = LossModel.EXACT
     name: str = ""
+    role: str = ""
 
     def __post_init__(self) -> None:
         if self.coupling < 0:

@@ -2,6 +2,7 @@
 
 import argparse
 import csv
+import dataclasses
 import math
 import subprocess
 import sys
@@ -20,6 +21,7 @@ from cavitycool.config import (
     AnalysisConfig,
     ProtocolConfig,
     RunConfig,
+    SynthConfig,
     config_digest,
     config_items,
     default_run_config,
@@ -34,8 +36,8 @@ from cavitycool.errors import (
 )
 from cavitycool.pipeline import analyze_run, simulate_run
 from cavitycool.receiver import noise_power_reduction_db
-from cavitycool.synth import NoiseTrace
-from cavitycool.thermal import mode_temperature, photon_occupancy
+from cavitycool.synth import NoiseTrace, switch_artifact_waveform
+from cavitycool.thermal import BathPort, mode_temperature, photon_occupancy
 
 
 def _ini(tmp_path, text, name="run.ini"):
@@ -61,7 +63,7 @@ def test_default_config_values():
     assert cfg.mode.frequency_hz == 1.4495e9
     assert cfg.mode.intrinsic_q == 164000.0
     assert [p.name for p in cfg.baths.ports] == ["cooling", "monitoring"]
-    assert cfg.port_roles == ("cooling", "monitoring")
+    assert [p.role for p in cfg.baths.ports] == ["cooling", "monitoring"]
     assert cfg.baths.intrinsic_temperature_k == 290.0
     assert cfg.receiver.lna.t_min_k == 11.6
     assert cfg.n_shots == 600
@@ -96,12 +98,18 @@ def test_analysis_config_validation():
         AnalysisConfig(psd_segment_samples=4)
 
 
+def _with_roles(cfg, *roles):
+    ports = tuple(replace(port, role=role) for port, role in zip(cfg.baths.ports, roles))
+    return replace(cfg, baths=replace(cfg.baths, ports=ports))
+
+
 def test_run_config_validation():
     base = default_run_config()
-    with pytest.raises(DomainError):
-        replace(base, port_roles=("cooling",))
-    with pytest.raises(DomainError):
-        replace(base, port_roles=("cooling", "bystander"))
+    with pytest.raises(DomainError, match="unknown port role 'bystander'"):
+        _with_roles(base, "cooling", "bystander")
+    # a port built without a role has none the protocol knows
+    with pytest.raises(DomainError, match="unknown port role ''"):
+        _with_roles(base, "cooling", "")
     with pytest.raises(DomainError):
         replace(base, n_shots=0)
     with pytest.raises(DomainError, match="10 samples"):
@@ -110,7 +118,7 @@ def test_run_config_validation():
 
 def test_persistent_indices_empty_when_all_ports_cool():
     base = default_run_config()
-    cfg = replace(base, port_roles=("cooling", "cooling"))
+    cfg = _with_roles(base, "cooling", "cooling")
     assert cfg.persistent_port_indices() == ()
 
 
@@ -177,7 +185,7 @@ role = cooling
     assert port.load_temperature_k == 4.0
     assert port.link_loss_db == 0.0
     assert port.link_temperature_k == 0.0
-    assert cfg.port_roles == ("cooling",)
+    assert port.role == "cooling"
     assert cfg.persistent_port_indices() == ()
     assert cfg.baths.intrinsic_temperature_k == 290.0
 
@@ -245,7 +253,8 @@ def test_non_finite_config_value_exits_2(tmp_path, capsys, section, key, command
         body += "load_temperature_k = 18.4\nrole = cooling\n"
     path = _ini(tmp_path, body)
     out = tmp_path / "out"
-    assert cli.main([command, "--config", path, "--out", str(out), "--porcelain"]) == 2
+    writes = [] if command == "steady" else ["--out", str(out)]
+    assert cli.main([command, "--config", path, *writes, "--porcelain"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"run.ini: bad value for '{key}' in section [{section}]: '{text}'" in captured.err
@@ -314,7 +323,7 @@ def test_cli_refuses_a_port_name_the_dump_cannot_carry(tmp_path, capsys, name):
     assert captured.out == ""
     assert captured.err == (
         f"config error: {ini}: [port.{name}] port name must be non-empty, "
-        "unique and without '='\n"
+        "unique, printable and without '='\n"
     )
     assert not out.exists()
 
@@ -331,7 +340,19 @@ def test_run_config_refuses_port_names_that_dump_to_one_key(names, bad):
     with pytest.raises(DomainError) as exc:
         replace(base, baths=replace(base.baths, ports=ports))
     assert str(exc.value) == (
-        f"[port.{bad}] port name must be non-empty, unique and without '='"
+        f"[port.{bad}] port name must be non-empty, unique, printable and without '='"
+    )
+
+
+@pytest.mark.parametrize("name", ["a\nb", "a\rb", "tab\t"], ids=["lf", "cr", "tab"])
+def test_run_config_refuses_a_port_name_that_breaks_the_dump_line(name):
+    # `port.a\nb.coupling=...` would split one run.meta line in two
+    base = default_run_config()
+    ports = (replace(base.baths.ports[0], name=name), base.baths.ports[1])
+    with pytest.raises(DomainError) as exc:
+        replace(base, baths=replace(base.baths, ports=ports))
+    assert str(exc.value) == (
+        f"[port.{name}] port name must be non-empty, unique, printable and without '='"
     )
 
 
@@ -345,19 +366,57 @@ def test_cli_surface_pinned():
         name: sorted(o for a in parser._actions for o in a.option_strings or [a.dest])
         for name, parser in subcommands.items()
     }
-    common = ["--config", "--help", "--out", "--porcelain", "--seed", "-h"]
+    common = ["--config", "--help", "--porcelain", "-h"]
+    writes = sorted(common + ["--out"])
     assert options == {
         "steady": common,
-        "sweep": sorted(common + [
+        "sweep": sorted(writes + [
             "--coupling-min", "--coupling-max", "--coupling-points",
             "--cold-min", "--cold-max", "--cold-points", "--port",
         ]),
-        "simulate": common,
-        "analyze": sorted(common + [
+        "simulate": sorted(writes + ["--seed"]),
+        "analyze": sorted(writes + [
             "inputs", "--emit-series", "--emit-psd", "--emit-deltap-curve",
         ]),
     }
     assert (len(_SCHEMA), len(_PORT_SCHEMA)) == (34, 6)
+
+
+@pytest.mark.parametrize("argv", [
+    ["steady", "--seed", "3"],
+    ["steady", "--out", "d"],
+    ["sweep", "--seed", "3"],
+    ["analyze", "run.meta", "--seed", "3"],
+], ids=["steady-seed", "steady-out", "sweep-seed", "analyze-seed"])
+def test_cli_refuses_an_option_the_command_does_not_read(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: cavitycool ")
+    assert f"error: unrecognized arguments: {' '.join(argv[-2:])}\n" in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_every_config_value_has_one_schema_row():
+    # No value of the run lives outside the schema or in two rows.
+    paths = [row[3] for row in _SCHEMA]
+    for prefix, cls in (
+        ("protocol", ProtocolConfig), ("synth", SynthConfig), ("analysis", AnalysisConfig),
+    ):
+        for field in dataclasses.fields(cls):
+            assert paths.count(f"{prefix}.{field.name}") == 1, (cls.__name__, field.name)
+    cfg = default_run_config()
+    for path in paths:
+        *parents, leaf = path.split(".")
+        if leaf in ("real", "imag"):
+            *parents, leaf = parents
+        holder = reduce(getattr, parents, cfg)
+        assert leaf in {field.name for field in dataclasses.fields(holder)}, path
+    port_fields = {field.name for field in dataclasses.fields(BathPort)}
+    assert [row[0] for row in _PORT_SCHEMA if row[0] not in port_fields] == []
 
 
 def test_config_items_canonical():
@@ -624,6 +683,26 @@ def test_simulate_run_structure():
     assert result.traces.voltages_v.shape == (3, len(traj))
 
 
+@pytest.mark.parametrize("cool_duration_s", [0.0, 40e-6], ids=["no-cooling", "default"])
+def test_simulate_run_puts_one_transient_on_each_schedule_event(cool_duration_s):
+    # Without noise a trace is its transients alone: one copy of the
+    # waveform at each event, so none doubled when the two coincide at t = 0.
+    base = _small_config(2)
+    cfg = replace(
+        base,
+        protocol=replace(base.protocol, cool_duration_s=cool_duration_s),
+        synth=replace(base.synth, voltage_scale=0.0),
+    )
+    result = simulate_run(cfg)
+    starts = [round(e.time_s / cfg.synth.sample_interval_s) for e in result.schedule.events]
+    assert starts == ([0] if cool_duration_s == 0 else [0, 800])
+    wave = switch_artifact_waveform(cfg.synth)
+    expected = np.zeros(len(result.trajectory))
+    for start in starts:
+        expected[start : start + len(wave)] += wave
+    assert np.array_equal(result.traces.voltages_v, np.tile(expected, (2, 1)))
+
+
 def test_analyze_run_recovers_protocol():
     cfg = _small_config(100)
     result = simulate_run(cfg)
@@ -769,9 +848,11 @@ def test_cli_config_error_exit_codes(tmp_path, capsys):
     assert rc == 2
     assert "config error" in capsys.readouterr().err
 
-    rc = cli.main(["steady", "--seed", "-1"])
+    out = tmp_path / "out"
+    rc = cli.main(["simulate", "--seed", "-1", "--out", str(out)])
     assert rc == 2
     assert "config error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_non_utf8_config_exits_2(tmp_path, capsys):
@@ -1258,8 +1339,7 @@ def test_cli_analyze_takes_config_from_meta(tmp_path, capsys):
     assert wrong.t_mode_inferred_k != report.t_mode_inferred_k
 
     # the run's own file, or a change to [analysis] only, is accepted
-    assert cli.main(["analyze", str(meta), "--config", ini, "--seed", "7",
-                     "--porcelain"]) == 0
+    assert cli.main(["analyze", str(meta), "--config", ini, "--porcelain"]) == 0
     assert _porcelain(capsys.readouterr().out) == d
     wide = _ini(tmp_path, Path(ini).read_text() + (
         "\n[analysis]\npsd_segment_samples = 2048\n"
@@ -1270,14 +1350,13 @@ def test_cli_analyze_takes_config_from_meta(tmp_path, capsys):
 
 def test_cli_analyze_rejects_config_that_differs_from_meta(tmp_path, capsys):
     ini, meta = _one_port_run(tmp_path, capsys, n_shots=2)
-    assert cli.main(["analyze", str(meta), "--seed", "8"]) == 2
-    err = capsys.readouterr().err
-    assert "synth.rng_seed=7" in err and str(meta) in err
-
     other = _ini(tmp_path, "[synth]\nn_shots = 2\nrng_seed = 7\n", "other.ini")
     assert cli.main(["analyze", str(meta), "--config", other]) == 2
     err = capsys.readouterr().err
-    assert "port.cold.coupling=3.8" in err and str(meta) in err
+    assert err == (
+        f"config error: {meta} records port.cold.coupling=3.8, but --config gives "
+        "(none); only [analysis] keys may differ from the run\n"
+    )
 
 
 def test_cli_analyze_rejects_inconsistent_meta_config(tmp_path, capsys):

@@ -153,7 +153,7 @@ def test_import_steady_version_and_help_load_no_numpy(tmp_path):
     steps = _fresh_run(
         ["steady", "--porcelain"],
         ["steady"],
-        ["steady", "--config", _small_run_ini(tmp_path, 0), "--seed", "3", "--porcelain"],
+        ["steady", "--config", _small_run_ini(tmp_path, 0), "--porcelain"],
         ["--version"],
         ["--help"],
         package="numpy",

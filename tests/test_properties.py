@@ -49,11 +49,9 @@ def _run_configs(draw):
             link_temperature_k=draw(_finite(0.0, 400.0)),
             loss_model=draw(st.sampled_from(LossModel)),
             name=name,
+            role=draw(st.sampled_from(("cooling", "monitoring"))),
         )
         for name in names
-    )
-    roles = tuple(
-        draw(st.sampled_from(("cooling", "monitoring"))) for _ in names
     )
     trace = draw(_finite(10e-6, 1e-3))
     cool = draw(_finite(0.0, trace / 2))
@@ -62,7 +60,6 @@ def _run_configs(draw):
         base,
         mode=CavityMode(draw(_finite(1e6, 1e11)), draw(_finite(1.0, 1e7))),
         baths=BathSet(draw(_finite(0.0, 400.0)), ports),
-        port_roles=roles,
         receiver=replace(
             rx,
             lna=replace(rx.lna, gamma_opt=complex(

@@ -1,5 +1,5 @@
 """Voltage trace synthesis: reproducibility, noise statistics, the 1/f
-component, switch transients, and injected waveforms.
+component, and switch transients.
 """
 
 import hashlib
@@ -76,13 +76,12 @@ def test_trace_reproducible_bit_for_bit():
         rng_seed=99,
         one_over_f_corner_hz=1e6,
         artifact_amplitude_v=0.01,
-        switch_times_s=(40e-6,),
         voltage_scale=1e-3,
     )
     traj = _flat_trajectory(cfg, 1001, 290.0)
     chain = _chain()
-    a = synthesize_trace(traj, chain, cfg)
-    b = synthesize_trace(traj, chain, cfg)
+    a = synthesize_trace(traj, chain, cfg, (40e-6,))
+    b = synthesize_trace(traj, chain, cfg, (40e-6,))
     assert np.array_equal(a.voltages_v, b.voltages_v)
     assert a.n_shots == 1
 
@@ -132,6 +131,8 @@ def test_white_noise_is_gaussian():
 
 
 def test_zero_voltage_scale_leaves_only_injected():
+    # A coherent waveform is injected by adding it to the synthesized
+    # voltages; with no noise that sum is the waveform itself.
     n = 1000
     injected = 0.5 * np.sin(np.linspace(0.0, 8.0, n))
     cfg = SynthConfig(
@@ -139,28 +140,11 @@ def test_zero_voltage_scale_leaves_only_injected():
         rng_seed=3,
         voltage_scale=0.0,
         one_over_f_corner_hz=0.0,
-        injected_signal=injected,
     )
-    traj = _flat_trajectory(cfg, n, 290.0)
-    trace = synthesize_trace(traj, _chain(), cfg)
+    trace = synthesize_trace(_flat_trajectory(cfg, n, 290.0), _chain(), cfg)
     assert len(trace) == n
-    assert np.array_equal(trace.voltages_v[0], injected)
-    bare = synthesize_trace(traj, _chain(), replace(cfg, injected_signal=None))
-    assert np.all(bare.voltages_v == 0.0)
-
-
-def test_injected_shorter_than_trace_only_touches_prefix():
-    injected = np.ones(10)
-    cfg = SynthConfig(
-        sample_interval_s=1e-7,
-        rng_seed=3,
-        voltage_scale=0.0,
-        one_over_f_corner_hz=0.0,
-        injected_signal=injected,
-    )
-    trace = synthesize_trace(_flat_trajectory(cfg, 1000, 290.0), _chain(), cfg)
-    assert np.all(trace.voltages_v[0, :10] == 1.0)
-    assert np.all(trace.voltages_v[0, 10:] == 0.0)
+    assert np.all(trace.voltages_v == 0.0)
+    assert np.array_equal(trace.voltages_v[0] + injected, injected)
 
 
 def test_segment_variance_ratio_matches_prediction():
@@ -200,16 +184,15 @@ def test_artifact_deterministic_and_seed_independent():
         rng_seed=5,
         one_over_f_corner_hz=0.0,
         voltage_scale=1e-3,
-        switch_times_s=(40e-6,),
     )
     traj = _flat_trajectory(base, 1001, 290.0)
     chain = _chain()
 
     def artifact_part(seed):
         with_art = synthesize_trace(
-            traj, chain, replace(base, rng_seed=seed, artifact_amplitude_v=0.02)
+            traj, chain, replace(base, rng_seed=seed, artifact_amplitude_v=0.02), (40e-6,)
         )
-        without = synthesize_trace(traj, chain, replace(base, rng_seed=seed))
+        without = synthesize_trace(traj, chain, replace(base, rng_seed=seed), (40e-6,))
         return with_art.voltages_v[0] - without.voltages_v[0]
 
     part_a = artifact_part(5)
@@ -228,13 +211,12 @@ def test_zero_amplitude_disables_artifact():
         rng_seed=5,
         one_over_f_corner_hz=0.0,
         voltage_scale=1e-3,
-        switch_times_s=(40e-6,),
         artifact_amplitude_v=0.0,
     )
     traj = _flat_trajectory(cfg, 1001, 290.0)
     chain = _chain()
-    with_switches = synthesize_trace(traj, chain, cfg)
-    without = synthesize_trace(traj, chain, replace(cfg, switch_times_s=()))
+    with_switches = synthesize_trace(traj, chain, cfg, (40e-6,))
+    without = synthesize_trace(traj, chain, cfg)
     assert np.array_equal(with_switches.voltages_v, without.voltages_v)
 
 
@@ -248,8 +230,7 @@ def test_switch_artifact_placement_and_cropping():
     traj = _flat_trajectory(cfg, 1001, 290.0)
 
     def at(*switch_times_s):
-        cfg_at = replace(cfg, switch_times_s=switch_times_s)
-        return synthesize_trace(traj, _chain(), cfg_at).voltages_v[0]
+        return synthesize_trace(traj, _chain(), cfg, switch_times_s).voltages_v[0]
 
     out = at(50e-6)
     wave = switch_artifact_waveform(cfg)
@@ -285,24 +266,22 @@ def test_ensemble_single_shot_equals_direct_call():
 
 
 def test_ensemble_row_i_is_the_shot_i_stream():
-    # Flicker, transients and an injected waveform on: every row is the
-    # record synthesize_trace draws from shot i's seed, bit for bit.
+    # Flicker and transients on: every row is the record synthesize_trace
+    # draws from shot i's seed, bit for bit.
     cfg = SynthConfig(
         sample_interval_s=1e-7,
         rng_seed=20260817,
         one_over_f_corner_hz=1e6,
         artifact_amplitude_v=0.02,
-        switch_times_s=(0.0, 40e-6),
         voltage_scale=1e-3,
-        injected_signal=np.linspace(0.0, 1e-3, 300),
     )
     traj = _step_trajectory(cfg, 1001, 108.0, 256.0)
     chain = _chain()
-    shots = synthesize_shot_ensemble(traj, chain, cfg, 4)
+    shots = synthesize_shot_ensemble(traj, chain, cfg, 4, (0.0, 40e-6))
     assert shots.voltages_v.shape == (4, 1001)
     for i, row in enumerate(shots.voltages_v):
         direct = synthesize_trace(
-            traj, chain, replace(cfg, rng_seed=shot_seed(20260817, i))
+            traj, chain, replace(cfg, rng_seed=shot_seed(20260817, i)), (0.0, 40e-6)
         )
         assert np.array_equal(row, direct.voltages_v[0])
 
@@ -333,12 +312,11 @@ def test_ensemble_mean_recovers_deterministic_part():
         rng_seed=31,
         one_over_f_corner_hz=0.0,
         voltage_scale=1e-3,
-        injected_signal=injected,
     )
     traj = _flat_trajectory(cfg, 200, 290.0)
     chain = _chain()
     shots = synthesize_shot_ensemble(traj, chain, cfg, n_shots)
-    mean = shots.voltages_v.mean(axis=0)
+    mean = (shots.voltages_v + injected).mean(axis=0)
     sigma = 1e-3 * math.sqrt(system_output_noise_kelvin(chain, 290.0))
     tol = 5.0 * sigma / math.sqrt(n_shots)
     assert np.max(np.abs(mean - injected)) < tol
@@ -390,11 +368,10 @@ def test_flicker_ensemble_bytes_pinned():
         rng_seed=20260817,
         one_over_f_corner_hz=1e6,
         artifact_amplitude_v=0.02,
-        switch_times_s=(0.0, 40e-6),
         voltage_scale=1e-3,
     )
     traj = _step_trajectory(cfg, 1001, 108.0, 256.0)
-    shots = synthesize_shot_ensemble(traj, _chain(), cfg, 5)
+    shots = synthesize_shot_ensemble(traj, _chain(), cfg, 5, (0.0, 40e-6))
     digest = hashlib.sha256(shots.voltages_v.tobytes()).hexdigest()
     assert digest == _FLICKER_ENSEMBLE_SHA256
 
@@ -447,15 +424,19 @@ def test_config_validation():
         SynthConfig(artifact_amplitude_v=-0.1)
     with pytest.raises(DomainError):
         SynthConfig(voltage_scale=-1.0)
-    with pytest.raises(DomainError):
-        SynthConfig(switch_times_s=(-1e-6,))
+    cfg = SynthConfig(voltage_scale=1e-3)
+    with pytest.raises(DomainError, match="switch times must be >= 0"):
+        synthesize_trace(_flat_trajectory(cfg, 100, 290.0), _chain(), cfg, (-1e-6,))
 
 
-def test_synth_config_keeps_switch_times_from_a_generator():
-    cfg = SynthConfig(switch_times_s=(t for t in (1e-6, 5e-6)))
-    assert cfg.switch_times_s == (1e-6, 5e-6)
-    with pytest.raises(DomainError):
-        SynthConfig(switch_times_s=(t for t in (1e-6, -5e-6)))
+def test_synthesis_takes_switch_times_from_a_generator():
+    cfg = SynthConfig(sample_interval_s=1e-7, artifact_amplitude_v=0.1, voltage_scale=1e-3)
+    traj = _flat_trajectory(cfg, 101, 290.0)
+    listed = synthesize_shot_ensemble(traj, _chain(), cfg, 2, (1e-6, 5e-6))
+    generated = synthesize_shot_ensemble(traj, _chain(), cfg, 2, (t for t in (1e-6, 5e-6)))
+    assert np.array_equal(generated.voltages_v, listed.voltages_v)
+    with pytest.raises(DomainError, match="switch times must be >= 0"):
+        synthesize_shot_ensemble(traj, _chain(), cfg, 2, (t for t in (1e-6, -5e-6)))
 
 
 def test_noise_trace_validation_and_slicing():
