@@ -92,7 +92,6 @@ _EXPORTS = {
         "photon_occupancy",
         "photons_per_kelvin",
         "sweep_mode_temperature",
-        "temperature_from_occupancy",
     ),
 }
 _SUBMODULES = (*_EXPORTS, "cli", "tracefile")

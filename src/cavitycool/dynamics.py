@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import BOLTZMANN_K, PLANCK_H
 from .errors import DomainError
 from .thermal import BathSet, CavityMode, mode_temperature, photons_per_kelvin
 
@@ -94,7 +93,9 @@ def steady_state_occupancy(mode: CavityMode, baths: BathSet) -> float:
 
 @dataclass(frozen=True)
 class PhotonTrajectory:
-    """Sampled occupancy history with the matching Planck temperatures."""
+    """Sampled occupancy history with the matching mode temperatures,
+    occupancy / photons_per_kelvin: the scale of `mode_temperature`, so a
+    settled trajectory sits at the closed-form temperature."""
 
     times_s: np.ndarray
     occupancy: np.ndarray
@@ -102,16 +103,6 @@ class PhotonTrajectory:
 
     def __len__(self) -> int:
         return len(self.times_s)
-
-
-def _planck_temperature(frequency_hz: float, occupancy: np.ndarray) -> np.ndarray:
-    occ = np.asarray(occupancy, dtype=float)
-    out = np.zeros_like(occ)
-    positive = occ > 0
-    out[positive] = (
-        PLANCK_H * frequency_hz / (BOLTZMANN_K * np.log1p(1.0 / occ[positive]))
-    )
-    return out
 
 
 def _segments(
@@ -216,7 +207,7 @@ def evolve_occupancy(
     occ = targets[idx] + (entry[idx] - targets[idx]) * np.exp(
         -rates[idx] * (times - starts[idx])
     )
-    return PhotonTrajectory(times, occ, _planck_temperature(mode.frequency_hz, occ))
+    return PhotonTrajectory(times, occ, occ / photons_per_kelvin(mode.frequency_hz))
 
 
 def evolve_occupancy_rk4(
@@ -260,4 +251,4 @@ def evolve_occupancy_rk4(
             q += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             t = stop
         occ[i] = q
-    return PhotonTrajectory(times, occ, _planck_temperature(mode.frequency_hz, occ))
+    return PhotonTrajectory(times, occ, occ / photons_per_kelvin(mode.frequency_hz))

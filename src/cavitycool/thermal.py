@@ -52,17 +52,6 @@ def photon_occupancy(frequency_hz: float, temperature_k: float) -> float:
     return 1.0 / math.expm1(x)
 
 
-def temperature_from_occupancy(frequency_hz: float, occupancy: float) -> float:
-    """Invert `photon_occupancy`: temperature that yields the given occupancy."""
-    if frequency_hz <= 0:
-        raise DomainError(f"frequency must be positive, got {frequency_hz}")
-    if occupancy < 0:
-        raise DomainError(f"occupancy must be >= 0, got {occupancy}")
-    if occupancy == 0:
-        return 0.0
-    return PLANCK_H * frequency_hz / (BOLTZMANN_K * math.log1p(1.0 / occupancy))
-
-
 def photons_per_kelvin(frequency_hz: float) -> float:
     """Equipartition slope k_B/(h f): photons added per kelvin of mode temperature."""
     if frequency_hz <= 0:

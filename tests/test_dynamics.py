@@ -19,7 +19,14 @@ from cavitycool.dynamics import (
     steady_state_occupancy,
 )
 from cavitycool.errors import DomainError
-from cavitycool.thermal import BathPort, BathSet, CavityMode, LossModel
+from cavitycool.thermal import (
+    BathPort,
+    BathSet,
+    CavityMode,
+    LossModel,
+    mode_temperature,
+    photons_per_kelvin,
+)
 
 
 def _bench_mode():
@@ -205,17 +212,21 @@ def test_reversibility_cool_then_warm():
 
 
 def test_temperature_channel_matches_occupancy():
-    from cavitycool.thermal import temperature_from_occupancy
-
+    # The temperature is on the closed-form scale, occupancy over
+    # photons_per_kelvin, so a settled trajectory reads mode_temperature.
     mode = _bench_mode()
     baths = _bench_baths()
-    schedule = build_protocol(20e-6, 60e-6)
-    traj = evolve_occupancy(mode, baths, schedule, 60e-6, 100e-9)
-    for i in (0, len(traj) // 2, len(traj) - 1):
+    # 480 us after the disconnect is over 50 relaxation times.
+    schedule = build_protocol(20e-6, 500e-6)
+    per_kelvin = photons_per_kelvin(mode.frequency_hz)
+    for evolve in (evolve_occupancy, evolve_occupancy_rk4):
+        traj = evolve(mode, baths, schedule, 500e-6, 100e-9)
+        assert np.array_equal(traj.temperature_k, traj.occupancy / per_kelvin)
         assert math.isclose(
-            traj.temperature_k[i],
-            temperature_from_occupancy(mode.frequency_hz, traj.occupancy[i]),
-            rel_tol=1e-12,
+            traj.temperature_k[0], mode_temperature(baths), rel_tol=1e-12
+        )
+        assert math.isclose(
+            traj.temperature_k[-1], mode_temperature(baths.subset((1,))), rel_tol=1e-12
         )
 
 

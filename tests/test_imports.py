@@ -222,7 +222,7 @@ _EXPORTED = {
     "thermal": [
         "BathPort", "BathSet", "LossModel", "link_output_temperature",
         "mode_temperature", "photon_occupancy", "photons_per_kelvin",
-        "sweep_mode_temperature", "temperature_from_occupancy",
+        "sweep_mode_temperature",
     ],
 }
 _SUBMODULES = [*_EXPORTED, "cli", "tracefile"]
