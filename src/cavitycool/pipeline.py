@@ -55,12 +55,9 @@ def simulate_run(cfg: RunConfig) -> SimulationResult:
         proto.trace_length_s,
         cfg.synth.sample_interval_s,
     )
+    switch_times_s = [event.time_s for event in schedule.events]
     traces = synth.synthesize_shot_ensemble(
-        trajectory,
-        cfg.receiver,
-        cfg.synth,
-        cfg.n_shots,
-        [event.time_s for event in schedule.events],
+        trajectory, cfg.receiver, cfg.synth, cfg.n_shots, switch_times_s
     )
     return SimulationResult(trajectory, traces, schedule, proto.cool_duration_s)
 
