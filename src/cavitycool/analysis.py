@@ -25,6 +25,10 @@ from .synth import NoiseTrace
 
 _DB = 10.0 / math.log(10.0)
 
+# Shots per block where a pass over the ensemble would otherwise build
+# ensemble-sized temporaries; results do not depend on it.
+_BLOCK_SHOTS = 32
+
 
 def extract_noise(trace: NoiseTrace, width: int) -> NoiseTrace:
     """Every shot's residual after subtracting a centered running mean
@@ -40,16 +44,24 @@ def extract_noise(trace: NoiseTrace, width: int) -> NoiseTrace:
     v = trace.voltages_v
     n = len(trace)
     lead, trail = (width - 1) // 2, width // 2
+    idx = np.arange(n)
+    counts = np.minimum(idx + trail, n - 1) - np.maximum(idx - lead, 0) + 1
+    out = np.empty(v.shape)
     # Running sum with `lead` zeros in front and the row total repeated
     # `trail` times behind, so every window sum, truncated ones included,
-    # is csum[:, i + width] - csum[:, i].
-    csum = np.zeros((trace.n_shots, n + width))
-    np.cumsum(v, axis=1, out=csum[:, lead + 1 : lead + 1 + n])
-    csum[:, lead + 1 + n :] = csum[:, lead + n, None]
-    smooth = csum[:, width:] - csum[:, :n]
-    idx = np.arange(n)
-    smooth /= np.minimum(idx + trail, n - 1) - np.maximum(idx - lead, 0) + 1
-    return NoiseTrace(trace.times_s, v - smooth)
+    # is csum[:, i + width] - csum[:, i].  One block of rows at a time, so
+    # the output is the only ensemble-sized array.
+    csum = np.zeros((min(trace.n_shots, _BLOCK_SHOTS), n + width))
+    for start in range(0, trace.n_shots, _BLOCK_SHOTS):
+        rows = v[start : start + _BLOCK_SHOTS]
+        block = csum[: len(rows)]
+        smooth = out[start : start + _BLOCK_SHOTS]
+        np.cumsum(rows, axis=1, out=block[:, lead + 1 : lead + 1 + n])
+        block[:, lead + 1 + n :] = block[:, lead + n, None]
+        np.subtract(block[:, width:], block[:, :n], out=smooth)
+        smooth /= counts
+        np.subtract(rows, smooth, out=smooth)
+    return NoiseTrace(trace.times_s, out)
 
 
 def subtract_mean_artifact(trace: NoiseTrace) -> NoiseTrace:
@@ -89,15 +101,20 @@ def ensemble_spectral_density(
         raise DomainError(f"segment length {m} exceeds trace length {len(trace)}")
     # Periodic Hann window, sampled as scipy.signal.get_window("hann", m).
     window = 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, m + 1)[:-1])
+    scale = trace.sample_interval_s / np.sum(window**2)
     segments = sliding_window_view(trace.voltages_v, m, axis=1)[:, :: m - m // 2]
-    spectra = np.fft.rfft(segments * window, axis=-1)
-    power = spectra.real**2 + spectra.imag**2
-    power *= trace.sample_interval_s / np.sum(window**2)
-    # One-sided: fold in the negative frequencies, which DC and (for even
-    # m) the Nyquist bin do not have.
-    power[..., 1 : (m + 1) // 2] *= 2.0
+    # Each shot's segment-mean density, one block of shots at a time.
+    per_shot = np.empty((trace.n_shots, m // 2 + 1))
+    for start in range(0, trace.n_shots, _BLOCK_SHOTS):
+        spectra = np.fft.rfft(segments[start : start + _BLOCK_SHOTS] * window, axis=-1)
+        power = spectra.real**2 + spectra.imag**2
+        power *= scale
+        # One-sided: fold in the negative frequencies, which DC and (for
+        # even m) the Nyquist bin do not have.
+        power[..., 1 : (m + 1) // 2] *= 2.0
+        power.mean(axis=1, out=per_shot[start : start + _BLOCK_SHOTS])
     freqs = np.fft.rfftfreq(m, trace.sample_interval_s)
-    return SpectralDensity(freqs, power.mean(axis=1).mean(axis=0))
+    return SpectralDensity(freqs, per_shot.mean(axis=0))
 
 
 class DeltaPEstimate(NamedTuple):

@@ -202,9 +202,16 @@ def _synthesize(
     sigma = cfg.voltage_scale * np.sqrt(sysnoise_k)
     reference_variance = float(sigma[-1] ** 2)
 
+    # One generator for the ensemble, re-keyed before each row: a fresh
+    # state (counter 0, empty buffer) with key [seed, 0] is the state of
+    # Philox(key=seed).  Building one per row costs several times more.
+    bits = np.random.Philox(key=0)
+    rng = np.random.Generator(bits)
+    fresh = bits.state
     volts = np.empty((len(seeds), n))
     for row, seed in zip(volts, seeds):
-        rng = np.random.Generator(np.random.Philox(key=seed))
+        fresh["state"]["key"] = (seed, 0)
+        bits.state = fresh
         rng.standard_normal(out=row)
         row *= sigma
         if cfg.one_over_f_corner_hz > 0:

@@ -252,6 +252,12 @@ def read_trace_ensemble(paths: Sequence[str]) -> NoiseTrace:
 
 
 def write_trajectory_csv(path: str, trajectory) -> None:
+    """Write `trajectory.csv`: time, occupancy and mode temperature.
+
+    The `occupancy` column is the trajectory's equipartition number
+    photons_per_kelvin * T, not the Bose-Einstein occupancy that `steady`
+    prints as `occupancy_*`; the two differ by about half a photon.
+    """
     columns = (trajectory.times_s, trajectory.occupancy, trajectory.temperature_k)
     _write_csv(path, TRAJECTORY_HEADER, np.array(columns, dtype=float).T.tolist())
 

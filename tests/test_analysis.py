@@ -6,8 +6,10 @@ import math
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from cavitycool.analysis import (
+    _BLOCK_SHOTS,
     SpectralDensity,
     band_averaged_deltap,
     cooling_depth_from_fit,
@@ -223,6 +225,50 @@ def test_spectral_density_matches_scipy_welch(n_shots, segment, whole_trace):
     )
     np.testing.assert_allclose(freqs, ref_freqs, rtol=1e-12, atol=0)
     np.testing.assert_allclose(psd, ref.mean(axis=0), rtol=1e-12, atol=0)
+
+
+def _whole_ensemble_extract_noise(v, width):
+    """extract_noise as one pass over the whole ensemble."""
+    n_shots, n = v.shape
+    lead, trail = (width - 1) // 2, width // 2
+    csum = np.zeros((n_shots, n + width))
+    np.cumsum(v, axis=1, out=csum[:, lead + 1 : lead + 1 + n])
+    csum[:, lead + 1 + n :] = csum[:, lead + n, None]
+    smooth = csum[:, width:] - csum[:, :n]
+    idx = np.arange(n)
+    smooth /= np.minimum(idx + trail, n - 1) - np.maximum(idx - lead, 0) + 1
+    return v - smooth
+
+
+def _whole_ensemble_density(v, m, dt):
+    """ensemble_spectral_density's density as one pass over the ensemble."""
+    window = 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, m + 1)[:-1])
+    segments = sliding_window_view(v, m, axis=1)[:, :: m - m // 2]
+    spectra = np.fft.rfft(segments * window, axis=-1)
+    power = spectra.real**2 + spectra.imag**2
+    power *= dt / np.sum(window**2)
+    power[..., 1 : (m + 1) // 2] *= 2.0
+    return power.mean(axis=1).mean(axis=0)
+
+
+_BLOCK_EDGE_SHOTS = (1, _BLOCK_SHOTS - 1, _BLOCK_SHOTS, _BLOCK_SHOTS + 1, 2 * _BLOCK_SHOTS + 5)
+
+
+@pytest.mark.parametrize("n_shots", _BLOCK_EDGE_SHOTS)
+def test_blocked_passes_match_the_whole_ensemble_bytes(n_shots):
+    # Blocking the shots is a memory layout choice: the bytes must be
+    # those of the single pass over the whole ensemble.
+    n = 300
+    rng = np.random.default_rng(n_shots)
+    trace = _trace(rng.standard_normal((n_shots, n)), dt=5e-8)
+    v = trace.voltages_v
+    for width in (2, 3, 7, n + 3):
+        out = extract_noise(trace, width).voltages_v
+        assert out.tobytes() == _whole_ensemble_extract_noise(v, width).tobytes()
+    for segment in (8, 9, 256):
+        density = ensemble_spectral_density(trace, segment).density
+        expected = _whole_ensemble_density(v, segment, trace.sample_interval_s)
+        assert density.tobytes() == expected.tobytes()
 
 
 def test_ensemble_spectral_density_validation():

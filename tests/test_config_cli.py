@@ -6,6 +6,7 @@ import dataclasses
 import math
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from functools import reduce
 from pathlib import Path
@@ -726,6 +727,22 @@ def test_analyze_run_pools_each_section_once(monkeypatch):
     analyze_run(result.traces, cfg, result.disconnect_time_s)
     assert len(spans) == 2
     assert len(set(spans)) == 2
+
+
+def test_analyze_run_memory_stays_near_three_ensembles():
+    # Beside its input, analyze_run may hold the residuals and the
+    # extracted noise, each ensemble-sized, and small per-block scratch;
+    # a whole-ensemble temporary more would pass 3x the input.
+    cfg = default_run_config()
+    traces = simulate_run(cfg).traces
+    analyze_run(traces, cfg)  # imports and caches stay out of the count
+    tracemalloc.start()
+    try:
+        analyze_run(traces, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.6 * traces.voltages_v.nbytes
 
 
 def test_analyze_run_single_shot_note():

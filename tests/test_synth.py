@@ -286,6 +286,36 @@ def test_ensemble_row_i_is_the_shot_i_stream():
         assert np.array_equal(row, direct.voltages_v[0])
 
 
+def test_ensemble_rows_match_an_independent_philox_oracle(monkeypatch):
+    # 1/f and transients off, so row i is sigma times the first n normals
+    # of a freshly built Philox keyed with shot i's seed; and the ensemble
+    # builds one bit generator, however many shots it has.
+    cfg = SynthConfig(
+        sample_interval_s=1e-7,
+        rng_seed=20260817,
+        one_over_f_corner_hz=0.0,
+        voltage_scale=1e-3,
+    )
+    n, n_shots = 301, 41
+    traj = _step_trajectory(cfg, n, 108.0, 256.0)
+    chain = _chain()
+    sigma = cfg.voltage_scale * np.sqrt(system_output_noise_kelvin(chain, traj.temperature_k))
+    philox = np.random.Philox
+    built = []
+
+    def counting_philox(*args, **kwargs):
+        built.append(kwargs)
+        return philox(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counting_philox)
+    shots = synthesize_shot_ensemble(traj, chain, cfg, n_shots)
+    monkeypatch.undo()
+    assert len(built) == 1
+    for i in (0, 1, n_shots - 1):
+        draws = np.random.Generator(philox(key=shot_seed(cfg.rng_seed, i))).standard_normal(n)
+        assert shots.voltages_v[i].tobytes() == (sigma * draws).tobytes()
+
+
 def test_ensemble_shots_are_independent_and_reproducible():
     cfg = SynthConfig(
         sample_interval_s=1e-7,
