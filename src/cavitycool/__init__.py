@@ -53,10 +53,8 @@ _EXPORTS = {
         "SwitchSchedule",
         "build_protocol",
         "evolve_occupancy",
-        "evolve_occupancy_rk4",
         "relaxation_rate",
         "relaxation_time",
-        "steady_state_occupancy",
     ),
     "errors": (
         "AnalysisError",
@@ -90,7 +88,6 @@ _EXPORTS = {
         "link_output_temperature",
         "mode_temperature",
         "photon_occupancy",
-        "photons_per_kelvin",
         "sweep_mode_temperature",
     ),
 }

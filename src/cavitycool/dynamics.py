@@ -1,10 +1,9 @@
-"""Time evolution of the mode's photon occupancy under switched baths.
+"""Time evolution of the mode temperature under switched baths.
 
-Between switching events the occupancy obeys a linear rate equation and
-relaxes exponentially toward the steady value set by whichever baths are
-connected.  The closed-form piecewise-exponential solution is the
-primary path; a Runge-Kutta integrator over the same schedule is kept
-alongside it as an independent cross-check.
+Between switching events the mode temperature obeys a linear rate
+equation and relaxes exponentially toward the bath-weighted temperature
+of whichever baths are connected, so the whole trajectory is a
+closed-form piecewise exponential.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .thermal import BathSet, CavityMode, mode_temperature, photons_per_kelvin
+from .thermal import BathSet, CavityMode, mode_temperature
 
 # Enforced ceiling on the sample interval, as a fraction of the fastest
 # relaxation time appearing anywhere in a schedule.
@@ -85,26 +84,12 @@ def relaxation_time(mode: CavityMode, baths: BathSet) -> float:
     return 1.0 / relaxation_rate(mode, baths)
 
 
-def steady_state_occupancy(mode: CavityMode, baths: BathSet) -> float:
-    """Occupancy the mode settles at: the equipartition photon number of
-    the bath-weighted mode temperature."""
-    return photons_per_kelvin(mode.frequency_hz) * mode_temperature(baths)
-
-
 @dataclass(frozen=True)
 class PhotonTrajectory:
-    """Sampled occupancy history with the matching mode temperatures,
-    occupancy / photons_per_kelvin: the scale of `mode_temperature`, so a
-    settled trajectory sits at the closed-form temperature.
-
-    The occupancy is the equipartition number photons_per_kelvin * T, the
-    `occupancy` column of `trajectory.csv`.  `thermal.photon_occupancy`,
-    which `steady` prints as `occupancy_*`, is Bose-Einstein and about half
-    a photon lower: 1555.13 against 1555.63 at the default cooled 108.2 K.
-    """
+    """Sampled mode-temperature history on the scale of `mode_temperature`,
+    so a settled trajectory sits at the closed-form temperature."""
 
     times_s: np.ndarray
-    occupancy: np.ndarray
     temperature_k: np.ndarray
 
     def __len__(self) -> int:
@@ -132,18 +117,6 @@ def _segments(
     return spans
 
 
-def _check_step(
-    mode: CavityMode, spans: list[tuple[float, float, BathSet]], dt: float
-) -> None:
-    fastest = max(relaxation_rate(mode, sub) for _, _, sub in spans)
-    limit = MAX_STEP_FRACTION / fastest
-    if dt > limit:
-        raise DomainError(
-            f"sample interval {dt:.3e} s too coarse for the fastest relaxation "
-            f"time {1.0 / fastest:.3e} s; need <= {limit:.3e} s"
-        )
-
-
 def _validated_grid(duration_s: float, sample_interval_s: float) -> np.ndarray:
     if duration_s <= 0:
         raise DomainError("duration must be positive")
@@ -157,104 +130,39 @@ def _validated_grid(duration_s: float, sample_interval_s: float) -> np.ndarray:
     return np.arange(n) * sample_interval_s
 
 
-def _prepare(
-    mode: CavityMode,
-    baths: BathSet,
-    schedule: SwitchSchedule,
-    duration_s: float,
-    sample_interval_s: float,
-    q_initial: float | None,
-):
-    """Shared setup: grid, per-span (start, rate, target, entry occupancy)."""
-    times = _validated_grid(duration_s, sample_interval_s)
-    spans = _segments(baths, schedule, duration_s)
-    _check_step(mode, spans, sample_interval_s)
-
-    if q_initial is None:
-        q_initial = steady_state_occupancy(mode, spans[0][2])
-    elif q_initial < 0:
-        raise DomainError("initial occupancy must be >= 0")
-
-    starts = np.array([s[0] for s in spans])
-    rates = np.array([relaxation_rate(mode, sub) for _, _, sub in spans])
-    targets = np.array([steady_state_occupancy(mode, sub) for _, _, sub in spans])
-    entry = np.empty(len(spans))
-    q = float(q_initial)
-    for k, (t_start, t_end, _) in enumerate(spans):
-        entry[k] = q
-        q = targets[k] + (q - targets[k]) * math.exp(-rates[k] * (t_end - t_start))
-    return times, starts, rates, targets, entry
-
-
 def evolve_occupancy(
     mode: CavityMode,
     baths: BathSet,
     schedule: SwitchSchedule,
     duration_s: float,
     sample_interval_s: float,
-    q_initial: float | None = None,
 ) -> PhotonTrajectory:
-    """Closed-form occupancy evolution over a switching schedule.
+    """Closed-form mode-temperature evolution over a switching schedule.
 
-    Within each schedule segment the occupancy relaxes exponentially
-    toward that segment's steady state; segment entry values are carried
-    exactly, so event times need not fall on the sample grid.
-
-    Parameters
-    ----------
-    q_initial : float or None
-        Starting occupancy; None starts in the steady state of the first
-        connected configuration.
+    The mode starts settled in its first span.  Within each span the
+    temperature relaxes exponentially at `relaxation_rate` toward that
+    span's `mode_temperature`; span entry values are carried exactly, so
+    event times need not fall on the sample grid.
     """
-    times, starts, rates, targets, entry = _prepare(
-        mode, baths, schedule, duration_s, sample_interval_s, q_initial
-    )
+    times = _validated_grid(duration_s, sample_interval_s)
+    spans = _segments(baths, schedule, duration_s)
+    starts = np.array([t_start for t_start, _, _ in spans])
+    rates = np.array([relaxation_rate(mode, sub) for _, _, sub in spans])
+    fastest = rates.max()
+    limit = MAX_STEP_FRACTION / fastest
+    if sample_interval_s > limit:
+        raise DomainError(
+            f"sample interval {sample_interval_s:.3e} s too coarse for the fastest "
+            f"relaxation time {1.0 / fastest:.3e} s; need <= {limit:.3e} s"
+        )
+    targets = np.array([mode_temperature(sub) for _, _, sub in spans])
+    entry = np.empty(len(spans))
+    temp = targets[0]
+    for k, (t_start, t_end, _) in enumerate(spans):
+        entry[k] = temp
+        temp = targets[k] + (temp - targets[k]) * math.exp(-rates[k] * (t_end - t_start))
     idx = np.clip(np.searchsorted(starts, times, side="right") - 1, 0, None)
-    occ = targets[idx] + (entry[idx] - targets[idx]) * np.exp(
+    temperature = targets[idx] + (entry[idx] - targets[idx]) * np.exp(
         -rates[idx] * (times - starts[idx])
     )
-    return PhotonTrajectory(times, occ, occ / photons_per_kelvin(mode.frequency_hz))
-
-
-def evolve_occupancy_rk4(
-    mode: CavityMode,
-    baths: BathSet,
-    schedule: SwitchSchedule,
-    duration_s: float,
-    sample_interval_s: float,
-    q_initial: float | None = None,
-) -> PhotonTrajectory:
-    """Runge-Kutta (classic fourth-order) cross-check of `evolve_occupancy`.
-
-    Integrates dq/dt = -rate (q - q_steady) on the same sample grid,
-    splitting steps exactly at switching times.
-    """
-    times, starts, rates, targets, entry = _prepare(
-        mode, baths, schedule, duration_s, sample_interval_s, q_initial
-    )
-    n_spans = len(starts)
-    occ = np.empty_like(times)
-    occ[0] = q = float(entry[0])
-    for i in range(1, len(times)):
-        t = float(times[i - 1])
-        t_stop = float(times[i])
-        while t < t_stop:
-            k = min(
-                n_spans - 1,
-                max(0, int(np.searchsorted(starts, t, side="right")) - 1),
-            )
-            stop = t_stop
-            if k + 1 < n_spans and starts[k + 1] < t_stop:
-                stop = float(starts[k + 1])
-            if stop <= t:  # fp guard: never stall on a boundary
-                stop = t_stop
-            h = stop - t
-            rate, q_star = rates[k], targets[k]
-            k1 = -rate * (q - q_star)
-            k2 = -rate * (q + 0.5 * h * k1 - q_star)
-            k3 = -rate * (q + 0.5 * h * k2 - q_star)
-            k4 = -rate * (q + h * k3 - q_star)
-            q += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            t = stop
-        occ[i] = q
-    return PhotonTrajectory(times, occ, occ / photons_per_kelvin(mode.frequency_hz))
+    return PhotonTrajectory(times, temperature)

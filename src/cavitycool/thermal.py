@@ -52,13 +52,6 @@ def photon_occupancy(frequency_hz: float, temperature_k: float) -> float:
     return 1.0 / math.expm1(x)
 
 
-def photons_per_kelvin(frequency_hz: float) -> float:
-    """Equipartition slope k_B/(h f): photons added per kelvin of mode temperature."""
-    if frequency_hz <= 0:
-        raise DomainError(f"frequency must be positive, got {frequency_hz}")
-    return BOLTZMANN_K / (PLANCK_H * frequency_hz)
-
-
 class LossModel(enum.Enum):
     """How a link's insertion loss mixes load and link temperatures."""
 

@@ -42,7 +42,7 @@ from .errors import ConfigError, DataFormatError
 from .synth import NoiseTrace
 
 TRACE_HEADER = ("time_s", "voltage_v")
-TRAJECTORY_HEADER = ("time_s", "occupancy", "temperature_k")
+TRAJECTORY_HEADER = ("time_s", "temperature_k")
 
 # Allowed relative wobble of the sample spacing inside a trace file.
 _GRID_TOLERANCE = 1e-6
@@ -252,13 +252,8 @@ def read_trace_ensemble(paths: Sequence[str]) -> NoiseTrace:
 
 
 def write_trajectory_csv(path: str, trajectory) -> None:
-    """Write `trajectory.csv`: time, occupancy and mode temperature.
-
-    The `occupancy` column is the trajectory's equipartition number
-    photons_per_kelvin * T, not the Bose-Einstein occupancy that `steady`
-    prints as `occupancy_*`; the two differ by about half a photon.
-    """
-    columns = (trajectory.times_s, trajectory.occupancy, trajectory.temperature_k)
+    """Write `trajectory.csv`: time and mode temperature."""
+    columns = (trajectory.times_s, trajectory.temperature_k)
     _write_csv(path, TRAJECTORY_HEADER, np.array(columns, dtype=float).T.tolist())
 
 

@@ -19,7 +19,6 @@ from cavitycool.dynamics import (
     ScheduleEvent,
     SwitchSchedule,
     evolve_occupancy,
-    evolve_occupancy_rk4,
     relaxation_time,
 )
 from cavitycool.pipeline import analyze_run, simulate_run
@@ -30,6 +29,7 @@ from cavitycool.thermal import (
     mode_temperature,
     photon_occupancy,
 )
+from test_dynamics import _rk4_temperature
 
 
 def _line(label, ok, detail):
@@ -155,11 +155,9 @@ def test_criterion_07_integrator_matches_closed_form():
         )
         schedule = SwitchSchedule(events)
         closed = evolve_occupancy(cfg.mode, cfg.baths, schedule, 40e-6, 0.15e-6)
-        stepped = evolve_occupancy_rk4(
-            cfg.mode, cfg.baths, schedule, 40e-6, 0.15e-6
-        )
+        stepped = _rk4_temperature(cfg.mode, cfg.baths, schedule, closed.times_s)
         err = float(
-            np.max(np.abs(stepped.occupancy - closed.occupancy) / closed.occupancy)
+            np.max(np.abs(stepped - closed.temperature_k) / closed.temperature_k)
         )
         worst = max(worst, err)
     elapsed = time.perf_counter() - t0

@@ -29,7 +29,7 @@ from cavitycool.config import (
     load_run_config,
     with_seed,
 )
-from cavitycool.dynamics import PhotonTrajectory, steady_state_occupancy
+from cavitycool.dynamics import PhotonTrajectory
 from cavitycool.errors import (
     ConfigError,
     DataFormatError,
@@ -615,14 +615,13 @@ def test_trace_grid_caches_keep_each_file_on_its_own_grid(tmp_path):
 def test_trajectory_csv_format(tmp_path):
     traj = PhotonTrajectory(
         np.array([0.0, 1e-6, 2e-6]),
-        np.array([10.0, 20.0, 30.0]),
         np.array([1.0, 2.0, 3.0]),
     )
     path = tmp_path / "traj.csv"
     tracefile.write_trajectory_csv(str(path), traj)
     lines = path.read_text().splitlines()
-    assert lines[0] == "time_s,occupancy,temperature_k"
-    assert lines[1] == "0.0,10.0,1.0"
+    assert lines[0] == "time_s,temperature_k"
+    assert lines[1] == "0.0,1.0"
     assert len(lines) == 4
 
 
@@ -668,10 +667,10 @@ def test_simulate_run_structure():
 
     traj = result.trajectory
     assert len(traj) == 3201  # 160 us every 50 ns, both ends included
-    q_cold = steady_state_occupancy(cfg.mode, cfg.baths)
-    q_ambient = steady_state_occupancy(cfg.mode, cfg.baths.subset((1,)))
-    assert traj.occupancy[0] == pytest.approx(q_cold, rel=1e-12)
-    assert traj.occupancy[-1] == pytest.approx(q_ambient, rel=1e-4)
+    t_cold = mode_temperature(cfg.baths)
+    t_ambient = mode_temperature(cfg.baths.subset((1,)))
+    assert traj.temperature_k[0] == pytest.approx(t_cold, rel=1e-12)
+    assert traj.temperature_k[-1] == pytest.approx(t_ambient, rel=1e-4)
     assert np.array_equal(result.traces.times_s, traj.times_s)
     assert result.traces.voltages_v.shape == (3, len(traj))
 
@@ -824,6 +823,19 @@ def test_cli_steady_porcelain_matches_library(capsys):
     assert float(d["weight_intrinsic"]) == pytest.approx(1.0 / 5.8)
     assert float(d["port.cooling.weight"]) == pytest.approx(3.8 / 5.8)
     assert "port.monitoring.delivered_k" in d
+
+
+def test_cli_trajectory_starts_at_the_steady_cooled_temperature(tmp_path, capsys):
+    # One scale: row 1 of trajectory.csv prints steady's cooled temperature.
+    ini = _ini(tmp_path, "[synth]\nn_shots = 2\n")
+    out = tmp_path / "run"
+    assert cli.main(["simulate", "--config", ini, "--out", str(out), "--porcelain"]) == 0
+    capsys.readouterr()
+    assert cli.main(["steady", "--config", ini, "--porcelain"]) == 0
+    steady = _porcelain(capsys.readouterr().out)
+    with open(out / "trajectory.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows[0]["temperature_k"] == steady["t_mode_cooled_k"]
 
 
 def test_cli_steady_human_output(capsys):

@@ -1,5 +1,5 @@
-"""Switched-bath occupancy dynamics: schedules, relaxation times, and the
-closed-form/Runge-Kutta agreement.
+"""Switched-bath mode-temperature dynamics: schedules, relaxation times,
+and the agreement of the closed form with a Runge-Kutta oracle.
 """
 
 import dataclasses
@@ -13,10 +13,8 @@ from cavitycool.dynamics import (
     SwitchSchedule,
     build_protocol,
     evolve_occupancy,
-    evolve_occupancy_rk4,
     relaxation_rate,
     relaxation_time,
-    steady_state_occupancy,
 )
 from cavitycool.errors import DomainError
 from cavitycool.thermal import (
@@ -25,8 +23,46 @@ from cavitycool.thermal import (
     CavityMode,
     LossModel,
     mode_temperature,
-    photons_per_kelvin,
 )
+
+
+def _rk4_temperature(mode, baths, schedule, times):
+    """Classic fourth-order Runge-Kutta oracle for `evolve_occupancy`.
+
+    Integrates dT/dt = -rate (T - T_span) on the grid `times` from the
+    settled temperature of the first event's baths, splitting steps
+    exactly at switching times.
+    """
+    starts = np.array([e.time_s for e in schedule.events])
+    subsets = [baths.subset(e.active_ports) for e in schedule.events]
+    rates = [relaxation_rate(mode, sub) for sub in subsets]
+    targets = [mode_temperature(sub) for sub in subsets]
+    n_spans = len(starts)
+    temperature = np.empty_like(times)
+    temperature[0] = temp = targets[0]
+    for i in range(1, len(times)):
+        t = float(times[i - 1])
+        t_stop = float(times[i])
+        while t < t_stop:
+            k = min(
+                n_spans - 1,
+                max(0, int(np.searchsorted(starts, t, side="right")) - 1),
+            )
+            stop = t_stop
+            if k + 1 < n_spans and starts[k + 1] < t_stop:
+                stop = float(starts[k + 1])
+            if stop <= t:  # fp guard: never stall on a boundary
+                stop = t_stop
+            h = stop - t
+            rate, t_star = rates[k], targets[k]
+            k1 = -rate * (temp - t_star)
+            k2 = -rate * (temp + 0.5 * h * k1 - t_star)
+            k3 = -rate * (temp + 0.5 * h * k2 - t_star)
+            k4 = -rate * (temp + h * k3 - t_star)
+            temp += (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            t = stop
+        temperature[i] = temp
+    return temperature
 
 
 def _bench_mode():
@@ -78,19 +114,6 @@ def test_relaxation_rate_scales_with_coupling():
         mode, BathSet(290.0, (BathPort(coupling=1.0, load_temperature_k=18.4),))
     )
     assert one == pytest.approx(2.0 * bare, rel=1e-14)
-
-
-def test_steady_state_occupancy_is_equipartition():
-    mode = _bench_mode()
-    baths = _bench_baths()
-    assert math.isclose(
-        steady_state_occupancy(mode, baths.subset((1,))),
-        3684.02138997793,
-        rel_tol=1e-10,
-    )
-    assert math.isclose(
-        steady_state_occupancy(mode, baths), 1555.63037022771, rel_tol=1e-10
-    )
 
 
 def test_protocol_is_cool_then_hold():
@@ -147,33 +170,38 @@ def test_evolution_reaches_segment_steady_states():
     schedule = build_protocol(60e-6, 260e-6)
     traj = evolve_occupancy(mode, baths, schedule, 260e-6, 20e-9)
 
-    cooled = steady_state_occupancy(mode, baths)
-    ambient = steady_state_occupancy(mode, baths.subset((1,)))
+    cooled = mode_temperature(baths)
+    ambient = mode_temperature(baths.subset((1,)))
 
-    # Starts in the cooled steady state (q_initial=None) and stays there
-    # until the disconnect.
-    assert traj.occupancy[0] == pytest.approx(cooled, rel=1e-12)
+    # Starts settled in the cooled configuration and stays there until the
+    # disconnect.
+    assert traj.temperature_k[0] == cooled
     i_mid = np.searchsorted(traj.times_s, 59e-6)
-    assert traj.occupancy[i_mid] == pytest.approx(cooled, rel=1e-12)
+    assert traj.temperature_k[i_mid] == cooled
     # Many monitoring-only time constants later it has warmed to ambient.
-    assert traj.occupancy[-1] == pytest.approx(ambient, rel=1e-6)
+    assert traj.temperature_k[-1] == pytest.approx(ambient, rel=1e-6)
     # Warm-up is monotone.
-    after = traj.occupancy[traj.times_s >= 60e-6]
+    after = traj.temperature_k[traj.times_s >= 60e-6]
     assert np.all(np.diff(after) >= 0)
 
 
 def test_evolution_single_segment_is_one_exponential():
+    # A leading ambient-only span starts the cooling span at t_on off
+    # equilibrium.
     mode = _bench_mode()
-    baths = _bench_baths().subset((1,))
+    baths = _bench_baths()
+    t_on = 10e-6
     schedule = SwitchSchedule(
-        (ScheduleEvent(0.0, (0,)),)
+        (ScheduleEvent(0.0, (1,)), ScheduleEvent(t_on, (0, 1)))
     )
-    q0 = 1000.0
-    traj = evolve_occupancy(mode, baths, schedule, 50e-6, 100e-9, q_initial=q0)
-    target = steady_state_occupancy(mode, baths)
+    traj = evolve_occupancy(mode, baths, schedule, 60e-6, 100e-9)
+    start = mode_temperature(baths.subset((1,)))
+    target = mode_temperature(baths)
     rate = relaxation_rate(mode, baths)
-    expected = target + (q0 - target) * np.exp(-rate * traj.times_s)
-    assert np.allclose(traj.occupancy, expected, rtol=1e-12)
+    on = traj.times_s >= t_on
+    expected = target + (start - target) * np.exp(-rate * (traj.times_s[on] - t_on))
+    assert np.all(traj.temperature_k[~on] == start)
+    assert np.allclose(traj.temperature_k[on], expected, rtol=1e-12)
 
 
 def test_warm_up_tail_time_constant():
@@ -183,50 +211,53 @@ def test_warm_up_tail_time_constant():
     baths = _bench_baths()
     schedule = build_protocol(40e-6, 200e-6)
     traj = evolve_occupancy(mode, baths, schedule, 200e-6, 50e-9)
-    ambient = steady_state_occupancy(mode, baths.subset((1,)))
+    ambient = mode_temperature(baths.subset((1,)))
     sel = (traj.times_s >= 45e-6) & (traj.times_s <= 80e-6)
-    deficit = ambient - traj.occupancy[sel]
+    deficit = ambient - traj.temperature_k[sel]
     slope = np.polyfit(traj.times_s[sel], np.log(deficit), 1)[0]
     assert math.isclose(-1.0 / slope, 9.00359112351529e-6, rel_tol=1e-9)
 
 
 def test_reversibility_cool_then_warm():
-    # Cool for 7 tau then warm for 7 tau: back within 0.2% of ambient.
+    # From ambient (a leading ambient-only span), cool for 7 tau then warm
+    # for 7 tau: back within 0.2% of ambient.
     mode = _bench_mode()
     baths = _bench_baths()
     tau_cool = relaxation_time(mode, baths)
     tau_warm = relaxation_time(mode, baths.subset((1,)))
-    t_switch = 7.0 * tau_cool
+    t_cool = tau_cool
+    t_switch = t_cool + 7.0 * tau_cool
     duration = t_switch + 7.0 * tau_warm
     schedule = SwitchSchedule(
         (
-            ScheduleEvent(0.0, (0, 1)),
+            ScheduleEvent(0.0, (1,)),
+            ScheduleEvent(t_cool, (0, 1)),
             ScheduleEvent(t_switch, (1,)),
         )
     )
-    ambient = steady_state_occupancy(mode, baths.subset((1,)))
-    traj = evolve_occupancy(
-        mode, baths, schedule, duration, tau_cool / 50.0, q_initial=ambient
-    )
-    assert abs(traj.occupancy[-1] - ambient) / ambient < 0.002
+    ambient = mode_temperature(baths.subset((1,)))
+    traj = evolve_occupancy(mode, baths, schedule, duration, tau_cool / 50.0)
+    assert traj.temperature_k[0] == ambient
+    assert abs(traj.temperature_k[-1] - ambient) / ambient < 0.002
 
 
-def test_temperature_channel_matches_occupancy():
-    # The temperature is on the closed-form scale, occupancy over
-    # photons_per_kelvin, so a settled trajectory reads mode_temperature.
+def test_settled_trajectory_reads_mode_temperature():
+    # One scale: the cooled plateau is mode_temperature itself, and the
+    # warmed end settles at the ambient mode_temperature.
     mode = _bench_mode()
     baths = _bench_baths()
     # 480 us after the disconnect is over 50 relaxation times.
     schedule = build_protocol(20e-6, 500e-6)
-    per_kelvin = photons_per_kelvin(mode.frequency_hz)
-    for evolve in (evolve_occupancy, evolve_occupancy_rk4):
-        traj = evolve(mode, baths, schedule, 500e-6, 100e-9)
-        assert np.array_equal(traj.temperature_k, traj.occupancy / per_kelvin)
+    traj = evolve_occupancy(mode, baths, schedule, 500e-6, 100e-9)
+    plateau = traj.times_s < 20e-6
+    assert np.all(traj.temperature_k[plateau] == mode_temperature(baths))
+    rk4 = _rk4_temperature(mode, baths, schedule, traj.times_s)
+    for temperature_k in (traj.temperature_k, rk4):
         assert math.isclose(
-            traj.temperature_k[0], mode_temperature(baths), rel_tol=1e-12
+            temperature_k[0], mode_temperature(baths), rel_tol=1e-12
         )
         assert math.isclose(
-            traj.temperature_k[-1], mode_temperature(baths.subset((1,))), rel_tol=1e-12
+            temperature_k[-1], mode_temperature(baths.subset((1,))), rel_tol=1e-12
         )
 
 
@@ -235,8 +266,8 @@ def test_rk4_matches_closed_form():
     baths = _bench_baths()
     schedule = build_protocol(40e-6, 160e-6)
     closed = evolve_occupancy(mode, baths, schedule, 160e-6, 100e-9)
-    rk4 = evolve_occupancy_rk4(mode, baths, schedule, 160e-6, 100e-9)
-    assert np.allclose(rk4.occupancy, closed.occupancy, rtol=1e-9, atol=0.0)
+    rk4 = _rk4_temperature(mode, baths, schedule, closed.times_s)
+    assert np.allclose(rk4, closed.temperature_k, rtol=1e-9, atol=0.0)
 
 
 def test_rk4_matches_closed_form_off_grid_switch():
@@ -251,9 +282,9 @@ def test_rk4_matches_closed_form_off_grid_switch():
             ScheduleEvent(51.3e-6, ()),
         )
     )
-    closed = evolve_occupancy(mode, baths, schedule, 90e-6, 250e-9, q_initial=500.0)
-    rk4 = evolve_occupancy_rk4(mode, baths, schedule, 90e-6, 250e-9, q_initial=500.0)
-    assert np.allclose(rk4.occupancy, closed.occupancy, rtol=1e-6, atol=0.0)
+    closed = evolve_occupancy(mode, baths, schedule, 90e-6, 250e-9)
+    rk4 = _rk4_temperature(mode, baths, schedule, closed.times_s)
+    assert np.allclose(rk4, closed.temperature_k, rtol=1e-6, atol=0.0)
 
 
 def test_step_size_guard():
@@ -274,18 +305,14 @@ def test_evolution_validation():
         evolve_occupancy(mode, baths, schedule, -1.0, 1e-7)
     with pytest.raises(DomainError):
         evolve_occupancy(mode, baths, schedule, 160e-6, -1e-7)
-    with pytest.raises(DomainError):
-        evolve_occupancy(mode, baths, schedule, 160e-6, 1e-7, q_initial=-5.0)
 
 
 def test_empty_schedule_uses_all_baths():
     mode = _bench_mode()
     baths = _bench_baths()
     traj = evolve_occupancy(mode, baths, SwitchSchedule(()), 30e-6, 100e-9)
-    assert traj.occupancy[0] == pytest.approx(
-        steady_state_occupancy(mode, baths), rel=1e-12
-    )
-    assert np.allclose(traj.occupancy, traj.occupancy[0], rtol=1e-12)
+    assert traj.temperature_k[0] == mode_temperature(baths)
+    assert np.allclose(traj.temperature_k, traj.temperature_k[0], rtol=1e-12)
 
 
 def test_grid_covers_duration_inclusive():

@@ -17,6 +17,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 _SRC = Path(__file__).resolve().parents[1] / "src"
 
 # Runs each argv list (JSON in argv[1]) through cli.main and prints, as its
@@ -202,8 +204,7 @@ _EXPORTED = {
     "dynamics": [
         "CavityMode", "PhotonTrajectory", "ScheduleEvent",
         "SwitchSchedule", "build_protocol", "evolve_occupancy",
-        "evolve_occupancy_rk4", "relaxation_rate", "relaxation_time",
-        "steady_state_occupancy",
+        "relaxation_rate", "relaxation_time",
     ],
     "errors": [
         "AnalysisError", "CavityCoolError", "ConfigError", "DataFormatError",
@@ -221,8 +222,7 @@ _EXPORTED = {
     ],
     "thermal": [
         "BathPort", "BathSet", "LossModel", "link_output_temperature",
-        "mode_temperature", "photon_occupancy", "photons_per_kelvin",
-        "sweep_mode_temperature",
+        "mode_temperature", "photon_occupancy", "sweep_mode_temperature",
     ],
 }
 _SUBMODULES = [*_EXPORTED, "cli", "tracefile"]
@@ -264,3 +264,13 @@ def test_package_root_resolves_every_former_export_and_submodule():
     assert not numpy_loaded
     assert error == "module 'cavitycool' has no attribute 'no_such_name'"
     assert wrong == []
+
+
+def test_package_root_refuses_the_photon_scale_and_rk4_names():
+    # The trajectory is evolved in kelvin, and the Runge-Kutta cross-check
+    # is a test oracle, so these names left the package.
+    import cavitycool
+
+    for name in ("evolve_occupancy_rk4", "steady_state_occupancy", "photons_per_kelvin"):
+        with pytest.raises(AttributeError):
+            getattr(cavitycool, name)

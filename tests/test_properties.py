@@ -204,29 +204,29 @@ def test_readme_quick_config_digest_pinned(tmp_path):
 # every written byte and every printed estimate, so a refactor that moves
 # one of them fails here rather than only against itself.
 _QUICK_SHA256 = {
-    "trace_000.csv": "c9050fab141ba7b423d40c0ad975d30c63852a7117a07de06445eed765b01b6f",
-    "trajectory.csv": "b40b66c2c202bba0904972c34cb7aaa9a93dd0d088cb033cd5c9586f2f48e86f",
+    "trace_000.csv": "254acb46d48b3d2cf016ac40b875c859c241e08bdafabff81d14416398ada80b",
+    "trajectory.csv": "bdeb0a7278e0a9167ea51b422aebfeb722f1bbf058c042d707ed20e97b4b1f48",
     "run.meta": "96eb4fa7f09041a505341100c2d3f28a78de72b3af130014b95c9a56e1cad1d3",
 }
-_QUICK_TRACES_SHA256 = "28499e9f885c4f37f03a15eb443d4d9027abeed3d6a0036a62f6d448ab3d62aa"
+_QUICK_TRACES_SHA256 = "9413555c30822b305f2d5d58fd17de44bb23f92d3bafe36ef4f395fca6edf67d"
 _QUICK_PORCELAIN = """\
 n_shots=40
-deltap_direct_db=-3.4799894759964918
+deltap_direct_db=-3.479989475996491
 deltap_direct_stderr_db=0.05606717652536908
-deltap_band_db=-3.5285777804500245
+deltap_band_db=-3.528577780450024
 deltap_band_stderr_db=0.1651946434680566
-fit_a1_db=-4.519914604959603
+fit_a1_db=-4.519914610382509
 fit_a2_db=0.0
-fit_tau1_s=7.702587230063228e-06
-fit_tau2_s=7.702587230063228e-06
-fit_residual_rms_db=0.08890139042696729
+fit_tau1_s=7.702587223608242e-06
+fit_tau2_s=7.702587223608242e-06
+fit_residual_rms_db=0.08890139041883001
 fit_converged=true
 fit_collapsed_single=true
-warmup_time_s=7.702587230063228e-06
-warmup_stderr_s=6.428592670018365e-07
+warmup_time_s=7.702587223608242e-06
+warmup_stderr_s=6.428592664385202e-07
 fit_nfev=110
-depth_fit_db=-4.519914604959603
-depth_fit_stderr_db=0.6005721936366302
+depth_fit_db=-4.519914610382509
+depth_fit_stderr_db=0.6005721950277813
 t_mode_inferred_k=108.03061478120544
 t_ambient_reference_k=256.27905243008615
 """

@@ -36,7 +36,7 @@ def _chain():
 def _flat_trajectory(cfg: SynthConfig, n: int, temperature_k: float) -> PhotonTrajectory:
     times = np.arange(n) * cfg.sample_interval_s
     temps = np.full(n, temperature_k)
-    return PhotonTrajectory(times, np.full(n, 1000.0), temps)
+    return PhotonTrajectory(times, temps)
 
 
 def _step_trajectory(
@@ -45,7 +45,7 @@ def _step_trajectory(
     times = np.arange(n) * cfg.sample_interval_s
     temps = np.full(n, t_first_k)
     temps[n // 2 :] = t_second_k
-    return PhotonTrajectory(times, np.full(n, 1000.0), temps)
+    return PhotonTrajectory(times, temps)
 
 
 def test_shot_seed_golden_value():
@@ -432,9 +432,7 @@ def test_trajectory_grid_must_match_config():
     chain = _chain()
     n = 1001
     assert len(synthesize_trace(_flat_trajectory(cfg, n, 290.0), chain, cfg)) == n
-    shifted = PhotonTrajectory(
-        np.arange(n) * 1e-7 + 1e-9, np.full(n, 1000.0), np.full(n, 290.0)
-    )
+    shifted = PhotonTrajectory(np.arange(n) * 1e-7 + 1e-9, np.full(n, 290.0))
     with pytest.raises(DomainError):
         synthesize_trace(shifted, chain, cfg)
 

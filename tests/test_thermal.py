@@ -20,7 +20,6 @@ from cavitycool.thermal import (
     link_output_temperature,
     mode_temperature,
     photon_occupancy,
-    photons_per_kelvin,
     sweep_mode_temperature,
 )
 from cavitycool.constants import BOLTZMANN_K, PLANCK_H
@@ -69,12 +68,8 @@ def test_occupancy_monotone_in_temperature():
 def test_occupancy_equipartition_limit():
     # hf/kT -> 0: n ~ kT/hf - 1/2
     f, t = 1.45e9, 5000.0
-    eps = photons_per_kelvin(f)
+    eps = BOLTZMANN_K / (PLANCK_H * f)
     assert math.isclose(photon_occupancy(f, t), eps * t - 0.5, rel_tol=1e-4)
-
-
-def test_photons_per_kelvin_value():
-    assert math.isclose(photons_per_kelvin(1.4495e9), 14.3750390640411, rel_tol=1e-12)
 
 
 def test_occupancy_domain_errors():
@@ -82,8 +77,6 @@ def test_occupancy_domain_errors():
         photon_occupancy(0.0, 200.0)
     with pytest.raises(DomainError):
         photon_occupancy(1e9, -1.0)
-    with pytest.raises(DomainError):
-        photons_per_kelvin(0.0)
 
 
 def test_occupancy_zero_temperature_limits():
