@@ -84,9 +84,7 @@ class SpectralDensity(NamedTuple):
     density: np.ndarray  # one-sided, V^2/Hz
 
 
-def ensemble_spectral_density(
-    trace: NoiseTrace, segment_samples: int = 256
-) -> SpectralDensity:
+def ensemble_spectral_density(trace: NoiseTrace, segment_samples: int) -> SpectralDensity:
     """Mean over shots of the Hann-window Welch estimate of the one-sided PSD.
 
     Each shot is cut into segments of `segment_samples` that overlap by
@@ -173,13 +171,15 @@ def pooled_mean_square(
 
     Returns (mean square, total sample count).
     """
-    section = trace.slice_time(t_start_s, t_stop_s)
-    # Shot sums added in shot order (cumsum is sequential), not one
-    # pairwise sum over the block, so the pooled value does not depend
-    # on how the shots are blocked.
-    per_shot = np.sum(section.voltages_v**2, axis=1)
-    count = section.voltages_v.size
-    return float(np.cumsum(per_shot)[-1]) / count, count
+    v = trace.slice_time(t_start_s, t_stop_s).voltages_v
+    # Each shot's sum of squares, one block of shots at a time; the shot
+    # sums are added in shot order (cumsum is sequential), not by one
+    # pairwise sum, so the pooled value does not depend on the blocking.
+    per_shot = np.empty(len(v))
+    for start in range(0, len(v), _BLOCK_SHOTS):
+        rows = v[start : start + _BLOCK_SHOTS]
+        np.sum(rows**2, axis=1, out=per_shot[start : start + _BLOCK_SHOTS])
+    return float(np.cumsum(per_shot)[-1]) / v.size, v.size
 
 
 def segment_deltap(
@@ -204,7 +204,7 @@ def segment_deltap(
 def windowed_deltap_timeseries(
     section: NoiseTrace,
     ambient_mean_square: float,
-    window_samples: int = 10,
+    window_samples: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Level versus time through a section, in consecutive sample windows.
 
@@ -274,7 +274,6 @@ def fit_biexponential(
     times_s: np.ndarray,
     values_db: np.ndarray,
     exclude_before_s: float = 2e-6,
-    max_nfev: int = 2500,
 ) -> BiExpFit:
     """Fit the warm-up level ratio r = 10^(dB/10) with 1 + A exp(-t/tau).
 
@@ -288,9 +287,9 @@ def fit_biexponential(
     The residual is linear in A, so A is profiled out in closed form
     (variable projection, Golub & Pereyra, SIAM J. Numer. Anal. 10, 413
     (1973)) and the sum of squares is minimised over log tau alone: a
-    coarse scan, then golden section.  The fit has converged when the
-    scan's minimum is interior (or the profile is flat) and the bracket
-    closed within `max_nfev` profile evaluations.
+    coarse scan, then golden section, which closes the bracket of two
+    scan steps in a fixed number of evaluations.  The fit has converged
+    when the scan's minimum is interior (or the profile is flat).
 
     Raises
     ------
@@ -337,7 +336,7 @@ def fit_biexponential(
     x2 = lo + _GOLDEN * (hi - lo)
     f1, f2 = profile(x1)[1], profile(x2)[1]
     nfev += 2
-    while hi - lo > _LOG_TAU_TOL and nfev < max_nfev:
+    while hi - lo > _LOG_TAU_TOL:
         if f1 <= f2:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - _GOLDEN * (hi - lo)
@@ -369,7 +368,7 @@ def fit_biexponential(
         tau1_stderr_s=tau * math.sqrt(cov[1, 1]),
         residual_rms_db=float(np.sqrt(np.mean((y - model_db) ** 2))),
         n_points=len(t),
-        converged=bool(interior and hi - lo <= _LOG_TAU_TOL),
+        converged=bool(interior),
         nfev=nfev,
     )
 

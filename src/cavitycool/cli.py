@@ -157,7 +157,7 @@ def cmd_simulate(args, cfg: RunConfig) -> int:
         cfg = with_seed(cfg, args.seed)
     result = simulate_run(cfg)
     meta_path = tracefile.write_run(args.out, cfg, result)
-    trajectory_file = tracefile.TRAJECTORY_FILE
+    trajectory = tracefile.TRAJECTORY_FILE
     digest = config_digest(cfg)
     _emit(
         args,
@@ -165,10 +165,10 @@ def cmd_simulate(args, cfg: RunConfig) -> int:
             ("run_meta", meta_path),
             ("config_digest", digest),
             ("n_traces", str(cfg.n_shots)),
-            ("trajectory_csv", os.path.join(args.out, trajectory_file)),
+            ("trajectory_csv", os.path.join(args.out, trajectory)),
         ],
         [
-            f"wrote {cfg.n_shots} traces and {trajectory_file} to {args.out}",
+            f"wrote {cfg.n_shots} traces and {trajectory} to {args.out}",
             f"run sidecar: {meta_path}  (config digest {digest[:12]})",
         ],
     )

@@ -347,14 +347,15 @@ def load_run_config(path: str) -> RunConfig:
 def config_from_items(items: Mapping[str, str]) -> RunConfig:
     """Rebuild a configuration from its `config_items` dump.
 
-    Keys without a dot, such as a run sidecar's own entries, are
-    ignored.  Raises ConfigError, also when a key is missing.
+    Every key must be a configuration key, `section.key`: ConfigError
+    names the first that is not, and a missing key.
     """
     raw: dict[str, dict[str, str]] = {}
     for name, text in items.items():
         section, dot, key = name.rpartition(".")
-        if dot:
-            raw.setdefault(section, {})[key] = text
+        if not dot:
+            raise ConfigError(f"unknown key '{name}'")
+        raw.setdefault(section, {})[key] = text
     return _build(raw)
 
 

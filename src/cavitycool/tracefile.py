@@ -6,10 +6,11 @@ floats in shortest round-trip (repr) form.  Sidecars are plain
 `key=value` lines.  Writers are deterministic: identical inputs produce
 byte-identical files.
 
-A run directory (`write_run`, `read_run`) holds `trajectory.csv`, one
-`trace_NNN.csv` per shot and the `run.meta` sidecar: the `format` and
-`config_digest` lines, the `_RUN_COPIES` lines, `trajectory_file`, the
-comma-separated `trace_files` and the run's `config_items`.
+A run directory (`write_run`, `read_run`) holds `trajectory.csv`, the
+trace files `trace_000.csv`, `trace_001.csv`, ... of its `synth.n_shots`
+shots and the `run.meta` sidecar: the `format` and `config_digest` lines,
+then the run's `config_items`.  The sidecar holds nothing else; the file
+names follow from the configuration.
 
 A run writes and reads one trace file per shot, all on one time grid, so
 both directions handle the time column once per grid: `write_trace_csv`
@@ -49,18 +50,8 @@ _GRID_TOLERANCE = 1e-6
 
 _TRACE_HEADER_LINE = ",".join(TRACE_HEADER) + "\n"
 
-_RUN_FORMAT = "cavitycool-run/2"
+_RUN_FORMAT = "cavitycool-run/3"
 TRAJECTORY_FILE = "trajectory.csv"
-
-# Sidecar lines that copy a configuration key for readers, in file
-# order: (copy, key).  `protocol.cool_duration_s` is the disconnect time.
-_RUN_COPIES = (
-    ("master_seed", "synth.rng_seed"),
-    ("n_shots", "synth.n_shots"),
-    ("sample_interval_s", "synth.sample_interval_s"),
-    ("disconnect_time_s", "protocol.cool_duration_s"),
-    ("trace_length_s", "protocol.trace_length_s"),
-)
 
 
 def _fmt(value: float) -> str:
@@ -289,22 +280,22 @@ def read_key_values(path: str) -> dict[str, str]:
     return out
 
 
+def _trace_names(cfg: RunConfig) -> list[str]:
+    """The trace file of each shot of a run of `cfg`, in shot order."""
+    return [f"trace_{i:03d}.csv" for i in range(cfg.n_shots)]
+
+
 def write_run(out_dir: str, cfg: RunConfig, result) -> str:
     """Write the simulated run `result` of `cfg` as a run directory in
     `out_dir` (see the module docstring); returns the sidecar's path."""
     os.makedirs(out_dir, exist_ok=True)
     write_trajectory_csv(os.path.join(out_dir, TRAJECTORY_FILE), result.trajectory)
     traces = result.traces
-    names = [f"trace_{i:03d}.csv" for i in range(traces.n_shots)]
-    for name, row in zip(names, traces.voltages_v):
+    for name, row in zip(_trace_names(cfg), traces.voltages_v, strict=True):
         write_trace_csv(os.path.join(out_dir, name), traces.times_s, row)
-    items = config_items(cfg)
-    text = dict(items)
     meta_path = os.path.join(out_dir, "run.meta")
     write_key_values(meta_path, [
-        ("format", _RUN_FORMAT), ("config_digest", config_digest(cfg)),
-        *((copy, text[key]) for copy, key in _RUN_COPIES),
-        ("trajectory_file", TRAJECTORY_FILE), ("trace_files", ",".join(names)), *items,
+        ("format", _RUN_FORMAT), ("config_digest", config_digest(cfg)), *config_items(cfg),
     ])
     return meta_path
 
@@ -313,36 +304,17 @@ def read_run(meta_path: str) -> tuple[RunConfig, NoiseTrace]:
     """The configuration and traces of the run whose sidecar is
     `meta_path`; DataFormatError, naming the sidecar, on any fault."""
     meta = read_key_values(meta_path)
-    if meta.get("format") != _RUN_FORMAT:
-        raise DataFormatError(
-            f"{meta_path}: format={meta.get('format', '(none)')}, "
-            f"expected {_RUN_FORMAT}"
-        )
-    if "trace_files" not in meta:
-        raise DataFormatError(f"{meta_path}: missing 'trace_files' entry")
-    names = meta["trace_files"].split(",")
-    if "" in names:
-        raise DataFormatError(f"{meta_path}: 'trace_files' has an empty entry")
-    seen = [os.path.normpath(name) for name in names]
-    if len(set(seen)) < len(seen):
-        twice = next(n for i, n in enumerate(names) if seen[i] in seen[:i])
-        raise DataFormatError(f"{meta_path}: 'trace_files' lists {twice} twice")
-    if meta.get("n_shots", str(len(names))) != str(len(names)):
-        raise DataFormatError(
-            f"{meta_path}: lists {len(names)} trace files, but records "
-            f"n_shots={meta['n_shots']}"
-        )
-    for copy, key in _RUN_COPIES:
-        copied, text = meta.get(copy, "(none)"), meta.get(key, "(none)")
-        if copied != text:
-            raise DataFormatError(f"{meta_path}: {copy}={copied} differs from {key}={text}")
+    found = meta.pop("format", "(none)")
+    if found != _RUN_FORMAT:
+        raise DataFormatError(f"{meta_path}: format={found}, expected {_RUN_FORMAT}")
+    digest = meta.pop("config_digest", None)
     try:
         cfg = config_from_items(meta)
     except ConfigError as exc:
         raise DataFormatError(f"{meta_path}: {exc}") from None
-    if config_digest(cfg) != meta.get("config_digest"):
+    if config_digest(cfg) != digest:
         raise DataFormatError(f"{meta_path}: configuration does not match its config_digest")
-    paths = [os.path.join(os.path.dirname(meta_path), name) for name in names]
+    paths = [os.path.join(os.path.dirname(meta_path), name) for name in _trace_names(cfg)]
     traces = read_trace_ensemble(paths)
     # The run's grid: the simulation's sample count, every dt from t = 0.
     dt = cfg.synth.sample_interval_s

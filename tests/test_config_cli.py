@@ -942,15 +942,18 @@ def test_cli_simulate_analyze_round_trip(tmp_path, capsys):
     assert d["n_traces"] == "40"
 
     cfg = load_run_config(ini)
+    # the sidecar holds the format, the digest and the configuration, and
+    # nothing derived from them: the trace names follow from synth.n_shots
     meta = tracefile.read_key_values(str(out / "run.meta"))
-    assert meta["format"] == "cavitycool-run/2"
-    assert meta["config_digest"] == config_digest(cfg) == d["config_digest"]
-    assert meta["n_shots"] == "40"
-    assert float(meta["disconnect_time_s"]) == cfg.protocol.cool_duration_s
-    names = meta["trace_files"].split(",")
-    assert len(names) == 40
-    assert all((out / name).is_file() for name in names)
-    assert (out / meta["trajectory_file"]).is_file()
+    assert list(meta.items()) == [
+        ("format", "cavitycool-run/3"), ("config_digest", config_digest(cfg)),
+        *config_items(cfg),
+    ]
+    assert meta["config_digest"] == d["config_digest"]
+    assert meta["synth.n_shots"] == "40"
+    assert all((out / f"trace_{i:03d}.csv").is_file() for i in range(40))
+    assert not (out / "trace_040.csv").exists()
+    assert (out / "trajectory.csv").is_file()
 
     rc = cli.main([
         "analyze", str(out / "run.meta"), "--config", ini, "--porcelain",
@@ -1018,13 +1021,13 @@ def test_cli_analyze_data_error_exit_codes(tmp_path, capsys):
     assert "i/o error" in capsys.readouterr().err
 
     meta = tmp_path / "run.meta"
-    meta.write_text("format=cavitycool-run/2\n")
+    meta.write_text("format=cavitycool-run/3\n")
     assert cli.main(["analyze", str(meta)]) == 4
-    assert "trace_files" in capsys.readouterr().err
+    assert f"{meta}: section [mode] missing key" in capsys.readouterr().err
 
-    meta.write_text("format=cavitycool-run/2\ntrace_files=missing.csv\ndisconnect_time_s=soon\n")
+    meta.write_text("format=cavitycool-run/3\ntrace_files=missing.csv\n")
     assert cli.main(["analyze", str(meta)]) == 4
-    assert "disconnect_time_s" in capsys.readouterr().err
+    assert f"{meta}: unknown key 'trace_files'" in capsys.readouterr().err
 
 
 def test_cli_analyze_rejects_traces_on_different_grids(tmp_path, capsys):
@@ -1051,62 +1054,18 @@ def test_cli_analyze_rejects_traces_on_different_grids(tmp_path, capsys):
 
 
 def test_cli_analyze_rejects_truncated_run(tmp_path, capsys):
+    # a run's trace files are those of its synth.n_shots shots, so a
+    # missing one fails to open rather than analysing fewer shots
     ini = _ini(tmp_path, "[synth]\nn_shots = 3\n")
     out = tmp_path / "run"
     assert cli.main(["simulate", "--config", ini, "--out", str(out),
                      "--porcelain"]) == 0
     capsys.readouterr()
-    meta = out / "run.meta"
-    text = meta.read_text()
-    listed = "trace_files=trace_000.csv,trace_001.csv,trace_002.csv\n"
-    assert listed in text and "\nn_shots=3\n" in text
-    for edited in (
-        text.replace(listed, "trace_files=trace_000.csv,trace_001.csv\n"),
-        text.replace("\nn_shots=3\n", "\nn_shots=2\n"),
-    ):
-        meta.write_text(edited)
-        assert cli.main(["analyze", str(meta), "--porcelain"]) == 4
-        err = capsys.readouterr().err
-        assert f"{meta}: lists" in err and "n_shots" in err
-
-
-@pytest.mark.parametrize(
-    ("n_shots", "listed"),
-    [(1, "trace_files=\n"), (2, "trace_files=trace_000.csv,\n")],
-)
-def test_cli_analyze_rejects_an_empty_trace_files_entry(
-    tmp_path, capsys, n_shots, listed
-):
-    ini = _ini(tmp_path, f"[synth]\nn_shots = {n_shots}\n")
-    out = tmp_path / "run"
-    assert cli.main(["simulate", "--config", ini, "--out", str(out),
-                     "--porcelain"]) == 0
-    capsys.readouterr()
-    meta = out / "run.meta"
-    text = meta.read_text()
-    recorded = "trace_files=" + ",".join(
-        f"trace_{i:03d}.csv" for i in range(n_shots)) + "\n"
-    assert recorded in text
-    meta.write_text(text.replace(recorded, listed))
-    assert cli.main(["analyze", str(meta), "--porcelain"]) == 4
-    err = capsys.readouterr().err
-    assert err == f"data format error: {meta}: 'trace_files' has an empty entry\n"
-
-
-def test_cli_analyze_rejects_a_repeated_trace_files_entry(tmp_path, capsys):
-    # a shot listed twice would be averaged twice, with exit 0
-    meta = _four_shot_meta(tmp_path, capsys)
-    text = meta.read_text()
-    recorded = "trace_files=trace_000.csv,trace_001.csv,"
-    assert recorded in text
-    for twice in ("trace_000.csv", "./trace_000.csv"):
-        meta.write_text(text.replace(recorded, f"trace_files=trace_000.csv,{twice},"))
-        assert cli.main(["analyze", str(meta), "--porcelain"]) == 4
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (
-            f"data format error: {meta}: 'trace_files' lists {twice} twice\n"
-        )
+    (out / "trace_002.csv").unlink()
+    assert cli.main(["analyze", str(out / "run.meta"), "--porcelain"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "i/o error" in captured.err and str(out / "trace_002.csv") in captured.err
 
 
 def _four_shot_meta(tmp_path, capsys):
@@ -1118,25 +1077,29 @@ def _four_shot_meta(tmp_path, capsys):
     return out / "run.meta"
 
 
-@pytest.mark.parametrize("value", ["nan", "inf", "4.1e-05"])
-def test_cli_analyze_rejects_sidecar_disconnect_off_the_config(tmp_path, capsys, value):
-    # the disconnect is protocol.cool_duration_s, which the digest covers;
-    # the disconnect_time_s line is a copy that must agree with it
-    meta = _four_shot_meta(tmp_path, capsys)
-    text = meta.read_text()
-    line = "\ndisconnect_time_s=4e-05\n"
-    assert line in text and "\nprotocol.cool_duration_s=4e-05\n" in text
-    meta.write_text(text.replace(line, f"\ndisconnect_time_s={value}\n"))
-    assert cli.main(["analyze", str(meta), "--porcelain"]) == 4
-    err = capsys.readouterr().err
-    assert f"{meta}: disconnect_time_s={value}" in err
+# The configuration keys that cavitycool-run/2 also copied to lines of
+# their own: (former copy, key).
+_FORMER_COPIES = {
+    "master_seed": "synth.rng_seed",
+    "n_shots": "synth.n_shots",
+    "sample_interval_s": "synth.sample_interval_s",
+    "disconnect_time_s": "protocol.cool_duration_s",
+    "trace_length_s": "protocol.trace_length_s",
+}
 
 
 @pytest.mark.parametrize("copy, key, value", [
     ("master_seed", "synth.rng_seed", "999"),
+    ("n_shots", "synth.n_shots", "3"),
+    ("n_shots", "synth.n_shots", "5"),
     ("sample_interval_s", "synth.sample_interval_s", "0.001"),
+    ("sample_interval_s", "synth.sample_interval_s", "1e-07"),
+    ("disconnect_time_s", "protocol.cool_duration_s", "4.1e-05"),
+    ("disconnect_time_s", "protocol.cool_duration_s", "nan"),
+    ("disconnect_time_s", "protocol.cool_duration_s", "inf"),
     ("trace_length_s", "protocol.trace_length_s", "nan"),
-    # None: the copy's line is deleted
+    ("trace_length_s", "protocol.trace_length_s", "inf"),
+    # None: the key's line is deleted
     ("master_seed", "synth.rng_seed", None),
     ("n_shots", "synth.n_shots", None),
     ("sample_interval_s", "synth.sample_interval_s", None),
@@ -1144,53 +1107,89 @@ def test_cli_analyze_rejects_sidecar_disconnect_off_the_config(tmp_path, capsys,
     ("trace_length_s", "protocol.trace_length_s", None),
 ])
 def test_cli_analyze_rejects_sidecar_copy_off_the_config(tmp_path, capsys, copy, key, value):
+    # each value has one line, the configuration's, and the digest covers
+    # it: an edit exits 4 naming the sidecar, also where the edited value
+    # alone would be a valid configuration
+    assert _FORMER_COPIES[copy] == key
     meta = _four_shot_meta(tmp_path, capsys)
     text = meta.read_text()
     recorded = tracefile.read_key_values(str(meta))
-    line = f"\n{copy}={recorded[copy]}\n"
-    assert line in text and recorded[copy] == recorded[key]
-    meta.write_text(text.replace(line, "\n" if value is None else f"\n{copy}={value}\n"))
+    assert copy not in recorded
+    line = f"\n{key}={recorded[key]}\n"
+    assert line in text
+    meta.write_text(text.replace(line, "\n" if value is None else f"\n{key}={value}\n"))
     assert cli.main(["analyze", str(meta), "--porcelain"]) == 4
-    err = capsys.readouterr().err
-    shown = "(none)" if value is None else value
-    assert f"{meta}: {copy}={shown} differs from {key}={recorded[key]}" in err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    section, _, leaf = key.partition(".")
+    if value is None:
+        reason = f"section [{section}] missing key '{leaf}'"
+    elif value in ("nan", "inf"):
+        reason = f"bad value for '{leaf}' in section [{section}]: '{value}'"
+    elif value == "0.001":
+        # a 160 us trace holds no 10 samples 1 ms apart
+        reason = "trace must cover at least 10 samples"
+    else:
+        reason = "configuration does not match its config_digest"
+    assert captured.err == f"data format error: {meta}: {reason}\n"
+
+
+@pytest.mark.parametrize("line", [
+    "master_seed=4\n", "trace_files=trace_000.csv,trace_001.csv,trace_002.csv,trace_003.csv\n",
+], ids=["copy", "trace-list"])
+def test_cli_analyze_rejects_a_leftover_sidecar_line(tmp_path, capsys, line):
+    # a cavitycool-run/3 sidecar holds only the format, the digest and the
+    # configuration: a line that cavitycool-run/2 also wrote is unknown
+    meta = _four_shot_meta(tmp_path, capsys)
+    head, digest, rest = meta.read_text().split("\n", 2)
+    assert digest.startswith("config_digest=")
+    meta.write_text(f"{head}\n{digest}\n{line}{rest}")
+    assert cli.main(["analyze", str(meta), "--porcelain"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    key = line.partition("=")[0]
+    assert captured.err == f"data format error: {meta}: unknown key '{key}'\n"
 
 
 @pytest.mark.parametrize("line", ["format=someone-else/9\n", ""], ids=["other", "missing"])
 def test_cli_analyze_rejects_a_sidecar_of_another_format(tmp_path, capsys, line):
     meta = _four_shot_meta(tmp_path, capsys)
     text = meta.read_text()
-    assert text.startswith("format=cavitycool-run/2\n")
-    # the format line is checked first, whatever else the file lacks: here
-    # its trace list and a copy line
+    assert text.startswith("format=cavitycool-run/3\n")
+    # the format line is checked first, whatever else the file lacks or
+    # holds: here its digest and a configuration key, and a stray key
     rest = [
         row for row in text.splitlines(keepends=True)[1:]
-        if not row.startswith(("trace_files=", "master_seed="))
+        if not row.startswith(("config_digest=", "synth.rng_seed="))
     ]
-    meta.write_text(line + "".join(rest))
+    meta.write_text(line + "master_seed=4\n" + "".join(rest))
     assert cli.main(["analyze", str(meta), "--porcelain"]) == 4
     captured = capsys.readouterr()
     found = line.strip().partition("=")[2] or "(none)"
     assert captured.out == ""
     assert captured.err == (
-        f"data format error: {meta}: format={found}, expected cavitycool-run/2\n"
+        f"data format error: {meta}: format={found}, expected cavitycool-run/3\n"
     )
 
 
 def test_cli_analyze_rejects_a_sidecar_of_the_previous_format(tmp_path, capsys):
-    # cavitycool-run/1 also recorded [protocol] interrogate_delay_s
+    # cavitycool-run/2 also copied five configuration values to lines of
+    # their own and listed the trace files
     meta = _four_shot_meta(tmp_path, capsys)
-    text = meta.read_text()
-    line = "\nprotocol.cool_duration_s=4e-05\n"
-    assert text.startswith("format=cavitycool-run/2\n") and line in text
-    meta.write_text(text.replace("/2\n", "/1\n", 1).replace(
-        line, line + "protocol.interrogate_delay_s=0.0\n"
-    ))
+    head, digest, rest = meta.read_text().split("\n", 2)
+    assert head == "format=cavitycool-run/3"
+    recorded = tracefile.read_key_values(str(meta))
+    copies = "".join(f"{copy}={recorded[key]}\n" for copy, key in _FORMER_COPIES.items())
+    names = ",".join(f"trace_{i:03d}.csv" for i in range(4))
+    meta.write_text(
+        f"format=cavitycool-run/2\n{digest}\n{copies}"
+        f"trajectory_file=trajectory.csv\ntrace_files={names}\n{rest}"
+    )
     assert cli.main(["analyze", str(meta), "--porcelain"]) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        f"data format error: {meta}: format=cavitycool-run/1, expected cavitycool-run/2\n"
+        f"data format error: {meta}: format=cavitycool-run/2, expected cavitycool-run/3\n"
     )
 
 
@@ -1263,12 +1262,11 @@ def test_read_run_rejects_traces_off_the_run_grid(tmp_path):
 def test_cli_analyze_rejects_repeated_sidecar_key(tmp_path, capsys):
     meta = _four_shot_meta(tmp_path, capsys)
     text = meta.read_text()
-    meta.write_text(
-        text + "trace_files=trace_001.csv,trace_001.csv,trace_002.csv,trace_003.csv\n"
-    )
+    digest = tracefile.read_key_values(str(meta))["config_digest"]
+    meta.write_text(text + f"config_digest={digest}\n")
     assert cli.main(["analyze", str(meta), "--porcelain"]) == 4
     line = len(text.splitlines()) + 1
-    assert f"{meta}: line {line}: repeated key 'trace_files'" in capsys.readouterr().err
+    assert f"{meta}: line {line}: repeated key 'config_digest'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("body, found", [

@@ -206,7 +206,7 @@ def test_readme_quick_config_digest_pinned(tmp_path):
 _QUICK_SHA256 = {
     "trace_000.csv": "254acb46d48b3d2cf016ac40b875c859c241e08bdafabff81d14416398ada80b",
     "trajectory.csv": "bdeb0a7278e0a9167ea51b422aebfeb722f1bbf058c042d707ed20e97b4b1f48",
-    "run.meta": "96eb4fa7f09041a505341100c2d3f28a78de72b3af130014b95c9a56e1cad1d3",
+    "run.meta": "6fdf5719d1a7db94ee8dcacd57604fe933d8399051c11707b83133196511c909",
 }
 _QUICK_TRACES_SHA256 = "9413555c30822b305f2d5d58fd17de44bb23f92d3bafe36ef4f395fca6edf67d"
 _QUICK_PORCELAIN = """\
