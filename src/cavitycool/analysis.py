@@ -273,7 +273,7 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 def fit_biexponential(
     times_s: np.ndarray,
     values_db: np.ndarray,
-    exclude_before_s: float = 2e-6,
+    exclude_before_s: float,
 ) -> BiExpFit:
     """Fit the warm-up level ratio r = 10^(dB/10) with 1 + A exp(-t/tau).
 

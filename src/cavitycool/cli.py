@@ -50,12 +50,18 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _emit(args, items: list[tuple[str, str]], human_lines: list[str]) -> None:
-    if args.porcelain:
-        for key, value in items:
-            print(f"{key}={value}")
-    else:
-        for line in human_lines:
+# One row of command output: its porcelain (key, value) items and the human
+# text that shows them, one line or (with a "\n") a few.
+_Row = tuple[list[tuple[str, str]], str]
+
+
+def _emit(args, rows: list[_Row]) -> None:
+    """Print each row's items as `key=value` lines with --porcelain, else its line."""
+    for items, line in rows:
+        if args.porcelain:
+            for key, value in items:
+                print(f"{key}={value}")
+        else:
             print(line)
 
 
@@ -73,34 +79,24 @@ def cmd_steady(args, cfg: RunConfig) -> int:
     n_ambient = photon_occupancy(f0, ambient)
     deltap = noise_power_reduction_db(cfg.receiver, cooled, ambient)
 
-    items = [
-        ("t_mode_cooled_k", _fmt(cooled)),
-        ("occupancy_cooled", _fmt(n_cooled)),
-        ("t_mode_ambient_k", _fmt(ambient)),
-        ("occupancy_ambient", _fmt(n_ambient)),
-        ("deltap_predicted_db", _fmt(deltap)),
-    ]
-    human = [
-        f"mode temperature, all ports connected : {cooled:10.3f} K"
-        f"  ({n_cooled:9.1f} photons)",
-        f"mode temperature, monitoring only     : {ambient:10.3f} K"
-        f"  ({n_ambient:9.1f} photons)",
-        f"predicted receiver noise level change : {deltap:10.3f} dB",
-        "",
-        "per-port delivered noise temperatures:",
-    ]
     total = 1.0 + cfg.baths.total_coupling()
-    items.append(("weight_intrinsic", _fmt(1.0 / total)))
+    rows = [
+        ([("t_mode_cooled_k", _fmt(cooled)), ("occupancy_cooled", _fmt(n_cooled))],
+         f"mode temperature, all ports connected : {cooled:10.3f} K  ({n_cooled:9.1f} photons)"),
+        ([("t_mode_ambient_k", _fmt(ambient)), ("occupancy_ambient", _fmt(n_ambient))],
+         f"mode temperature, monitoring only     : {ambient:10.3f} K  ({n_ambient:9.1f} photons)"),
+        ([("deltap_predicted_db", _fmt(deltap))],
+         f"predicted receiver noise level change : {deltap:10.3f} dB"),
+        ([("weight_intrinsic", _fmt(1.0 / total))], "\nper-port delivered noise temperatures:"),
+    ]
     for port in cfg.baths.ports:
         delivered = port.delivered_temperature_k()
         weight = port.coupling / total
-        items.append((f"port.{port.name}.delivered_k", _fmt(delivered)))
-        items.append((f"port.{port.name}.weight", _fmt(weight)))
-        human.append(
-            f"  {port.name:12s} ({port.role:10s}) coupling {port.coupling:7.3f}"
-            f"  delivers {delivered:9.3f} K  weight {weight:6.3f}"
-        )
-    _emit(args, items, human)
+        items = [(f"port.{port.name}.delivered_k", _fmt(delivered)),
+                 (f"port.{port.name}.weight", _fmt(weight))]
+        rows.append((items, f"  {port.name:12s} ({port.role:10s}) coupling {port.coupling:7.3f}"
+                            f"  delivers {delivered:9.3f} K  weight {weight:6.3f}"))
+    _emit(args, rows)
     return 0
 
 
@@ -129,23 +125,20 @@ def cmd_sweep(args, cfg: RunConfig) -> int:
     grid = sweep_mode_temperature(cfg.baths, port_index, couplings, colds)
 
     path = _outpath(args, "sweep.csv")
-    rows = (
+    table = (
         (couplings[i], colds[j], grid[i, j])
         for i in range(len(couplings))
         for j in range(len(colds))
     )
     tracefile.write_table_csv(
-        path, ("coupling", "load_temperature_k", "mode_temperature_k"), rows
+        path, ("coupling", "load_temperature_k", "mode_temperature_k"), table
     )
-    _emit(
-        args,
-        [
-            ("sweep_csv", path),
-            ("swept_port", cfg.baths.ports[port_index].name),
-            ("rows", str(grid.size)),
-        ],
-        [f"wrote {grid.size} grid points to {path}"],
-    )
+    items = [
+        ("sweep_csv", path),
+        ("swept_port", cfg.baths.ports[port_index].name),
+        ("rows", str(grid.size)),
+    ]
+    _emit(args, [(items, f"wrote {grid.size} grid points to {path}")])
     return 0
 
 
@@ -159,19 +152,17 @@ def cmd_simulate(args, cfg: RunConfig) -> int:
     meta_path = tracefile.write_run(args.out, cfg, result)
     trajectory = tracefile.TRAJECTORY_FILE
     digest = config_digest(cfg)
-    _emit(
-        args,
-        [
-            ("run_meta", meta_path),
-            ("config_digest", digest),
-            ("n_traces", str(cfg.n_shots)),
-            ("trajectory_csv", os.path.join(args.out, trajectory)),
-        ],
-        [
-            f"wrote {cfg.n_shots} traces and {trajectory} to {args.out}",
-            f"run sidecar: {meta_path}  (config digest {digest[:12]})",
-        ],
+    items = [
+        ("run_meta", meta_path),
+        ("config_digest", digest),
+        ("n_traces", str(cfg.n_shots)),
+        ("trajectory_csv", os.path.join(args.out, trajectory)),
+    ]
+    line = (
+        f"wrote {cfg.n_shots} traces and {trajectory} to {args.out}\n"
+        f"run sidecar: {meta_path}  (config digest {digest[:12]})"
     )
+    _emit(args, [(items, line)])
     return 0
 
 
@@ -201,6 +192,14 @@ def _load_analysis_inputs(args, cfg: RunConfig):
     return traces, replace(recorded, analysis=cfg.analysis)
 
 
+def _deltap_row(prefix: str, label: str, estimate) -> _Row:
+    """The `<prefix>_db`/`<prefix>_stderr_db` items of a level estimate and
+    its human line."""
+    items = [(f"{prefix}_db", _fmt(estimate.value_db)),
+             (f"{prefix}_stderr_db", _fmt(estimate.stderr_db))]
+    return items, f"{label:34s}: {estimate.value_db:8.3f} +/- {estimate.stderr_db:.3f} dB"
+
+
 def cmd_analyze(args, cfg: RunConfig) -> int:
     import numpy as np
 
@@ -211,28 +210,17 @@ def cmd_analyze(args, cfg: RunConfig) -> int:
     traces, cfg = _load_analysis_inputs(args, cfg)
     report = analyze_run(traces, cfg)
 
-    items = [
-        ("n_shots", str(report.n_shots)),
-        ("deltap_direct_db", _fmt(report.deltap_direct.value_db)),
-        ("deltap_direct_stderr_db", _fmt(report.deltap_direct.stderr_db)),
-    ]
-    human = [
-        f"shots analyzed                    : {report.n_shots}",
-        f"cooled vs ambient level (direct)  : {report.deltap_direct.value_db:8.3f}"
-        f" +/- {report.deltap_direct.stderr_db:.3f} dB",
+    rows = [
+        ([("n_shots", str(report.n_shots))], f"{'shots analyzed':34s}: {report.n_shots}"),
+        _deltap_row("deltap_direct", "cooled vs ambient level (direct)", report.deltap_direct),
     ]
     if report.deltap_band is not None:
-        items += [
-            ("deltap_band_db", _fmt(report.deltap_band.value_db)),
-            ("deltap_band_stderr_db", _fmt(report.deltap_band.stderr_db)),
-        ]
-        human.append(
-            f"cooled vs ambient level (banded)  : {report.deltap_band.value_db:8.3f}"
-            f" +/- {report.deltap_band.stderr_db:.3f} dB"
+        rows.append(
+            _deltap_row("deltap_band", "cooled vs ambient level (banded)", report.deltap_band)
         )
     if report.fit is not None:
         fit = report.fit
-        items += [
+        items = [
             ("fit_a1_db", _fmt(fit.a1_db)),
             ("fit_a2_db", _fmt(fit.a2_db)),
             ("fit_tau1_s", _fmt(fit.tau1_s)),
@@ -244,68 +232,51 @@ def cmd_analyze(args, cfg: RunConfig) -> int:
             ("warmup_stderr_s", _fmt(report.warmup_stderr_s)),
             ("fit_nfev", str(fit.nfev)),
         ]
-        human.append(
+        rows.append((
+            items,
             f"warm-up time constant             : {report.warmup_time_s * 1e6:8.3f}"
-            f" +/- {report.warmup_stderr_s * 1e6:.3f} us"
-        )
+            f" +/- {report.warmup_stderr_s * 1e6:.3f} us",
+        ))
         if report.depth_db is not None:
-            items += [
-                ("depth_fit_db", _fmt(report.depth_db.value_db)),
-                ("depth_fit_stderr_db", _fmt(report.depth_db.stderr_db)),
-            ]
-            human.append(
-                f"cooling depth (fit, at disconnect): {report.depth_db.value_db:8.3f}"
-                f" +/- {report.depth_db.stderr_db:.3f} dB"
+            rows.append(
+                _deltap_row("depth_fit", "cooling depth (fit, at disconnect)", report.depth_db)
             )
-    items += [
-        ("t_mode_inferred_k", _fmt(report.t_mode_inferred_k)),
-        ("t_ambient_reference_k", _fmt(report.t_ambient_reference_k)),
-    ]
-    human.append(
-        f"inferred cooled mode temperature  : {report.t_mode_inferred_k:8.3f} K"
-        f"  (ambient reference {report.t_ambient_reference_k:.3f} K)"
-    )
-    for i, note in enumerate(report.notes):
-        items.append((f"note.{i}", note))
-        human.append(f"note: {note}")
+    t_mode, t_ambient = report.t_mode_inferred_k, report.t_ambient_reference_k
+    rows.append((
+        [("t_mode_inferred_k", _fmt(t_mode)), ("t_ambient_reference_k", _fmt(t_ambient))],
+        f"inferred cooled mode temperature  : {t_mode:8.3f} K"
+        f"  (ambient reference {t_ambient:.3f} K)",
+    ))
+    rows += [([(f"note.{i}", note)], f"note: {note}") for i, note in enumerate(report.notes)]
 
+    # (file name, header, table rows, what the human line calls the file)
+    tables = []
     if args.emit_series:
-        path = _outpath(args, "warmup_series.csv")
-        tracefile.write_table_csv(
-            path,
-            ("time_since_disconnect_s", "deltap_db"),
-            zip(report.deltap_series_times_s, report.deltap_series_db),
-        )
-        items.append(("warmup_series_csv", path))
-        human.append(f"warm-up series written to {path}")
+        tables.append((
+            "warmup_series.csv", ("time_since_disconnect_s", "deltap_db"),
+            zip(report.deltap_series_times_s, report.deltap_series_db), "warm-up series",
+        ))
     if args.emit_psd:
-        for label, psd in (
-            ("psd_cold.csv", report.cold_psd),
-            ("psd_ambient.csv", report.ambient_psd),
-        ):
-            if psd is None:
-                continue
-            path = _outpath(args, label)
-            tracefile.write_table_csv(
-                path,
-                ("frequency_hz", "density_v2_per_hz"),
-                zip(psd.frequencies_hz, psd.density),
-            )
-            items.append((label.replace(".csv", "_csv"), path))
-            human.append(f"spectral density written to {path}")
+        tables += [
+            (name, ("frequency_hz", "density_v2_per_hz"),
+             zip(psd.frequencies_hz, psd.density), "spectral density")
+            for name, psd in (("psd_cold.csv", report.cold_psd),
+                              ("psd_ambient.csv", report.ambient_psd))
+            if psd is not None
+        ]
     if args.emit_deltap_curve:
-        t_grid = np.linspace(0.0, report.t_ambient_reference_k, 256)
-        curve = noise_power_reduction_curve(
-            cfg.receiver, report.t_ambient_reference_k, t_grid
-        )
-        path = _outpath(args, "deltap_curve.csv")
-        tracefile.write_table_csv(
-            path, ("t_mode_k", "deltap_db"), zip(t_grid, curve)
-        )
-        items.append(("deltap_curve_csv", path))
-        human.append(f"level-vs-temperature curve written to {path}")
+        t_grid = np.linspace(0.0, t_ambient, 256)
+        curve = noise_power_reduction_curve(cfg.receiver, t_ambient, t_grid)
+        tables.append((
+            "deltap_curve.csv", ("t_mode_k", "deltap_db"), zip(t_grid, curve),
+            "level-vs-temperature curve",
+        ))
+    for name, header, table, label in tables:
+        path = _outpath(args, name)
+        tracefile.write_table_csv(path, header, table)
+        rows.append(([(name.replace(".csv", "_csv"), path)], f"{label} written to {path}"))
 
-    _emit(args, items, human)
+    _emit(args, rows)
     if report.fit is None or not report.fit.converged:
         print("analysis error: warm-up fit did not converge", file=sys.stderr)
         return _EXIT_NONCONVERGENCE

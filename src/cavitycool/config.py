@@ -52,6 +52,15 @@ def _check_bounds(obj, prefix: str) -> None:
                 raise DomainError(f"[{section}] {key} must be {bound}, got {value!r}")
 
 
+def grid_sample_count(duration_s: float, sample_interval_s: float) -> int:
+    """Samples of a run's grid 0, dt, 2 dt, ... up to `duration_s`; tolerant, so
+    a duration meant as an exact multiple of dt is not cut by floating-point dust."""
+    intervals = duration_s / sample_interval_s + 1e-6
+    if not math.isfinite(intervals):
+        raise DomainError(f"no finite sample grid of {duration_s} s every {sample_interval_s} s")
+    return math.floor(intervals) + 1
+
+
 @dataclass(frozen=True)
 class SynthConfig:
     """Knobs for trace synthesis.
@@ -148,8 +157,12 @@ class RunConfig:
                     "and without '='"
                 )
         _check_bounds(self, "")
-        if self.protocol.trace_length_s < 10 * self.synth.sample_interval_s:
-            raise DomainError("trace must cover at least 10 samples")
+        trace, dt = self.protocol.trace_length_s, self.synth.sample_interval_s
+        if grid_sample_count(trace, dt) < 11:
+            raise DomainError(
+                f"[protocol] trace_length_s = {trace!r} must cover at least 10 intervals "
+                f"of [synth] sample_interval_s = {dt!r}"
+            )
 
     def persistent_port_indices(self) -> tuple[int, ...]:
         """Ports that stay connected after the cold path disconnects."""

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import grid_sample_count
 from .errors import DomainError
 from .thermal import BathSet, CavityMode, mode_temperature
 
@@ -122,9 +123,7 @@ def _validated_grid(duration_s: float, sample_interval_s: float) -> np.ndarray:
         raise DomainError("duration must be positive")
     if sample_interval_s <= 0:
         raise DomainError("sample interval must be positive")
-    # Tolerant count so a duration meant as an exact multiple of the step
-    # is not truncated by floating-point dust.
-    n = int(math.floor(duration_s / sample_interval_s + 1e-6)) + 1
+    n = grid_sample_count(duration_s, sample_interval_s)
     if n < 2:
         raise DomainError("duration shorter than one sample interval")
     return np.arange(n) * sample_interval_s

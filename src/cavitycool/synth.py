@@ -154,21 +154,17 @@ def _flicker_component(
         freqs = [nyquist / 2.0]
 
     total = np.zeros(n)
-    for f_k in freqs:
-        a = math.exp(-2.0 * math.pi * f_k * dt)
-        s = math.sqrt(1.0 - a * a)
-        x0 = rng.standard_normal()
-        drive = rng.standard_normal(n)
-        # x[j] = a x[j-1] + s w[j], started from a stationary draw.
-        x, _ = signal.lfilter([s], [1.0, -a], drive, zi=np.array([a * x0]))
-        total += x
-
     # One-sided PSD of the summed bank at the corner, for unit sources.
     density = 0.0
+    z = 2.0 * math.pi * corner_hz * dt
     for f_k in freqs:
         a = math.exp(-2.0 * math.pi * f_k * dt)
         s2 = 1.0 - a * a
-        z = 2.0 * math.pi * corner_hz * dt
+        x0 = rng.standard_normal()
+        drive = rng.standard_normal(n)
+        # x[j] = a x[j-1] + sqrt(s2) w[j], started from a stationary draw.
+        x, _ = signal.lfilter([math.sqrt(s2)], [1.0, -a], drive, zi=np.array([a * x0]))
+        total += x
         density += s2 * 2.0 * dt / (1.0 - 2.0 * a * math.cos(z) + a * a)
     white_floor = 2.0 * dt * white_variance
     return math.sqrt(white_floor / density) * total

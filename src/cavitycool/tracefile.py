@@ -37,8 +37,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .config import RunConfig, config_digest, config_from_items, config_items
-from .dynamics import _validated_grid
+from .config import RunConfig, config_digest, config_from_items, config_items, grid_sample_count
 from .errors import ConfigError, DataFormatError
 from .synth import NoiseTrace
 
@@ -318,7 +317,7 @@ def read_run(meta_path: str) -> tuple[RunConfig, NoiseTrace]:
     traces = read_trace_ensemble(paths)
     # The run's grid: the simulation's sample count, every dt from t = 0.
     dt = cfg.synth.sample_interval_s
-    n = len(_validated_grid(cfg.protocol.trace_length_s, dt))
+    n = grid_sample_count(cfg.protocol.trace_length_s, dt)
     t = traces.times_s
     step = float(t[-1] - t[0]) / (len(t) - 1)
     tol = _GRID_TOLERANCE * dt

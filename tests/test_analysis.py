@@ -434,7 +434,7 @@ def test_windowed_deltap_validation():
 def test_fit_noiseless_single_exponential():
     t = np.linspace(2e-6, 32e-6, 120)
     y = _warmup_db(t, 10.0 ** -0.32 - 1.0, 9e-6)
-    fit = fit_biexponential(t, y)
+    fit = fit_biexponential(t, y, 2e-6)
     assert fit.converged
     assert fit.collapsed_single
     assert abs(fit.tau1_s - 9e-6) / 9e-6 < 1e-6
@@ -451,7 +451,7 @@ def test_fit_degenerate_pair_collapses():
     y = 10.0 * np.log10(
         1.0 + beta * np.exp(-t / 9e-6) + beta * np.exp(-t / 9.27e-6)
     )
-    fit = fit_biexponential(t, y)
+    fit = fit_biexponential(t, y, 2e-6)
     assert fit.converged
     assert fit.collapsed_single
     assert 8.5e-6 < fit.tau1_s < 9.7e-6
@@ -462,7 +462,7 @@ def test_fit_respects_exclusion_window():
     y = _warmup_db(t, 10.0 ** -0.3 - 1.0, 9e-6)
     # Corrupt the switching period; default exclusion must ignore it.
     y[t < 2e-6] = 25.0
-    fit = fit_biexponential(t, y)
+    fit = fit_biexponential(t, y, 2e-6)
     assert fit.collapsed_single
     assert abs(fit.tau1_s - 9e-6) / 9e-6 < 1e-6
     assert fit.n_points == int(np.sum(t >= 2e-6))
@@ -472,7 +472,7 @@ def test_fit_drops_non_finite_points():
     t = np.linspace(2e-6, 32e-6, 120)
     y = _warmup_db(t, 10.0 ** -0.3 - 1.0, 9e-6)
     y[::10] = np.nan
-    fit = fit_biexponential(t, y)
+    fit = fit_biexponential(t, y, 2e-6)
     assert fit.converged
     assert abs(fit.tau1_s - 9e-6) / 9e-6 < 1e-6
     assert fit.n_points == 108
@@ -482,7 +482,7 @@ def test_fit_of_a_warmup_seen_only_late_in_the_record():
     # exp(-t/tau) underflows at the short end of the tau scan this far
     # into the record; the fit must still find the relaxation.
     t = np.linspace(20e-6, 40e-6, 80)
-    fit = fit_biexponential(t, _warmup_db(t, 10.0 ** -0.3 - 1.0, 9e-6))
+    fit = fit_biexponential(t, _warmup_db(t, 10.0 ** -0.3 - 1.0, 9e-6), 2e-6)
     assert fit.converged
     assert abs(fit.tau1_s - 9e-6) / 9e-6 < 1e-6
     assert abs(fit.a1_db + 3.0) < 1e-5
@@ -490,11 +490,11 @@ def test_fit_of_a_warmup_seen_only_late_in_the_record():
 
 def test_fit_validation():
     with pytest.raises(DomainError):
-        fit_biexponential(np.arange(10.0), np.arange(9.0))
+        fit_biexponential(np.arange(10.0), np.arange(9.0), 2e-6)
     with pytest.raises(AnalysisError):
-        fit_biexponential(np.linspace(0, 1e-6, 20), np.ones(20))  # all excluded
+        fit_biexponential(np.linspace(0, 1e-6, 20), np.ones(20), 2e-6)  # all excluded
     with pytest.raises(AnalysisError):
-        fit_biexponential(np.linspace(3e-6, 4e-6, 5), np.ones(5))  # too few
+        fit_biexponential(np.linspace(3e-6, 4e-6, 5), np.ones(5), 2e-6)  # too few
 
 
 def test_fit_refuses_curve_without_level_at_disconnect():
@@ -503,12 +503,12 @@ def test_fit_refuses_curve_without_level_at_disconnect():
     t = np.linspace(2e-6, 32e-6, 120)
     y = _warmup_db(t - 2e-6, -0.9, 1e-6)
     with pytest.raises(AnalysisError):
-        fit_biexponential(t, y)
+        fit_biexponential(t, y, 2e-6)
 
 
 def test_fit_zero_series_gives_zero_depth():
     t = np.linspace(2e-6, 32e-6, 100)
-    fit = fit_biexponential(t, np.zeros(100))
+    fit = fit_biexponential(t, np.zeros(100), 2e-6)
     assert fit.converged
     depth = cooling_depth_from_fit(fit)
     assert depth.value_db == 0.0
@@ -517,7 +517,7 @@ def test_fit_zero_series_gives_zero_depth():
 def test_fit_unconverged_result_flagged_and_depth_refuses():
     # the constant level of test_fit_without_warmup_is_not_converged
     t = np.linspace(2e-6, 32e-6, 50)
-    fit = fit_biexponential(t, np.full(50, -1.0))
+    fit = fit_biexponential(t, np.full(50, -1.0), 2e-6)
     assert not fit.converged
     with pytest.raises(AnalysisError):
         cooling_depth_from_fit(fit)
@@ -529,7 +529,7 @@ def test_fit_nfev_counts_profile_evaluations():
     t = np.linspace(2e-6, 32e-6, 120)
     rng = np.random.default_rng(31)
     y = _warmup_db(t) + 0.05 * rng.standard_normal(120)
-    fit = fit_biexponential(t, y)
+    fit = fit_biexponential(t, y, 2e-6)
     assert fit.converged
     assert fit.nfev == 61 + 2 + 47
 
@@ -538,7 +538,7 @@ def test_fit_without_warmup_is_not_converged():
     # A constant level is best fitted by an ever slower relaxation, so the
     # profile's minimum sits on the edge of the tau scan.
     t = np.linspace(2e-6, 32e-6, 50)
-    fit = fit_biexponential(t, np.full(50, -1.0))
+    fit = fit_biexponential(t, np.full(50, -1.0), 2e-6)
     assert not fit.converged
     with pytest.raises(AnalysisError):
         cooling_depth_from_fit(fit)
@@ -573,7 +573,7 @@ def test_fit_matches_levenberg_marquardt_oracle(seed):
     sigma_db = (0.005, 0.02, 0.05, 0.1, 0.2)[seed % 5]
     y = _warmup_db(t, rng.uniform(-0.7, -0.05), rng.uniform(3e-6, 15e-6))
     y += sigma_db * rng.standard_normal(n)
-    fit = fit_biexponential(t, y)
+    fit = fit_biexponential(t, y, 2e-6)
     a_ref, tau_ref, cost_ref = _lm_oracle(t, y)
     a = 10.0 ** (fit.a1_db / 10.0) - 1.0
     res = (1.0 + a * np.exp(-t / fit.tau1_s)) * 10.0 ** (-y / 10.0) - 1.0
@@ -592,7 +592,7 @@ def test_fit_warmup_curve_at_low_noise():
     rng = np.random.default_rng(37)
     t = np.arange(2e-6, 30e-6, 0.3e-6)
     y = _warmup_db(t) + 0.005 * rng.standard_normal(len(t))
-    fit = fit_biexponential(t, y)
+    fit = fit_biexponential(t, y, 2e-6)
     assert fit.converged
     assert abs(fit.tau2_s - _TAU) < 1.0e-6
     depth = cooling_depth_from_fit(fit)
@@ -604,7 +604,7 @@ def test_fit_residual_whiteness_on_correct_model():
     rng = np.random.default_rng(41)
     t = np.linspace(2e-6, 32e-6, 300)
     y = _warmup_db(t, 10.0 ** -0.35 - 1.0, 9e-6) + 0.05 * rng.standard_normal(300)
-    fit = fit_biexponential(t, y)
+    fit = fit_biexponential(t, y, 2e-6)
     model = _warmup_db(t, 10.0 ** (fit.a1_db / 10.0) - 1.0, fit.tau1_s)
     r = y - model
     r = r - r.mean()
@@ -621,7 +621,7 @@ def test_depth_error_propagation_against_monte_carlo():
     depths = []
     stderrs = []
     for _ in range(200):
-        fit = fit_biexponential(t, clean + 0.05 * rng.standard_normal(95))
+        fit = fit_biexponential(t, clean + 0.05 * rng.standard_normal(95), 2e-6)
         est = cooling_depth_from_fit(fit)
         depths.append(est.value_db)
         stderrs.append(est.stderr_db)

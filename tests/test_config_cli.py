@@ -26,6 +26,7 @@ from cavitycool.config import (
     config_digest,
     config_items,
     default_run_config,
+    grid_sample_count,
     load_run_config,
     with_seed,
 )
@@ -113,8 +114,22 @@ def test_run_config_validation():
         _with_roles(base, "cooling", "")
     with pytest.raises(DomainError):
         replace(base, n_shots=0)
-    with pytest.raises(DomainError, match="10 samples"):
-        replace(base, protocol=ProtocolConfig(0.0, 9 * base.synth.sample_interval_s))
+    dt = base.synth.sample_interval_s
+    with pytest.raises(DomainError) as refused:
+        replace(base, protocol=ProtocolConfig(0.0, 9 * dt))
+    assert str(refused.value) == (
+        f"[protocol] trace_length_s = {9 * dt!r} must cover at least 10 intervals "
+        f"of [synth] sample_interval_s = {dt!r}"
+    )
+    # 13e-6 / 1.3e-6 is 9.999999999999998 in floating point, but its grid
+    # holds the 11 samples that the trajectory and the traces are given
+    cfg = replace(base, protocol=ProtocolConfig(0.0, 13e-6),
+                  synth=replace(base.synth, sample_interval_s=1.3e-6))
+    assert grid_sample_count(cfg.protocol.trace_length_s, cfg.synth.sample_interval_s) == 11
+    # a step so fine that the sample count overflows has no grid
+    with pytest.raises(DomainError) as refused:
+        replace(base, synth=replace(base.synth, sample_interval_s=1e-320))
+    assert str(refused.value) == "no finite sample grid of 0.00016 s every 1e-320 s"
 
 
 def test_persistent_indices_empty_when_all_ports_cool():
@@ -232,11 +247,16 @@ def test_load_wraps_out_of_range_values(tmp_path):
 def test_load_rejects_trace_shorter_than_ten_samples(tmp_path, capsys):
     # 450 ns at the default 50 ns interval is 9 sample intervals.
     path = _ini(tmp_path, "[protocol]\ncool_duration_s = 0\ntrace_length_s = 450e-9\n")
-    with pytest.raises(ConfigError, match="run.ini: trace must cover at least 10 samples"):
+    reason = (
+        "[protocol] trace_length_s = 4.5e-07 must cover at least 10 intervals "
+        "of [synth] sample_interval_s = 5e-08"
+    )
+    with pytest.raises(ConfigError) as refused:
         load_run_config(path)
+    assert str(refused.value) == f"{path}: {reason}"
     out = tmp_path / "out"
     assert cli.main(["simulate", "--config", path, "--out", str(out)]) == 2
-    assert "10 samples" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"config error: {path}: {reason}\n"
     assert not out.exists()
 
 
@@ -1127,8 +1147,11 @@ def test_cli_analyze_rejects_sidecar_copy_off_the_config(tmp_path, capsys, copy,
     elif value in ("nan", "inf"):
         reason = f"bad value for '{leaf}' in section [{section}]: '{value}'"
     elif value == "0.001":
-        # a 160 us trace holds no 10 samples 1 ms apart
-        reason = "trace must cover at least 10 samples"
+        # a 160 us trace holds no 10 intervals of 1 ms
+        reason = (
+            "[protocol] trace_length_s = 0.00016 must cover at least 10 intervals "
+            "of [synth] sample_interval_s = 0.001"
+        )
     else:
         reason = "configuration does not match its config_digest"
     assert captured.err == f"data format error: {meta}: {reason}\n"

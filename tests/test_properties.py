@@ -249,8 +249,38 @@ def test_readme_quick_run_outputs_pinned(tmp_path, capsys):
     assert capsys.readouterr().out == _QUICK_PORCELAIN
 
 
+# The same run in human form, with every `--emit-*` table; `OUT` stands for
+# the `--out` directory in the printed paths.
+_QUICK_SIMULATE_HUMAN = """\
+wrote 40 traces and trajectory.csv to OUT
+run sidecar: OUT/run.meta  (config digest 6fe673bebd99)
+"""
+_QUICK_ANALYZE_HUMAN_SHA256 = "74fcda8645ed224af1bc68e41af6514f27bb8f22dcccdc37100f3dd2892ce8bf"
+_QUICK_TABLES_SHA256 = {
+    "warmup_series.csv": "990209282e43acd18f36f735f0cb7a2beadcc117fd8437b1e54623489e0ff198",
+    "psd_cold.csv": "81d5b7260dcd9498157c19dd8017777f0ec1961f6822bacbb05bce1d4a5bf19d",
+    "psd_ambient.csv": "af71ed30aaa993e6afa879aee981cf149df1a200d10c2252396e80d5086ea640",
+    "deltap_curve.csv": "267fcfefb94d44d132d6a14483dae74ee819bfef8209cd5a1b863971a031aafe",
+}
+
+
+def test_readme_quick_run_human_outputs_and_tables_pinned(tmp_path, capsys):
+    ini = tmp_path / "quick.ini"
+    ini.write_text("[synth]\nn_shots = 40\nrng_seed = 7\n", encoding="utf-8")
+    out, emit = tmp_path / "run", tmp_path / "emit"
+    assert cli.main(["simulate", "--config", str(ini), "--out", str(out)]) == 0
+    assert capsys.readouterr().out.replace(str(out), "OUT") == _QUICK_SIMULATE_HUMAN
+    assert cli.main(["analyze", str(out / "run.meta"), "--out", str(emit), "--emit-series",
+                     "--emit-psd", "--emit-deltap-curve"]) == 0
+    human = capsys.readouterr().out.replace(str(emit), "OUT").encode("utf-8")
+    assert hashlib.sha256(human).hexdigest() == _QUICK_ANALYZE_HUMAN_SHA256
+    assert sorted(p.name for p in emit.iterdir()) == sorted(_QUICK_TABLES_SHA256)
+    for name, digest in _QUICK_TABLES_SHA256.items():
+        assert hashlib.sha256((emit / name).read_bytes()).hexdigest() == digest, name
+
+
 # Pinned closed-form outputs of the default configuration: `steady` in both
-# forms and the default 25 x 25 `sweep.csv`.
+# forms, the default 25 x 25 `sweep.csv` and its human line.
 _STEADY_PORCELAIN = """\
 t_mode_cooled_k=108.21747080459033
 occupancy_cooled=1555.1304237965653
@@ -276,6 +306,10 @@ def test_default_steady_and_sweep_outputs_pinned(tmp_path, capsys):
     assert cli.main(["sweep", "--porcelain", "--out", str(tmp_path)]) == 0
     assert "rows=625\n" in capsys.readouterr().out
     assert hashlib.sha256((tmp_path / "sweep.csv").read_bytes()).hexdigest() == _SWEEP_SHA256
+    assert cli.main(["sweep", "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.replace(str(tmp_path), "OUT") == (
+        "wrote 625 grid points to OUT/sweep.csv\n"
+    )
 
 
 def test_readme_library_example_runs(capsys):
