@@ -25,7 +25,6 @@ _EXPORTS = {
         "DeltaPEstimate",
         "SpectralDensity",
         "band_averaged_deltap",
-        "cooling_depth_from_fit",
         "ensemble_spectral_density",
         "extract_noise",
         "fit_biexponential",

@@ -371,10 +371,3 @@ def fit_biexponential(
         converged=bool(interior),
         nfev=nfev,
     )
-
-
-def cooling_depth_from_fit(fit: BiExpFit) -> DeltaPEstimate:
-    """Warm-up curve extrapolated back to the disconnect instant."""
-    if not fit.converged:
-        raise AnalysisError("exponential fit did not converge")
-    return DeltaPEstimate(fit.a1_db, fit.a1_stderr_db)

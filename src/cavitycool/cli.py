@@ -277,7 +277,7 @@ def cmd_analyze(args, cfg: RunConfig) -> int:
         rows.append(([(name.replace(".csv", "_csv"), path)], f"{label} written to {path}"))
 
     _emit(args, rows)
-    if report.fit is None or not report.fit.converged:
+    if report.depth_db is None:
         print("analysis error: warm-up fit did not converge", file=sys.stderr)
         return _EXIT_NONCONVERGENCE
     return 0

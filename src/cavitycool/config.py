@@ -146,7 +146,7 @@ class RunConfig:
     def __post_init__(self) -> None:
         for port in self.baths.ports:
             if port.role not in (PORT_ROLE_COOLING, PORT_ROLE_MONITORING):
-                raise DomainError(f"unknown port role {port.role!r}")
+                raise DomainError(f"[port.{port.name}] unknown port role {port.role!r}")
         # A name is a key prefix of the key=value dump, `port.<name>.<key>`,
         # and must keep that key on one line.
         names = [port.name for port in self.baths.ports]
@@ -291,13 +291,17 @@ def _build(raw: Mapping[str, Mapping[str, str]]) -> RunConfig:
         *parents, leaf = path.split(".")
         node = reduce(lambda node, name: node.setdefault(name, {}), parents, tree)
         node[leaf] = _value(raw, section, key, kind)
-    ports = [
-        {row[0]: _value(raw, section, *row) for row in _PORT_SCHEMA}
-        | {"name": section[len("port."):]}
-        for section in raw if section.startswith("port.")
-    ]
+    ports = []
+    for section in raw:
+        if not section.startswith("port."):
+            continue
+        values = {row[0]: _value(raw, section, *row) for row in _PORT_SCHEMA}
+        try:
+            ports.append(BathPort(**values, name=section[len("port."):]))
+        except DomainError as exc:
+            raise ConfigError(f"[{section}] {exc}") from exc
+    tree["baths"]["ports"] = tuple(ports)
     try:
-        tree["baths"]["ports"] = tuple(BathPort(**port) for port in ports)
         return _make(tree)
     except DomainError as exc:
         raise ConfigError(str(exc)) from exc

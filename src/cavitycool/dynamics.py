@@ -40,13 +40,11 @@ class ScheduleEvent:
 class SwitchSchedule:
     """Ordered switching events; strictly increasing times, first at t = 0."""
 
-    events: tuple[ScheduleEvent, ...] = ()
+    events: tuple[ScheduleEvent, ...]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "events", tuple(self.events))
-        if not self.events:
-            return
-        if self.events[0].time_s != 0.0:
+        if not self.events or self.events[0].time_s != 0.0:
             raise DomainError("first scheduled event must be at t = 0")
         times = [e.time_s for e in self.events]
         if any(b <= a for a, b in zip(times, times[1:])):
@@ -100,9 +98,8 @@ class PhotonTrajectory:
 def _segments(
     baths: BathSet, schedule: SwitchSchedule, duration_s: float
 ) -> list[tuple[float, float, BathSet]]:
-    """Resolve the schedule into (t_start, t_end, connected baths) spans."""
-    if not schedule.events:
-        return [(0.0, duration_s, baths)]
+    """Resolve the schedule into (t_start, t_end, connected baths) spans;
+    the first starts at t = 0 < duration_s, so there is at least one."""
     spans = []
     for i, event in enumerate(schedule.events):
         if event.time_s >= duration_s:
@@ -113,8 +110,6 @@ def _segments(
             else duration_s
         )
         spans.append((event.time_s, min(t_end, duration_s), baths.subset(event.active_ports)))
-    if not spans:
-        raise DomainError("no schedule event falls inside the trace")
     return spans
 
 

@@ -168,15 +168,17 @@ def analyze_run(
         residuals.slice_time(disconnect_time_s, warmup_stop), ambient[0], acfg.window_samples
     )
 
+    # The one test of whether the warm-up fit counts: it returned and
+    # converged.  Otherwise the depth is None and the warm-up time NaN.
     fit = None
     depth = None
-    warmup_time = float("nan")
-    warmup_stderr = float("nan")
+    warmup_time = warmup_stderr = float("nan")
     try:
         fit = analysis.fit_biexponential(series_t, series_db, acfg.exclude_before_s)
-        depth = analysis.cooling_depth_from_fit(fit)
-        warmup_time = fit.tau1_s
-        warmup_stderr = fit.tau1_stderr_s
+        if not fit.converged:
+            raise AnalysisError("exponential fit did not converge")
+        depth = analysis.DeltaPEstimate(fit.a1_db, fit.a1_stderr_db)
+        warmup_time, warmup_stderr = fit.tau1_s, fit.tau1_stderr_s
     except AnalysisError as exc:
         notes.append(f"warm-up fit unavailable: {exc}")
 

@@ -14,17 +14,17 @@ names follow from the configuration.
 
 A run writes and reads one trace file per shot, all on one time grid, so
 both directions handle the time column once per grid: `write_trace_csv`
-formats it once, and `read_trace_csv` parses and checks it once.  Each
+formats it once, and `read_trace_csv` parses it once.  Each
 keeps it in a one-entry cache whose key is exact (the grid's float64
 bytes, or the column's text), so a cache never returns another grid.
 
 `read_trace_csv` first tries a whole-file fast path.  It takes only a
 file with the exact header line, ASCII text, LF endings, no `"` and no
 carriage return, exactly one comma on every line and a final newline,
-and parses every field with `float()` as the line reader does; its
-samples must then pass the line reader's checks.  Any other file goes to
-the validating line reader, which is the only source of error messages,
-so both paths return the same array or raise the same error.
+and parses every field with `float()`; any other file, or a field that
+`float()` refuses, goes to the validating line reader, which names the
+row.  Both check the parsed samples with `_checked_trace`, so both
+return the same array or raise the same error.
 """
 
 from __future__ import annotations
@@ -104,14 +104,14 @@ def read_trace_csv(path: str) -> NoiseTrace:
     header is line 1) on any violation.
     """
     with open(path, "rb") as fh:
-        trace = _plain_trace(fh.read())
+        trace = _plain_trace(path, fh.read())
     return trace if trace is not None else _read_trace_lines(path)
 
 
-def _plain_trace(data: bytes) -> NoiseTrace | None:
-    """The trace in `data` when it has the plain layout the module
-    docstring gives and passes every check of `_read_trace_lines`;
-    None sends the file to that line reader."""
+def _plain_trace(path: str, data: bytes) -> NoiseTrace | None:
+    """The trace in `data`, the bytes of `path`, when it has the plain
+    layout the module docstring gives and every field parses; None sends
+    the file to `_read_trace_lines`."""
     head = len(_TRACE_HEADER_LINE)
     if (
         not data.startswith(_TRACE_HEADER_LINE.encode())
@@ -124,11 +124,11 @@ def _plain_trace(data: bytes) -> NoiseTrace | None:
     body = np.frombuffer(data, dtype=np.uint8)[head:]
     commas = np.flatnonzero(body == ord(","))
     newlines = np.flatnonzero(body == ord("\n"))
-    # At least 2 lines; commas and newlines alternate, starting with a
+    # At least 1 line; commas and newlines alternate, starting with a
     # comma, so every line has exactly one comma and none is blank; and
     # no line is longer than the csv module's field limit.
     if (
-        len(newlines) < 2
+        len(newlines) < 1
         or len(commas) != len(newlines)
         or np.any(commas > newlines)
         or np.any(commas[1:] < newlines[:-1])
@@ -136,35 +136,52 @@ def _plain_trace(data: bytes) -> NoiseTrace | None:
     ):
         return None
     fields = data[head:-1].decode("ascii").replace("\n", ",").split(",")
-    times = _checked_grid(tuple(fields[0::2]))
+    times = _time_column(tuple(fields[0::2]))
     if times is None:
         return None
     try:
         volts = np.array([float(v) for v in fields[1::2]])
     except ValueError:
         return None
-    if not np.isfinite(volts).all():
-        return None
-    return NoiseTrace(times, volts[np.newaxis])
+    # No line is blank, so sample i sits on line i + 2.
+    return _checked_trace(path, times, volts, range(2, len(volts) + 2))
 
 
 @functools.lru_cache(maxsize=1)
-def _checked_grid(fields: tuple[str, ...]) -> np.ndarray | None:
-    """The read-only grid that the time column `fields` spells, or None
-    unless it has at least 2 samples, all finite, strictly increasing
-    and uniform as `_read_trace_lines` requires."""
+def _time_column(fields: tuple[str, ...]) -> np.ndarray | None:
+    """The read-only array that the time column `fields` spells, or None
+    when `float()` refuses a field."""
     try:
         t = np.array([float(f) for f in fields])
     except ValueError:
         return None
-    if len(t) < 2 or not np.isfinite(t).all():
-        return None
-    steps = np.diff(t)
-    dt = steps[0]
-    if np.any(steps <= 0) or np.max(np.abs(steps - dt)) > _GRID_TOLERANCE * dt:
-        return None
     t.flags.writeable = False
     return t
+
+
+def _checked_trace(path: str, times, volts, lines: Sequence[int]) -> NoiseTrace:
+    """The samples `times`, `volts` of `path` as a trace, once they pass
+    the one check of a trace's samples: at least 2, all finite, at strictly
+    increasing times on a uniform grid.  Errors name line `lines[i]` for
+    sample i."""
+    t = np.asarray(times)
+    v = np.asarray(volts)
+    if len(t) < 2:
+        raise DataFormatError(f"{path}: need at least 2 samples, got {len(t)}")
+    finite = np.isfinite(t) & np.isfinite(v)
+    if not finite.all():
+        line = lines[int(np.argmin(finite))]
+        raise DataFormatError(f"{path}: line {line}: non-finite sample")
+    steps = np.diff(t)
+    if np.any(steps <= 0):
+        line = lines[int(np.argmax(steps <= 0)) + 1]
+        raise DataFormatError(
+            f"{path}: line {line}: sample times must be strictly increasing"
+        )
+    dt = steps[0]
+    if np.max(np.abs(steps - dt)) > _GRID_TOLERANCE * dt:
+        raise DataFormatError(f"{path}: sample grid is not uniform")
+    return NoiseTrace(t, v[np.newaxis])
 
 
 def _read_trace_lines(path: str) -> NoiseTrace:
@@ -200,24 +217,7 @@ def _read_trace_lines(path: str) -> NoiseTrace:
                 ) from None
     except csv.Error as exc:
         raise DataFormatError(f"{path}: line {reader.line_num}: {exc}") from None
-    if len(times) < 2:
-        raise DataFormatError(f"{path}: need at least 2 samples, got {len(times)}")
-    t = np.asarray(times)
-    v = np.asarray(volts)
-    finite = np.isfinite(t) & np.isfinite(v)
-    if not finite.all():
-        line = lines[int(np.argmin(finite))]
-        raise DataFormatError(f"{path}: line {line}: non-finite sample")
-    steps = np.diff(t)
-    if np.any(steps <= 0):
-        line = lines[int(np.argmax(steps <= 0)) + 1]
-        raise DataFormatError(
-            f"{path}: line {line}: sample times must be strictly increasing"
-        )
-    dt = steps[0]
-    if np.max(np.abs(steps - dt)) > _GRID_TOLERANCE * dt:
-        raise DataFormatError(f"{path}: sample grid is not uniform")
-    return NoiseTrace(t, v[np.newaxis])
+    return _checked_trace(path, times, volts, lines)
 
 
 def read_trace_ensemble(paths: Sequence[str]) -> NoiseTrace:

@@ -12,7 +12,6 @@ from cavitycool.analysis import (
     _BLOCK_SHOTS,
     SpectralDensity,
     band_averaged_deltap,
-    cooling_depth_from_fit,
     ensemble_spectral_density,
     extract_noise,
     fit_biexponential,
@@ -510,17 +509,7 @@ def test_fit_zero_series_gives_zero_depth():
     t = np.linspace(2e-6, 32e-6, 100)
     fit = fit_biexponential(t, np.zeros(100), 2e-6)
     assert fit.converged
-    depth = cooling_depth_from_fit(fit)
-    assert depth.value_db == 0.0
-
-
-def test_fit_unconverged_result_flagged_and_depth_refuses():
-    # the constant level of test_fit_without_warmup_is_not_converged
-    t = np.linspace(2e-6, 32e-6, 50)
-    fit = fit_biexponential(t, np.full(50, -1.0), 2e-6)
-    assert not fit.converged
-    with pytest.raises(AnalysisError):
-        cooling_depth_from_fit(fit)
+    assert fit.a1_db == 0.0
 
 
 def test_fit_nfev_counts_profile_evaluations():
@@ -540,8 +529,6 @@ def test_fit_without_warmup_is_not_converged():
     t = np.linspace(2e-6, 32e-6, 50)
     fit = fit_biexponential(t, np.full(50, -1.0), 2e-6)
     assert not fit.converged
-    with pytest.raises(AnalysisError):
-        cooling_depth_from_fit(fit)
 
 
 def _lm_oracle(t, y):
@@ -595,9 +582,8 @@ def test_fit_warmup_curve_at_low_noise():
     fit = fit_biexponential(t, y, 2e-6)
     assert fit.converged
     assert abs(fit.tau2_s - _TAU) < 1.0e-6
-    depth = cooling_depth_from_fit(fit)
-    assert abs(depth.value_db - 10.0 * math.log10(1.0 + _BETA)) < 0.4
-    assert 0.0 < depth.stderr_db < 0.2
+    assert abs(fit.a1_db - 10.0 * math.log10(1.0 + _BETA)) < 0.4
+    assert 0.0 < fit.a1_stderr_db < 0.2
 
 
 def test_fit_residual_whiteness_on_correct_model():
@@ -622,9 +608,9 @@ def test_depth_error_propagation_against_monte_carlo():
     stderrs = []
     for _ in range(200):
         fit = fit_biexponential(t, clean + 0.05 * rng.standard_normal(95), 2e-6)
-        est = cooling_depth_from_fit(fit)
-        depths.append(est.value_db)
-        stderrs.append(est.stderr_db)
+        assert fit.converged
+        depths.append(fit.a1_db)
+        stderrs.append(fit.a1_stderr_db)
     mc_scatter = float(np.std(depths, ddof=1))
     reported = float(np.mean(stderrs))
     assert abs(reported - mc_scatter) / mc_scatter < 0.3

@@ -349,6 +349,22 @@ def test_cli_refuses_a_port_name_the_dump_cannot_carry(tmp_path, capsys, name):
     assert not out.exists()
 
 
+_TWO_PORTS = (
+    "[port.cold]\ncoupling = 3.8\nload_temperature_k = 18.4\nrole = cooling\n"
+    "[port.hold]\ncoupling = 1.0\nload_temperature_k = 18.4\nrole = monitoring\n"
+)
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("coupling = 3.8", "coupling = -1", "[port.cold] coupling must be >= 0, got -1.0"),
+    ("role = cooling", "role = cooler", "[port.cold] unknown port role 'cooler'"),
+], ids=["coupling", "role"])
+def test_cli_port_refusals_name_the_port(tmp_path, capsys, old, new, message):
+    ini = _ini(tmp_path, _TWO_PORTS.replace(old, new))
+    assert cli.main(["steady", "--config", ini]) == 2
+    assert capsys.readouterr().err == f"config error: {ini}: {message}\n"
+
+
 @pytest.mark.parametrize("names, bad", [
     (("cooling", "cooling"), "cooling"),
     (("", ""), ""),
@@ -595,18 +611,35 @@ def test_read_trace_fast_path_agrees_with_line_reader(tmp_path, text, expected):
         assert lines[1] == [expected]
 
 
+def _refuse_line_reader(path):
+    raise AssertionError(f"{path} went to the line reader")
+
+
 def test_read_trace_takes_written_files_without_the_line_reader(tmp_path, monkeypatch):
     times, volts = np.arange(64) * 5e-8, np.random.default_rng(4).normal(size=64)
     path = str(tmp_path / "trace.csv")
     tracefile.write_trace_csv(path, times, volts)
-
-    def refuse(path):
-        raise AssertionError(f"{path} went to the line reader")
-
-    monkeypatch.setattr(tracefile, "_read_trace_lines", refuse)
+    monkeypatch.setattr(tracefile, "_read_trace_lines", _refuse_line_reader)
     back = tracefile.read_trace_csv(path)
     assert np.array_equal(back.times_s, times)
     assert np.array_equal(back.voltages_v[0], volts)
+
+
+@pytest.mark.parametrize("body, expected", [
+    ("0.0,nan\n1e-07,-2.0\n", "line 2: non-finite sample"),
+    ("0.0,1.5\n1e-07,0.0\n1e-07,0.0\n", "line 4: sample times must be strictly increasing"),
+    ("0.0,0.0\n1e-07,0.0\n3e-07,0.0\n", "sample grid is not uniform"),
+    ("0.0,1.5\n", "need at least 2 samples, got 1"),
+], ids=["nan", "non-increasing", "non-uniform", "one-sample"])
+def test_read_trace_refuses_plain_files_without_the_line_reader(
+    tmp_path, monkeypatch, body, expected
+):
+    path = tmp_path / "trace.csv"
+    path.write_bytes((_HEAD + body).encode("ascii"))
+    monkeypatch.setattr(tracefile, "_read_trace_lines", _refuse_line_reader)
+    with pytest.raises(DataFormatError) as exc:
+        tracefile.read_trace_csv(str(path))
+    assert str(exc.value) == f"{path}: {expected}"
 
 
 def test_trace_grid_caches_keep_each_file_on_its_own_grid(tmp_path):
@@ -871,6 +904,18 @@ def test_cli_version_flag(capsys):
         cli.main(["--version"])
     assert exc.value.code == 0
     assert cavitycool.__version__ in capsys.readouterr().out
+
+
+def test_version_is_written_only_in_the_package_root():
+    # pyproject.toml takes the version from `cavitycool.__version__`.
+    tomllib = pytest.importorskip("tomllib")
+    with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
+        pyproject = tomllib.load(fh)
+    assert "version" not in pyproject["project"]
+    assert pyproject["project"]["dynamic"] == ["version"]
+    assert pyproject["tool"]["setuptools"]["dynamic"] == {
+        "version": {"attr": "cavitycool.__version__"}
+    }
 
 
 def test_cli_requires_subcommand():
@@ -1326,6 +1371,38 @@ def test_cli_analyze_nonconvergence_exit_code(tmp_path, capsys):
     rc = cli.main(["analyze", str(out / "run.meta"), "--config", wide])
     assert rc == 5
     assert "analysis error" in capsys.readouterr().err
+
+
+def test_unconverged_fit_gives_no_depth_and_analyze_exits_5(tmp_path, capsys, monkeypatch):
+    # The constant level of test_fit_without_warmup_is_not_converged: the
+    # fit returns, but its best tau sits on the edge of the scan.
+    t = np.linspace(2e-6, 32e-6, 50)
+    stuck = analysis.fit_biexponential(t, np.full(50, -1.0), 2e-6)
+    assert not stuck.converged
+    monkeypatch.setattr(analysis, "fit_biexponential", lambda *args: stuck)
+    meta = _four_shot_meta(tmp_path, capsys)
+    cfg, traces = tracefile.read_run(str(meta))
+    report = analyze_run(traces, cfg)
+    assert report.fit is stuck and report.depth_db is None
+    assert math.isnan(report.warmup_time_s) and math.isnan(report.warmup_stderr_s)
+    assert "warm-up fit unavailable: exponential fit did not converge" in report.notes
+    assert cli.main(["analyze", str(meta), "--porcelain"]) == 5
+    out, err = capsys.readouterr()
+    d = _porcelain(out)
+    assert {key: d[key] for key in d if key.startswith("fit_")} == {
+        "fit_a1_db": repr(stuck.a1_db),
+        "fit_a2_db": "0.0",
+        "fit_tau1_s": repr(stuck.tau1_s),
+        "fit_tau2_s": repr(stuck.tau1_s),
+        "fit_residual_rms_db": repr(stuck.residual_rms_db),
+        "fit_converged": "false",
+        "fit_collapsed_single": "true",
+        "fit_nfev": str(stuck.nfev),
+    }
+    assert d["warmup_time_s"] == d["warmup_stderr_s"] == "nan"
+    assert "depth_fit_db" not in d
+    assert "warm-up fit unavailable: exponential fit did not converge" in d.values()
+    assert "analysis error: warm-up fit did not converge" in err
 
 
 @pytest.mark.parametrize("disconnect, key", [

@@ -136,6 +136,8 @@ def test_protocol_validation():
         SwitchSchedule(
             (ScheduleEvent(1e-6, (0,)),)
         )  # first event not at t=0
+    with pytest.raises(DomainError, match="first scheduled event must be at t = 0"):
+        SwitchSchedule(())
     with pytest.raises(DomainError):
         SwitchSchedule(
             (
@@ -307,10 +309,11 @@ def test_evolution_validation():
         evolve_occupancy(mode, baths, schedule, 160e-6, -1e-7)
 
 
-def test_empty_schedule_uses_all_baths():
+def test_all_ports_schedule_holds_the_steady_state():
     mode = _bench_mode()
     baths = _bench_baths()
-    traj = evolve_occupancy(mode, baths, SwitchSchedule(()), 30e-6, 100e-9)
+    schedule = SwitchSchedule((ScheduleEvent(0.0, (0, 1)),))
+    traj = evolve_occupancy(mode, baths, schedule, 30e-6, 100e-9)
     assert traj.temperature_k[0] == mode_temperature(baths)
     assert np.allclose(traj.temperature_k, traj.temperature_k[0], rtol=1e-12)
 
@@ -318,7 +321,8 @@ def test_empty_schedule_uses_all_baths():
 def test_grid_covers_duration_inclusive():
     mode = _bench_mode()
     baths = _bench_baths()
-    traj = evolve_occupancy(mode, baths, SwitchSchedule(()), 10e-6, 1e-7)
+    schedule = SwitchSchedule((ScheduleEvent(0.0, (0, 1)),))
+    traj = evolve_occupancy(mode, baths, schedule, 10e-6, 1e-7)
     assert traj.times_s[0] == 0.0
     assert traj.times_s[-1] == pytest.approx(10e-6, rel=1e-12)
     assert len(traj) == 101

@@ -191,9 +191,9 @@ def test_array_commands_still_run_and_load_numpy(tmp_path):
 _EXPORTED = {
     "analysis": [
         "BiExpFit", "DeltaPEstimate", "SpectralDensity", "band_averaged_deltap",
-        "cooling_depth_from_fit", "ensemble_spectral_density", "extract_noise",
-        "fit_biexponential", "pooled_mean_square", "segment_deltap",
-        "subtract_mean_artifact", "windowed_deltap_timeseries",
+        "ensemble_spectral_density", "extract_noise", "fit_biexponential",
+        "pooled_mean_square", "segment_deltap", "subtract_mean_artifact",
+        "windowed_deltap_timeseries",
     ],
     "config": [
         "AnalysisConfig", "ProtocolConfig", "RunConfig", "config_digest",
