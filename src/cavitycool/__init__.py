@@ -2,11 +2,11 @@
 noise-trace analysis for pre-cooled microwave cavity modes.
 
 The package has two layers.  The closed-form layer (`constants`,
-`errors`, `thermal`, `receiver`, `config` and this package root) is pure
-Python, so `import cavitycool`, `cavitycool steady`, `--version` and
-`--help` load no numpy.  The array layer (`dynamics`, `synth`,
-`analysis`, `pipeline`, `tracefile`) imports numpy; `sweep`, `simulate`
-and `analyze` load it on first use.  scipy is imported only inside 1/f
+`errors`, `thermal`, `receiver`, `config`, `textformat` and this package
+root) is pure Python, so `import cavitycool`, `cavitycool steady`,
+`cavitycool sweep`, `--version` and `--help` load no numpy.  The array
+layer (`dynamics`, `synth`, `analysis`, `pipeline`, `tracefile`) imports
+numpy; `simulate` and `analyze` load it on first use.  scipy is imported only inside 1/f
 synthesis, so only a `simulate` with 1/f noise on pays its load of
 about a second.
 
@@ -90,7 +90,7 @@ _EXPORTS = {
         "sweep_mode_temperature",
     ),
 }
-_SUBMODULES = (*_EXPORTS, "cli", "tracefile")
+_SUBMODULES = (*_EXPORTS, "cli", "textformat", "tracefile")
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __all__ = sorted(_OWNER)

@@ -220,7 +220,9 @@ def windowed_deltap_timeseries(
         raise DomainError("ambient reference mean square must be positive")
     n_windows = len(section) // window_samples
     if n_windows < 1:
-        raise AnalysisError("section shorter than one window")
+        raise AnalysisError(
+            f"section of {len(section)} samples is shorter than one window"
+        )
     used = n_windows * window_samples
     pooled = np.mean(section.voltages_v**2, axis=0)[:used]
     window_ms = pooled.reshape(n_windows, window_samples).mean(axis=1)

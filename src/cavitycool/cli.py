@@ -27,7 +27,7 @@ from .config import (
 )
 from .errors import AnalysisError, ConfigError, DataFormatError, DomainError
 from .receiver import noise_power_reduction_db
-from .thermal import mode_temperature, photon_occupancy
+from .thermal import mode_temperature, photon_occupancy, sweep_mode_temperature
 
 _EXIT_CONFIG = 2
 _EXIT_IO = 3
@@ -100,11 +100,38 @@ def cmd_steady(args, cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_sweep(args, cfg: RunConfig) -> int:
-    import numpy as np
+def _linear_axis(start: float, stop: float, num: int) -> list[float]:
+    """`num` evenly spaced points from `start` to `stop` in numpy.linspace's
+    operation order, so bit for bit its values: point i is `i * step + start`,
+    or `i / div * delta + start` when the step underflows to 0, and the last
+    point is `stop`."""
+    div = num - 1
+    delta = stop - start
+    if div < 1:
+        return [0.0 * delta + start] * num
+    step = delta / div
+    if step == 0:
+        points = [i / div * delta + start for i in range(num)]
+    else:
+        points = [i * step + start for i in range(num)]
+    points[-1] = stop
+    return points
 
-    from . import tracefile
-    from .thermal import sweep_mode_temperature
+
+def _geometric_axis(start: float, stop: float, num: int) -> list[float]:
+    """`num` >= 1 points from `start` to `stop`, both > 0, evenly spaced in
+    log10 as numpy.geomspace spaces them: `10.0 ** y` over the linear axis
+    from log10(start) to log10(stop), with the endpoints set back to
+    `start` and `stop`."""
+    points = [10.0**y for y in _linear_axis(math.log10(start), math.log10(stop), num)]
+    points[0] = start
+    if num > 1:
+        points[-1] = stop
+    return points
+
+
+def cmd_sweep(args, cfg: RunConfig) -> int:
+    from . import textformat
 
     if args.coupling_min <= 0 or args.coupling_max < args.coupling_min:
         raise ConfigError("need 0 < coupling-min <= coupling-max")
@@ -120,25 +147,26 @@ def cmd_sweep(args, cfg: RunConfig) -> int:
         raise ConfigError(f"no port named '{args.port}' in the configuration")
     port_index = (found or [0])[0]
 
-    couplings = np.geomspace(args.coupling_min, args.coupling_max, args.coupling_points)
-    colds = np.linspace(args.cold_min, args.cold_max, args.cold_points)
+    couplings = _geometric_axis(args.coupling_min, args.coupling_max, args.coupling_points)
+    colds = _linear_axis(args.cold_min, args.cold_max, args.cold_points)
     grid = sweep_mode_temperature(cfg.baths, port_index, couplings, colds)
 
     path = _outpath(args, "sweep.csv")
     table = (
-        (couplings[i], colds[j], grid[i, j])
-        for i in range(len(couplings))
-        for j in range(len(colds))
+        (coupling, cold, temperature)
+        for coupling, row in zip(couplings, grid)
+        for cold, temperature in zip(colds, row)
     )
-    tracefile.write_table_csv(
+    textformat.write_table_csv(
         path, ("coupling", "load_temperature_k", "mode_temperature_k"), table
     )
+    size = len(couplings) * len(colds)
     items = [
         ("sweep_csv", path),
         ("swept_port", cfg.baths.ports[port_index].name),
-        ("rows", str(grid.size)),
+        ("rows", str(size)),
     ]
-    _emit(args, [(items, f"wrote {grid.size} grid points to {path}")])
+    _emit(args, [(items, f"wrote {size} grid points to {path}")])
     return 0
 
 
@@ -203,7 +231,7 @@ def _deltap_row(prefix: str, label: str, estimate) -> _Row:
 def cmd_analyze(args, cfg: RunConfig) -> int:
     import numpy as np
 
-    from . import tracefile
+    from . import textformat
     from .pipeline import analyze_run
     from .receiver import noise_power_reduction_curve
 
@@ -273,7 +301,7 @@ def cmd_analyze(args, cfg: RunConfig) -> int:
         ))
     for name, header, table, label in tables:
         path = _outpath(args, name)
-        tracefile.write_table_csv(path, header, table)
+        textformat.write_table_csv(path, header, table)
         rows.append(([(name.replace(".csv", "_csv"), path)], f"{label} written to {path}"))
 
     _emit(args, rows)

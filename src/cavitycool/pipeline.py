@@ -163,17 +163,25 @@ def analyze_run(
             "sections shorter than one spectral segment; band-averaged level skipped"
         )
 
+    # The one test of whether the warm-up fit counts: its series was built,
+    # and the fit returned and converged.  Otherwise the depth is None and
+    # the warm-up time NaN.
     warmup_stop = min(disconnect_time_s + acfg.fit_window_s, t_end)
-    series_t, series_db = analysis.windowed_deltap_timeseries(
-        residuals.slice_time(disconnect_time_s, warmup_stop), ambient[0], acfg.window_samples
-    )
-
-    # The one test of whether the warm-up fit counts: it returned and
-    # converged.  Otherwise the depth is None and the warm-up time NaN.
+    series_t, series_db = np.empty(0), np.empty(0)
     fit = None
     depth = None
     warmup_time = warmup_stderr = float("nan")
     try:
+        try:
+            series_t, series_db = analysis.windowed_deltap_timeseries(
+                residuals.slice_time(disconnect_time_s, warmup_stop),
+                ambient[0],
+                acfg.window_samples,
+            )
+        except AnalysisError as exc:
+            raise AnalysisError(
+                f"no warm-up series at [analysis] window_samples = {acfg.window_samples}: {exc}"
+            ) from exc
         fit = analysis.fit_biexponential(series_t, series_db, acfg.exclude_before_s)
         if not fit.converged:
             raise AnalysisError("exponential fit did not converge")

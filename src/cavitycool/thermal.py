@@ -14,6 +14,7 @@ import enum
 import math
 import warnings
 from dataclasses import dataclass, replace
+from typing import Iterable
 
 from .constants import BOLTZMANN_K, PLANCK_H
 from .errors import DomainError
@@ -59,6 +60,18 @@ class LossModel(enum.Enum):
     LINEAR = "linear"
 
 
+def _check_link_loss(loss_db: float, model: LossModel, name: str = "insertion loss") -> None:
+    """Raise DomainError, naming the loss `name`, unless `model` takes
+    `loss_db`: every model needs >= 0 dB, the linear one < DB_PER_NEPER."""
+    if loss_db < 0:
+        raise DomainError(f"{name} must be >= 0 dB, got {loss_db!r}")
+    if model is LossModel.LINEAR and loss_db >= DB_PER_NEPER:
+        raise DomainError(
+            f"{name} must be < {DB_PER_NEPER} dB under the linear loss model "
+            f"(its load weight vanishes there), got {loss_db!r}; use the exact model"
+        )
+
+
 def link_output_temperature(
     loss_db: float,
     load_temperature_k: float,
@@ -91,19 +104,13 @@ def link_output_temperature(
     float
         Delivered noise temperature in kelvin.
     """
-    if loss_db < 0:
-        raise DomainError(f"insertion loss must be >= 0 dB, got {loss_db}")
+    _check_link_loss(loss_db, model)
     if load_temperature_k < 0 or link_temperature_k < 0:
         raise DomainError("temperatures must be >= 0 K")
     if model is LossModel.EXACT:
         through = 10.0 ** (-loss_db / 10.0)
         return through * load_temperature_k + (1.0 - through) * link_temperature_k
     if model is LossModel.LINEAR:
-        if loss_db >= DB_PER_NEPER:
-            raise DomainError(
-                f"linear loss model invalid at {loss_db} dB "
-                f"(load weight vanishes at {DB_PER_NEPER} dB); use LossModel.EXACT"
-            )
         if loss_db > LINEAR_MODEL_SOFT_LIMIT_DB:
             warnings.warn(
                 f"linear loss model is inaccurate above "
@@ -157,6 +164,7 @@ class BathPort:
             raise DomainError(f"coupling must be >= 0, got {self.coupling}")
         if self.load_temperature_k < 0:
             raise DomainError("load temperature must be >= 0 K")
+        _check_link_loss(self.link_loss_db, self.loss_model, "link_loss_db")
         if self.link_loss_db > 0 and self.link_temperature_k < 0:
             raise DomainError("link temperature must be >= 0 K")
 
@@ -215,22 +223,20 @@ def mode_temperature(baths: BathSet) -> float:
 def sweep_mode_temperature(
     baths: BathSet,
     port_index: int,
-    couplings: "numpy.typing.ArrayLike",
-    load_temperatures_k: "numpy.typing.ArrayLike",
-) -> "numpy.ndarray":
+    couplings: Iterable[float],
+    load_temperatures_k: Iterable[float],
+) -> list[list[float]]:
     """Mode temperature over a (coupling, load temperature) grid.
 
     The port at `port_index` is swept; every other port and the intrinsic
-    bath stay fixed.  Returns an array of shape
-    (len(couplings), len(load_temperatures_k)).
+    bath stay fixed.  Returns one row per coupling, holding one mode
+    temperature per load temperature.
     """
-    import numpy as np
-
-    couplings = np.asarray(couplings, dtype=float)
-    loads = np.asarray(load_temperatures_k, dtype=float)
-    if couplings.ndim != 1 or loads.ndim != 1 or couplings.size == 0 or loads.size == 0:
-        raise DomainError("sweep axes must be non-empty 1-D arrays")
-    if np.any(couplings < 0) or np.any(loads < 0):
+    couplings = [float(k) for k in couplings]
+    loads = [float(t) for t in load_temperatures_k]
+    if not couplings or not loads:
+        raise DomainError("sweep axes must be non-empty")
+    if any(k < 0 for k in couplings) or any(t < 0 for t in loads):
         raise DomainError("sweep axes must be non-negative")
     if not 0 <= port_index < len(baths.ports):
         raise DomainError(f"port index {port_index} out of range")
@@ -249,9 +255,8 @@ def sweep_mode_temperature(
     # temperature for every grid load follows from two evaluations.
     t0 = replace(swept, load_temperature_k=0.0).delivered_temperature_k()
     t1 = replace(swept, load_temperature_k=1.0).delivered_temperature_k()
-    delivered = t0 + (t1 - t0) * loads  # shape (n_loads,)
-
-    kgrid = couplings[:, None]
-    return (fixed_weighted + kgrid * delivered[None, :]) / (
-        1.0 + fixed_coupling + kgrid
-    )
+    delivered = [t0 + (t1 - t0) * x for x in loads]
+    return [
+        [(fixed_weighted + k * d) / (1.0 + fixed_coupling + k) for d in delivered]
+        for k in couplings
+    ]

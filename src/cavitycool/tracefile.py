@@ -1,10 +1,10 @@
-"""On-disk formats: run directories, trace CSV, trajectory CSV, tables,
-key=value sidecars.
+"""On-disk formats: run directories, trace CSV and trajectory CSV.
 
 Trace CSV: header `time_s,voltage_v`, one sample per line, LF endings,
-floats in shortest round-trip (repr) form.  Sidecars are plain
-`key=value` lines.  Writers are deterministic: identical inputs produce
-byte-identical files.
+floats in shortest round-trip (repr) form.  Writers are deterministic:
+identical inputs produce byte-identical files.  Tables and key=value
+sidecars are written by `textformat`, which needs no numpy; this module
+re-exports its writers and readers.
 
 A run directory (`write_run`, `read_run`) holds `trajectory.csv`, the
 trace files `trace_000.csv`, `trace_001.csv`, ... of its `synth.n_shots`
@@ -31,15 +31,16 @@ from __future__ import annotations
 
 import csv
 import functools
-import io
 import os
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .config import RunConfig, config_digest, config_from_items, config_items, grid_sample_count
 from .errors import ConfigError, DataFormatError
 from .synth import NoiseTrace
+from .textformat import _read_text, _write_csv, read_key_values, write_key_values
+from .textformat import write_table_csv  # noqa: F401  (part of this module's API)
 
 TRACE_HEADER = ("time_s", "voltage_v")
 TRAJECTORY_HEADER = ("time_s", "temperature_k")
@@ -57,13 +58,6 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence[float]]) -> None:
-    """Write `header` and `rows` of Python floats, each in repr form."""
-    lines = [",".join(header), *(",".join(map(repr, row)) for row in rows), ""]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines))
-
-
 @functools.lru_cache(maxsize=1)
 def _time_fields(grid_bytes: bytes) -> tuple[str, ...]:
     """The `"t,"` start of each line for the float64 grid `grid_bytes`."""
@@ -77,22 +71,6 @@ def write_trace_csv(path: str, times_s: np.ndarray, voltages_v: np.ndarray) -> N
     text = "".join(f"{t}{v!r}\n" for t, v in zip(starts, volts, strict=True))
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(_TRACE_HEADER_LINE + text)
-
-
-def _read_text(path: str, newline: str | None) -> io.StringIO:
-    """The UTF-8 text of `path`, split into lines as `open` splits them
-    with `newline`; DataFormatError names the line of the first byte
-    that is not UTF-8."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    try:
-        return io.StringIO(data.decode("utf-8"), newline=newline)
-    except UnicodeDecodeError as exc:
-        # The bad byte is neither CR nor LF, so it ends the last line here.
-        line = len(data[: exc.start + 1].splitlines())
-        raise DataFormatError(
-            f"{path}: line {line}: byte 0x{data[exc.start]:02x} is not UTF-8 text"
-        ) from None
 
 
 def read_trace_csv(path: str) -> NoiseTrace:
@@ -245,38 +223,6 @@ def write_trajectory_csv(path: str, trajectory) -> None:
     """Write `trajectory.csv`: time and mode temperature."""
     columns = (trajectory.times_s, trajectory.temperature_k)
     _write_csv(path, TRAJECTORY_HEADER, np.array(columns, dtype=float).T.tolist())
-
-
-def write_table_csv(
-    path: str, header: Sequence[str], rows: Iterable[Sequence[float]]
-) -> None:
-    _write_csv(path, header, np.asarray(list(rows), dtype=float).tolist())
-
-
-def write_key_values(path: str, items: Iterable[tuple[str, str]]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        for key, value in items:
-            fh.write(f"{key}={value}\n")
-
-
-def read_key_values(path: str) -> dict[str, str]:
-    """Read a key=value sidecar; '#' lines and blanks are skipped, and a
-    key may appear once."""
-    out: dict[str, str] = {}
-    for lineno, line in enumerate(_read_text(path, newline=None), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise DataFormatError(
-                f"{path}: line {lineno}: expected key=value, got {line!r}"
-            )
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if key in out:
-            raise DataFormatError(f"{path}: line {lineno}: repeated key {key!r}")
-        out[key] = value.strip()
-    return out
 
 
 def _trace_names(cfg: RunConfig) -> list[str]:

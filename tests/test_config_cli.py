@@ -365,6 +365,26 @@ def test_cli_port_refusals_name_the_port(tmp_path, capsys, old, new, message):
     assert capsys.readouterr().err == f"config error: {ini}: {message}\n"
 
 
+@pytest.mark.parametrize("loss, message", [
+    ("link_loss_db = -1\n", "link_loss_db must be >= 0 dB, got -1.0"),
+    ("link_loss_db = 5\nloss_model = linear\n",
+     "link_loss_db must be < 4.34 dB under the linear loss model (its load weight "
+     "vanishes there), got 5.0; use the exact model"),
+], ids=["negative", "linear-past-4.34-db"])
+@pytest.mark.parametrize("command", ["steady", "sweep"])
+def test_cli_refuses_a_bad_link_loss_at_load_naming_file_and_port(
+    tmp_path, capsys, command, loss, message
+):
+    ini = _ini(tmp_path, _TWO_PORTS.replace("role = cooling\n", f"role = cooling\n{loss}"))
+    out = tmp_path / "out"
+    argv = [command, "--config", ini] + (["--out", str(out)] if command == "sweep" else [])
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: {ini}: [port.cold] {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("names, bad", [
     (("cooling", "cooling"), "cooling"),
     (("", ""), ""),
@@ -1368,9 +1388,19 @@ def test_cli_analyze_nonconvergence_exit_code(tmp_path, capsys):
     wide = _ini(tmp_path, (
         "[synth]\nn_shots = 2\n\n[analysis]\nwindow_samples = 100000\n"
     ), "wide.ini")
-    rc = cli.main(["analyze", str(out / "run.meta"), "--config", wide])
+    capsys.readouterr()
+    rc = cli.main(["analyze", str(out / "run.meta"), "--config", wide, "--porcelain"])
     assert rc == 5
-    assert "analysis error" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "analysis error" in captured.err
+    # The levels that need no series are still printed, and a note names the key.
+    d = _porcelain(captured.out)
+    assert {"deltap_direct_db", "deltap_direct_stderr_db", "deltap_band_db"} <= d.keys()
+    assert d["note.0"] == (
+        "warm-up fit unavailable: no warm-up series at [analysis] window_samples = "
+        "100000: section of 600 samples is shorter than one window"
+    )
+    assert "fit_a1_db" not in d and "depth_fit_db" not in d
 
 
 def test_unconverged_fit_gives_no_depth_and_analyze_exits_5(tmp_path, capsys, monkeypatch):

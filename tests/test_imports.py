@@ -3,10 +3,10 @@
 scipy's import costs about a second, far more than `steady`, `sweep` or
 `analyze` compute.  The package imports it only inside the 1/f
 synthesis that filters with it; the Welch PSD and the warm-up fit are
-numpy.  numpy's import costs more than `steady` computes, so the
-closed-form layer (`constants`, `errors`, `thermal`, `receiver`,
-`config`, `cli` and the package root) imports it only inside the
-functions that compute with arrays.  The pytest process has both loaded
+numpy.  numpy's import costs more than `steady` or `sweep` computes, so
+the closed-form layer (`constants`, `errors`, `thermal`, `receiver`,
+`config`, `textformat`, `cli` and the package root) imports it only
+inside the functions that compute with arrays.  The pytest process has both loaded
 already, so each command runs in a fresh interpreter.
 """
 
@@ -143,7 +143,9 @@ def test_analysis_has_no_scipy_import():
     assert found == [], f"scipy import in analysis.py at lines {found}"
 
 
-_CLOSED_FORM = ("constants", "errors", "thermal", "receiver", "config", "cli", "__init__")
+_CLOSED_FORM = (
+    "constants", "errors", "thermal", "receiver", "config", "textformat", "cli", "__init__",
+)
 
 
 def test_closed_form_layer_has_no_module_level_numpy_import():
@@ -151,11 +153,13 @@ def test_closed_form_layer_has_no_module_level_numpy_import():
     assert found == [], f"module-level numpy import at {', '.join(found)}"
 
 
-def test_import_steady_version_and_help_load_no_numpy(tmp_path):
+def test_import_steady_sweep_version_and_help_load_no_numpy(tmp_path):
     steps = _fresh_run(
         ["steady", "--porcelain"],
         ["steady"],
         ["steady", "--config", _small_run_ini(tmp_path, 0), "--porcelain"],
+        ["sweep", "--porcelain", "--out", str(tmp_path / "sweep")],
+        ["sweep", "--out", str(tmp_path / "sweep"), "--port", "monitoring"],
         ["--version"],
         ["--help"],
         package="numpy",
@@ -165,6 +169,8 @@ def test_import_steady_version_and_help_load_no_numpy(tmp_path):
         ["steady", 0, []],
         ["steady", 0, []],
         ["steady", 0, []],
+        ["sweep", 0, []],
+        ["sweep", 0, []],
         ["--version", 0, []],
         ["--help", 0, []],
     ]
@@ -183,7 +189,7 @@ def test_array_commands_still_run_and_load_numpy(tmp_path):
     assert [step[:2] for step in steps] == [
         ["import", 0], ["steady", 0], ["sweep", 0], ["simulate", 0], ["analyze", 0],
     ]
-    assert [("numpy" in step[2]) for step in steps] == [False, False, True, True, True]
+    assert [("numpy" in step[2]) for step in steps] == [False, False, False, True, True]
 
 
 # The names the package root exported when it imported every module

@@ -2,12 +2,17 @@
 
 import hashlib
 import math
+import os
+import platform
+import subprocess
+import sys
 import tempfile
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cavitycool import cli, tracefile
 from cavitycool.config import (
@@ -28,6 +33,7 @@ from cavitycool.receiver import (
 from cavitycool.thermal import BathPort, BathSet, CavityMode, LossModel
 
 _FEW = settings(max_examples=25, deadline=None)
+_SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _finite(lo, hi):
@@ -41,17 +47,19 @@ def _run_configs(draw):
         st.from_regex(r"[a-z][a-z0-9_]{0,7}", fullmatch=True),
         min_size=1, max_size=3, unique=True,
     ))
+    models = [draw(st.sampled_from(LossModel)) for _ in names]
+    # The linear loss model takes losses below 4.34 dB only.
     ports = tuple(
         BathPort(
             coupling=draw(_finite(0.0, 50.0)),
             load_temperature_k=draw(_finite(0.0, 400.0)),
-            link_loss_db=draw(_finite(0.0, 10.0)),
+            link_loss_db=draw(_finite(0.0, 4.3 if model is LossModel.LINEAR else 10.0)),
             link_temperature_k=draw(_finite(0.0, 400.0)),
-            loss_model=draw(st.sampled_from(LossModel)),
+            loss_model=model,
             name=name,
             role=draw(st.sampled_from(("cooling", "monitoring"))),
         )
-        for name in names
+        for name, model in zip(names, models)
     )
     trace = draw(_finite(10e-6, 1e-3))
     cool = draw(_finite(0.0, trace / 2))
@@ -294,7 +302,7 @@ port.monitoring.delivered_k=222.5581048601723
 port.monitoring.weight=0.1724137931034483
 """
 _STEADY_HUMAN_SHA256 = "46f7f06626e3f1910be16599a02c5531a81864ded8dcadda1a8da915358aa443"
-_SWEEP_SHA256 = "3034e5e63c8c0e200a1a08113f409c9f9ad736f78abe13249fa6d31641774e4a"
+_SWEEP_SHA256 = "65fd9dfd39d434684c870d0b5a8b3b3c93ba9a7be083703aa70471d4c961d130"
 
 
 def test_default_steady_and_sweep_outputs_pinned(tmp_path, capsys):
@@ -310,6 +318,87 @@ def test_default_steady_and_sweep_outputs_pinned(tmp_path, capsys):
     assert capsys.readouterr().out.replace(str(tmp_path), "OUT") == (
         "wrote 625 grid points to OUT/sweep.csv\n"
     )
+
+
+def _portability_masks():
+    """Each (variable, value) that steers a child off this host's fastest
+    code path: numpy's SIMD dispatch down to its baseline, and glibc's
+    AVX2 and FMA variants (glibc only)."""
+    from numpy._core._multiarray_umath import __cpu_dispatch__
+
+    glibc = platform.libc_ver()[0] == "glibc"
+    return [
+        pytest.param(
+            ("NPY_DISABLE_CPU_FEATURES", " ".join(__cpu_dispatch__)), id="numpy-baseline"
+        ),
+        pytest.param(
+            ("GLIBC_TUNABLES", "glibc.cpu.hwcaps=-AVX2,-FMA,-AVX512F"), id="glibc-no-fma",
+            marks=pytest.mark.skipif(not glibc, reason="glibc hwcaps need glibc"),
+        ),
+    ]
+
+
+@pytest.mark.parametrize("mask", _portability_masks())
+def test_steady_and_sweep_bytes_hold_under_cpu_masks(tmp_path, mask):
+    variable, value = mask
+    env = dict(os.environ, **{variable: value})
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(_SRC), env.get("PYTHONPATH")]))
+    cli_argv = [sys.executable, "-m", "cavitycool.cli"]
+    steady = subprocess.run(
+        [*cli_argv, "steady", "--porcelain"], capture_output=True, text=True, env=env
+    )
+    assert (steady.returncode, steady.stderr) == (0, "")
+    assert steady.stdout == _STEADY_PORCELAIN
+    sweep = subprocess.run(
+        [*cli_argv, "sweep", "--porcelain", "--out", str(tmp_path)],
+        capture_output=True, text=True, env=env,
+    )
+    assert (sweep.returncode, sweep.stderr) == (0, "")
+    assert hashlib.sha256((tmp_path / "sweep.csv").read_bytes()).hexdigest() == _SWEEP_SHA256
+
+
+def _subnormal_or_finite():
+    return st.one_of(
+        _finite(-1e300, 1e300),
+        st.floats(-1e-300, 1e-300, allow_subnormal=True),
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310]),
+    )
+
+
+@_FEW
+@given(_subnormal_or_finite(), _subnormal_or_finite(), st.integers(1, 40))
+@example(0.0, 1.5e-323, 10)  # the step underflows to 0
+@example(-0.0, -0.0, 1)
+@example(2.0, 290.0, 25)
+def test_linear_axis_is_numpy_linspace_bit_for_bit(a, b, num):
+    for start, stop in ((a, b), (a, a), (a, a + 5e-324 * num)):
+        expected = np.linspace(start, stop, num).tolist()
+        got = cli._linear_axis(start, stop, num)
+        assert [v.hex() for v in got] == [v.hex() for v in expected], (start, stop, num)
+
+
+@_FEW
+@given(_finite(1e-6, 1e6), _finite(1e-6, 1e6), st.integers(1, 40))
+def test_geometric_axis_is_powers_of_the_linear_log_axis(a, b, num):
+    start, stop = min(a, b), max(a, b)
+    expected = [
+        10.0**y for y in np.linspace(math.log10(start), math.log10(stop), num).tolist()
+    ]
+    expected[0] = start
+    if num > 1:
+        expected[-1] = stop
+    got = cli._geometric_axis(start, stop, num)
+    assert [v.hex() for v in got] == [v.hex() for v in expected]
+    reference = np.geomspace(start, stop, num).tolist()
+    assert all(math.isclose(g, r, rel_tol=1e-13) for g, r in zip(got, reference))
+
+
+def test_default_coupling_axis_holds_the_correctly_rounded_powers():
+    axis = cli._geometric_axis(0.1, 100.0, 25)
+    assert len(axis) == 25 and axis[0] == 0.1 and axis[-1] == 100.0
+    # 10**-0.125 and 10**0.75, correctly rounded.
+    assert axis[7] == 0.7498942093324559
+    assert axis[14] == 5.623413251903491
 
 
 def test_readme_library_example_runs(capsys):

@@ -288,7 +288,7 @@ def test_sweep_grid_matches_scalar_evaluations():
     couplings = np.array([1.0, 3.8, 7.5])
     loads = np.array([10.0, 18.4, 77.0, 150.0])
     grid = sweep_mode_temperature(baths, 0, couplings, loads)
-    assert grid.shape == (3, 4)
+    assert len(grid) == 3 and all(len(row) == 4 for row in grid)
     for i, kappa in enumerate(couplings):
         for j, t_load in enumerate(loads):
             ports = (
@@ -302,7 +302,7 @@ def test_sweep_grid_matches_scalar_evaluations():
                 baths.ports[1],
             )
             expected = mode_temperature(BathSet(290.0, ports))
-            assert math.isclose(grid[i, j], expected, rel_tol=1e-12)
+            assert math.isclose(grid[i][j], expected, rel_tol=1e-12)
 
 
 def test_sweep_rejects_bad_port_index():
@@ -318,6 +318,20 @@ def test_port_validation():
         BathPort(coupling=1.0, load_temperature_k=-5.0)
     with pytest.raises(DomainError):
         BathSet(intrinsic_temperature_k=-2.0, ports=())
+
+
+def test_port_refuses_a_link_loss_its_model_cannot_take():
+    with pytest.raises(DomainError, match="link_loss_db must be >= 0 dB, got -0.1"):
+        BathPort(coupling=1.0, load_temperature_k=18.4, link_loss_db=-0.1)
+    for loss in (4.34, 6.0):
+        with pytest.raises(DomainError, match="link_loss_db must be < 4.34 dB"):
+            BathPort(1.0, 18.4, loss, 290.0, LossModel.LINEAR)
+    # Past the soft limit the port is built without a warning; only the
+    # delivered temperature warns.
+    port = BathPort(1.0, 18.4, 4.3, 290.0, LossModel.LINEAR)
+    with pytest.warns(UserWarning):
+        port.delivered_temperature_k()
+    assert BathPort(1.0, 18.4, 6.0, 290.0, LossModel.EXACT).link_loss_db == 6.0
 
 
 def test_cavity_mode_validation():
