@@ -30,6 +30,37 @@ _DB = 10.0 / math.log(10.0)
 _BLOCK_SHOTS = 32
 
 
+class _Boxcar:
+    """Centered running mean over `width` samples of rows of `n_samples`.
+
+    Sample i is averaged over [i - (width - 1)//2, i + width//2], and
+    windows truncate at the row edges.  The running-sum scratch holds up
+    to `block_shots` rows and is reused from one block to the next.
+    """
+
+    def __init__(self, n_samples: int, width: int, block_shots: int):
+        self.width = width
+        self.lead, trail = (width - 1) // 2, width // 2
+        idx = np.arange(n_samples)
+        self.counts = (
+            np.minimum(idx + trail, n_samples - 1) - np.maximum(idx - self.lead, 0) + 1
+        )
+        # Running sum with `lead` zeros in front and the row total repeated
+        # `trail` times behind, so every window sum, truncated ones
+        # included, is csum[:, i + width] - csum[:, i].
+        self.csum = np.zeros((block_shots, n_samples + width))
+
+    def residual(self, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write each row minus its running mean into `out`, and return it."""
+        n, lead = rows.shape[1], self.lead
+        csum = self.csum[: len(rows)]
+        np.cumsum(rows, axis=1, out=csum[:, lead + 1 : lead + 1 + n])
+        csum[:, lead + 1 + n :] = csum[:, lead + n, None]
+        np.subtract(csum[:, self.width :], csum[:, :n], out=out)
+        out /= self.counts
+        return np.subtract(rows, out, out=out)
+
+
 def extract_noise(trace: NoiseTrace, width: int) -> NoiseTrace:
     """Every shot's residual after subtracting a centered running mean
     over `width` samples.
@@ -37,30 +68,19 @@ def extract_noise(trace: NoiseTrace, width: int) -> NoiseTrace:
     Sample i is averaged over [i - (width - 1)//2, i + width//2].  Windows
     truncate at the trace edges rather than padding, so the first and
     last few samples are smoothed over fewer points.  A width of one
-    makes the smoother an identity and the residual zero.
+    makes the smoother an identity and the residual zero.  Rows are
+    smoothed one block at a time, so the output is the only array the
+    size of the input; `tabulate_shots` smooths its blocks of residuals
+    with the same kernel and keeps none.
     """
     if width < 1:
         raise DomainError("boxcar width must be at least one sample")
     v = trace.voltages_v
-    n = len(trace)
-    lead, trail = (width - 1) // 2, width // 2
-    idx = np.arange(n)
-    counts = np.minimum(idx + trail, n - 1) - np.maximum(idx - lead, 0) + 1
+    boxcar = _Boxcar(len(trace), width, min(trace.n_shots, _BLOCK_SHOTS))
     out = np.empty(v.shape)
-    # Running sum with `lead` zeros in front and the row total repeated
-    # `trail` times behind, so every window sum, truncated ones included,
-    # is csum[:, i + width] - csum[:, i].  One block of rows at a time, so
-    # the output is the only ensemble-sized array.
-    csum = np.zeros((min(trace.n_shots, _BLOCK_SHOTS), n + width))
     for start in range(0, trace.n_shots, _BLOCK_SHOTS):
-        rows = v[start : start + _BLOCK_SHOTS]
-        block = csum[: len(rows)]
-        smooth = out[start : start + _BLOCK_SHOTS]
-        np.cumsum(rows, axis=1, out=block[:, lead + 1 : lead + 1 + n])
-        block[:, lead + 1 + n :] = block[:, lead + n, None]
-        np.subtract(block[:, width:], block[:, :n], out=smooth)
-        smooth /= counts
-        np.subtract(rows, smooth, out=smooth)
+        stop = start + _BLOCK_SHOTS
+        boxcar.residual(v[start:stop], out=out[start:stop])
     return NoiseTrace(trace.times_s, out)
 
 
@@ -84,6 +104,39 @@ class SpectralDensity(NamedTuple):
     density: np.ndarray  # one-sided, V^2/Hz
 
 
+class _WelchTable:
+    """Each shot's Hann-window Welch density of one section, filled one
+    block of shots at a time; the ensemble density is their mean."""
+
+    def __init__(self, times_s: np.ndarray, segment_samples: int, n_shots: int):
+        m = segment_samples
+        if m < 8:
+            raise DomainError("segment length must be at least 8 samples")
+        if m > len(times_s):
+            raise DomainError(f"segment length {m} exceeds trace length {len(times_s)}")
+        self.sample_interval_s = float(times_s[1] - times_s[0])
+        # Periodic Hann window, sampled as scipy.signal.get_window("hann", m).
+        self.window = 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, m + 1)[:-1])
+        self.scale = self.sample_interval_s / np.sum(self.window**2)
+        self.per_shot = np.empty((n_shots, m // 2 + 1))
+
+    def add(self, start: int, rows: np.ndarray) -> None:
+        """Fill the densities of shots start, start + 1, ... from `rows`."""
+        m = len(self.window)
+        segments = sliding_window_view(rows, m, axis=1)[:, :: m - m // 2]
+        spectra = np.fft.rfft(segments * self.window, axis=-1)
+        power = spectra.real**2 + spectra.imag**2
+        power *= self.scale
+        # One-sided: fold in the negative frequencies, which DC and (for
+        # even m) the Nyquist bin do not have.
+        power[..., 1 : (m + 1) // 2] *= 2.0
+        power.mean(axis=1, out=self.per_shot[start : start + len(rows)])
+
+    def density(self) -> SpectralDensity:
+        freqs = np.fft.rfftfreq(len(self.window), self.sample_interval_s)
+        return SpectralDensity(freqs, self.per_shot.mean(axis=0))
+
+
 def ensemble_spectral_density(trace: NoiseTrace, segment_samples: int) -> SpectralDensity:
     """Mean over shots of the Hann-window Welch estimate of the one-sided PSD.
 
@@ -92,27 +145,10 @@ def ensemble_spectral_density(trace: NoiseTrace, segment_samples: int) -> Spectr
     Every segment's windowed periodogram is scaled to a density, the
     segments of a shot are averaged, and then the shots.
     """
-    m = segment_samples
-    if m < 8:
-        raise DomainError("segment length must be at least 8 samples")
-    if m > len(trace):
-        raise DomainError(f"segment length {m} exceeds trace length {len(trace)}")
-    # Periodic Hann window, sampled as scipy.signal.get_window("hann", m).
-    window = 0.5 + 0.5 * np.cos(np.linspace(-np.pi, np.pi, m + 1)[:-1])
-    scale = trace.sample_interval_s / np.sum(window**2)
-    segments = sliding_window_view(trace.voltages_v, m, axis=1)[:, :: m - m // 2]
-    # Each shot's segment-mean density, one block of shots at a time.
-    per_shot = np.empty((trace.n_shots, m // 2 + 1))
+    table = _WelchTable(trace.times_s, segment_samples, trace.n_shots)
     for start in range(0, trace.n_shots, _BLOCK_SHOTS):
-        spectra = np.fft.rfft(segments[start : start + _BLOCK_SHOTS] * window, axis=-1)
-        power = spectra.real**2 + spectra.imag**2
-        power *= scale
-        # One-sided: fold in the negative frequencies, which DC and (for
-        # even m) the Nyquist bin do not have.
-        power[..., 1 : (m + 1) // 2] *= 2.0
-        power.mean(axis=1, out=per_shot[start : start + _BLOCK_SHOTS])
-    freqs = np.fft.rfftfreq(m, trace.sample_interval_s)
-    return SpectralDensity(freqs, per_shot.mean(axis=0))
+        table.add(start, trace.voltages_v[start : start + _BLOCK_SHOTS])
+    return table.density()
 
 
 class DeltaPEstimate(NamedTuple):
@@ -164,6 +200,22 @@ def band_averaged_deltap(
     return DeltaPEstimate(value, stderr)
 
 
+def _square_sums(rows: np.ndarray, out: np.ndarray) -> None:
+    """Each row's sum of squares, one pairwise sum per row, into `out`."""
+    np.sum(rows**2, axis=1, out=out)
+
+
+def pooled_level(square_sums: np.ndarray, samples_per_shot: int) -> tuple[float, int]:
+    """(mean square, total sample count) pooled over shots from each
+    shot's sum of squares over a section of `samples_per_shot` samples.
+
+    The shot sums are added in shot order (cumsum is sequential), not by
+    one pairwise sum, so the value does not depend on any blocking.
+    """
+    count = len(square_sums) * samples_per_shot
+    return float(np.cumsum(square_sums)[-1]) / count, count
+
+
 def pooled_mean_square(
     trace: NoiseTrace, t_start_s: float, t_stop_s: float
 ) -> tuple[float, int]:
@@ -172,14 +224,45 @@ def pooled_mean_square(
     Returns (mean square, total sample count).
     """
     v = trace.slice_time(t_start_s, t_stop_s).voltages_v
-    # Each shot's sum of squares, one block of shots at a time; the shot
-    # sums are added in shot order (cumsum is sequential), not by one
-    # pairwise sum, so the pooled value does not depend on the blocking.
     per_shot = np.empty(len(v))
     for start in range(0, len(v), _BLOCK_SHOTS):
-        rows = v[start : start + _BLOCK_SHOTS]
-        np.sum(rows**2, axis=1, out=per_shot[start : start + _BLOCK_SHOTS])
-    return float(np.cumsum(per_shot)[-1]) / v.size, v.size
+        stop = start + _BLOCK_SHOTS
+        _square_sums(v[start:stop], per_shot[start:stop])
+    return pooled_level(per_shot, v.shape[1])
+
+
+class _PowerSum:
+    """Per-sample sum of squares over shots, added one shot after another.
+
+    numpy reduces axis 0 of a C-contiguous array row after row, so
+    reducing the running sum stacked on a block's squares continues the
+    sum of `np.mean(v**2, axis=0)` in its own order: the result does not
+    depend on where the blocks start.  (Adding per-block sums would.)
+    numpy sums a single column pairwise instead, so for one sample every
+    shot's square is kept, one float a shot, and summed at the end.
+    `add` takes at most `_BLOCK_SHOTS` rows at a time.
+    """
+
+    def __init__(self, n_samples: int, n_shots: int):
+        self.whole = n_samples == 1
+        rows = n_shots if self.whole else min(n_shots, _BLOCK_SHOTS) + 1
+        self.stack = np.zeros((rows, n_samples))
+        self.n_shots = 0
+
+    def add(self, rows: np.ndarray) -> None:
+        if self.whole:
+            np.square(rows, out=self.stack[self.n_shots : self.n_shots + len(rows)])
+        else:
+            used = self.stack[: len(rows) + 1]
+            np.square(rows, out=used[1:])
+            np.add.reduce(used, axis=0, out=self.stack[0])
+        self.n_shots += len(rows)
+
+    def mean(self) -> np.ndarray:
+        """Mean square over the shots added, at each sample."""
+        if self.whole:
+            return np.mean(self.stack, axis=0)
+        return self.stack[0] / self.n_shots
 
 
 def segment_deltap(
@@ -208,31 +291,122 @@ def windowed_deltap_timeseries(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Level versus time through a section, in consecutive sample windows.
 
-    Pools the squared voltage across shots, averages it over each block
-    of `window_samples` samples, and references the result to
-    `ambient_mean_square`.  Times are window centers measured from the
-    first sample of the section.  Windows with non-positive pooled power
-    come back as NaN; a trailing partial window is dropped.
+    Pools the squared voltage across shots and passes it to
+    `deltap_series`.
+    """
+    power = _PowerSum(len(section), section.n_shots)
+    for start in range(0, section.n_shots, _BLOCK_SHOTS):
+        power.add(section.voltages_v[start : start + _BLOCK_SHOTS])
+    return deltap_series(
+        section.times_s, power.mean(), ambient_mean_square, window_samples
+    )
+
+
+def deltap_series(
+    times_s: np.ndarray,
+    power: np.ndarray,
+    ambient_mean_square: float,
+    window_samples: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Level versus time from the shot-pooled power at each sample.
+
+    Averages `power` over each block of `window_samples` samples and
+    references the result to `ambient_mean_square`.  Times are window
+    centers measured from the first sample.  Windows with non-positive
+    pooled power come back as NaN; a trailing partial window is dropped.
     """
     if window_samples < 1:
         raise DomainError("window must be at least one sample")
     if ambient_mean_square <= 0:
         raise DomainError("ambient reference mean square must be positive")
-    n_windows = len(section) // window_samples
+    n_windows = len(power) // window_samples
     if n_windows < 1:
         raise AnalysisError(
-            f"section of {len(section)} samples is shorter than one window"
+            f"section of {len(power)} samples is shorter than one window"
         )
     used = n_windows * window_samples
-    pooled = np.mean(section.voltages_v**2, axis=0)[:used]
-    window_ms = pooled.reshape(n_windows, window_samples).mean(axis=1)
-    rel_times = section.times_s[:used] - section.times_s[0]
+    window_ms = power[:used].reshape(n_windows, window_samples).mean(axis=1)
+    rel_times = times_s[:used] - times_s[0]
     centers = rel_times.reshape(n_windows, window_samples).mean(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         deltap = np.where(
             window_ms > 0, 10.0 * np.log10(window_ms / ambient_mean_square), np.nan
         )
     return centers, deltap
+
+
+class ShotTables(NamedTuple):
+    """What one pass over a shot ensemble keeps (see `tabulate_shots`)."""
+
+    cooled_sums: np.ndarray  # each shot's sum of squares over the cooled span
+    ambient_sums: np.ndarray  # the same over the ambient span
+    warmup_power: "np.ndarray | None"  # mean square over shots at each warm-up sample
+    cold_psd: "SpectralDensity | None"  # as ensemble_spectral_density
+    ambient_psd: "SpectralDensity | None"
+
+
+def tabulate_shots(
+    trace: NoiseTrace,
+    cooled: slice,
+    ambient: slice,
+    warmup: "slice | None",
+    width: int,
+    segment_samples: "int | None",
+) -> ShotTables:
+    """One pass over the shots, a block of them at a time, in shot order.
+
+    Each block is reduced to residuals by subtracting the shot mean
+    (with two or more shots), as `subtract_mean_artifact` does.  Their
+    sums of squares over the `cooled` and `ambient` sample columns fill
+    one entry per shot, and their squares over the `warmup` columns add
+    to the shot-pooled power.  With `segment_samples`, the block passes
+    through the boxcar of `extract_noise` when `width` is two or more,
+    and the Welch densities of its cooled and ambient columns fill one
+    row per shot each.  Every result equals, bit for bit, that of the
+    public stage run on the whole ensemble, and no array the size of the
+    ensemble is made.
+    """
+    v = trace.voltages_v
+    n_shots = trace.n_shots
+    block_shots = min(n_shots, _BLOCK_SHOTS)
+    mean = v.mean(axis=0) if n_shots >= 2 else None
+    residuals = np.empty((block_shots, len(trace)))
+    boxcar = None
+    if segment_samples is not None and width >= 2:
+        boxcar = _Boxcar(len(trace), width, block_shots)
+        extracted = np.empty((block_shots, len(trace)))
+    cooled_sums = np.empty(n_shots)
+    ambient_sums = np.empty(n_shots)
+    power = None
+    if warmup is not None:
+        power = _PowerSum(warmup.stop - warmup.start, n_shots)
+    psds = []
+    if segment_samples is not None:
+        psds = [
+            _WelchTable(trace.times_s[span], segment_samples, n_shots)
+            for span in (cooled, ambient)
+        ]
+    for start in range(0, n_shots, _BLOCK_SHOTS):
+        rows = v[start : start + _BLOCK_SHOTS]
+        shots = slice(start, start + len(rows))
+        if mean is not None:
+            rows = np.subtract(rows, mean, out=residuals[: len(rows)])
+        _square_sums(rows[:, cooled], cooled_sums[shots])
+        _square_sums(rows[:, ambient], ambient_sums[shots])
+        if power is not None:
+            power.add(rows[:, warmup])
+        if boxcar is not None:
+            rows = boxcar.residual(rows, out=extracted[: len(rows)])
+        for table, span in zip(psds, (cooled, ambient)):
+            table.add(start, rows[:, span])
+    cold_psd, ambient_psd = [table.density() for table in psds] or [None, None]
+    return ShotTables(
+        cooled_sums,
+        ambient_sums,
+        None if power is None else power.mean(),
+        cold_psd,
+        ambient_psd,
+    )
 
 
 @dataclass(frozen=True)

@@ -306,7 +306,12 @@ def cmd_analyze(args, cfg: RunConfig) -> int:
 
     _emit(args, rows)
     if report.depth_db is None:
-        print("analysis error: warm-up fit did not converge", file=sys.stderr)
+        # A fit that returned did not converge; without one, the note says why.
+        if report.fit is not None:
+            cause = "warm-up fit did not converge"
+        else:
+            cause = report.warmup_note
+        print(f"analysis error: {cause}", file=sys.stderr)
         return _EXIT_NONCONVERGENCE
     return 0
 

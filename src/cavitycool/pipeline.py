@@ -76,6 +76,7 @@ class AnalysisReport:
     depth_db: "analysis.DeltaPEstimate | None"
     warmup_time_s: float
     warmup_stderr_s: float
+    warmup_note: "str | None"  # the note saying why the warm-up fit does not count
     t_mode_inferred_k: float
     t_ambient_reference_k: float
     n_shots: int
@@ -97,6 +98,13 @@ def analyze_run(
     window spans at least two samples; the extraction transfer function
     is common to both spectra and cancels in the band ratio.
 
+    One pass over blocks of shots (`analysis.tabulate_shots`) yields
+    every shot's cooled and ambient sums of squares, the shot-pooled
+    warm-up power and the two spectra, so besides the input only
+    per-shot tables and one block of residuals are held.  The report is
+    that of the public stages composed on the whole ensemble, bit for
+    bit.
+
     `disconnect_time_s` defaults to the configured cooling duration.
     """
     acfg = cfg.analysis
@@ -104,24 +112,17 @@ def analyze_run(
         disconnect_time_s = cfg.protocol.cool_duration_s
     notes: list[str] = []
 
-    if traces.n_shots >= 2:
-        residuals = analysis.subtract_mean_artifact(traces)
-    else:
-        residuals = traces
+    if traces.n_shots < 2:
         notes.append(
             "single shot: deterministic transients cannot be separated from noise"
         )
-
-    width = max(1, round(acfg.boxcar_width_s / residuals.sample_interval_s))
-    if width >= 2:
-        extracted = analysis.extract_noise(residuals, width)
-    else:
-        extracted = residuals
+    width = max(1, round(acfg.boxcar_width_s / traces.sample_interval_s))
+    if width < 2:
         notes.append(
             "boxcar width rounds to one sample; spectral extraction skipped"
         )
 
-    t_end = float(residuals.times_s[-1])
+    t_end = float(traces.times_s[-1])
     cooled_span = (disconnect_time_s - acfg.cooled_window_s, disconnect_time_s)
     ambient_span = (disconnect_time_s + acfg.ambient_settle_s, t_end + 1e-12)
     if cooled_span[0] < 0:
@@ -138,23 +139,33 @@ def analyze_run(
             f"analysis.ambient_settle_s = {acfg.ambient_settle_s!r} s, "
             f"trace ends at {t_end!r} s)"
         )
+    cooled = traces.time_columns(*cooled_span)
+    ambient = traces.time_columns(*ambient_span)
+    n_cooled, n_ambient = cooled.stop - cooled.start, ambient.stop - ambient.start
+    warmup_refusal = None
+    try:
+        warmup = traces.time_columns(
+            disconnect_time_s, min(disconnect_time_s + acfg.fit_window_s, t_end)
+        )
+    except DomainError as exc:
+        # Refused where the series is built, after the levels.
+        warmup, warmup_refusal = None, exc
 
-    cooled = analysis.pooled_mean_square(residuals, *cooled_span)
-    ambient = analysis.pooled_mean_square(residuals, *ambient_span)
-    deltap_direct = analysis.segment_deltap(cooled, ambient)
+    seg = acfg.psd_segment_samples
+    psd_fits = seg <= min(n_cooled, n_ambient)
+    tables = analysis.tabulate_shots(
+        traces, cooled, ambient, warmup, width, seg if psd_fits else None
+    )
+    ambient_level = analysis.pooled_level(tables.ambient_sums, n_ambient)
+    deltap_direct = analysis.segment_deltap(
+        analysis.pooled_level(tables.cooled_sums, n_cooled), ambient_level
+    )
 
     deltap_band = None
-    cold_psd = None
-    ambient_psd = None
-    seg = acfg.psd_segment_samples
-    cold_section = extracted.slice_time(*cooled_span)
-    ambient_section = extracted.slice_time(*ambient_span)
-    if seg <= min(len(cold_section), len(ambient_section)):
-        cold_psd = analysis.ensemble_spectral_density(cold_section, seg)
-        ambient_psd = analysis.ensemble_spectral_density(ambient_section, seg)
+    if psd_fits:
         try:
             deltap_band = analysis.band_averaged_deltap(
-                cold_psd, ambient_psd, (acfg.band_low_hz, acfg.band_high_hz)
+                tables.cold_psd, tables.ambient_psd, (acfg.band_low_hz, acfg.band_high_hz)
             )
         except (DomainError, AnalysisError) as exc:
             notes.append(f"band-averaged level unavailable: {exc}")
@@ -163,19 +174,22 @@ def analyze_run(
             "sections shorter than one spectral segment; band-averaged level skipped"
         )
 
+    if warmup_refusal is not None:
+        raise warmup_refusal
     # The one test of whether the warm-up fit counts: its series was built,
-    # and the fit returned and converged.  Otherwise the depth is None and
-    # the warm-up time NaN.
-    warmup_stop = min(disconnect_time_s + acfg.fit_window_s, t_end)
+    # and the fit returned and converged.  Otherwise the depth is None, the
+    # warm-up time NaN, and `warmup_note` says why.
     series_t, series_db = np.empty(0), np.empty(0)
     fit = None
     depth = None
+    warmup_note = None
     warmup_time = warmup_stderr = float("nan")
     try:
         try:
-            series_t, series_db = analysis.windowed_deltap_timeseries(
-                residuals.slice_time(disconnect_time_s, warmup_stop),
-                ambient[0],
+            series_t, series_db = analysis.deltap_series(
+                traces.times_s[warmup],
+                tables.warmup_power,
+                ambient_level[0],
                 acfg.window_samples,
             )
         except AnalysisError as exc:
@@ -188,7 +202,8 @@ def analyze_run(
         depth = analysis.DeltaPEstimate(fit.a1_db, fit.a1_stderr_db)
         warmup_time, warmup_stderr = fit.tau1_s, fit.tau1_stderr_s
     except AnalysisError as exc:
-        notes.append(f"warm-up fit unavailable: {exc}")
+        warmup_note = f"warm-up fit unavailable: {exc}"
+        notes.append(warmup_note)
 
     t_ambient_ref = mode_temperature(cfg.baths.subset(cfg.persistent_port_indices()))
     try:
@@ -202,14 +217,15 @@ def analyze_run(
     return AnalysisReport(
         deltap_direct=deltap_direct,
         deltap_band=deltap_band,
-        cold_psd=cold_psd,
-        ambient_psd=ambient_psd,
+        cold_psd=tables.cold_psd,
+        ambient_psd=tables.ambient_psd,
         deltap_series_times_s=series_t,
         deltap_series_db=series_db,
         fit=fit,
         depth_db=depth,
         warmup_time_s=warmup_time,
         warmup_stderr_s=warmup_stderr,
+        warmup_note=warmup_note,
         t_mode_inferred_k=t_mode,
         t_ambient_reference_k=t_ambient_ref,
         n_shots=traces.n_shots,

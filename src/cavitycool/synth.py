@@ -103,15 +103,20 @@ class NoiseTrace:
             raise DomainError("need at least two samples for an interval")
         return float(self.times_s[1] - self.times_s[0])
 
-    def slice_time(self, t_start_s: float, t_stop_s: float) -> "NoiseTrace":
-        """View of every shot's samples with t_start_s <= t < t_stop_s."""
+    def time_columns(self, t_start_s: float, t_stop_s: float) -> slice:
+        """The sample columns with t_start_s <= t < t_stop_s."""
         if t_stop_s <= t_start_s:
             raise DomainError("empty time slice")
         lo = int(np.searchsorted(self.times_s, t_start_s, side="left"))
         hi = int(np.searchsorted(self.times_s, t_stop_s, side="left"))
         if hi <= lo:
             raise DomainError(f"no samples in [{t_start_s}, {t_stop_s}) s")
-        return NoiseTrace(self.times_s[lo:hi], self.voltages_v[:, lo:hi])
+        return slice(lo, hi)
+
+    def slice_time(self, t_start_s: float, t_stop_s: float) -> "NoiseTrace":
+        """View of every shot's samples with t_start_s <= t < t_stop_s."""
+        columns = self.time_columns(t_start_s, t_stop_s)
+        return NoiseTrace(self.times_s[columns], self.voltages_v[:, columns])
 
 
 def _read_only(values) -> np.ndarray:

@@ -268,6 +268,13 @@ def test_blocked_passes_match_the_whole_ensemble_bytes(n_shots):
         density = ensemble_spectral_density(trace, segment).density
         expected = _whole_ensemble_density(v, segment, trace.sample_interval_s)
         assert density.tobytes() == expected.tobytes()
+    # The pooled power per sample, also over a section of one sample,
+    # which numpy sums pairwise rather than row after row.
+    for stop in (n, 1):
+        section = NoiseTrace(trace.times_s[:stop], v[:, :stop])
+        _, levels = windowed_deltap_timeseries(section, 1.0, window_samples=1)
+        expected = 10.0 * np.log10(np.mean(v[:, :stop] ** 2, axis=0))
+        assert levels.tobytes() == expected.tobytes()
 
 
 def test_ensemble_spectral_density_validation():

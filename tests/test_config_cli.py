@@ -32,6 +32,7 @@ from cavitycool.config import (
 )
 from cavitycool.dynamics import PhotonTrajectory
 from cavitycool.errors import (
+    AnalysisError,
     ConfigError,
     DataFormatError,
     DomainError,
@@ -785,36 +786,155 @@ def test_analyze_run_recovers_protocol():
     assert report.t_ambient_reference_k == pytest.approx(256.279052430086)
 
 
-def test_analyze_run_pools_each_section_once(monkeypatch):
-    cfg = _small_config(3)
-    result = simulate_run(cfg)
-    pooled = analysis.pooled_mean_square
-    spans = []
+def _composed_report(traces, cfg, disconnect_time_s):
+    """analyze_run's estimates from the public stages, each run on the
+    whole ensemble: mean subtraction, the two pooled levels, boxcar
+    extraction, the two spectra, the warm-up series and its fit."""
+    acfg = cfg.analysis
+    residuals = traces
+    if traces.n_shots >= 2:
+        residuals = analysis.subtract_mean_artifact(traces)
+    t_end = float(traces.times_s[-1])
+    cooled_span = (disconnect_time_s - acfg.cooled_window_s, disconnect_time_s)
+    ambient_span = (disconnect_time_s + acfg.ambient_settle_s, t_end + 1e-12)
+    cooled = analysis.pooled_mean_square(residuals, *cooled_span)
+    ambient = analysis.pooled_mean_square(residuals, *ambient_span)
+    width = max(1, round(acfg.boxcar_width_s / traces.sample_interval_s))
+    extracted = residuals if width < 2 else analysis.extract_noise(residuals, width)
+    sections = [extracted.slice_time(*span) for span in (cooled_span, ambient_span)]
+    psds = [None, None]
+    if acfg.psd_segment_samples <= min(map(len, sections)):
+        psds = [
+            analysis.ensemble_spectral_density(section, acfg.psd_segment_samples)
+            for section in sections
+        ]
+    warmup = residuals.slice_time(
+        disconnect_time_s, min(disconnect_time_s + acfg.fit_window_s, t_end)
+    )
+    series = analysis.windowed_deltap_timeseries(warmup, ambient[0], acfg.window_samples)
+    try:
+        fit = analysis.fit_biexponential(*series, acfg.exclude_before_s)
+    except AnalysisError:
+        fit = None
+    return analysis.segment_deltap(cooled, ambient), psds, series, fit
 
-    def counting(trace, t_start_s, t_stop_s):
-        spans.append((t_start_s, t_stop_s))
-        return pooled(trace, t_start_s, t_stop_s)
 
-    monkeypatch.setattr(analysis, "pooled_mean_square", counting)
-    analyze_run(result.traces, cfg, result.disconnect_time_s)
-    assert len(spans) == 2
-    assert len(set(spans)) == 2
+def _fit_bytes(fit):
+    return b"" if fit is None else np.array(dataclasses.astuple(fit)).tobytes()
 
 
-def test_analyze_run_memory_stays_near_three_ensembles():
-    # Beside its input, analyze_run may hold the residuals and the
-    # extracted noise, each ensemble-sized, and small per-block scratch;
-    # a whole-ensemble temporary more would pass 3x the input.
-    cfg = default_run_config()
+def _report_bytes(report):
+    """Every array and float of a report, as bytes; and its notes."""
+    arrays = [
+        *report.deltap_direct,
+        *(report.deltap_band or ()),
+        *(report.cold_psd or ()),
+        *(report.ambient_psd or ()),
+        report.deltap_series_times_s,
+        report.deltap_series_db,
+        _fit_bytes(report.fit),
+        *(report.depth_db or ()),
+        report.warmup_time_s,
+        report.warmup_stderr_s,
+        report.t_mode_inferred_k,
+    ]
+    return [np.asarray(a).tobytes() for a in arrays], report.notes
+
+
+def _case_config(n_shots, seed=3, synth=None, analysis_items=None):
+    cfg = with_seed(_small_config(n_shots), seed)
+    return replace(
+        cfg,
+        synth=replace(cfg.synth, **(synth or {})),
+        analysis=replace(cfg.analysis, **(analysis_items or {})),
+    )
+
+
+# (configuration, disconnect time or None for the configured one)
+_PASS_CASES = {
+    "2-shots": (_case_config(2), None),
+    "31-shots": (_case_config(31), None),
+    "33-shots": (_case_config(33), None),
+    "65-shots": (_case_config(65), None),
+    "one-over-f": (_case_config(33, synth={"one_over_f_corner_hz": 1e6}), None),
+    "disconnect-30us": (_case_config(33), 30e-6),
+    "width-1": (_case_config(33, analysis_items={"boxcar_width_s": 1e-9}), None),
+    "width-7": (_case_config(33, analysis_items={"boxcar_width_s": 3.5e-7}), None),
+    "psd-skipped": (_case_config(33, analysis_items={"psd_segment_samples": 1000}), None),
+    "single-shot": (_case_config(1), None),
+    "one-warmup-sample": (
+        _case_config(65, analysis_items={"fit_window_s": 5e-8, "window_samples": 1}),
+        None,
+    ),
+}
+# The note that shows a case reached its branch of the pass.
+_PASS_NOTES = {
+    "width-1": "spectral extraction skipped",
+    "psd-skipped": "band-averaged level skipped",
+    "single-shot": "single shot",
+    "one-warmup-sample": "at least 8 usable points",
+}
+
+
+@pytest.mark.parametrize("case", list(_PASS_CASES))
+def test_analyze_run_equals_the_composed_public_stages(case):
+    # analyze_run reduces the ensemble in one blocked pass; its numbers
+    # must be, bit for bit, those of the public stages run one after the
+    # other on the whole ensemble.
+    cfg, disconnect = _PASS_CASES[case]
     traces = simulate_run(cfg).traces
-    analyze_run(traces, cfg)  # imports and caches stay out of the count
+    report = analyze_run(traces, cfg, disconnect)
+    disconnect = cfg.protocol.cool_duration_s if disconnect is None else disconnect
+    direct, psds, series, fit = _composed_report(traces, cfg, disconnect)
+    assert np.asarray(report.deltap_direct).tobytes() == np.asarray(direct).tobytes()
+    for got, expected in zip((report.cold_psd, report.ambient_psd), psds):
+        if expected is None:
+            assert got is None
+        else:
+            assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+    assert report.deltap_series_times_s.tobytes() == series[0].tobytes()
+    assert report.deltap_series_db.tobytes() == series[1].tobytes()
+    assert _fit_bytes(report.fit) == _fit_bytes(fit)
+    assert _PASS_NOTES.get(case, "") in " ".join(report.notes)
+
+
+@pytest.mark.parametrize("case", ["65-shots", "width-1", "single-shot", "one-warmup-sample"])
+def test_report_does_not_depend_on_the_block_size(monkeypatch, case):
+    cfg, disconnect = _PASS_CASES[case]
+    traces = simulate_run(cfg).traces
+    reports = []
+    for block_shots in (1, 7, 32, cfg.n_shots, cfg.n_shots + 5):
+        monkeypatch.setattr(analysis, "_BLOCK_SHOTS", block_shots)
+        reports.append(_report_bytes(analyze_run(traces, cfg, disconnect)))
+    assert all(report == reports[0] for report in reports[1:])
+
+
+def _traced_peak(call):
+    call()  # imports and caches stay out of the count
     tracemalloc.start()
     try:
-        analyze_run(traces, cfg)
-        peak = tracemalloc.get_traced_memory()[1]
+        result = call()
+        return tracemalloc.get_traced_memory()[1], result
     finally:
         tracemalloc.stop()
-    assert peak <= 2.6 * traces.voltages_v.nbytes
+
+
+def test_analyze_run_memory_stays_under_half_its_input():
+    # Beside its input, analyze_run holds per-shot tables and one block of
+    # residuals and extracted noise (about 0.32x the input at the
+    # defaults); one ensemble-sized temporary would pass 1x.
+    cfg = default_run_config()
+    traces = simulate_run(cfg).traces
+    peak, _ = _traced_peak(lambda: analyze_run(traces, cfg))
+    assert peak <= 0.5 * traces.voltages_v.nbytes
+
+
+def test_simulate_run_memory_stays_near_its_output():
+    # The ensemble is drawn into its output row by row; a second
+    # ensemble-sized array would pass 2x.
+    cfg = default_run_config()
+    peak, sim = _traced_peak(lambda: simulate_run(cfg))
+    assert peak <= 1.1 * sim.traces.voltages_v.nbytes
 
 
 def test_analyze_run_single_shot_note():
@@ -1401,6 +1521,23 @@ def test_cli_analyze_nonconvergence_exit_code(tmp_path, capsys):
         "100000: section of 600 samples is shorter than one window"
     )
     assert "fit_a1_db" not in d and "depth_fit_db" not in d
+
+
+@pytest.mark.parametrize("analysis_items, cause", [
+    ("window_samples = 100000", "no warm-up series at [analysis] window_samples = "
+     "100000: section of 600 samples is shorter than one window"),
+    ("exclude_before_s = 1.0", "need at least 8 usable points after exclusion, have 0"),
+])
+def test_analyze_without_a_fit_gives_the_note_s_cause_on_stderr(
+    tmp_path, capsys, analysis_items, cause
+):
+    # No fit returned, so stderr must not say that one failed to converge.
+    meta = _four_shot_meta(tmp_path, capsys)
+    ini = _ini(tmp_path, f"[synth]\nn_shots = 4\n\n[analysis]\n{analysis_items}\n")
+    assert cli.main(["analyze", str(meta), "--config", ini, "--porcelain"]) == 5
+    out, err = capsys.readouterr()
+    assert _porcelain(out)["note.0"] == f"warm-up fit unavailable: {cause}"
+    assert err == f"analysis error: warm-up fit unavailable: {cause}\n"
 
 
 def test_unconverged_fit_gives_no_depth_and_analyze_exits_5(tmp_path, capsys, monkeypatch):
