@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import configparser
 from functools import lru_cache, reduce
-import hashlib
 import math
 import operator
 import os
@@ -400,5 +399,7 @@ def config_items(cfg: RunConfig) -> list[tuple[str, str]]:
 
 def config_digest(cfg: RunConfig) -> str:
     """Stable hex digest of the canonical configuration dump."""
+    import hashlib  # only `simulate` and `analyze` digest a configuration
+
     text = "\n".join(f"{k}={v}" for k, v in config_items(cfg))
     return hashlib.sha256(text.encode("utf-8")).hexdigest()

@@ -147,9 +147,15 @@ def analyze_run(
         warmup = traces.time_columns(
             disconnect_time_s, min(disconnect_time_s + acfg.fit_window_s, t_end)
         )
-    except DomainError as exc:
+    except DomainError:
         # Refused where the series is built, after the levels.
-        warmup, warmup_refusal = None, exc
+        warmup = None
+        warmup_refusal = DomainError(
+            "no warm-up section after the disconnect "
+            f"(disconnect at {disconnect_time_s!r} s, "
+            f"analysis.fit_window_s = {acfg.fit_window_s!r} s, "
+            f"trace ends at {t_end!r} s)"
+        )
 
     seg = acfg.psd_segment_samples
     psd_fits = seg <= min(n_cooled, n_ambient)

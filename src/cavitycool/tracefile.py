@@ -13,18 +13,26 @@ then the run's `config_items`.  The sidecar holds nothing else; the file
 names follow from the configuration.
 
 A run writes and reads one trace file per shot, all on one time grid, so
-both directions handle the time column once per grid: `write_trace_csv`
-formats it once, and `read_trace_csv` parses it once.  Each
-keeps it in a one-entry cache whose key is exact (the grid's float64
-bytes, or the column's text), so a cache never returns another grid.
+both directions handle the time column once per grid.  `write_trace_csv`
+keeps the grid's line starts in a one-entry cache keyed by the grid's
+float64 bytes; each start carries the newline that ends the line before,
+the first also the header, so a file is one join of the starts
+interleaved with the voltages' reprs.  `read_trace_csv` keeps the last
+time column it parsed and reuses its array when the next file's time
+fields are equal to it, text for text, so neither cache ever returns
+another grid.
 
 `read_trace_csv` first tries a whole-file fast path.  It takes only a
 file with the exact header line, ASCII text, LF endings, no `"` and no
-carriage return, exactly one comma on every line and a final newline,
-and parses every field with `float()`; any other file, or a field that
-`float()` refuses, goes to the validating line reader, which names the
-row.  Both check the parsed samples with `_checked_trace`, so both
-return the same array or raise the same error.
+carriage return, and a final newline, whose commas and newlines
+alternate starting with a comma: so every line holds exactly one comma
+and none is blank.  It splits the bytes at both separators without
+decoding them and converts each column with `np.array(..., dtype=float)`,
+which calls `float()` on every field and so takes and refuses exactly
+what the line reader does.  Any other file, or a field that `float()`
+refuses, goes to the validating line reader, which names the row.  Both
+check the parsed samples with `_checked_trace`, so both return the same
+array or raise the same error.
 """
 
 from __future__ import annotations
@@ -60,17 +68,24 @@ def _fmt(value: float) -> str:
 
 @functools.lru_cache(maxsize=1)
 def _time_fields(grid_bytes: bytes) -> tuple[str, ...]:
-    """The `"t,"` start of each line for the float64 grid `grid_bytes`."""
-    return tuple(f"{t!r}," for t in np.frombuffer(grid_bytes).tolist())
+    """The line starts of a trace file on the float64 grid `grid_bytes`:
+    for each sample a newline, its time and a comma, the first behind the
+    header; then the newline that ends the last line."""
+    starts = [f"\n{t!r}," for t in np.frombuffer(grid_bytes).tolist()] + ["\n"]
+    starts[0] = ",".join(TRACE_HEADER) + starts[0]
+    return tuple(starts)
 
 
 def write_trace_csv(path: str, times_s: np.ndarray, voltages_v: np.ndarray) -> None:
     """Write one shot: its samples `voltages_v` on the grid `times_s`."""
     starts = _time_fields(np.asarray(times_s, dtype=float).tobytes())
-    volts = np.asarray(voltages_v, dtype=float).tolist()
-    text = "".join(f"{t}{v!r}\n" for t, v in zip(starts, volts, strict=True))
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(_TRACE_HEADER_LINE + text)
+    parts = [""] * (2 * len(starts) - 1)
+    parts[0::2] = starts
+    # An extended slice takes exactly one voltage per sample, and raises
+    # ValueError on any other count.
+    parts[1::2] = map(repr, np.asarray(voltages_v, dtype=float).tolist())
+    with open(path, "wb") as fh:
+        fh.write("".join(parts).encode("ascii"))
 
 
 def read_trace_csv(path: str) -> NoiseTrace:
@@ -100,40 +115,47 @@ def _plain_trace(path: str, data: bytes) -> NoiseTrace | None:
     ):
         return None
     body = np.frombuffer(data, dtype=np.uint8)[head:]
-    commas = np.flatnonzero(body == ord(","))
-    newlines = np.flatnonzero(body == ord("\n"))
-    # At least 1 line; commas and newlines alternate, starting with a
-    # comma, so every line has exactly one comma and none is blank; and
-    # no line is longer than the csv module's field limit.
-    if (
-        len(newlines) < 1
-        or len(commas) != len(newlines)
-        or np.any(commas > newlines)
-        or np.any(commas[1:] < newlines[:-1])
-        or np.max(np.diff(newlines, prepend=-1)) > csv.field_size_limit()
-    ):
+    # At least 1 line, and commas and newlines alternate starting with a
+    # comma (the body ends with a newline), so every line has exactly one
+    # comma and none is blank.
+    seps = body[(body == ord(",")) | (body == ord("\n"))]
+    if len(seps) < 2 or np.any(seps[0::2] != ord(",")) or np.any(seps[1::2] != ord("\n")):
         return None
-    fields = data[head:-1].decode("ascii").replace("\n", ",").split(",")
-    times = _time_column(tuple(fields[0::2]))
+    # No line is longer than the csv module's field limit; only a body
+    # longer than the limit can hold such a line.
+    limit = csv.field_size_limit()
+    if len(body) > limit:
+        newlines = np.flatnonzero(body == ord("\n"))
+        if np.max(np.diff(newlines, prepend=-1)) > limit:
+            return None
+    fields = data[head:-1].replace(b"\n", b",").split(b",")
+    times = _time_column(fields[0::2])
     if times is None:
         return None
     try:
-        volts = np.array([float(v) for v in fields[1::2]])
+        volts = np.array(fields[1::2], dtype=float)
     except ValueError:
         return None
     # No line is blank, so sample i sits on line i + 2.
     return _checked_trace(path, times, volts, range(2, len(volts) + 2))
 
 
-@functools.lru_cache(maxsize=1)
-def _time_column(fields: tuple[str, ...]) -> np.ndarray | None:
+# The last time column `_time_column` parsed: its fields and its array.
+_last_time_column: tuple[list[bytes], np.ndarray] = ([], np.empty(0))
+
+
+def _time_column(fields: list[bytes]) -> np.ndarray | None:
     """The read-only array that the time column `fields` spells, or None
     when `float()` refuses a field."""
+    global _last_time_column
+    if fields == _last_time_column[0]:
+        return _last_time_column[1]
     try:
-        t = np.array([float(f) for f in fields])
+        t = np.array(fields, dtype=float)
     except ValueError:
         return None
     t.flags.writeable = False
+    _last_time_column = (fields, t)
     return t
 
 

@@ -606,6 +606,7 @@ _HEAD = "time_s,voltage_v\n"
     (_HEAD + "0.0,1_0\n1e-07,-2.0\n", [10.0, -2.0]),
     (_HEAD + "0.0,\u0661\n1e-07,-2.0\n", [1.0, -2.0]),
     (_HEAD + "0.0,1.5,9\n1e-07\n2e-07,0.5\n", "line 2: expected 2 fields, got 3"),
+    (_HEAD + "0.0\n1e-07,1.5,9\n2e-07,0.5\n", "line 2: expected 2 fields, got 1"),
     (_HEAD + "0.0,1.5\n1e-07,-2.0", [1.5, -2.0]),
     (_HEAD + "0.0,nan\n1e-07,-2.0\n", "line 2: non-finite sample"),
     (_HEAD + "0.0,1.5\n1e-07,-2.0\ninf,0.5\n", "line 4: non-finite sample"),
@@ -617,7 +618,8 @@ _HEAD = "time_s,voltage_v\n"
     (_HEAD + "0.0," + "0" * 140000 + "1\n1e-07,-2.0\n", "field larger than field limit"),
 ], ids=[
     "plain", "blank-line", "crlf", "quoted", "spaces", "header-spaces", "hash-line",
-    "underscore", "non-ascii-digit", "three-then-one-field", "no-final-newline",
+    "underscore", "non-ascii-digit", "three-then-one-field", "one-then-three-field",
+    "no-final-newline",
     "nan", "inf-time", "non-increasing", "non-uniform", "one-sample", "no-sample",
     "nul", "oversized-field",
 ])
@@ -634,6 +636,41 @@ def test_read_trace_fast_path_agrees_with_line_reader(tmp_path, text, expected):
 
 def _refuse_line_reader(path):
     raise AssertionError(f"{path} went to the line reader")
+
+
+def test_read_trace_fast_path_checks_line_lengths_against_a_lowered_field_limit(
+    tmp_path, monkeypatch
+):
+    # Both files are longer than the limit; only the one with a line
+    # longer than it leaves the fast path.
+    short = tmp_path / "short.csv"
+    short.write_bytes((_HEAD + "".join(f"{k * 1e-7!r},1.5\n" for k in range(40))).encode())
+    long = tmp_path / "long.csv"
+    long.write_bytes((_HEAD + "0.0,1.5\n1e-07," + "0" * 60 + "2\n2e-07,0.5\n").encode())
+    limit = csv.field_size_limit(50)
+    try:
+        lines = _read_outcome(tracefile._read_trace_lines, long)
+        assert "field larger than field limit (50)" in lines
+        assert _read_outcome(tracefile.read_trace_csv, long) == lines
+        monkeypatch.setattr(tracefile, "_read_trace_lines", _refuse_line_reader)
+        back = tracefile.read_trace_csv(str(short))
+    finally:
+        csv.field_size_limit(limit)
+    assert back.times_s.tolist() == [k * 1e-7 for k in range(40)]
+
+
+def test_read_trace_reuses_a_time_column_only_when_its_text_is_equal(tmp_path):
+    # 1e-07 and 1.0e-07 are one value spelled two ways: the second file's
+    # column is parsed afresh, and a repeat of it reuses that parse.
+    paths = []
+    for name, middle in (("a.csv", "1e-07"), ("b.csv", "1.0e-07"), ("c.csv", "1.0e-07")):
+        path = tmp_path / name
+        path.write_bytes(f"{_HEAD}0.0,1.5\n{middle},-2.0\n2e-07,0.5\n".encode())
+        paths.append(str(path))
+    a, b, c = (tracefile.read_trace_csv(path).times_s for path in paths)
+    assert a.tolist() == b.tolist() == [0.0, 1e-07, 2e-07]
+    assert not np.shares_memory(a, b)
+    assert np.shares_memory(b, c)
 
 
 def test_read_trace_takes_written_files_without_the_line_reader(tmp_path, monkeypatch):
@@ -1596,6 +1633,23 @@ def test_cli_analyze_disconnect_outside_the_comparison_windows_exits_2(
     assert rc == 2
     assert err.startswith("config error: ")
     assert f"disconnect at {float(disconnect)!r} s" in err and key in err
+
+
+def test_cli_analyze_warmup_window_without_a_sample_exits_2_and_names_the_key(
+    tmp_path, capsys
+):
+    # a fit window shorter than one sample interval leaves the warm-up
+    # section empty: a configuration fault that names its key, as above
+    meta = _four_shot_meta(tmp_path, capsys)
+    short = _ini(tmp_path, "[synth]\nn_shots = 4\n[analysis]\nfit_window_s = 1e-9\n", "short.ini")
+    rc = cli.main(["analyze", str(meta), "--config", short, "--porcelain"])
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert out == ""
+    assert err == (
+        "config error: no warm-up section after the disconnect (disconnect at 4e-05 s, "
+        "analysis.fit_window_s = 1e-09 s, trace ends at 0.00015999999999999999 s)\n"
+    )
 
 
 def _one_port_run(tmp_path, capsys, n_shots=20):

@@ -176,6 +176,22 @@ def test_import_steady_sweep_version_and_help_load_no_numpy(tmp_path):
     ]
 
 
+def test_import_steady_sweep_and_version_load_no_hashlib(tmp_path):
+    # Only `simulate` and `analyze` digest a configuration.
+    steps = _fresh_run(
+        ["steady", "--porcelain"],
+        ["sweep", "--porcelain", "--out", str(tmp_path / "sweep")],
+        ["--version"],
+        package="hashlib",
+    )
+    assert steps == [
+        ["import", 0, []],
+        ["steady", 0, []],
+        ["sweep", 0, []],
+        ["--version", 0, []],
+    ]
+
+
 def test_array_commands_still_run_and_load_numpy(tmp_path):
     run = tmp_path / "run"
     steps = _fresh_run(

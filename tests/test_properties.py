@@ -134,6 +134,47 @@ def test_trace_csv_round_trip_is_exact(drawn):
     assert np.array_equal(back.voltages_v, [volts])
 
 
+def _formula_trace_bytes(times, volts):
+    """A trace file's bytes by the per-sample formula: the header line,
+    then one `t!r,v!r` line per sample."""
+    lines = "".join(f"{t!r},{v!r}\n" for t, v in zip(times, volts))
+    return (",".join(tracefile.TRACE_HEADER) + "\n" + lines).encode("utf-8")
+
+
+# Any float, and the spellings repr switches between: signed zero, the
+# least subnormal, the exponent switches at 1e16 and 1e-4, 1e22 and nan.
+_WRITTEN = st.floats() | st.sampled_from(
+    [-0.0, 5e-324, 1e16, -1e16, 9999999999999998.0, 1e-5, 1e-4, 9.999999999999999e-05,
+     1e22, math.nan]
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 12).flatmap(lambda n: st.tuples(
+    st.lists(_WRITTEN, min_size=n, max_size=n),
+    st.lists(_WRITTEN, min_size=n, max_size=n),
+)))
+@example(([0.0, 1e-5, 1e-4, 1e16], [-0.0, 5e-324, -1e16, 1e22]))
+@example((np.arange(5) * 1e-7, [math.nan, 1e-4, 1e-5, -0.0, 5e-324]))
+def test_trace_writer_matches_the_per_sample_formula(drawn):
+    times, volts = drawn
+    times = np.asarray(times, dtype=float)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.csv"
+        # Twice on one grid: the second file reuses the grid's line starts.
+        for row in (volts, volts[::-1]):
+            tracefile.write_trace_csv(str(path), times, np.array(row))
+            assert path.read_bytes() == _formula_trace_bytes(times.tolist(), row)
+
+
+@pytest.mark.parametrize("n_volts", [2, 4])
+def test_trace_writer_refuses_a_voltage_count_off_the_grid(tmp_path, n_volts):
+    path = tmp_path / "trace.csv"
+    with pytest.raises(ValueError):
+        tracefile.write_trace_csv(str(path), np.arange(3) * 1e-7, np.zeros(n_volts))
+    assert not path.exists()
+
+
 _FIELDS = st.sampled_from(
     ["1.5", "-2.0", " 3 ", "1_0", "nan", "-inf", '"4.0"', "x", "", "\u0661"]
 )
