@@ -2,14 +2,14 @@
 
 A run configuration bundles everything a protocol run needs: the mode,
 its thermal environment, the receiver chain, protocol timing, trace
-synthesis knobs, and analysis windows.  Files follow configparser
-syntax with one section per group and repeated `[port.<name>]` sections
-for the baths; every key carries its unit as a suffix.  Unknown
-sections or keys are rejected rather than ignored.  `_SCHEMA` and
-`_PORT_SCHEMA` are the only list of keys, and `_SCHEMA` holds the range
-of every `[protocol]`, `[synth]` and `[analysis]` key, which
-`_check_bounds` applies to direct construction and loads alike.  A run's
-default values come from the bundled `data/bench.defaults`; the
+synthesis knobs, and analysis windows.  Files follow configparser syntax
+with one section per group and repeated `[port.<name>]` sections for the
+baths; every key carries its unit as a suffix.  Unknown sections or keys
+are rejected.  `_SCHEMA` and `_PORT_SCHEMA` are the only list of keys.
+A value's range is a bound on the dataclass field that holds it
+(`errors.bounded`), a rule that ties values together is written out in
+its class, and a refusal at load names its keys as the file spells them.
+A run's defaults come from the bundled `data/bench.defaults`; the
 dataclasses' field defaults serve direct construction from Python, and
 only `SynthConfig`'s differ from that file (see its docstring).
 """
@@ -19,12 +19,11 @@ from __future__ import annotations
 import configparser
 from functools import lru_cache, reduce
 import math
-import operator
 import os
 from dataclasses import dataclass, replace
 from typing import Mapping
 
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, bounded, check_bounds
 from .receiver import LnaNoiseParameters, ReceiverChain
 from .thermal import BathPort, BathSet, CavityMode, LossModel
 
@@ -33,22 +32,6 @@ PORT_ROLE_MONITORING = "monitoring"
 
 # Seeds are 64-bit: the SplitMix64 state of `synth.shot_seed`.
 _MASK64 = (1 << 64) - 1
-
-_COMPARE = {">": operator.gt, ">=": operator.ge, "<=": operator.le}
-
-
-def _check_bounds(obj, prefix: str) -> None:
-    """Raise DomainError, naming the key, for the first value of `obj` (the
-    node at attribute path `prefix`) outside its `_SCHEMA` bounds."""
-    for section, key, _, path, *bounds in _SCHEMA:
-        parent, _, leaf = path.rpartition(".")
-        if parent != prefix:
-            continue
-        value = getattr(obj, leaf)
-        for bound in bounds:
-            op, limit = bound.split()
-            if not _COMPARE[op](value, int(limit)):
-                raise DomainError(f"[{section}] {key} must be {bound}, got {value!r}")
 
 
 def grid_sample_count(duration_s: float, sample_interval_s: float) -> int:
@@ -81,20 +64,19 @@ class SynthConfig:
     (50 ns, no 1/f noise, 600 V transients, seed 20260817).
     """
 
-    sample_interval_s: float = 100e-9
-    rng_seed: int = 0
-    one_over_f_corner_hz: float = 1e6
-    artifact_duration_s: float = 2e-6
-    artifact_amplitude_v: float = 0.0
-    voltage_scale: float = 1.0
+    sample_interval_s: float = bounded("> 0", default=100e-9)
+    rng_seed: int = bounded(">= 0", f"<= {_MASK64}", default=0)
+    one_over_f_corner_hz: float = bounded(">= 0", default=1e6)
+    artifact_duration_s: float = bounded("> 0", default=2e-6)
+    artifact_amplitude_v: float = bounded(">= 0", default=0.0)
+    voltage_scale: float = bounded(">= 0", default=1.0)
 
     def __post_init__(self) -> None:
-        _check_bounds(self, "synth")
-        nyquist = 0.5 / self.sample_interval_s
-        if self.one_over_f_corner_hz >= nyquist:
+        check_bounds(self)
+        if self.one_over_f_corner_hz >= 0.5 / self.sample_interval_s:
             raise DomainError(
-                f"corner frequency {self.one_over_f_corner_hz} Hz must sit "
-                f"below Nyquist ({nyquist} Hz)"
+                f"[synth] one_over_f_corner_hz = {self.one_over_f_corner_hz!r} must sit below "
+                f"Nyquist, 0.5 / sample_interval_s = {0.5 / self.sample_interval_s!r} Hz"
             )
 
 
@@ -103,33 +85,37 @@ class ProtocolConfig:
     """Timing of the cool / disconnect sequence: the cold load is
     disconnected at cool_duration_s, the one instant the analysis needs."""
 
-    cool_duration_s: float = 40e-6
-    trace_length_s: float = 160e-6
+    cool_duration_s: float = bounded(">= 0", default=40e-6)
+    trace_length_s: float = bounded("> 0", default=160e-6)
 
     def __post_init__(self) -> None:
-        _check_bounds(self, "protocol")
+        check_bounds(self)
         if self.cool_duration_s > self.trace_length_s:
-            raise DomainError("protocol events extend past the trace")
+            raise DomainError(
+                f"[protocol] cool_duration_s = {self.cool_duration_s!r} must not exceed "
+                f"trace_length_s = {self.trace_length_s!r}"
+            )
 
 
 @dataclass(frozen=True)
 class AnalysisConfig:
     """Windows and estimator knobs for the trace reduction."""
 
-    boxcar_width_s: float = 100e-9
-    band_low_hz: float = 5e6
-    band_high_hz: float = 10e6
-    window_samples: int = 60
-    exclude_before_s: float = 2e-6
-    cooled_window_s: float = 20e-6
-    ambient_settle_s: float = 60e-6
-    fit_window_s: float = 30e-6
-    psd_segment_samples: int = 256
+    boxcar_width_s: float = bounded("> 0", default=100e-9)
+    band_low_hz: float = bounded(">= 0", default=5e6)
+    band_high_hz: float = bounded("> 0", default=10e6)
+    window_samples: int = bounded(">= 1", default=60)
+    exclude_before_s: float = bounded(">= 0", default=2e-6)
+    cooled_window_s: float = bounded("> 0", default=20e-6)
+    ambient_settle_s: float = bounded("> 0", default=60e-6)
+    fit_window_s: float = bounded("> 0", default=30e-6)
+    psd_segment_samples: int = bounded(">= 8", default=256)
 
     def __post_init__(self) -> None:
-        _check_bounds(self, "analysis")
-        if self.band_low_hz >= self.band_high_hz:
-            raise DomainError("need 0 <= band_low < band_high")
+        check_bounds(self)
+        low, high = self.band_low_hz, self.band_high_hz
+        if low >= high:
+            raise DomainError(f"[analysis] band_low_hz = {low!r} must be < band_high_hz = {high!r}")
 
 
 @dataclass(frozen=True)
@@ -139,23 +125,24 @@ class RunConfig:
     receiver: ReceiverChain
     protocol: ProtocolConfig
     synth: SynthConfig
-    n_shots: int
+    n_shots: int = bounded(">= 1")
     analysis: AnalysisConfig
 
     def __post_init__(self) -> None:
-        for port in self.baths.ports:
-            if port.role not in (PORT_ROLE_COOLING, PORT_ROLE_MONITORING):
-                raise DomainError(f"[port.{port.name}] unknown port role {port.role!r}")
         # A name is a key prefix of the key=value dump, `port.<name>.<key>`,
         # and must keep that key on one line.
         names = [port.name for port in self.baths.ports]
-        for name in names:
+        for port, name in zip(self.baths.ports, names):
+            if port.role not in (PORT_ROLE_COOLING, PORT_ROLE_MONITORING):
+                raise DomainError(
+                    f"[port.{name}] role must be 'cooling' or 'monitoring', got {port.role!r}"
+                )
             if not name or not name.isprintable() or "=" in name or names.count(name) > 1:
                 raise DomainError(
                     f"[port.{name}] port name must be non-empty, unique, printable "
                     "and without '='"
                 )
-        _check_bounds(self, "")
+        check_bounds(self)
         trace, dt = self.protocol.trace_length_s, self.synth.sample_interval_s
         if grid_sample_count(trace, dt) < 11:
             raise DomainError(
@@ -171,10 +158,9 @@ class RunConfig:
         )
 
 
-# (section, key, type, RunConfig attribute path, *bounds), in dump order:
-# one path per key, so no value is kept in two places.  `.real` and `.imag`
-# leaves pair up into a complex.  Each bound, such as "> 0", is checked by
-# `_check_bounds` when the class holding the value is built.
+# (section, key, type, RunConfig attribute path), in dump order: one path
+# per key, so no value is kept in two places.  `.real` and `.imag` leaves
+# pair up into a complex.
 _SCHEMA = (
     ("mode", "frequency_hz", float, "mode.frequency_hz"),
     ("mode", "intrinsic_q", float, "mode.intrinsic_q"),
@@ -192,24 +178,24 @@ _SCHEMA = (
     ("receiver", "cavity_reflection_ref_real", float, "receiver.cavity_reflection_reference.real"),
     ("receiver", "cavity_reflection_ref_imag", float, "receiver.cavity_reflection_reference.imag"),
     ("receiver", "image_noise_k", float, "receiver.image_noise_k"),
-    ("protocol", "cool_duration_s", float, "protocol.cool_duration_s", ">= 0"),
-    ("protocol", "trace_length_s", float, "protocol.trace_length_s", "> 0"),
-    ("synth", "sample_interval_s", float, "synth.sample_interval_s", "> 0"),
-    ("synth", "rng_seed", int, "synth.rng_seed", ">= 0", f"<= {_MASK64}"),
-    ("synth", "one_over_f_corner_hz", float, "synth.one_over_f_corner_hz", ">= 0"),
-    ("synth", "artifact_duration_s", float, "synth.artifact_duration_s", "> 0"),
-    ("synth", "artifact_amplitude_v", float, "synth.artifact_amplitude_v", ">= 0"),
-    ("synth", "voltage_scale", float, "synth.voltage_scale", ">= 0"),
-    ("synth", "n_shots", int, "n_shots", ">= 1"),
-    ("analysis", "boxcar_width_s", float, "analysis.boxcar_width_s", "> 0"),
-    ("analysis", "band_low_hz", float, "analysis.band_low_hz", ">= 0"),
-    ("analysis", "band_high_hz", float, "analysis.band_high_hz", "> 0"),
-    ("analysis", "window_samples", int, "analysis.window_samples", ">= 1"),
-    ("analysis", "exclude_before_s", float, "analysis.exclude_before_s", ">= 0"),
-    ("analysis", "cooled_window_s", float, "analysis.cooled_window_s", "> 0"),
-    ("analysis", "ambient_settle_s", float, "analysis.ambient_settle_s", "> 0"),
-    ("analysis", "fit_window_s", float, "analysis.fit_window_s", "> 0"),
-    ("analysis", "psd_segment_samples", int, "analysis.psd_segment_samples", ">= 8"),
+    ("protocol", "cool_duration_s", float, "protocol.cool_duration_s"),
+    ("protocol", "trace_length_s", float, "protocol.trace_length_s"),
+    ("synth", "sample_interval_s", float, "synth.sample_interval_s"),
+    ("synth", "rng_seed", int, "synth.rng_seed"),
+    ("synth", "one_over_f_corner_hz", float, "synth.one_over_f_corner_hz"),
+    ("synth", "artifact_duration_s", float, "synth.artifact_duration_s"),
+    ("synth", "artifact_amplitude_v", float, "synth.artifact_amplitude_v"),
+    ("synth", "voltage_scale", float, "synth.voltage_scale"),
+    ("synth", "n_shots", int, "n_shots"),
+    ("analysis", "boxcar_width_s", float, "analysis.boxcar_width_s"),
+    ("analysis", "band_low_hz", float, "analysis.band_low_hz"),
+    ("analysis", "band_high_hz", float, "analysis.band_high_hz"),
+    ("analysis", "window_samples", int, "analysis.window_samples"),
+    ("analysis", "exclude_before_s", float, "analysis.exclude_before_s"),
+    ("analysis", "cooled_window_s", float, "analysis.cooled_window_s"),
+    ("analysis", "ambient_settle_s", float, "analysis.ambient_settle_s"),
+    ("analysis", "fit_window_s", float, "analysis.fit_window_s"),
+    ("analysis", "psd_segment_samples", int, "analysis.psd_segment_samples"),
 )
 
 # Keys of every [port.<name>] section, each a BathPort field, in dump order:
@@ -267,11 +253,19 @@ def _value(raw: Mapping[str, Mapping[str, str]], section, key, kind, default=Non
 
 
 def _make(node: dict, prefix: str = ""):
+    """The object at attribute path `prefix`; ConfigError names the key of
+    a field at fault, and a complex field by its two parts."""
     cls = _CLASSES.get(prefix.rstrip("."), complex)
-    return cls(**{
+    values = {
         name: _make(value, f"{prefix}{name}.") if isinstance(value, dict) else value
         for name, value in node.items()
-    })
+    }
+    try:
+        return cls(**values)
+    except DomainError as exc:
+        rows = [row for row in _SCHEMA if f"{row[3]}.".startswith(f"{prefix}{exc.field}.")]
+        key = " + j ".join(row[1] for row in rows)
+        raise ConfigError(f"[{rows[0][0]}] {key} {exc.reason}" if rows else str(exc)) from exc
 
 
 def _build(raw: Mapping[str, Mapping[str, str]]) -> RunConfig:
@@ -286,7 +280,7 @@ def _build(raw: Mapping[str, Mapping[str, str]]) -> RunConfig:
         if unknown:
             raise ConfigError(f"unknown key '{unknown[0]}' in section [{section}]")
     tree: dict = {}
-    for section, key, kind, path, *_ in _SCHEMA:
+    for section, key, kind, path in _SCHEMA:
         *parents, leaf = path.split(".")
         node = reduce(lambda node, name: node.setdefault(name, {}), parents, tree)
         node[leaf] = _value(raw, section, key, kind)
@@ -300,10 +294,7 @@ def _build(raw: Mapping[str, Mapping[str, str]]) -> RunConfig:
         except DomainError as exc:
             raise ConfigError(f"[{section}] {exc}") from exc
     tree["baths"]["ports"] = tuple(ports)
-    try:
-        return _make(tree)
-    except DomainError as exc:
-        raise ConfigError(str(exc)) from exc
+    return _make(tree)
 
 
 def _read_ini(path: str) -> dict[str, dict[str, str]]:
@@ -380,13 +371,13 @@ def with_seed(cfg: RunConfig, seed: int) -> RunConfig:
     try:
         return replace(cfg, synth=replace(cfg.synth, rng_seed=seed))
     except DomainError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(f"[synth] {exc}") from exc
 
 
 def config_items(cfg: RunConfig) -> list[tuple[str, str]]:
     """Canonical flat key=value view: porcelain output, sidecars, digests."""
     items = []
-    for section, key, kind, path, *_ in _SCHEMA:
+    for section, key, kind, path in _SCHEMA:
         value = reduce(getattr, path.split("."), cfg)
         items.append((f"{section}.{key}", _format(kind, value)))
     ports = [

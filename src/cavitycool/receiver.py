@@ -14,7 +14,15 @@ import math
 from dataclasses import dataclass
 
 from .constants import IEEE_T0
-from .errors import DomainError
+from .errors import DomainError, bounded, check_bounds
+
+
+def _check_passive(obj, *names: str) -> None:
+    """Refuse, naming it, a reflection coefficient among `names` of magnitude >= 1."""
+    for name in names:
+        value = getattr(obj, name)
+        if abs(value) >= 1:
+            raise DomainError(f"must have magnitude < 1, got {value!r}", field=name)
 
 
 @dataclass(frozen=True)
@@ -26,23 +34,15 @@ class LnaNoiseParameters:
     sets how fast the noise temperature grows away from that optimum.
     """
 
-    t_min_k: float
-    noise_resistance_ohm: float
+    t_min_k: float = bounded(">= 0")
+    noise_resistance_ohm: float = bounded(">= 0")
     gamma_opt: complex
-    reference_impedance_ohm: float = 50.0
-    reference_temperature_k: float = IEEE_T0
+    reference_impedance_ohm: float = bounded("> 0", default=50.0)
+    reference_temperature_k: float = bounded("> 0", default=IEEE_T0)
 
     def __post_init__(self) -> None:
-        if self.t_min_k < 0:
-            raise DomainError(f"t_min must be >= 0 K, got {self.t_min_k}")
-        if self.noise_resistance_ohm < 0:
-            raise DomainError("noise resistance must be >= 0 ohm")
-        if abs(self.gamma_opt) >= 1:
-            raise DomainError("|gamma_opt| must be < 1")
-        if self.reference_impedance_ohm <= 0:
-            raise DomainError("reference impedance must be positive")
-        if self.reference_temperature_k <= 0:
-            raise DomainError("reference temperature must be positive")
+        check_bounds(self)
+        _check_passive(self, "gamma_opt")
 
 
 def _mismatch_k(lna: LnaNoiseParameters, gamma_source: complex) -> float:
@@ -69,21 +69,15 @@ class ReceiverChain:
     """
 
     lna: LnaNoiseParameters
-    lna_gain_linear: float
-    post_stage_noise_k: float
+    lna_gain_linear: float = bounded("> 0")
+    post_stage_noise_k: float = bounded(">= 0")
     cavity_reflection: complex = 0j
     cavity_reflection_reference: complex = 0j
-    image_noise_k: float = 0.0
+    image_noise_k: float = bounded(">= 0", default=0.0)
 
     def __post_init__(self) -> None:
-        if self.lna_gain_linear <= 0:
-            raise DomainError("LNA gain must be positive")
-        if self.post_stage_noise_k < 0:
-            raise DomainError("post-stage noise must be >= 0 K")
-        if abs(self.cavity_reflection) >= 1 or abs(self.cavity_reflection_reference) >= 1:
-            raise DomainError("|cavity reflection| must be < 1")
-        if self.image_noise_k < 0:
-            raise DomainError("image noise must be >= 0 K")
+        check_bounds(self)
+        _check_passive(self, "cavity_reflection", "cavity_reflection_reference")
 
 
 def system_output_noise_kelvin(

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 from typing import Iterable
 
 from .constants import BOLTZMANN_K, PLANCK_H
-from .errors import DomainError
+from .errors import DomainError, bounded, check_bounds
 
 # Decibels per neper: the linear loss model writes the power transmission
 # 10**(-L/10) as 1 - L/DB_PER_NEPER, which is accurate for small L.
@@ -60,15 +60,13 @@ class LossModel(enum.Enum):
     LINEAR = "linear"
 
 
-def _check_link_loss(loss_db: float, model: LossModel, name: str = "insertion loss") -> None:
-    """Raise DomainError, naming the loss `name`, unless `model` takes
-    `loss_db`: every model needs >= 0 dB, the linear one < DB_PER_NEPER."""
-    if loss_db < 0:
-        raise DomainError(f"{name} must be >= 0 dB, got {loss_db!r}")
+def _check_link_loss(loss_db: float, model: LossModel) -> None:
+    """Refuse, naming `link_loss_db`, a loss the linear model cannot take."""
     if model is LossModel.LINEAR and loss_db >= DB_PER_NEPER:
         raise DomainError(
-            f"{name} must be < {DB_PER_NEPER} dB under the linear loss model "
-            f"(its load weight vanishes there), got {loss_db!r}; use the exact model"
+            f"must be < {DB_PER_NEPER} dB under the linear loss model "
+            f"(its load weight vanishes there), got {loss_db!r}; use the exact model",
+            field="link_loss_db",
         )
 
 
@@ -104,9 +102,9 @@ def link_output_temperature(
     float
         Delivered noise temperature in kelvin.
     """
+    if min(loss_db, load_temperature_k, link_temperature_k) < 0:
+        raise DomainError("loss and temperatures must be >= 0")
     _check_link_loss(loss_db, model)
-    if load_temperature_k < 0 or link_temperature_k < 0:
-        raise DomainError("temperatures must be >= 0 K")
     if model is LossModel.EXACT:
         through = 10.0 ** (-loss_db / 10.0)
         return through * load_temperature_k + (1.0 - through) * link_temperature_k
@@ -126,14 +124,11 @@ def link_output_temperature(
 class CavityMode:
     """A single cavity mode: resonance frequency and unloaded quality factor."""
 
-    frequency_hz: float
-    intrinsic_q: float
+    frequency_hz: float = bounded("> 0")
+    intrinsic_q: float = bounded("> 0")
 
     def __post_init__(self) -> None:
-        if self.frequency_hz <= 0:
-            raise DomainError(f"frequency must be positive, got {self.frequency_hz}")
-        if self.intrinsic_q <= 0:
-            raise DomainError(f"intrinsic Q must be positive, got {self.intrinsic_q}")
+        check_bounds(self)
 
     @property
     def angular_frequency(self) -> float:
@@ -151,22 +146,17 @@ class BathPort:
     label the port; the closed form ignores both.
     """
 
-    coupling: float
-    load_temperature_k: float
-    link_loss_db: float = 0.0
-    link_temperature_k: float = 0.0
+    coupling: float = bounded(">= 0")
+    load_temperature_k: float = bounded(">= 0")
+    link_loss_db: float = bounded(">= 0", default=0.0)
+    link_temperature_k: float = bounded(">= 0", default=0.0)
     loss_model: LossModel = LossModel.EXACT
     name: str = ""
     role: str = ""
 
     def __post_init__(self) -> None:
-        if self.coupling < 0:
-            raise DomainError(f"coupling must be >= 0, got {self.coupling}")
-        if self.load_temperature_k < 0:
-            raise DomainError("load temperature must be >= 0 K")
-        _check_link_loss(self.link_loss_db, self.loss_model, "link_loss_db")
-        if self.link_loss_db > 0 and self.link_temperature_k < 0:
-            raise DomainError("link temperature must be >= 0 K")
+        check_bounds(self)
+        _check_link_loss(self.link_loss_db, self.loss_model)
 
     def delivered_temperature_k(self) -> float:
         """Noise temperature this port presents to the mode, after link loss."""
@@ -184,12 +174,11 @@ class BathPort:
 class BathSet:
     """The mode's thermal environment: intrinsic walls plus coupled ports."""
 
-    intrinsic_temperature_k: float
+    intrinsic_temperature_k: float = bounded(">= 0")
     ports: tuple[BathPort, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.intrinsic_temperature_k < 0:
-            raise DomainError("intrinsic temperature must be >= 0 K")
+        check_bounds(self)
         object.__setattr__(self, "ports", tuple(self.ports))
 
     def subset(self, indices: tuple[int, ...]) -> "BathSet":

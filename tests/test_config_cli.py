@@ -38,9 +38,9 @@ from cavitycool.errors import (
     DomainError,
 )
 from cavitycool.pipeline import analyze_run, simulate_run
-from cavitycool.receiver import noise_power_reduction_db
+from cavitycool.receiver import LnaNoiseParameters, ReceiverChain, noise_power_reduction_db
 from cavitycool.synth import NoiseTrace, switch_artifact_waveform
-from cavitycool.thermal import BathPort, mode_temperature, photon_occupancy
+from cavitycool.thermal import BathPort, BathSet, CavityMode, mode_temperature, photon_occupancy
 
 
 def _ini(tmp_path, text, name="run.ini"):
@@ -108,11 +108,17 @@ def _with_roles(cfg, *roles):
 
 def test_run_config_validation():
     base = default_run_config()
-    with pytest.raises(DomainError, match="unknown port role 'bystander'"):
+    with pytest.raises(DomainError) as refused:
         _with_roles(base, "cooling", "bystander")
+    assert str(refused.value) == (
+        "[port.monitoring] role must be 'cooling' or 'monitoring', got 'bystander'"
+    )
     # a port built without a role has none the protocol knows
-    with pytest.raises(DomainError, match="unknown port role ''"):
+    with pytest.raises(DomainError) as refused:
         _with_roles(base, "cooling", "")
+    assert str(refused.value) == (
+        "[port.monitoring] role must be 'cooling' or 'monitoring', got ''"
+    )
     with pytest.raises(DomainError):
         replace(base, n_shots=0)
     dt = base.synth.sample_interval_s
@@ -237,12 +243,11 @@ def test_load_wraps_out_of_range_values(tmp_path):
     # a value that parses but violates a dataclass invariant comes back
     # as ConfigError, not DomainError, with the file named
     path = _ini(tmp_path, "[protocol]\ncool_duration_s = 500e-6\n")
-    with pytest.raises(ConfigError, match="extend past the trace"):
+    with pytest.raises(ConfigError) as refused:
         load_run_config(path)
-    try:
-        load_run_config(path)
-    except ConfigError as exc:
-        assert "run.ini" in str(exc)
+    assert str(refused.value) == (
+        f"{path}: [protocol] cool_duration_s = 0.0005 must not exceed trace_length_s = 0.00016"
+    )
 
 
 def test_load_rejects_trace_shorter_than_ten_samples(tmp_path, capsys):
@@ -310,26 +315,41 @@ def _out_of_range(bound):
     return int(limit) + {">": 0, ">=": -1, "<=": 1}[op]
 
 
-@pytest.mark.parametrize("section, key, kind, path, bound", [
-    pytest.param(section, key, kind, path, bound, id=f"{section}.{key}{bound.replace(' ', '')}")
-    for section, key, kind, path, *bounds in _SCHEMA
-    for bound in bounds
-])
+def _bound_cases():
+    """(section, key, kind, holder, field, bound) for each bound of each key,
+    the bound read from the dataclass field that holds the key's value in
+    `holder`, a part of the default configuration; a port is `[port.cool]`."""
+    cfg = default_run_config()
+    cases = [
+        (section, key, kind, reduce(getattr, path.split(".")[:-1], cfg), path.split(".")[-1])
+        for section, key, kind, path in _SCHEMA
+    ]
+    cases += [("port.cool", key, kind, cfg.baths.ports[0], key) for key, kind, _ in _PORT_SCHEMA]
+    return [
+        pytest.param(*case, bound, id=f"{case[0].split('.')[0]}.{case[1]}{bound.replace(' ', '')}")
+        for case in cases if dataclasses.is_dataclass(case[3])
+        for f in dataclasses.fields(case[3]) if f.name == case[4]
+        for bound in f.metadata.get("bounds", ())
+    ]
+
+
+@pytest.mark.parametrize("section, key, kind, holder, leaf, bound", _bound_cases())
 def test_schema_bound_names_the_key_at_load_and_construction(
-    tmp_path, capsys, section, key, kind, path, bound
+    tmp_path, capsys, section, key, kind, holder, leaf, bound
 ):
+    # Every bound has one home, its field: a load names the key of the
+    # file, and direct construction the field.
     value = kind(_out_of_range(bound))
-    message = f"[{section}] {key} must be {bound}, got {value!r}"
-    ini = _ini(tmp_path, f"[{section}]\n{key} = {value!r}\n")
+    entries = {"coupling": "5", "load_temperature_k": "50", "role": "cooling"}
+    entries = {**(entries if section == "port.cool" else {}), key: repr(value)}
+    ini = _ini(tmp_path, f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in entries.items()))
     assert cli.main(["steady", "--config", ini, "--porcelain"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"config error: {ini}: {message}\n"
-    *parents, leaf = path.split(".")
-    holder = reduce(getattr, parents, default_run_config())
+    assert captured.err == f"config error: {ini}: [{section}] {key} must be {bound}, got {value!r}\n"
     with pytest.raises(DomainError) as exc:
         replace(holder, **{leaf: value})
-    assert str(exc.value) == message
+    assert str(exc.value) == f"{leaf} must be {bound}, got {value!r}"
 
 
 @pytest.mark.parametrize("name", ["a=b", ""], ids=["equals-sign", "empty"])
@@ -358,7 +378,8 @@ _TWO_PORTS = (
 
 @pytest.mark.parametrize("old, new, message", [
     ("coupling = 3.8", "coupling = -1", "[port.cold] coupling must be >= 0, got -1.0"),
-    ("role = cooling", "role = cooler", "[port.cold] unknown port role 'cooler'"),
+    ("role = cooling", "role = cooler",
+     "[port.cold] role must be 'cooling' or 'monitoring', got 'cooler'"),
 ], ids=["coupling", "role"])
 def test_cli_port_refusals_name_the_port(tmp_path, capsys, old, new, message):
     ini = _ini(tmp_path, _TWO_PORTS.replace(old, new))
@@ -367,7 +388,7 @@ def test_cli_port_refusals_name_the_port(tmp_path, capsys, old, new, message):
 
 
 @pytest.mark.parametrize("loss, message", [
-    ("link_loss_db = -1\n", "link_loss_db must be >= 0 dB, got -1.0"),
+    ("link_loss_db = -1\n", "link_loss_db must be >= 0, got -1.0"),
     ("link_loss_db = 5\nloss_model = linear\n",
      "link_loss_db must be < 4.34 dB under the linear loss model (its load weight "
      "vanishes there), got 5.0; use the exact model"),
@@ -384,6 +405,50 @@ def test_cli_refuses_a_bad_link_loss_at_load_naming_file_and_port(
     assert captured.out == ""
     assert captured.err == f"config error: {ini}: [port.cold] {message}\n"
     assert not out.exists()
+
+
+def test_cli_refuses_a_negative_link_temperature(tmp_path, capsys):
+    # Without link loss the link temperature used to go unchecked, and
+    # this port delivered its 50 K load with exit 0.
+    ini = _ini(tmp_path, (
+        "[port.cool]\ncoupling = 5\nload_temperature_k = 50\nrole = cooling\n"
+        "link_temperature_k = -1\n"
+    ))
+    assert cli.main(["steady", "--config", ini, "--porcelain"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"config error: {ini}: [port.cool] link_temperature_k must be >= 0, got -1.0\n"
+    )
+
+
+@pytest.mark.parametrize("body, message", [
+    ("[protocol]\ncool_duration_s = 200e-6\n",
+     "[protocol] cool_duration_s = 0.0002 must not exceed trace_length_s = 0.00016"),
+    ("[synth]\none_over_f_corner_hz = 1e7\n",
+     "[synth] one_over_f_corner_hz = 10000000.0 must sit below Nyquist, "
+     "0.5 / sample_interval_s = 10000000.0 Hz"),
+    ("[analysis]\nband_low_hz = 12e6\n",
+     "[analysis] band_low_hz = 12000000.0 must be < band_high_hz = 10000000.0"),
+    ("[receiver]\nlna_gamma_opt_real = -1\n",
+     "[receiver] lna_gamma_opt_real + j lna_gamma_opt_imag must have magnitude < 1, "
+     "got (-1+0.125j)"),
+    ("[receiver]\ncavity_reflection_real = 1\n",
+     "[receiver] cavity_reflection_real + j cavity_reflection_imag must have "
+     "magnitude < 1, got (1+0j)"),
+    ("[receiver]\ncavity_reflection_ref_imag = 1.5\n",
+     "[receiver] cavity_reflection_ref_real + j cavity_reflection_ref_imag must have "
+     "magnitude < 1, got 1.5j"),
+    ("[port.cool]\ncoupling = 5\nload_temperature_k = 50\nrole = coldest\n",
+     "[port.cool] role must be 'cooling' or 'monitoring', got 'coldest'"),
+], ids=["protocol-order", "nyquist", "band-order", "gamma-opt", "reflection",
+        "reflection-reference", "port-role"])
+def test_cli_cross_field_refusals_name_section_and_keys(tmp_path, capsys, body, message):
+    ini = _ini(tmp_path, body)
+    assert cli.main(["steady", "--config", ini, "--porcelain"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: {ini}: {message}\n"
 
 
 @pytest.mark.parametrize("names, bad", [
@@ -450,8 +515,31 @@ def test_cli_refuses_an_option_the_command_does_not_read(tmp_path, monkeypatch, 
     assert list(tmp_path.iterdir()) == []
 
 
+# The numeric fields of a configuration without a bound: the complex ones,
+# whose one rule (a magnitude below 1) ties their two keys together.
+_UNBOUNDED = {
+    "LnaNoiseParameters.gamma_opt",
+    "ReceiverChain.cavity_reflection",
+    "ReceiverChain.cavity_reflection_reference",
+}
+
+
 def test_every_config_value_has_one_schema_row():
-    # No value of the run lives outside the schema or in two rows.
+    # No value of the run lives outside the schema or in two rows; each
+    # numeric one has a bound unless it is a complex, and the bound test
+    # walks every field with one.
+    bounded = set()
+    for cls in (CavityMode, BathPort, BathSet, LnaNoiseParameters, ReceiverChain,
+                ProtocolConfig, SynthConfig, AnalysisConfig, RunConfig):
+        for field in dataclasses.fields(cls):
+            name = f"{cls.__name__}.{field.name}"
+            if field.metadata.get("bounds"):
+                bounded.add(name)
+            elif field.type in ("float", "int", "complex"):
+                assert name in _UNBOUNDED, name
+    walked = {f"{type(case.values[3]).__name__}.{case.values[4]}" for case in _bound_cases()}
+    assert walked == bounded
+    assert not bounded & _UNBOUNDED
     paths = [row[3] for row in _SCHEMA]
     for prefix, cls in (
         ("protocol", ProtocolConfig), ("synth", SynthConfig), ("analysis", AnalysisConfig),
@@ -1377,6 +1465,20 @@ def test_cli_analyze_rejects_sidecar_copy_off_the_config(tmp_path, capsys, copy,
     else:
         reason = "configuration does not match its config_digest"
     assert captured.err == f"data format error: {meta}: {reason}\n"
+
+
+def test_cli_analyze_names_the_key_of_an_out_of_range_sidecar_value(tmp_path, capsys):
+    # the bound is checked before the digest, and named as in a file
+    meta = _four_shot_meta(tmp_path, capsys)
+    text = meta.read_text()
+    assert "\nreceiver.lna_t_min_k=11.6\n" in text
+    meta.write_text(text.replace("\nreceiver.lna_t_min_k=11.6\n", "\nreceiver.lna_t_min_k=-1.0\n"))
+    assert cli.main(["analyze", str(meta), "--porcelain"]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"data format error: {meta}: [receiver] lna_t_min_k must be >= 0, got -1.0\n"
+    )
 
 
 @pytest.mark.parametrize("line", [
