@@ -134,7 +134,7 @@ class _WelchTable:
 
     def density(self) -> SpectralDensity:
         freqs = np.fft.rfftfreq(len(self.window), self.sample_interval_s)
-        return SpectralDensity(freqs, self.per_shot.mean(axis=0))
+        return SpectralDensity(freqs, _shot_total(self.per_shot) / len(self.per_shot))
 
 
 def ensemble_spectral_density(trace: NoiseTrace, segment_samples: int) -> SpectralDensity:
@@ -200,20 +200,27 @@ def band_averaged_deltap(
     return DeltaPEstimate(value, stderr)
 
 
-def _square_sums(rows: np.ndarray, out: np.ndarray) -> None:
-    """Each row's sum of squares, one pairwise sum per row, into `out`."""
-    np.sum(rows**2, axis=1, out=out)
+def _shot_total(table: np.ndarray) -> np.ndarray:
+    """Column totals of a table of one row per shot, adding the shots in
+    order: cumsum does so whatever the table's shape, so the totals do not
+    depend on any blocking, while `.sum(axis=0)` sums one column pairwise."""
+    return np.cumsum(table, axis=0)[-1]
+
+
+def _window_sums(rows: np.ndarray, window_samples: int, out: np.ndarray) -> None:
+    """Each row's sum of squares over each of its first `out.shape[1]`
+    windows of `window_samples` samples, into `out`."""
+    n_windows = out.shape[1]
+    whole = rows[:, : n_windows * window_samples]
+    np.sum(whole.reshape(len(rows), n_windows, window_samples) ** 2, axis=2, out=out)
 
 
 def pooled_level(square_sums: np.ndarray, samples_per_shot: int) -> tuple[float, int]:
     """(mean square, total sample count) pooled over shots from each
-    shot's sum of squares over a section of `samples_per_shot` samples.
-
-    The shot sums are added in shot order (cumsum is sequential), not by
-    one pairwise sum, so the value does not depend on any blocking.
-    """
+    shot's sum of squares over a section of `samples_per_shot` samples,
+    added in shot order (`_shot_total`)."""
     count = len(square_sums) * samples_per_shot
-    return float(np.cumsum(square_sums)[-1]) / count, count
+    return float(_shot_total(square_sums)) / count, count
 
 
 def pooled_mean_square(
@@ -227,42 +234,8 @@ def pooled_mean_square(
     per_shot = np.empty(len(v))
     for start in range(0, len(v), _BLOCK_SHOTS):
         stop = start + _BLOCK_SHOTS
-        _square_sums(v[start:stop], per_shot[start:stop])
+        np.sum(v[start:stop] ** 2, axis=1, out=per_shot[start:stop])
     return pooled_level(per_shot, v.shape[1])
-
-
-class _PowerSum:
-    """Per-sample sum of squares over shots, added one shot after another.
-
-    numpy reduces axis 0 of a C-contiguous array row after row, so
-    reducing the running sum stacked on a block's squares continues the
-    sum of `np.mean(v**2, axis=0)` in its own order: the result does not
-    depend on where the blocks start.  (Adding per-block sums would.)
-    numpy sums a single column pairwise instead, so for one sample every
-    shot's square is kept, one float a shot, and summed at the end.
-    `add` takes at most `_BLOCK_SHOTS` rows at a time.
-    """
-
-    def __init__(self, n_samples: int, n_shots: int):
-        self.whole = n_samples == 1
-        rows = n_shots if self.whole else min(n_shots, _BLOCK_SHOTS) + 1
-        self.stack = np.zeros((rows, n_samples))
-        self.n_shots = 0
-
-    def add(self, rows: np.ndarray) -> None:
-        if self.whole:
-            np.square(rows, out=self.stack[self.n_shots : self.n_shots + len(rows)])
-        else:
-            used = self.stack[: len(rows) + 1]
-            np.square(rows, out=used[1:])
-            np.add.reduce(used, axis=0, out=self.stack[0])
-        self.n_shots += len(rows)
-
-    def mean(self) -> np.ndarray:
-        """Mean square over the shots added, at each sample."""
-        if self.whole:
-            return np.mean(self.stack, axis=0)
-        return self.stack[0] / self.n_shots
 
 
 def segment_deltap(
@@ -291,42 +264,43 @@ def windowed_deltap_timeseries(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Level versus time through a section, in consecutive sample windows.
 
-    Pools the squared voltage across shots and passes it to
-    `deltap_series`.
+    Tabulates each shot's sum of squares over each whole window, as
+    `tabulate_shots` does, and passes the table to `deltap_series`.
     """
-    power = _PowerSum(len(section), section.n_shots)
+    if window_samples < 1:
+        raise DomainError("window must be at least one sample")
+    v = section.voltages_v
+    table = np.empty((section.n_shots, len(section) // window_samples))
     for start in range(0, section.n_shots, _BLOCK_SHOTS):
-        power.add(section.voltages_v[start : start + _BLOCK_SHOTS])
-    return deltap_series(
-        section.times_s, power.mean(), ambient_mean_square, window_samples
-    )
+        stop = start + _BLOCK_SHOTS
+        _window_sums(v[start:stop], window_samples, table[start:stop])
+    return deltap_series(section.times_s, table, ambient_mean_square, window_samples)
 
 
 def deltap_series(
     times_s: np.ndarray,
-    power: np.ndarray,
+    window_sums: np.ndarray,
     ambient_mean_square: float,
     window_samples: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Level versus time from the shot-pooled power at each sample.
+    """Level versus time from a section's per-shot window table.
 
-    Averages `power` over each block of `window_samples` samples and
-    references the result to `ambient_mean_square`.  Times are window
-    centers measured from the first sample.  Windows with non-positive
-    pooled power come back as NaN; a trailing partial window is dropped.
+    `window_sums` holds each shot's sum of squares over each whole window
+    of `window_samples` samples of the section sampled at `times_s` (a
+    trailing partial window has no column).  Pooled over shots in shot
+    order, each window's mean square is referenced to
+    `ambient_mean_square`.  Times are window centers measured from the
+    first sample.  Windows with non-positive pooled power come back as NaN.
     """
-    if window_samples < 1:
-        raise DomainError("window must be at least one sample")
     if ambient_mean_square <= 0:
         raise DomainError("ambient reference mean square must be positive")
-    n_windows = len(power) // window_samples
+    n_windows = window_sums.shape[1]
     if n_windows < 1:
         raise AnalysisError(
-            f"section of {len(power)} samples is shorter than one window"
+            f"section of {len(times_s)} samples is shorter than one window"
         )
-    used = n_windows * window_samples
-    window_ms = power[:used].reshape(n_windows, window_samples).mean(axis=1)
-    rel_times = times_s[:used] - times_s[0]
+    window_ms = _shot_total(window_sums) / (len(window_sums) * window_samples)
+    rel_times = times_s[: n_windows * window_samples] - times_s[0]
     centers = rel_times.reshape(n_windows, window_samples).mean(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         deltap = np.where(
@@ -340,7 +314,7 @@ class ShotTables(NamedTuple):
 
     cooled_sums: np.ndarray  # each shot's sum of squares over the cooled span
     ambient_sums: np.ndarray  # the same over the ambient span
-    warmup_power: "np.ndarray | None"  # mean square over shots at each warm-up sample
+    warmup_sums: "np.ndarray | None"  # the same over each whole warm-up window
     cold_psd: "SpectralDensity | None"  # as ensemble_spectral_density
     ambient_psd: "SpectralDensity | None"
 
@@ -350,6 +324,7 @@ def tabulate_shots(
     cooled: slice,
     ambient: slice,
     warmup: "slice | None",
+    window_samples: int,
     width: int,
     segment_samples: "int | None",
 ) -> ShotTables:
@@ -358,13 +333,13 @@ def tabulate_shots(
     Each block is reduced to residuals by subtracting the shot mean
     (with two or more shots), as `subtract_mean_artifact` does.  Their
     sums of squares over the `cooled` and `ambient` sample columns fill
-    one entry per shot, and their squares over the `warmup` columns add
-    to the shot-pooled power.  With `segment_samples`, the block passes
-    through the boxcar of `extract_noise` when `width` is two or more,
-    and the Welch densities of its cooled and ambient columns fill one
-    row per shot each.  Every result equals, bit for bit, that of the
-    public stage run on the whole ensemble, and no array the size of the
-    ensemble is made.
+    one entry per shot, and over each whole `window_samples` window of
+    the `warmup` columns one row per shot of the table `deltap_series`
+    takes.  With `segment_samples`, the block passes through the boxcar
+    of `extract_noise` when `width` is two or more, and the Welch
+    densities of its cooled and ambient columns fill one row per shot
+    each.  Every result equals, bit for bit, that of the public stage
+    run on the whole ensemble, and no ensemble-sized array is made.
     """
     v = trace.voltages_v
     n_shots = trace.n_shots
@@ -377,9 +352,9 @@ def tabulate_shots(
         extracted = np.empty((block_shots, len(trace)))
     cooled_sums = np.empty(n_shots)
     ambient_sums = np.empty(n_shots)
-    power = None
+    warmup_sums = None
     if warmup is not None:
-        power = _PowerSum(warmup.stop - warmup.start, n_shots)
+        warmup_sums = np.empty((n_shots, (warmup.stop - warmup.start) // window_samples))
     psds = []
     if segment_samples is not None:
         psds = [
@@ -391,22 +366,16 @@ def tabulate_shots(
         shots = slice(start, start + len(rows))
         if mean is not None:
             rows = np.subtract(rows, mean, out=residuals[: len(rows)])
-        _square_sums(rows[:, cooled], cooled_sums[shots])
-        _square_sums(rows[:, ambient], ambient_sums[shots])
-        if power is not None:
-            power.add(rows[:, warmup])
+        np.sum(rows[:, cooled] ** 2, axis=1, out=cooled_sums[shots])
+        np.sum(rows[:, ambient] ** 2, axis=1, out=ambient_sums[shots])
+        if warmup_sums is not None:
+            _window_sums(rows[:, warmup], window_samples, warmup_sums[shots])
         if boxcar is not None:
             rows = boxcar.residual(rows, out=extracted[: len(rows)])
         for table, span in zip(psds, (cooled, ambient)):
             table.add(start, rows[:, span])
     cold_psd, ambient_psd = [table.density() for table in psds] or [None, None]
-    return ShotTables(
-        cooled_sums,
-        ambient_sums,
-        None if power is None else power.mean(),
-        cold_psd,
-        ambient_psd,
-    )
+    return ShotTables(cooled_sums, ambient_sums, warmup_sums, cold_psd, ambient_psd)
 
 
 @dataclass(frozen=True)

@@ -70,6 +70,22 @@ def _outpath(args, name: str) -> str:
     return os.path.join(args.out, name)
 
 
+def _bath_keys(baths) -> list[str]:
+    """The keys, by section, a mode temperature of `baths` is computed from."""
+    keys = "coupling, load_temperature_k, link_loss_db, link_temperature_k"
+    return ["[mode] wall_temperature_k", *(f"[port.{p.name}] {keys}" for p in baths.ports)]
+
+
+def _refuse_non_finite(args, results: list[tuple[str, float]], sources: list[str]) -> None:
+    """Refuse closed-form `results`, (output key, value) pairs, that overflowed
+    although every value is in bounds, naming the `sources` they come from."""
+    bad = [f"{key} = {value!r}" for key, value in results if not math.isfinite(value)]
+    if bad:
+        where = f"{args.config}: " if args.config else ""
+        bad, sources = ", ".join(bad), "; ".join(sources)
+        raise ConfigError(f"{where}non-finite {bad}: the closed form overflows on {sources}")
+
+
 def cmd_steady(args, cfg: RunConfig) -> int:
     cooled = mode_temperature(cfg.baths)
     ambient_baths = cfg.baths.subset(cfg.persistent_port_indices())
@@ -78,6 +94,15 @@ def cmd_steady(args, cfg: RunConfig) -> int:
     n_cooled = photon_occupancy(f0, cooled)
     n_ambient = photon_occupancy(f0, ambient)
     deltap = noise_power_reduction_db(cfg.receiver, cooled, ambient)
+    baths = _bath_keys(cfg.baths)
+    receiver = [k.partition(".")[2] for k, _ in config_items(cfg) if k.startswith("receiver.")]
+    for results, sources in (
+        ([("t_mode_cooled_k", cooled), ("t_mode_ambient_k", ambient)], baths),
+        ([("occupancy_cooled", n_cooled), ("occupancy_ambient", n_ambient)],
+         ["[mode] frequency_hz", *baths]),
+        ([("deltap_predicted_db", deltap)], [f"[receiver] {', '.join(receiver)}", *baths]),
+    ):
+        _refuse_non_finite(args, results, sources)
 
     total = 1.0 + cfg.baths.total_coupling()
     rows = [
@@ -150,6 +175,14 @@ def cmd_sweep(args, cfg: RunConfig) -> int:
     couplings = _geometric_axis(args.coupling_min, args.coupling_max, args.coupling_points)
     colds = _linear_axis(args.cold_min, args.cold_max, args.cold_points)
     grid = sweep_mode_temperature(cfg.baths, port_index, couplings, colds)
+    overflows = [
+        (f"mode_temperature_k at coupling {coupling!r}, load {cold!r} K", value)
+        for coupling, row in zip(couplings, grid)
+        for cold, value in zip(colds, row)
+        if not math.isfinite(value)
+    ]
+    options = "--coupling-min, --coupling-max, --cold-min, --cold-max"
+    _refuse_non_finite(args, overflows[:1], [options, *_bath_keys(cfg.baths)])
 
     path = _outpath(args, "sweep.csv")
     table = (

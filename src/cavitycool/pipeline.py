@@ -99,11 +99,11 @@ def analyze_run(
     is common to both spectra and cancels in the band ratio.
 
     One pass over blocks of shots (`analysis.tabulate_shots`) yields
-    every shot's cooled and ambient sums of squares, the shot-pooled
-    warm-up power and the two spectra, so besides the input only
-    per-shot tables and one block of residuals are held.  The report is
-    that of the public stages composed on the whole ensemble, bit for
-    bit.
+    every shot's sums of squares over the cooled and ambient spans and
+    each warm-up window, and its two spectra, so besides the input only
+    per-shot tables and one block of residuals are held.  Each estimate
+    pools its table in shot order, and the report is that of the public
+    stages composed on the whole ensemble, bit for bit.
 
     `disconnect_time_s` defaults to the configured cooling duration.
     """
@@ -160,7 +160,7 @@ def analyze_run(
     seg = acfg.psd_segment_samples
     psd_fits = seg <= min(n_cooled, n_ambient)
     tables = analysis.tabulate_shots(
-        traces, cooled, ambient, warmup, width, seg if psd_fits else None
+        traces, cooled, ambient, warmup, acfg.window_samples, width, seg if psd_fits else None
     )
     ambient_level = analysis.pooled_level(tables.ambient_sums, n_ambient)
     deltap_direct = analysis.segment_deltap(
@@ -194,7 +194,7 @@ def analyze_run(
         try:
             series_t, series_db = analysis.deltap_series(
                 traces.times_s[warmup],
-                tables.warmup_power,
+                tables.warmup_sums,
                 ambient_level[0],
                 acfg.window_samples,
             )

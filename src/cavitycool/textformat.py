@@ -16,18 +16,13 @@ from typing import Iterable, Sequence
 from .errors import DataFormatError
 
 
-def _write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence[float]]) -> None:
-    """Write `header` and `rows` of Python floats, each in repr form."""
-    lines = [",".join(header), *(",".join(map(repr, row)) for row in rows), ""]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(lines))
-
-
 def write_table_csv(
     path: str, header: Sequence[str], rows: Iterable[Sequence[float]]
 ) -> None:
-    """Write `header` and `rows`, each value taken as `float()` gives it."""
-    _write_csv(path, header, ([float(value) for value in row] for row in rows))
+    """Write `header` and `rows`, each value as the repr of its `float()`."""
+    body = (",".join([repr(float(value)) for value in row]) for row in rows)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("\n".join([",".join(header), *body, ""]))
 
 
 def _read_text(path: str, newline: str | None) -> io.StringIO:

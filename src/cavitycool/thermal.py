@@ -40,7 +40,8 @@ def photon_occupancy(frequency_hz: float, temperature_k: float) -> float:
     Returns
     -------
     float
-        Bose-Einstein occupancy 1/(exp(hf/kT) - 1); 0.0 at T = 0.
+        Bose-Einstein occupancy 1/(exp(hf/kT) - 1); 0.0 at T = 0, and
+        inf when hf/kT underflows to 0.
     """
     if frequency_hz <= 0:
         raise DomainError(f"frequency must be positive, got {frequency_hz}")
@@ -49,6 +50,8 @@ def photon_occupancy(frequency_hz: float, temperature_k: float) -> float:
     if temperature_k == 0:
         return 0.0
     x = PLANCK_H * frequency_hz / (BOLTZMANN_K * temperature_k)
+    if x == 0 or x > 700.0:  # past the floats: 1/(exp(x) - 1) is inf, or exp(-x)
+        return math.inf if x == 0 else math.exp(-x)
     # expm1 keeps precision in the microwave regime where x ~ 1e-4.
     return 1.0 / math.expm1(x)
 

@@ -47,8 +47,7 @@ import numpy as np
 from .config import RunConfig, config_digest, config_from_items, config_items, grid_sample_count
 from .errors import ConfigError, DataFormatError
 from .synth import NoiseTrace
-from .textformat import _read_text, _write_csv, read_key_values, write_key_values
-from .textformat import write_table_csv  # noqa: F401  (part of this module's API)
+from .textformat import _read_text, read_key_values, write_key_values, write_table_csv
 
 TRACE_HEADER = ("time_s", "voltage_v")
 TRAJECTORY_HEADER = ("time_s", "temperature_k")
@@ -244,7 +243,7 @@ def read_trace_ensemble(paths: Sequence[str]) -> NoiseTrace:
 def write_trajectory_csv(path: str, trajectory) -> None:
     """Write `trajectory.csv`: time and mode temperature."""
     columns = (trajectory.times_s, trajectory.temperature_k)
-    _write_csv(path, TRAJECTORY_HEADER, np.array(columns, dtype=float).T.tolist())
+    write_table_csv(path, TRAJECTORY_HEADER, np.array(columns, dtype=float).T.tolist())
 
 
 def _trace_names(cfg: RunConfig) -> list[str]:

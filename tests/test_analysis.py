@@ -268,13 +268,16 @@ def test_blocked_passes_match_the_whole_ensemble_bytes(n_shots):
         density = ensemble_spectral_density(trace, segment).density
         expected = _whole_ensemble_density(v, segment, trace.sample_interval_s)
         assert density.tobytes() == expected.tobytes()
-    # The pooled power per sample, also over a section of one sample,
-    # which numpy sums pairwise rather than row after row.
-    for stop in (n, 1):
+    # The series pools the per-shot window table over shots in shot order,
+    # also over a section of one sample, where `.mean(axis=0)` would sum
+    # pairwise rather than row after row.
+    for stop, window in ((n, 1), (n, 7), (1, 1)):
         section = NoiseTrace(trace.times_s[:stop], v[:, :stop])
-        _, levels = windowed_deltap_timeseries(section, 1.0, window_samples=1)
-        expected = 10.0 * np.log10(np.mean(v[:, :stop] ** 2, axis=0))
-        assert levels.tobytes() == expected.tobytes()
+        _, levels = windowed_deltap_timeseries(section, 1.0, window_samples=window)
+        used = stop // window * window
+        table = (v[:, :used] ** 2).reshape(n_shots, -1, window).sum(axis=2)
+        pooled = np.cumsum(table, axis=0)[-1] / (n_shots * window)
+        assert levels.tobytes() == (10.0 * np.log10(pooled)).tobytes()
 
 
 def test_ensemble_spectral_density_validation():

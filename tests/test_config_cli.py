@@ -422,6 +422,72 @@ def test_cli_refuses_a_negative_link_temperature(tmp_path, capsys):
     )
 
 
+_PORT_KEYS = "coupling, load_temperature_k, link_loss_db, link_temperature_k"
+_RECEIVER_KEYS = (
+    "lna_gain_linear, lna_t_min_k, lna_noise_resistance_ohm, lna_gamma_opt_real, "
+    "lna_gamma_opt_imag, reference_impedance_ohm, reference_temperature_k, "
+    "post_stage_noise_k, cavity_reflection_real, cavity_reflection_imag, "
+    "cavity_reflection_ref_real, cavity_reflection_ref_imag, image_noise_k"
+)
+
+
+def test_cli_steady_refuses_a_level_that_overflows(tmp_path, capsys):
+    # In bounds, but 1/reference_impedance_ohm overflows: deltap was nan, exit 0.
+    ini = _ini(tmp_path, "[receiver]\nreference_impedance_ohm = 1e-320\n")
+    assert cli.main(["steady", "--config", ini, "--porcelain"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"config error: {ini}: non-finite deltap_predicted_db = nan: the closed form "
+        f"overflows on [receiver] {_RECEIVER_KEYS}; [mode] wall_temperature_k; "
+        f"[port.cooling] {_PORT_KEYS}; [port.monitoring] {_PORT_KEYS}\n"
+    )
+
+
+def test_cli_steady_refuses_a_mode_temperature_that_overflows(tmp_path, capsys):
+    # coupling * load_temperature_k overflows: this died with ZeroDivisionError
+    # in photon_occupancy.
+    ini = _ini(tmp_path, (
+        "[port.cool]\ncoupling = 1e308\nload_temperature_k = 50\nrole = cooling\n"
+        "[port.mon]\ncoupling = 1\nload_temperature_k = 290\nrole = monitoring\n"
+    ))
+    assert cli.main(["steady", "--config", ini, "--porcelain"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"config error: {ini}: non-finite t_mode_cooled_k = inf: the closed form overflows "
+        f"on [mode] wall_temperature_k; [port.cool] {_PORT_KEYS}; [port.mon] {_PORT_KEYS}\n"
+    )
+
+
+def test_cli_steady_refuses_an_occupancy_that_overflows(tmp_path, capsys):
+    # hf/kT underflows to 0, which divided by zero.
+    ini = _ini(tmp_path, "[mode]\nfrequency_hz = 1e-300\n")
+    assert cli.main(["steady", "--config", ini]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: {ini}: non-finite occupancy_cooled = inf, occupancy_ambient = inf: "
+        "the closed form overflows on [mode] frequency_hz; [mode] wall_temperature_k; "
+        f"[port.cooling] {_PORT_KEYS}; [port.monitoring] {_PORT_KEYS}\n"
+    )
+
+
+def test_cli_sweep_refuses_a_grid_that_overflows(tmp_path, capsys):
+    # coupling * load overflows at 1e308: sweep.csv held inf with exit 0.
+    out = tmp_path / "out"
+    argv = ["sweep", "--coupling-min", "1e300", "--coupling-max", "1e308",
+            "--coupling-points", "3", "--cold-points", "2", "--out", str(out)]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "config error: non-finite mode_temperature_k at coupling 1e+308, load 2.0 K = inf: "
+        "the closed form overflows on --coupling-min, --coupling-max, --cold-min, "
+        f"--cold-max; [mode] wall_temperature_k; [port.cooling] {_PORT_KEYS}; "
+        f"[port.monitoring] {_PORT_KEYS}\n"
+    )
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("body, message", [
     ("[protocol]\ncool_duration_s = 200e-6\n",
      "[protocol] cool_duration_s = 0.0002 must not exceed trace_length_s = 0.00016"),
@@ -991,6 +1057,15 @@ _PASS_CASES = {
         _case_config(65, analysis_items={"fit_window_s": 5e-8, "window_samples": 1}),
         None,
     ),
+    # The 600-sample warm-up section as exactly one window, and as ten
+    # windows of 55 with a partial one of 50 samples left over.
+    **{
+        f"{n}-shots-{name}-window": (
+            _case_config(n, analysis_items={"window_samples": window}), None
+        )
+        for n in (31, 33, 69)
+        for name, window in (("one", 600), ("partial", 55))
+    },
 }
 # The note that shows a case reached its branch of the pass.
 _PASS_NOTES = {
@@ -998,6 +1073,7 @@ _PASS_NOTES = {
     "psd-skipped": "band-averaged level skipped",
     "single-shot": "single shot",
     "one-warmup-sample": "at least 8 usable points",
+    **{f"{n}-shots-one-window": "usable points after exclusion, have 1" for n in (31, 33, 69)},
 }
 
 
@@ -1023,8 +1099,13 @@ def test_analyze_run_equals_the_composed_public_stages(case):
     assert _PASS_NOTES.get(case, "") in " ".join(report.notes)
 
 
-@pytest.mark.parametrize("case", ["65-shots", "width-1", "single-shot", "one-warmup-sample"])
+@pytest.mark.parametrize("case", [
+    "65-shots", "width-1", "single-shot", "one-warmup-sample",
+    *(f"{n}-shots-{name}-window" for n in (31, 33, 69) for name in ("one", "partial")),
+])
 def test_report_does_not_depend_on_the_block_size(monkeypatch, case):
+    # Every estimate, the series and both spectra pool per-shot tables in
+    # shot order, so no byte of the report may depend on the block size.
     cfg, disconnect = _PASS_CASES[case]
     traces = simulate_run(cfg).traces
     reports = []

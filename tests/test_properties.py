@@ -264,18 +264,18 @@ deltap_direct_db=-3.479989475996491
 deltap_direct_stderr_db=0.05606717652536908
 deltap_band_db=-3.528577780450024
 deltap_band_stderr_db=0.1651946434680566
-fit_a1_db=-4.519914610382509
+fit_a1_db=-4.519914610382505
 fit_a2_db=0.0
 fit_tau1_s=7.702587223608242e-06
 fit_tau2_s=7.702587223608242e-06
-fit_residual_rms_db=0.08890139041883001
+fit_residual_rms_db=0.08890139041883006
 fit_converged=true
 fit_collapsed_single=true
 warmup_time_s=7.702587223608242e-06
-warmup_stderr_s=6.428592664385202e-07
+warmup_stderr_s=6.428592664385196e-07
 fit_nfev=110
-depth_fit_db=-4.519914610382509
-depth_fit_stderr_db=0.6005721950277813
+depth_fit_db=-4.519914610382505
+depth_fit_stderr_db=0.6005721950277795
 t_mode_inferred_k=108.03061478120544
 t_ambient_reference_k=256.27905243008615
 """
@@ -306,7 +306,7 @@ run sidecar: OUT/run.meta  (config digest 6fe673bebd99)
 """
 _QUICK_ANALYZE_HUMAN_SHA256 = "74fcda8645ed224af1bc68e41af6514f27bb8f22dcccdc37100f3dd2892ce8bf"
 _QUICK_TABLES_SHA256 = {
-    "warmup_series.csv": "990209282e43acd18f36f735f0cb7a2beadcc117fd8437b1e54623489e0ff198",
+    "warmup_series.csv": "7849ab64bf65eadbfa22e262e20b13cc660c399cd066e8b7a8fcf16ab6c86dfb",
     "psd_cold.csv": "81d5b7260dcd9498157c19dd8017777f0ec1961f6822bacbb05bce1d4a5bf19d",
     "psd_ambient.csv": "af71ed30aaa993e6afa879aee981cf149df1a200d10c2252396e80d5086ea640",
     "deltap_curve.csv": "267fcfefb94d44d132d6a14483dae74ee819bfef8209cd5a1b863971a031aafe",

@@ -83,6 +83,17 @@ def test_occupancy_zero_temperature_limits():
     assert photon_occupancy(1e9, 0.0) == 0.0
 
 
+def test_occupancy_past_the_float_range():
+    # hf/kT above ~709 overflowed expm1, and hf/kT underflowing to 0
+    # divided by zero; the occupancy is exp(-hf/kT) and inf there.
+    x = PLANCK_H * 1e9 / (BOLTZMANN_K * 6.7e-5)
+    assert 700 < x < 745
+    assert photon_occupancy(1e9, 6.7e-5) == math.exp(-x) > 0
+    assert photon_occupancy(1e9, 1e-300) == 0.0
+    assert photon_occupancy(5e-324, 290.0) == math.inf
+    assert photon_occupancy(1e9, math.inf) == math.inf
+
+
 def test_link_exact_reference():
     assert math.isclose(
         link_output_temperature(6.05, 18.4, 290.0, LossModel.EXACT),
