@@ -25,8 +25,7 @@ from .synth import NoiseTrace
 
 _DB = 10.0 / math.log(10.0)
 
-# Shots per block where a pass over the ensemble would otherwise build
-# ensemble-sized temporaries; results do not depend on it.
+# Shots per block of the `tabulate_shots` pass; results do not depend on it.
 _BLOCK_SHOTS = 32
 
 
@@ -68,20 +67,13 @@ def extract_noise(trace: NoiseTrace, width: int) -> NoiseTrace:
     Sample i is averaged over [i - (width - 1)//2, i + width//2].  Windows
     truncate at the trace edges rather than padding, so the first and
     last few samples are smoothed over fewer points.  A width of one
-    makes the smoother an identity and the residual zero.  Rows are
-    smoothed one block at a time, so the output is the only array the
-    size of the input; `tabulate_shots` smooths its blocks of residuals
-    with the same kernel and keeps none.
+    makes the smoother an identity and the residual zero.
     """
     if width < 1:
         raise DomainError("boxcar width must be at least one sample")
     v = trace.voltages_v
-    boxcar = _Boxcar(len(trace), width, min(trace.n_shots, _BLOCK_SHOTS))
-    out = np.empty(v.shape)
-    for start in range(0, trace.n_shots, _BLOCK_SHOTS):
-        stop = start + _BLOCK_SHOTS
-        boxcar.residual(v[start:stop], out=out[start:stop])
-    return NoiseTrace(trace.times_s, out)
+    boxcar = _Boxcar(len(trace), width, trace.n_shots)
+    return NoiseTrace(trace.times_s, boxcar.residual(v, out=np.empty(v.shape)))
 
 
 def subtract_mean_artifact(trace: NoiseTrace) -> NoiseTrace:
@@ -146,8 +138,7 @@ def ensemble_spectral_density(trace: NoiseTrace, segment_samples: int) -> Spectr
     segments of a shot are averaged, and then the shots.
     """
     table = _WelchTable(trace.times_s, segment_samples, trace.n_shots)
-    for start in range(0, trace.n_shots, _BLOCK_SHOTS):
-        table.add(start, trace.voltages_v[start : start + _BLOCK_SHOTS])
+    table.add(0, trace.voltages_v)
     return table.density()
 
 
@@ -231,11 +222,7 @@ def pooled_mean_square(
     Returns (mean square, total sample count).
     """
     v = trace.slice_time(t_start_s, t_stop_s).voltages_v
-    per_shot = np.empty(len(v))
-    for start in range(0, len(v), _BLOCK_SHOTS):
-        stop = start + _BLOCK_SHOTS
-        np.sum(v[start:stop] ** 2, axis=1, out=per_shot[start:stop])
-    return pooled_level(per_shot, v.shape[1])
+    return pooled_level(np.sum(v**2, axis=1), v.shape[1])
 
 
 def segment_deltap(
@@ -269,11 +256,8 @@ def windowed_deltap_timeseries(
     """
     if window_samples < 1:
         raise DomainError("window must be at least one sample")
-    v = section.voltages_v
     table = np.empty((section.n_shots, len(section) // window_samples))
-    for start in range(0, section.n_shots, _BLOCK_SHOTS):
-        stop = start + _BLOCK_SHOTS
-        _window_sums(v[start:stop], window_samples, table[start:stop])
+    _window_sums(section.voltages_v, window_samples, table)
     return deltap_series(section.times_s, table, ambient_mean_square, window_samples)
 
 
@@ -314,7 +298,7 @@ class ShotTables(NamedTuple):
 
     cooled_sums: np.ndarray  # each shot's sum of squares over the cooled span
     ambient_sums: np.ndarray  # the same over the ambient span
-    warmup_sums: "np.ndarray | None"  # the same over each whole warm-up window
+    warmup_sums: np.ndarray  # the same over each whole warm-up window
     cold_psd: "SpectralDensity | None"  # as ensemble_spectral_density
     ambient_psd: "SpectralDensity | None"
 
@@ -323,7 +307,7 @@ def tabulate_shots(
     trace: NoiseTrace,
     cooled: slice,
     ambient: slice,
-    warmup: "slice | None",
+    warmup: slice,
     window_samples: int,
     width: int,
     segment_samples: "int | None",
@@ -352,9 +336,7 @@ def tabulate_shots(
         extracted = np.empty((block_shots, len(trace)))
     cooled_sums = np.empty(n_shots)
     ambient_sums = np.empty(n_shots)
-    warmup_sums = None
-    if warmup is not None:
-        warmup_sums = np.empty((n_shots, (warmup.stop - warmup.start) // window_samples))
+    warmup_sums = np.empty((n_shots, (warmup.stop - warmup.start) // window_samples))
     psds = []
     if segment_samples is not None:
         psds = [
@@ -368,8 +350,7 @@ def tabulate_shots(
             rows = np.subtract(rows, mean, out=residuals[: len(rows)])
         np.sum(rows[:, cooled] ** 2, axis=1, out=cooled_sums[shots])
         np.sum(rows[:, ambient] ** 2, axis=1, out=ambient_sums[shots])
-        if warmup_sums is not None:
-            _window_sums(rows[:, warmup], window_samples, warmup_sums[shots])
+        _window_sums(rows[:, warmup], window_samples, warmup_sums[shots])
         if boxcar is not None:
             rows = boxcar.residual(rows, out=extracted[: len(rows)])
         for table, span in zip(psds, (cooled, ambient)):

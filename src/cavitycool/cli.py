@@ -26,7 +26,7 @@ from .config import (
     with_seed,
 )
 from .errors import AnalysisError, ConfigError, DataFormatError, DomainError
-from .receiver import noise_power_reduction_db
+from .receiver import noise_power_reduction_db, system_output_noise_kelvin
 from .thermal import mode_temperature, photon_occupancy, sweep_mode_temperature
 
 _EXIT_CONFIG = 2
@@ -76,31 +76,48 @@ def _bath_keys(baths) -> list[str]:
     return ["[mode] wall_temperature_k", *(f"[port.{p.name}] {keys}" for p in baths.ports)]
 
 
+def _receiver_keys(cfg: RunConfig) -> str:
+    """The `[receiver]` keys, which the receiver output noise is computed from."""
+    keys = [k.partition(".")[2] for k, _ in config_items(cfg) if k.startswith("receiver.")]
+    return f"[receiver] {', '.join(keys)}"
+
+
+def _where(args) -> str:
+    """The prefix that names the --config file in a refusal, if one was given."""
+    return f"{args.config}: " if args.config else ""
+
+
 def _refuse_non_finite(args, results: list[tuple[str, float]], sources: list[str]) -> None:
     """Refuse closed-form `results`, (output key, value) pairs, that overflowed
     although every value is in bounds, naming the `sources` they come from."""
     bad = [f"{key} = {value!r}" for key, value in results if not math.isfinite(value)]
     if bad:
-        where = f"{args.config}: " if args.config else ""
-        bad, sources = ", ".join(bad), "; ".join(sources)
+        where, bad, sources = _where(args), ", ".join(bad), "; ".join(sources)
         raise ConfigError(f"{where}non-finite {bad}: the closed form overflows on {sources}")
 
 
-def cmd_steady(args, cfg: RunConfig) -> int:
+def _steady_temperatures(args, cfg: RunConfig) -> tuple[float, float]:
+    """The mode temperatures with every port connected and with the persistent
+    ports alone, refused when they overflow."""
     cooled = mode_temperature(cfg.baths)
-    ambient_baths = cfg.baths.subset(cfg.persistent_port_indices())
-    ambient = mode_temperature(ambient_baths)
+    ambient = mode_temperature(cfg.baths.subset(cfg.persistent_port_indices()))
+    _refuse_non_finite(
+        args, [("t_mode_cooled_k", cooled), ("t_mode_ambient_k", ambient)], _bath_keys(cfg.baths)
+    )
+    return cooled, ambient
+
+
+def cmd_steady(args, cfg: RunConfig) -> int:
+    cooled, ambient = _steady_temperatures(args, cfg)
     f0 = cfg.mode.frequency_hz
     n_cooled = photon_occupancy(f0, cooled)
     n_ambient = photon_occupancy(f0, ambient)
     deltap = noise_power_reduction_db(cfg.receiver, cooled, ambient)
     baths = _bath_keys(cfg.baths)
-    receiver = [k.partition(".")[2] for k, _ in config_items(cfg) if k.startswith("receiver.")]
     for results, sources in (
-        ([("t_mode_cooled_k", cooled), ("t_mode_ambient_k", ambient)], baths),
         ([("occupancy_cooled", n_cooled), ("occupancy_ambient", n_ambient)],
          ["[mode] frequency_hz", *baths]),
-        ([("deltap_predicted_db", deltap)], [f"[receiver] {', '.join(receiver)}", *baths]),
+        ([("deltap_predicted_db", deltap)], [_receiver_keys(cfg), *baths]),
     ):
         _refuse_non_finite(args, results, sources)
 
@@ -209,7 +226,24 @@ def cmd_simulate(args, cfg: RunConfig) -> int:
 
     if args.seed is not None:
         cfg = with_seed(cfg, args.seed)
-    result = simulate_run(cfg)
+    # Each sample is drawn with variance voltage_scale^2 * S(T), where the
+    # receiver output noise S is affine in the mode temperature T, which
+    # stays between its two steady values; so both ends bound every sample.
+    noise, variance = [], []
+    for name, t_mode in zip(("cooled", "ambient"), _steady_temperatures(args, cfg)):
+        s = system_output_noise_kelvin(cfg.receiver, t_mode)
+        sigma = cfg.synth.voltage_scale * math.sqrt(s)
+        noise.append((f"receiver output noise at the {name} mode temperature", s))
+        variance.append((f"sample variance at the {name} mode temperature", sigma * sigma))
+    receiver = [_receiver_keys(cfg), *_bath_keys(cfg.baths)]
+    _refuse_non_finite(args, noise, receiver)
+    _refuse_non_finite(args, variance, ["[synth] voltage_scale", *receiver])
+    try:
+        result = simulate_run(cfg)
+    except DomainError as exc:
+        if exc.field != "sample_interval_s":
+            raise
+        raise ConfigError(f"{_where(args)}[synth] {exc}") from exc
     meta_path = tracefile.write_run(args.out, cfg, result)
     trajectory = tracefile.TRAJECTORY_FILE
     digest = config_digest(cfg)

@@ -146,8 +146,9 @@ def evolve_occupancy(
     limit = MAX_STEP_FRACTION / fastest
     if sample_interval_s > limit:
         raise DomainError(
-            f"sample interval {sample_interval_s:.3e} s too coarse for the fastest "
-            f"relaxation time {1.0 / fastest:.3e} s; need <= {limit:.3e} s"
+            f"must be <= {limit:.3e} s ({MAX_STEP_FRACTION} of the fastest relaxation "
+            f"time {1.0 / fastest:.3e} s), got {sample_interval_s!r}",
+            field="sample_interval_s",
         )
     targets = np.array([mode_temperature(sub) for _, _, sub in spans])
     entry = np.empty(len(spans))

@@ -105,7 +105,11 @@ def analyze_run(
     pools its table in shot order, and the report is that of the public
     stages composed on the whole ensemble, bit for bit.
 
-    `disconnect_time_s` defaults to the configured cooling duration.
+    Each section must start inside the trace and hold a sample.  The
+    ambient, cooled and warm-up sections are checked in that order, and
+    the first that does not is refused with a `DomainError` naming its
+    `[analysis]` key before any sample is read.  `disconnect_time_s`
+    defaults to the configured cooling duration.
     """
     acfg = cfg.analysis
     if disconnect_time_s is None:
@@ -122,40 +126,23 @@ def analyze_run(
             "boxcar width rounds to one sample; spectral extraction skipped"
         )
 
-    t_end = float(traces.times_s[-1])
-    cooled_span = (disconnect_time_s - acfg.cooled_window_s, disconnect_time_s)
-    ambient_span = (disconnect_time_s + acfg.ambient_settle_s, t_end + 1e-12)
-    if cooled_span[0] < 0:
-        raise DomainError(
-            "cooled comparison window starts before the trace; "
-            "cooling duration too short for the configured window "
-            f"(disconnect at {disconnect_time_s!r} s, "
-            f"analysis.cooled_window_s = {acfg.cooled_window_s!r} s)"
-        )
-    if ambient_span[0] >= t_end:
-        raise DomainError(
-            "no settled ambient section after the disconnect "
-            f"(disconnect at {disconnect_time_s!r} s, "
-            f"analysis.ambient_settle_s = {acfg.ambient_settle_s!r} s, "
-            f"trace ends at {t_end!r} s)"
-        )
-    cooled = traces.time_columns(*cooled_span)
-    ambient = traces.time_columns(*ambient_span)
+    d, t_end = disconnect_time_s, float(traces.times_s[-1])
+    sections = []
+    for name, key, start, stop in (
+        ("settled ambient section after", "ambient_settle_s",
+         d + acfg.ambient_settle_s, t_end + 1e-12),
+        ("cooled section before", "cooled_window_s", d - acfg.cooled_window_s, d),
+        ("warm-up section after", "fit_window_s", d, min(d + acfg.fit_window_s, t_end)),
+    ):
+        columns = traces.time_columns(start, stop)
+        if not 0 <= start < t_end or columns.stop == columns.start:
+            raise DomainError(
+                f"no {name} the disconnect (disconnect at {d!r} s, "
+                f"analysis.{key} = {getattr(acfg, key)!r} s, trace ends at {t_end!r} s)"
+            )
+        sections.append(columns)
+    ambient, cooled, warmup = sections
     n_cooled, n_ambient = cooled.stop - cooled.start, ambient.stop - ambient.start
-    warmup_refusal = None
-    try:
-        warmup = traces.time_columns(
-            disconnect_time_s, min(disconnect_time_s + acfg.fit_window_s, t_end)
-        )
-    except DomainError:
-        # Refused where the series is built, after the levels.
-        warmup = None
-        warmup_refusal = DomainError(
-            "no warm-up section after the disconnect "
-            f"(disconnect at {disconnect_time_s!r} s, "
-            f"analysis.fit_window_s = {acfg.fit_window_s!r} s, "
-            f"trace ends at {t_end!r} s)"
-        )
 
     seg = acfg.psd_segment_samples
     psd_fits = seg <= min(n_cooled, n_ambient)
@@ -180,8 +167,6 @@ def analyze_run(
             "sections shorter than one spectral segment; band-averaged level skipped"
         )
 
-    if warmup_refusal is not None:
-        raise warmup_refusal
     # The one test of whether the warm-up fit counts: its series was built,
     # and the fit returned and converged.  Otherwise the depth is None, the
     # warm-up time NaN, and `warmup_note` says why.

@@ -104,18 +104,15 @@ class NoiseTrace:
         return float(self.times_s[1] - self.times_s[0])
 
     def time_columns(self, t_start_s: float, t_stop_s: float) -> slice:
-        """The sample columns with t_start_s <= t < t_stop_s."""
-        if t_stop_s <= t_start_s:
-            raise DomainError("empty time slice")
-        lo = int(np.searchsorted(self.times_s, t_start_s, side="left"))
-        hi = int(np.searchsorted(self.times_s, t_stop_s, side="left"))
-        if hi <= lo:
-            raise DomainError(f"no samples in [{t_start_s}, {t_stop_s}) s")
-        return slice(lo, hi)
+        """The sample columns with t_start_s <= t < t_stop_s, perhaps none."""
+        lo, hi = np.searchsorted(self.times_s, (t_start_s, t_stop_s)).tolist()
+        return slice(lo, max(lo, hi))
 
     def slice_time(self, t_start_s: float, t_stop_s: float) -> "NoiseTrace":
         """View of every shot's samples with t_start_s <= t < t_stop_s."""
         columns = self.time_columns(t_start_s, t_stop_s)
+        if columns.stop == columns.start:
+            raise DomainError(f"no samples in [{t_start_s}, {t_stop_s}) s")
         return NoiseTrace(self.times_s[columns], self.voltages_v[:, columns])
 
 

@@ -255,8 +255,9 @@ _BLOCK_EDGE_SHOTS = (1, _BLOCK_SHOTS - 1, _BLOCK_SHOTS, _BLOCK_SHOTS + 1, 2 * _B
 
 @pytest.mark.parametrize("n_shots", _BLOCK_EDGE_SHOTS)
 def test_blocked_passes_match_the_whole_ensemble_bytes(n_shots):
-    # Blocking the shots is a memory layout choice: the bytes must be
-    # those of the single pass over the whole ensemble.
+    # The reference stages must give, bit for bit, the single pass over
+    # the whole ensemble, at the shot counts around `tabulate_shots`'
+    # block edges that the composed-stage tests compare it at.
     n = 300
     rng = np.random.default_rng(n_shots)
     trace = _trace(rng.standard_normal((n_shots, n)), dt=5e-8)
@@ -361,8 +362,8 @@ def test_pooled_mean_square():
 
 
 def test_pooled_mean_square_sums_blocked_shots_in_shot_order():
-    # 70 shots end in a partial block of rows; the pooled value is still
-    # each shot's sum of squares, added one shot after another.
+    # The pooled value is each shot's sum of squares, added one shot after
+    # another, as `tabulate_shots` pools its blocks of shots.
     assert 70 % _BLOCK_SHOTS
     v = np.random.default_rng(41).standard_normal((70, 300))
     ms, count = pooled_mean_square(_trace(v, dt=1.0), 50.0, 250.0)

@@ -488,6 +488,50 @@ def test_cli_sweep_refuses_a_grid_that_overflows(tmp_path, capsys):
     assert not out.exists()
 
 
+_BATH_KEYS = (
+    f"[mode] wall_temperature_k; [port.cooling] {_PORT_KEYS}; [port.monitoring] {_PORT_KEYS}"
+)
+
+
+@pytest.mark.parametrize("body, refused", [
+    # 1/reference_impedance_ohm overflows: the traces held -inf and inf.
+    ("[receiver]\nreference_impedance_ohm = 1e-320\n[synth]\nn_shots = 2\n",
+     "receiver output noise at the cooled mode temperature = inf, receiver output "
+     "noise at the ambient mode temperature = inf: the closed form overflows on "
+     f"[receiver] {_RECEIVER_KEYS}; {_BATH_KEYS}"),
+    # voltage_scale**2 times the output noise overflows: synthesis warned of
+    # an overflow and wrote samples near 1e162 that analyze cannot square.
+    ("[synth]\nvoltage_scale = 1e160\nn_shots = 3\n",
+     "sample variance at the cooled mode temperature = inf, sample variance at the "
+     "ambient mode temperature = inf: the closed form overflows on [synth] voltage_scale; "
+     f"[receiver] {_RECEIVER_KEYS}; {_BATH_KEYS}"),
+], ids=["reference-impedance", "voltage-scale"])
+def test_cli_simulate_refuses_a_non_finite_receiver_noise(tmp_path, capsys, body, refused):
+    # In process, so tier-1 turns any numpy RuntimeWarning into a failure.
+    ini = _ini(tmp_path, body)
+    out = tmp_path / "run"
+    assert cli.main(["simulate", "--config", ini, "--out", str(out), "--porcelain"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: {ini}: non-finite {refused}\n"
+    assert not out.exists()
+
+
+def test_cli_simulate_names_the_sample_interval_over_its_ceiling(tmp_path, capsys):
+    # The fastest relaxation time of the default bench is about 3.1 us and
+    # the grid must resolve a tenth of it.
+    ini = _ini(tmp_path, "[synth]\nsample_interval_s = 1e-6\n")
+    out = tmp_path / "run"
+    assert cli.main(["simulate", "--config", ini, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"config error: {ini}: [synth] sample_interval_s must be <= 3.105e-07 s "
+        "(0.1 of the fastest relaxation time 3.105e-06 s), got 1e-06\n"
+    )
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("body, message", [
     ("[protocol]\ncool_duration_s = 200e-6\n",
      "[protocol] cool_duration_s = 0.0002 must not exceed trace_length_s = 0.00016"),
@@ -1833,6 +1877,42 @@ def test_cli_analyze_warmup_window_without_a_sample_exits_2_and_names_the_key(
         "config error: no warm-up section after the disconnect (disconnect at 4e-05 s, "
         "analysis.fit_window_s = 1e-09 s, trace ends at 0.00015999999999999999 s)\n"
     )
+
+
+def test_cli_analyze_cooled_window_without_a_sample_exits_2_and_names_the_key(
+    tmp_path, capsys
+):
+    # A disconnect at 41 us falls between two samples of the 50 ns grid, so
+    # a 1 ns cooled window before it holds none.  This was refused as
+    # "no samples in [4.0999e-05, 4.1e-05) s", naming no key.
+    run = "[protocol]\ncool_duration_s = 41e-6\n[synth]\nn_shots = 4\n"
+    ini = _ini(tmp_path, run)
+    out = tmp_path / "run"
+    assert cli.main(["simulate", "--config", ini, "--out", str(out), "--porcelain"]) == 0
+    capsys.readouterr()
+    short = _ini(tmp_path, run + "[analysis]\ncooled_window_s = 1e-9\n", "short.ini")
+    rc = cli.main(["analyze", str(out / "run.meta"), "--config", short, "--porcelain"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err == (
+        "config error: no cooled section before the disconnect (disconnect at 4.1e-05 s, "
+        "analysis.cooled_window_s = 1e-09 s, trace ends at 0.00015999999999999999 s)\n"
+    )
+
+
+def test_analyze_run_refuses_an_empty_section_before_a_data_fault():
+    # Identical shots leave zero residuals, a data fault (AnalysisError,
+    # exit 5).  An empty warm-up section is a configuration fault and is
+    # refused first, before any sample is read (DomainError, exit 2).
+    cfg = default_run_config()
+    n = grid_sample_count(cfg.protocol.trace_length_s, cfg.synth.sample_interval_s)
+    ones = NoiseTrace(np.arange(n) * cfg.synth.sample_interval_s, np.ones((4, n)))
+    with pytest.raises(AnalysisError, match="non-positive section power"):
+        analyze_run(ones, cfg)
+    short = replace(cfg, analysis=replace(cfg.analysis, fit_window_s=1e-9))
+    with pytest.raises(DomainError, match=r"no warm-up section .* analysis\.fit_window_s = 1e-09"):
+        analyze_run(ones, short)
 
 
 def _one_port_run(tmp_path, capsys, n_shots=20):
