@@ -25,13 +25,8 @@ _EXPORTS = {
         "DeltaPEstimate",
         "SpectralDensity",
         "band_averaged_deltap",
-        "ensemble_spectral_density",
-        "extract_noise",
         "fit_biexponential",
-        "pooled_mean_square",
         "segment_deltap",
-        "subtract_mean_artifact",
-        "windowed_deltap_timeseries",
     ),
     "config": (
         "AnalysisConfig",

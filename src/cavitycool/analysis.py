@@ -420,8 +420,8 @@ def fit_biexponential(
     Raises
     ------
     AnalysisError
-        Fewer than 8 usable points, or a fitted curve with no positive
-        level at the disconnect.
+        Fewer than 8 usable points, a fitted curve with no positive level
+        at the disconnect, or a negative or non-finite variance.
     """
     t_all = np.asarray(times_s, dtype=float)
     y_all = np.asarray(values_db, dtype=float)
@@ -486,12 +486,19 @@ def fit_biexponential(
     # the residual variance.
     jac = np.column_stack([decay * inv_r, a * decay * inv_r * t / tau])
     cov = np.linalg.pinv(jac.T @ jac) * (float(res @ res) / (len(t) - 2))
+    var_a, var_log_tau = float(cov[0, 0]), float(cov[1, 1])
+    # A tau at the edge of the scan can make jac.T @ jac numerically singular;
+    # a variance of 0 is an exact fit's.
+    if not (0.0 <= var_a < math.inf and 0.0 <= var_log_tau < math.inf):
+        raise AnalysisError(
+            f"fit covariance has a negative or non-finite variance at tau = {tau!r} s"
+        )
     model_db = 10.0 * np.log10(1.0 + a * decay)
     return BiExpFit(
         a1_db=10.0 * math.log10(1.0 + a),
         tau1_s=tau,
-        a1_stderr_db=_DB * math.sqrt(cov[0, 0]) / (1.0 + a),
-        tau1_stderr_s=tau * math.sqrt(cov[1, 1]),
+        a1_stderr_db=_DB * math.sqrt(var_a) / (1.0 + a),
+        tau1_stderr_s=tau * math.sqrt(var_log_tau),
         residual_rms_db=float(np.sqrt(np.mean((y - model_db) ** 2))),
         n_points=len(t),
         converged=bool(interior),

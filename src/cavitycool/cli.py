@@ -17,8 +17,11 @@ from dataclasses import replace
 
 from . import __version__
 from .config import (
+    _MASK64,
     PORT_ROLE_COOLING,
     RunConfig,
+    _key_names,
+    _named,
     config_digest,
     config_items,
     default_run_config,
@@ -28,12 +31,6 @@ from .config import (
 from .errors import AnalysisError, ConfigError, DataFormatError, DomainError
 from .receiver import noise_power_reduction_db, system_output_noise_kelvin
 from .thermal import mode_temperature, photon_occupancy, sweep_mode_temperature
-
-_EXIT_CONFIG = 2
-_EXIT_IO = 3
-_EXIT_DATA = 4
-_EXIT_NONCONVERGENCE = 5
-
 
 def _fmt(value: float) -> str:
     return repr(float(value))
@@ -47,6 +44,17 @@ def _finite_float(text: str) -> float:
         value = math.nan
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"invalid finite float value: {text!r}")
+    return value
+
+
+def _seed(text: str) -> int:
+    """Type of --seed: a 64-bit master seed."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if not 0 <= value <= _MASK64:
+        raise argparse.ArgumentTypeError(f"invalid seed: {text!r} (need 0 to {_MASK64})")
     return value
 
 
@@ -70,56 +78,49 @@ def _outpath(args, name: str) -> str:
     return os.path.join(args.out, name)
 
 
-def _bath_keys(baths) -> list[str]:
-    """The keys, by section, a mode temperature of `baths` is computed from."""
-    keys = "coupling, load_temperature_k, link_loss_db, link_temperature_k"
-    return ["[mode] wall_temperature_k", *(f"[port.{p.name}] {keys}" for p in baths.ports)]
+def _sidecar(args) -> "str | None":
+    """The run.meta path when `analyze` reads one sidecar, else None."""
+    inputs = getattr(args, "inputs", [])
+    return inputs[0] if len(inputs) == 1 and inputs[0].endswith(".meta") else None
 
 
-def _receiver_keys(cfg: RunConfig) -> str:
-    """The `[receiver]` keys, which the receiver output noise is computed from."""
-    keys = [k.partition(".")[2] for k, _ in config_items(cfg) if k.startswith("receiver.")]
-    return f"[receiver] {', '.join(keys)}"
+def _where(args, field: "str | None" = None) -> str:
+    """The prefix that names, in a refusal, the file that set `field`: a
+    sidecar sets every key but the [analysis] keys that --config gives."""
+    path, sidecar = args.config, _sidecar(args)
+    if sidecar and not (path and _key_names(f"analysis.{field}")):
+        path = sidecar
+    return f"{path}: " if path else ""
 
 
-def _where(args) -> str:
-    """The prefix that names the --config file in a refusal, if one was given."""
-    return f"{args.config}: " if args.config else ""
-
-
-def _refuse_non_finite(args, results: list[tuple[str, float]], sources: list[str]) -> None:
-    """Refuse closed-form `results`, (output key, value) pairs, that overflowed
-    although every value is in bounds, naming the `sources` they come from."""
+def _refuse_non_finite(cfg: RunConfig, results: list[tuple[str, float]], *sources: str) -> None:
+    """Refuse closed-form `results`, (output key, value) pairs, that are not finite
+    although every value is in bounds, naming `sources`: fields of `cfg` or options."""
     bad = [f"{key} = {value!r}" for key, value in results if not math.isfinite(value)]
     if bad:
-        where, bad, sources = _where(args), ", ".join(bad), "; ".join(sources)
-        raise ConfigError(f"{where}non-finite {bad}: the closed form overflows on {sources}")
+        keys = [name for f in sources for name in _key_names(f, cfg.baths.ports) or [f]]
+        bad, keys = ", ".join(bad), "; ".join(keys)
+        raise DomainError(f"non-finite {bad}: the closed form has no finite value for {keys}")
 
 
-def _steady_temperatures(args, cfg: RunConfig) -> tuple[float, float]:
+def _steady_temperatures(cfg: RunConfig) -> tuple[float, float]:
     """The mode temperatures with every port connected and with the persistent
     ports alone, refused when they overflow."""
     cooled = mode_temperature(cfg.baths)
     ambient = mode_temperature(cfg.baths.subset(cfg.persistent_port_indices()))
-    _refuse_non_finite(
-        args, [("t_mode_cooled_k", cooled), ("t_mode_ambient_k", ambient)], _bath_keys(cfg.baths)
-    )
+    _refuse_non_finite(cfg, [("t_mode_cooled_k", cooled), ("t_mode_ambient_k", ambient)], "baths")
     return cooled, ambient
 
 
-def cmd_steady(args, cfg: RunConfig) -> int:
-    cooled, ambient = _steady_temperatures(args, cfg)
+def cmd_steady(args, cfg: RunConfig) -> None:
+    cooled, ambient = _steady_temperatures(cfg)
     f0 = cfg.mode.frequency_hz
     n_cooled = photon_occupancy(f0, cooled)
     n_ambient = photon_occupancy(f0, ambient)
     deltap = noise_power_reduction_db(cfg.receiver, cooled, ambient)
-    baths = _bath_keys(cfg.baths)
-    for results, sources in (
-        ([("occupancy_cooled", n_cooled), ("occupancy_ambient", n_ambient)],
-         ["[mode] frequency_hz", *baths]),
-        ([("deltap_predicted_db", deltap)], [_receiver_keys(cfg), *baths]),
-    ):
-        _refuse_non_finite(args, results, sources)
+    occupancies = [("occupancy_cooled", n_cooled), ("occupancy_ambient", n_ambient)]
+    _refuse_non_finite(cfg, occupancies, "mode.frequency_hz", "baths")
+    _refuse_non_finite(cfg, [("deltap_predicted_db", deltap)], "receiver", "baths")
 
     total = 1.0 + cfg.baths.total_coupling()
     rows = [
@@ -139,7 +140,6 @@ def cmd_steady(args, cfg: RunConfig) -> int:
         rows.append((items, f"  {port.name:12s} ({port.role:10s}) coupling {port.coupling:7.3f}"
                             f"  delivers {delivered:9.3f} K  weight {weight:6.3f}"))
     _emit(args, rows)
-    return 0
 
 
 def _linear_axis(start: float, stop: float, num: int) -> list[float]:
@@ -172,7 +172,7 @@ def _geometric_axis(start: float, stop: float, num: int) -> list[float]:
     return points
 
 
-def cmd_sweep(args, cfg: RunConfig) -> int:
+def cmd_sweep(args, cfg: RunConfig) -> None:
     from . import textformat
 
     if args.coupling_min <= 0 or args.coupling_max < args.coupling_min:
@@ -199,7 +199,7 @@ def cmd_sweep(args, cfg: RunConfig) -> int:
         if not math.isfinite(value)
     ]
     options = "--coupling-min, --coupling-max, --cold-min, --cold-max"
-    _refuse_non_finite(args, overflows[:1], [options, *_bath_keys(cfg.baths)])
+    _refuse_non_finite(cfg, overflows[:1], options, "baths")
 
     path = _outpath(args, "sweep.csv")
     table = (
@@ -217,10 +217,9 @@ def cmd_sweep(args, cfg: RunConfig) -> int:
         ("rows", str(size)),
     ]
     _emit(args, [(items, f"wrote {size} grid points to {path}")])
-    return 0
 
 
-def cmd_simulate(args, cfg: RunConfig) -> int:
+def cmd_simulate(args, cfg: RunConfig) -> None:
     from . import tracefile
     from .pipeline import simulate_run
 
@@ -230,20 +229,14 @@ def cmd_simulate(args, cfg: RunConfig) -> int:
     # receiver output noise S is affine in the mode temperature T, which
     # stays between its two steady values; so both ends bound every sample.
     noise, variance = [], []
-    for name, t_mode in zip(("cooled", "ambient"), _steady_temperatures(args, cfg)):
+    for name, t_mode in zip(("cooled", "ambient"), _steady_temperatures(cfg)):
         s = system_output_noise_kelvin(cfg.receiver, t_mode)
         sigma = cfg.synth.voltage_scale * math.sqrt(s)
         noise.append((f"receiver output noise at the {name} mode temperature", s))
         variance.append((f"sample variance at the {name} mode temperature", sigma * sigma))
-    receiver = [_receiver_keys(cfg), *_bath_keys(cfg.baths)]
-    _refuse_non_finite(args, noise, receiver)
-    _refuse_non_finite(args, variance, ["[synth] voltage_scale", *receiver])
-    try:
-        result = simulate_run(cfg)
-    except DomainError as exc:
-        if exc.field != "sample_interval_s":
-            raise
-        raise ConfigError(f"{_where(args)}[synth] {exc}") from exc
+    _refuse_non_finite(cfg, noise, "receiver", "baths")
+    _refuse_non_finite(cfg, variance, "voltage_scale", "receiver", "baths")
+    result = simulate_run(cfg)
     meta_path = tracefile.write_run(args.out, cfg, result)
     trajectory = tracefile.TRAJECTORY_FILE
     digest = config_digest(cfg)
@@ -258,7 +251,6 @@ def cmd_simulate(args, cfg: RunConfig) -> int:
         f"run sidecar: {meta_path}  (config digest {digest[:12]})"
     )
     _emit(args, [(items, line)])
-    return 0
 
 
 def _load_analysis_inputs(args, cfg: RunConfig):
@@ -269,10 +261,9 @@ def _load_analysis_inputs(args, cfg: RunConfig):
     """
     from . import tracefile
 
-    paths = list(args.inputs)
-    if not (len(paths) == 1 and paths[0].endswith(".meta")):
-        return tracefile.read_trace_ensemble(paths), cfg
-    meta_path = paths[0]
+    meta_path = _sidecar(args)
+    if meta_path is None:
+        return tracefile.read_trace_ensemble(args.inputs), cfg
     recorded, traces = tracefile.read_run(meta_path)
     if args.config is None:
         return traces, recorded
@@ -295,7 +286,7 @@ def _deltap_row(prefix: str, label: str, estimate) -> _Row:
     return items, f"{label:34s}: {estimate.value_db:8.3f} +/- {estimate.stderr_db:.3f} dB"
 
 
-def cmd_analyze(args, cfg: RunConfig) -> int:
+def cmd_analyze(args, cfg: RunConfig) -> None:
     import numpy as np
 
     from . import textformat
@@ -303,7 +294,21 @@ def cmd_analyze(args, cfg: RunConfig) -> int:
     from .receiver import noise_power_reduction_curve
 
     traces, cfg = _load_analysis_inputs(args, cfg)
-    report = analyze_run(traces, cfg)
+    # Finite samples can still square past the float range.  The first sum
+    # that overflows is refused, by what set the samples, before any level
+    # is printed.
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            report = analyze_run(traces, cfg)
+    except FloatingPointError as exc:
+        if _sidecar(args):
+            raise DomainError(
+                f"= {cfg.synth.voltage_scale!r} gives samples too large to analyse ({exc})",
+                field="voltage_scale",
+            ) from None
+        raise DataFormatError(
+            f"{', '.join(args.inputs)}: samples too large to analyse ({exc})"
+        ) from None
 
     rows = [
         ([("n_shots", str(report.n_shots))], f"{'shots analyzed':34s}: {report.n_shots}"),
@@ -372,15 +377,8 @@ def cmd_analyze(args, cfg: RunConfig) -> int:
         rows.append(([(name.replace(".csv", "_csv"), path)], f"{label} written to {path}"))
 
     _emit(args, rows)
-    if report.depth_db is None:
-        # A fit that returned did not converge; without one, the note says why.
-        if report.fit is not None:
-            cause = "warm-up fit did not converge"
-        else:
-            cause = report.warmup_note
-        print(f"analysis error: {cause}", file=sys.stderr)
-        return _EXIT_NONCONVERGENCE
-    return 0
+    if report.warmup_note is not None:
+        raise AnalysisError(report.warmup_note)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -435,7 +433,7 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common, writes],
         help="run the switching protocol and write trace CSVs",
     )
-    p.add_argument("--seed", type=int, metavar="N", help="override the master RNG seed")
+    p.add_argument("--seed", type=_seed, metavar="N", help="override the master RNG seed")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser(
@@ -460,22 +458,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: "list[str] | None" = None) -> int:
+    """Run one command; the one place that turns its outcome into an exit code."""
     args = build_parser().parse_args(argv)
     try:
         cfg = load_run_config(args.config) if args.config else default_run_config()
-        return args.func(args, cfg)
-    except (ConfigError, DomainError) as exc:
+        args.func(args, cfg)
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
-        return _EXIT_CONFIG
+        return 2
+    except DomainError as exc:
+        print(f"config error: {_where(args, exc.field)}{_named(exc)}", file=sys.stderr)
+        return 2
     except DataFormatError as exc:
         print(f"data format error: {exc}", file=sys.stderr)
-        return _EXIT_DATA
+        return 4
     except AnalysisError as exc:
         print(f"analysis error: {exc}", file=sys.stderr)
-        return _EXIT_NONCONVERGENCE
+        return 5
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
-        return _EXIT_IO
+        return 3
+    return 0
 
 
 if __name__ == "__main__":

@@ -144,11 +144,12 @@ class RunConfig:
                 )
         check_bounds(self)
         trace, dt = self.protocol.trace_length_s, self.synth.sample_interval_s
+        cover = f"[protocol] trace_length_s = {trace!r} must cover"
+        of = f"intervals of [synth] sample_interval_s = {dt!r}"
+        if not math.isfinite(trace / dt):
+            raise DomainError(f"{cover} a finite number of {of}")
         if grid_sample_count(trace, dt) < 11:
-            raise DomainError(
-                f"[protocol] trace_length_s = {trace!r} must cover at least 10 intervals "
-                f"of [synth] sample_interval_s = {dt!r}"
-            )
+            raise DomainError(f"{cover} at least 10 {of}")
 
     def persistent_port_indices(self) -> tuple[int, ...]:
         """Ports that stay connected after the cold path disconnects."""
@@ -252,6 +253,29 @@ def _value(raw: Mapping[str, Mapping[str, str]], section, key, kind, default=Non
     raise ConfigError(f"bad value for '{key}' in section [{section}]: {text!r}")
 
 
+def _key_names(field: str, ports=()) -> list[str]:
+    """`[section] key, ...` for each section with a key under `field`: a
+    RunConfig attribute path or a dotted part of one, such as `receiver`,
+    `baths` (with the numeric keys of each port in `ports`) or
+    `voltage_scale`.  A complex field's two keys read `real + j imag`."""
+    port_rows = [
+        (f"port.{port.name}", key, kind, f"baths.ports.{key}")
+        for port in ports for key, kind, _ in _PORT_SCHEMA if kind is float
+    ]
+    join = " + j " if any(f".{row[3]}".endswith(f".{field}.real") for row in _SCHEMA) else ", "
+    sections: dict[str, list[str]] = {}
+    for section, key, _, path in (*_SCHEMA, *port_rows):
+        if f".{field}." in f".{path}.":
+            sections.setdefault(section, []).append(key)
+    return [f"[{section}] {join.join(keys)}" for section, keys in sections.items()]
+
+
+def _named(exc: DomainError, prefix: str = "") -> str:
+    """A refusal's text, naming its field, at attribute path `prefix`, by its keys."""
+    names = _key_names(f"{prefix}{exc.field}") if exc.field else []
+    return f"{'; '.join(names)} {exc.reason}" if names else str(exc)
+
+
 def _make(node: dict, prefix: str = ""):
     """The object at attribute path `prefix`; ConfigError names the key of
     a field at fault, and a complex field by its two parts."""
@@ -263,9 +287,7 @@ def _make(node: dict, prefix: str = ""):
     try:
         return cls(**values)
     except DomainError as exc:
-        rows = [row for row in _SCHEMA if f"{row[3]}.".startswith(f"{prefix}{exc.field}.")]
-        key = " + j ".join(row[1] for row in rows)
-        raise ConfigError(f"[{rows[0][0]}] {key} {exc.reason}" if rows else str(exc)) from exc
+        raise ConfigError(_named(exc, prefix)) from exc
 
 
 def _build(raw: Mapping[str, Mapping[str, str]]) -> RunConfig:
@@ -368,10 +390,7 @@ def config_from_items(items: Mapping[str, str]) -> RunConfig:
 
 def with_seed(cfg: RunConfig, seed: int) -> RunConfig:
     """Copy of the configuration with a different master seed."""
-    try:
-        return replace(cfg, synth=replace(cfg.synth, rng_seed=seed))
-    except DomainError as exc:
-        raise ConfigError(f"[synth] {exc}") from exc
+    return replace(cfg, synth=replace(cfg.synth, rng_seed=seed))
 
 
 def config_items(cfg: RunConfig) -> list[tuple[str, str]]:

@@ -105,11 +105,11 @@ def analyze_run(
     pools its table in shot order, and the report is that of the public
     stages composed on the whole ensemble, bit for bit.
 
-    Each section must start inside the trace and hold a sample.  The
-    ambient, cooled and warm-up sections are checked in that order, and
-    the first that does not is refused with a `DomainError` naming its
-    `[analysis]` key before any sample is read.  `disconnect_time_s`
-    defaults to the configured cooling duration.
+    Each section must start inside the trace and hold a sample, the warm-up
+    section one `window_samples` window.  The ambient, cooled and warm-up
+    sections, then the window, are checked in that order before any sample
+    is read: the first that fails is refused with a `DomainError` on its
+    field.  `disconnect_time_s` defaults to the configured cooling duration.
     """
     acfg = cfg.analysis
     if disconnect_time_s is None:
@@ -128,7 +128,7 @@ def analyze_run(
 
     d, t_end = disconnect_time_s, float(traces.times_s[-1])
     sections = []
-    for name, key, start, stop in (
+    for name, field, start, stop in (
         ("settled ambient section after", "ambient_settle_s",
          d + acfg.ambient_settle_s, t_end + 1e-12),
         ("cooled section before", "cooled_window_s", d - acfg.cooled_window_s, d),
@@ -137,12 +137,18 @@ def analyze_run(
         columns = traces.time_columns(start, stop)
         if not 0 <= start < t_end or columns.stop == columns.start:
             raise DomainError(
-                f"no {name} the disconnect (disconnect at {d!r} s, "
-                f"analysis.{key} = {getattr(acfg, key)!r} s, trace ends at {t_end!r} s)"
+                f"= {getattr(acfg, field)!r} s leaves no {name} the disconnect at {d!r} s "
+                f"(the trace ends at {t_end!r} s)", field=field
             )
         sections.append(columns)
     ambient, cooled, warmup = sections
     n_cooled, n_ambient = cooled.stop - cooled.start, ambient.stop - ambient.start
+    n_warmup = warmup.stop - warmup.start
+    if acfg.window_samples > n_warmup:
+        raise DomainError(
+            f"= {acfg.window_samples} must not exceed the {n_warmup} samples of the "
+            "warm-up section", field="window_samples"
+        )
 
     seg = acfg.psd_segment_samples
     psd_fits = seg <= min(n_cooled, n_ambient)
@@ -167,26 +173,17 @@ def analyze_run(
             "sections shorter than one spectral segment; band-averaged level skipped"
         )
 
-    # The one test of whether the warm-up fit counts: its series was built,
-    # and the fit returned and converged.  Otherwise the depth is None, the
-    # warm-up time NaN, and `warmup_note` says why.
-    series_t, series_db = np.empty(0), np.empty(0)
+    series_t, series_db = analysis.deltap_series(
+        traces.times_s[warmup], tables.warmup_sums, ambient_level[0], acfg.window_samples
+    )
+    # The one test of whether the warm-up fit counts: it returned and
+    # converged.  Otherwise the depth is None, the warm-up time NaN, and
+    # `warmup_note` says why.
     fit = None
     depth = None
     warmup_note = None
     warmup_time = warmup_stderr = float("nan")
     try:
-        try:
-            series_t, series_db = analysis.deltap_series(
-                traces.times_s[warmup],
-                tables.warmup_sums,
-                ambient_level[0],
-                acfg.window_samples,
-            )
-        except AnalysisError as exc:
-            raise AnalysisError(
-                f"no warm-up series at [analysis] window_samples = {acfg.window_samples}: {exc}"
-            ) from exc
         fit = analysis.fit_biexponential(series_t, series_db, acfg.exclude_before_s)
         if not fit.converged:
             raise AnalysisError("exponential fit did not converge")

@@ -126,11 +126,13 @@ def noise_power_reduction_db(
 
     Negative when the mode is colder than the reference.  Antisymmetric
     under swapping the two temperatures when the two states share the
-    same port match.
+    same port match.  A noiseless cooled state gives -inf, and a
+    noiseless reference inf, or NaN when both are noiseless.
     """
     num = system_output_noise_kelvin(chain, t_mode_k)
     den = system_output_noise_kelvin(chain, t_ambient_k, reference=True)
-    return 10.0 * math.log10(num / den)
+    ratio = num / den if den else math.inf * num
+    return 10.0 * math.log10(ratio) if ratio else -math.inf
 
 
 def noise_power_reduction_floor_db(chain: ReceiverChain, t_ambient_k: float) -> float:

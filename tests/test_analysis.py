@@ -335,6 +335,17 @@ def test_band_deltap_validation():
         band_averaged_deltap(sd, other, (1e6, 3e6))
 
 
+def test_band_deltap_needs_a_bin_and_gives_no_stderr_from_one():
+    f = np.linspace(0.0, 5e6, 6)  # a bin every 1 MHz
+    sd = SpectralDensity(f, np.full(6, 1e-9))
+    with pytest.raises(DomainError, match="no spectral bins inside the band"):
+        band_averaged_deltap(sd, sd, (1.2e6, 1.8e6))
+    # One bin has no scatter to estimate an uncertainty from.
+    est = band_averaged_deltap(sd, SpectralDensity(f, np.full(6, 2e-9)), (1.5e6, 2.5e6))
+    assert est.value_db == pytest.approx(10.0 * math.log10(0.5), abs=1e-12)
+    assert math.isnan(est.stderr_db)
+
+
 def test_band_deltap_edge_bins_do_not_hang_on_the_last_bit_of_the_spacing():
     # The default band [5, 10] MHz falls exactly on bins 64 and 128 of a
     # 256-point segment at 20 MS/s.  Identical spectra on the grids of

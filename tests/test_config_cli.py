@@ -136,7 +136,10 @@ def test_run_config_validation():
     # a step so fine that the sample count overflows has no grid
     with pytest.raises(DomainError) as refused:
         replace(base, synth=replace(base.synth, sample_interval_s=1e-320))
-    assert str(refused.value) == "no finite sample grid of 0.00016 s every 1e-320 s"
+    assert str(refused.value) == (
+        "[protocol] trace_length_s = 0.00016 must cover a finite number of intervals "
+        "of [synth] sample_interval_s = 1e-320"
+    )
 
 
 def test_persistent_indices_empty_when_all_ports_cool():
@@ -304,9 +307,9 @@ def test_with_seed():
     assert seeded.synth.rng_seed == 99
     assert cfg.synth.rng_seed == 20260817
     assert config_digest(seeded) != config_digest(cfg)
-    with pytest.raises(ConfigError):
+    with pytest.raises(DomainError, match="rng_seed must be >= 0, got -1"):
         with_seed(cfg, -1)
-    with pytest.raises(ConfigError):
+    with pytest.raises(DomainError, match="rng_seed must be <= "):
         with_seed(cfg, 2 ** 64)
 
 
@@ -439,7 +442,7 @@ def test_cli_steady_refuses_a_level_that_overflows(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == (
         f"config error: {ini}: non-finite deltap_predicted_db = nan: the closed form "
-        f"overflows on [receiver] {_RECEIVER_KEYS}; [mode] wall_temperature_k; "
+        f"has no finite value for [receiver] {_RECEIVER_KEYS}; [mode] wall_temperature_k; "
         f"[port.cooling] {_PORT_KEYS}; [port.monitoring] {_PORT_KEYS}\n"
     )
 
@@ -455,8 +458,9 @@ def test_cli_steady_refuses_a_mode_temperature_that_overflows(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        f"config error: {ini}: non-finite t_mode_cooled_k = inf: the closed form overflows "
-        f"on [mode] wall_temperature_k; [port.cool] {_PORT_KEYS}; [port.mon] {_PORT_KEYS}\n"
+        f"config error: {ini}: non-finite t_mode_cooled_k = inf: the closed form has no "
+        f"finite value for [mode] wall_temperature_k; [port.cool] {_PORT_KEYS}; "
+        f"[port.mon] {_PORT_KEYS}\n"
     )
 
 
@@ -466,7 +470,7 @@ def test_cli_steady_refuses_an_occupancy_that_overflows(tmp_path, capsys):
     assert cli.main(["steady", "--config", ini]) == 2
     assert capsys.readouterr().err == (
         f"config error: {ini}: non-finite occupancy_cooled = inf, occupancy_ambient = inf: "
-        "the closed form overflows on [mode] frequency_hz; [mode] wall_temperature_k; "
+        "the closed form has no finite value for [mode] frequency_hz; [mode] wall_temperature_k; "
         f"[port.cooling] {_PORT_KEYS}; [port.monitoring] {_PORT_KEYS}\n"
     )
 
@@ -481,7 +485,7 @@ def test_cli_sweep_refuses_a_grid_that_overflows(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == (
         "config error: non-finite mode_temperature_k at coupling 1e+308, load 2.0 K = inf: "
-        "the closed form overflows on --coupling-min, --coupling-max, --cold-min, "
+        "the closed form has no finite value for --coupling-min, --coupling-max, --cold-min, "
         f"--cold-max; [mode] wall_temperature_k; [port.cooling] {_PORT_KEYS}; "
         f"[port.monitoring] {_PORT_KEYS}\n"
     )
@@ -497,13 +501,14 @@ _BATH_KEYS = (
     # 1/reference_impedance_ohm overflows: the traces held -inf and inf.
     ("[receiver]\nreference_impedance_ohm = 1e-320\n[synth]\nn_shots = 2\n",
      "receiver output noise at the cooled mode temperature = inf, receiver output "
-     "noise at the ambient mode temperature = inf: the closed form overflows on "
+     "noise at the ambient mode temperature = inf: the closed form has no finite value for "
      f"[receiver] {_RECEIVER_KEYS}; {_BATH_KEYS}"),
     # voltage_scale**2 times the output noise overflows: synthesis warned of
     # an overflow and wrote samples near 1e162 that analyze cannot square.
     ("[synth]\nvoltage_scale = 1e160\nn_shots = 3\n",
      "sample variance at the cooled mode temperature = inf, sample variance at the "
-     "ambient mode temperature = inf: the closed form overflows on [synth] voltage_scale; "
+     "ambient mode temperature = inf: the closed form has no finite value for [synth] "
+     "voltage_scale; "
      f"[receiver] {_RECEIVER_KEYS}; {_BATH_KEYS}"),
 ], ids=["reference-impedance", "voltage-scale"])
 def test_cli_simulate_refuses_a_non_finite_receiver_noise(tmp_path, capsys, body, refused):
@@ -1235,9 +1240,9 @@ def test_analyze_run_does_not_invert_a_mode_hotter_than_the_reference():
 def test_analyze_run_window_validation():
     cfg = _small_config(2)
     traces = simulate_run(cfg).traces
-    with pytest.raises(DomainError, match=r"1e-05 s, analysis\.cooled_window_s"):
+    with pytest.raises(DomainError, match=r"^cooled_window_s = 2e-05 s .* disconnect at 1e-05 s"):
         analyze_run(traces, cfg, disconnect_time_s=10e-6)
-    with pytest.raises(DomainError, match=r"0\.00011 s, analysis\.ambient_settle_s"):
+    with pytest.raises(DomainError, match=r"^ambient_settle_s = 6e-05 s .* at 0\.00011 s"):
         analyze_run(traces, cfg, disconnect_time_s=110e-6)
     with pytest.raises(DomainError):
         analyze_run(NoiseTrace(traces.times_s, traces.voltages_v[:0]), cfg)
@@ -1324,10 +1329,15 @@ def test_cli_config_error_exit_codes(tmp_path, capsys):
     assert rc == 2
     assert "config error" in capsys.readouterr().err
 
+    # --seed is checked as it is parsed, like every float option: it is an
+    # option, not the [synth] rng_seed key of any file.
     out = tmp_path / "out"
-    rc = cli.main(["simulate", "--seed", "-1", "--out", str(out)])
-    assert rc == 2
-    assert "config error" in capsys.readouterr().err
+    for seed in ("-1", str(2 ** 64), "3.5"):
+        with pytest.raises(SystemExit) as exited:
+            cli.main(["simulate", "--seed", seed, "--out", str(out)])
+        assert exited.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --seed: invalid seed: '{seed}' (need 0 to {2 ** 64 - 1})" in err
     assert not out.exists()
 
 
@@ -1386,6 +1396,19 @@ def test_cli_sweep_named_port_and_validation(tmp_path, capsys):
 
     assert cli.main(["sweep", "--out", str(tmp_path), "--coupling-min", "0"]) == 2
     assert cli.main(["sweep", "--out", str(tmp_path), "--port", "nope"]) == 2
+
+
+@pytest.mark.parametrize("options, refused", [
+    (["--cold-min", "-1"], "need 0 <= cold-min <= cold-max"),
+    (["--cold-min", "300", "--cold-max", "290"], "need 0 <= cold-min <= cold-max"),
+    (["--coupling-points", "0"], "point counts must be >= 1"),
+    (["--cold-points", "0"], "point counts must be >= 1"),
+])
+def test_cli_sweep_refuses_a_bad_axis(tmp_path, capsys, options, refused):
+    out = tmp_path / "out"
+    assert cli.main(["sweep", "--out", str(out), *options]) == 2
+    assert capsys.readouterr() == ("", f"config error: {refused}\n")
+    assert not out.exists()
 
 
 def test_cli_simulate_analyze_round_trip(tmp_path, capsys):
@@ -1768,28 +1791,38 @@ def test_cli_analyze_nonconvergence_exit_code(tmp_path, capsys):
     out = tmp_path / "run"
     assert cli.main(["simulate", "--config", ini, "--out", str(out),
                      "--porcelain"]) == 0
-    # a warm-up window shorter than one averaging block leaves nothing to fit
+    # one window spanning the whole warm-up section leaves one point to fit
     wide = _ini(tmp_path, (
-        "[synth]\nn_shots = 2\n\n[analysis]\nwindow_samples = 100000\n"
+        "[synth]\nn_shots = 2\n\n[analysis]\nwindow_samples = 600\n"
     ), "wide.ini")
     capsys.readouterr()
     rc = cli.main(["analyze", str(out / "run.meta"), "--config", wide, "--porcelain"])
     assert rc == 5
     captured = capsys.readouterr()
-    assert "analysis error" in captured.err
-    # The levels that need no series are still printed, and a note names the key.
+    # The levels that need no fit are still printed, and the note, also on
+    # stderr, gives the cause.
     d = _porcelain(captured.out)
     assert {"deltap_direct_db", "deltap_direct_stderr_db", "deltap_band_db"} <= d.keys()
-    assert d["note.0"] == (
-        "warm-up fit unavailable: no warm-up series at [analysis] window_samples = "
-        "100000: section of 600 samples is shorter than one window"
-    )
+    note = "warm-up fit unavailable: need at least 8 usable points after exclusion, have 1"
+    assert d["note.0"] == note
+    assert captured.err == f"analysis error: {note}\n"
     assert "fit_a1_db" not in d and "depth_fit_db" not in d
 
 
+def test_cli_analyze_window_longer_than_the_warmup_section_exits_2(tmp_path, capsys):
+    # A window that the warm-up section cannot hold is refused with the
+    # sections, before a sample is read: it gave exit 5 after the levels.
+    meta = _four_shot_meta(tmp_path, capsys)
+    wide = _ini(tmp_path, "[synth]\nn_shots = 4\n[analysis]\nwindow_samples = 601\n", "wide.ini")
+    assert cli.main(["analyze", str(meta), "--config", wide, "--porcelain"]) == 2
+    assert capsys.readouterr() == ("", (
+        f"config error: {wide}: [analysis] window_samples = 601 must not exceed the "
+        "600 samples of the warm-up section\n"
+    ))
+
+
 @pytest.mark.parametrize("analysis_items, cause", [
-    ("window_samples = 100000", "no warm-up series at [analysis] window_samples = "
-     "100000: section of 600 samples is shorter than one window"),
+    ("window_samples = 600", "need at least 8 usable points after exclusion, have 1"),
     ("exclude_before_s = 1.0", "need at least 8 usable points after exclusion, have 0"),
 ])
 def test_analyze_without_a_fit_gives_the_note_s_cause_on_stderr(
@@ -1833,15 +1866,15 @@ def test_unconverged_fit_gives_no_depth_and_analyze_exits_5(tmp_path, capsys, mo
     assert d["warmup_time_s"] == d["warmup_stderr_s"] == "nan"
     assert "depth_fit_db" not in d
     assert "warm-up fit unavailable: exponential fit did not converge" in d.values()
-    assert "analysis error: warm-up fit did not converge" in err
+    assert err == "analysis error: warm-up fit unavailable: exponential fit did not converge\n"
 
 
 @pytest.mark.parametrize("disconnect, key", [
-    ("0", "analysis.cooled_window_s = 2e-05"),
-    ("5e-6", "analysis.cooled_window_s = 2e-05"),
-    ("1.9e-4", "analysis.ambient_settle_s = 6e-05"),
-    ("2e-4", "analysis.ambient_settle_s = 6e-05"),
-    ("3e-4", "analysis.ambient_settle_s = 6e-05"),
+    ("0", "analysis] cooled_window_s = 2e-05 s leaves no cooled section before"),
+    ("5e-6", "analysis] cooled_window_s = 2e-05 s leaves no cooled section before"),
+    ("1.9e-4", "analysis] ambient_settle_s = 6e-05 s leaves no settled ambient section"),
+    ("2e-4", "analysis] ambient_settle_s = 6e-05 s leaves no settled ambient section"),
+    ("3e-4", "analysis] ambient_settle_s = 6e-05 s leaves no settled ambient section"),
 ])
 def test_cli_analyze_disconnect_outside_the_comparison_windows_exits_2(
     tmp_path, capsys, disconnect, key
@@ -1858,8 +1891,8 @@ def test_cli_analyze_disconnect_outside_the_comparison_windows_exits_2(
     rc = cli.main(["analyze", *traces, "--config", timed])
     err = capsys.readouterr().err
     assert rc == 2
-    assert err.startswith("config error: ")
-    assert f"disconnect at {float(disconnect)!r} s" in err and key in err
+    assert err.startswith(f"config error: {timed}: [")
+    assert f"the disconnect at {float(disconnect)!r} s" in err and key in err
 
 
 def test_cli_analyze_warmup_window_without_a_sample_exits_2_and_names_the_key(
@@ -1874,8 +1907,8 @@ def test_cli_analyze_warmup_window_without_a_sample_exits_2_and_names_the_key(
     assert rc == 2
     assert out == ""
     assert err == (
-        "config error: no warm-up section after the disconnect (disconnect at 4e-05 s, "
-        "analysis.fit_window_s = 1e-09 s, trace ends at 0.00015999999999999999 s)\n"
+        f"config error: {short}: [analysis] fit_window_s = 1e-09 s leaves no warm-up section "
+        "after the disconnect at 4e-05 s (the trace ends at 0.00015999999999999999 s)\n"
     )
 
 
@@ -1896,8 +1929,9 @@ def test_cli_analyze_cooled_window_without_a_sample_exits_2_and_names_the_key(
     assert rc == 2
     assert captured.out == ""
     assert captured.err == (
-        "config error: no cooled section before the disconnect (disconnect at 4.1e-05 s, "
-        "analysis.cooled_window_s = 1e-09 s, trace ends at 0.00015999999999999999 s)\n"
+        f"config error: {short}: [analysis] cooled_window_s = 1e-09 s leaves no cooled "
+        "section before the disconnect at 4.1e-05 s (the trace ends at "
+        "0.00015999999999999999 s)\n"
     )
 
 
@@ -1911,8 +1945,101 @@ def test_analyze_run_refuses_an_empty_section_before_a_data_fault():
     with pytest.raises(AnalysisError, match="non-positive section power"):
         analyze_run(ones, cfg)
     short = replace(cfg, analysis=replace(cfg.analysis, fit_window_s=1e-9))
-    with pytest.raises(DomainError, match=r"no warm-up section .* analysis\.fit_window_s = 1e-09"):
+    with pytest.raises(DomainError, match=r"^fit_window_s = 1e-09 s leaves no warm-up section"):
         analyze_run(ones, short)
+
+
+def test_band_level_past_nyquist_is_a_note():
+    # At 100 ns sampling the 5 MHz Nyquist sits below the 10 MHz band edge;
+    # 64-sample segments fit the default sections, so the band is tried.
+    cfg = default_run_config()
+    cfg = replace(cfg, n_shots=4, synth=replace(cfg.synth, sample_interval_s=100e-9),
+                  analysis=replace(cfg.analysis, psd_segment_samples=64))
+    report = analyze_run(simulate_run(cfg).traces, cfg)
+    assert report.deltap_band is None and report.cold_psd is not None
+    assert report.notes[:2] == [
+        "boxcar width rounds to one sample; spectral extraction skipped",
+        "band-averaged level unavailable: band upper edge 10000000.0 Hz extends past "
+        "the spectrum (5000000.0000000475 Hz)",
+    ]
+
+
+# The cooling port decoupled, so the warm-up has no cooled state to leave.
+_DECOUPLED_PORTS = (
+    "[port.cooling]\ncoupling = 0\nload_temperature_k = 18.4\nlink_loss_db = 0.19\n"
+    "link_temperature_k = 290.0\nloss_model = linear\nrole = cooling\n"
+    "[port.monitoring]\ncoupling = 1.0\nload_temperature_k = 18.4\nlink_loss_db = 6.05\n"
+    "link_temperature_k = 290.0\nloss_model = exact\nrole = monitoring\n"
+)
+
+
+def test_degenerate_warmup_fit_covariance_is_a_note(tmp_path):
+    # Seed 102 puts tau at the lower edge of the scan: jac.T @ jac is then
+    # singular and its pseudo-inverse gave a negative amplitude variance,
+    # which died with "math domain error" in fit_biexponential.
+    ini = _ini(tmp_path, _DECOUPLED_PORTS + "[synth]\nn_shots = 60\n")
+    cfg = with_seed(load_run_config(ini), 102)
+    report = analyze_run(simulate_run(cfg).traces, cfg)
+    assert report.depth_db is None and report.fit is None
+    assert report.warmup_note.startswith(
+        "warm-up fit unavailable: fit covariance has a negative or non-finite variance at tau = "
+    )
+    assert report.warmup_note in report.notes
+
+
+_IDEAL_RECEIVER = (
+    "[receiver]\nlna_t_min_k = 0\nlna_noise_resistance_ohm = 0\npost_stage_noise_k = 0\n"
+)
+_NOISELESS_BATHS = (
+    "[mode]\nwall_temperature_k = 0\n"
+    "[port.cooling]\ncoupling = 3.8\nload_temperature_k = 0\nrole = cooling\n"
+    "[port.monitoring]\ncoupling = 1.0\nload_temperature_k = 0\nrole = monitoring\n"
+)
+
+
+@pytest.mark.parametrize("body, seed, analyze, code", [
+    # A noiseless receiver and baths: 0 / 0 died with ZeroDivisionError.
+    (_NOISELESS_BATHS + _IDEAL_RECEIVER, None, None, 2),
+    # The cooled state matched to the LNA optimum: log10(0), a math domain error.
+    (_NOISELESS_BATHS + "[receiver]\nlna_t_min_k = 0\npost_stage_noise_k = 0\n"
+     "cavity_reflection_real = 0.073\ncavity_reflection_imag = 0.125\n", None, None, 2),
+    # An ideal receiver's floor is -inf dB, and every level is inverted.
+    (_IDEAL_RECEIVER + "[synth]\nn_shots = 40\n", None, "meta", 0),
+    # A singular fit covariance.
+    (_DECOUPLED_PORTS + "[synth]\nn_shots = 60\n", "102", "meta", 5),
+    # Samples whose squares overflow, read from the sidecar and from the CSVs.
+    ("[synth]\nvoltage_scale = 5e151\nn_shots = 3\n", None, "meta", 2),
+    ("[synth]\nvoltage_scale = 5e151\nn_shots = 3\n", None, "csv", 4),
+], ids=["noiseless", "matched", "ideal-receiver", "singular-fit", "overflow-meta",
+        "overflow-csv"])
+def test_cli_in_bound_extremes_exit_named_or_finite(tmp_path, capsys, body, seed, analyze, code):
+    # In process, so tier-1 turns a numpy RuntimeWarning into a failure, and
+    # a traceback fails the test.  Exit 0 prints only finite numbers; any
+    # other exit names a key or a file.
+    ini = _ini(tmp_path, body)
+    run = tmp_path / "run"
+    if analyze is None:
+        argv = ["steady", "--config", ini, "--porcelain"]
+    else:
+        seeded = ["--seed", seed] if seed else []
+        assert cli.main(["simulate", "--config", ini, "--out", str(run), *seeded]) == 0
+        capsys.readouterr()
+        inputs = [str(run / "run.meta")] if analyze == "meta" else sorted(
+            str(path) for path in run.glob("trace_*.csv"))
+        argv = ["analyze", *inputs, "--porcelain", "--out", str(tmp_path / "emitted")]
+    assert cli.main(argv) == code
+    out, err = capsys.readouterr()
+    numbers = [value for key, value in _porcelain(out).items()
+               if not key.startswith(("note.", "fit_converged", "fit_collapsed"))]
+    if code == 0:
+        assert err == "" and all(math.isfinite(float(value)) for value in numbers)
+    elif code == 5:
+        assert err.startswith("analysis error: warm-up fit unavailable: ")
+    else:
+        assert out == ""
+        files = (f"{ini}: ", f"{run / 'run.meta'}: ", f"{run / 'trace_000.csv'}, ")
+        assert err.partition(" error: ")[2].startswith(files), err
+        assert code == 4 or "[receiver] " in err or "[synth] voltage_scale " in err
 
 
 def _one_port_run(tmp_path, capsys, n_shots=20):
