@@ -93,14 +93,19 @@ def _where(args, field: "str | None" = None) -> str:
     return f"{path}: " if path else ""
 
 
-def _refuse_non_finite(cfg: RunConfig, results: list[tuple[str, float]], *sources: str) -> None:
+def _refuse_non_finite(
+    cfg: RunConfig, results: list[tuple[str, float]], *sources: str, positive: bool = False
+) -> None:
     """Refuse closed-form `results`, (output key, value) pairs, that are not finite
-    although every value is in bounds, naming `sources`: fields of `cfg` or options."""
-    bad = [f"{key} = {value!r}" for key, value in results if not math.isfinite(value)]
+    (or, with `positive`, not > 0) although every value is in bounds, naming
+    `sources`: fields of `cfg` or options."""
+    need = "positive" if positive else "finite"
+    bad = [f"{key} = {value!r}" for key, value in results
+           if not (value > 0 if positive else math.isfinite(value))]
     if bad:
         keys = [name for f in sources for name in _key_names(f, cfg.baths.ports) or [f]]
         bad, keys = ", ".join(bad), "; ".join(keys)
-        raise DomainError(f"non-finite {bad}: the closed form has no finite value for {keys}")
+        raise DomainError(f"non-{need} {bad}: the closed form has no {need} value for {keys}")
 
 
 def _steady_temperatures(cfg: RunConfig) -> tuple[float, float]:
@@ -236,6 +241,8 @@ def cmd_simulate(args, cfg: RunConfig) -> None:
         variance.append((f"sample variance at the {name} mode temperature", sigma * sigma))
     _refuse_non_finite(cfg, noise, "receiver", "baths")
     _refuse_non_finite(cfg, variance, "voltage_scale", "receiver", "baths")
+    # A run without noise has no level for `analyze` to form.
+    _refuse_non_finite(cfg, variance, "voltage_scale", "receiver", "baths", positive=True)
     result = simulate_run(cfg)
     meta_path = tracefile.write_run(args.out, cfg, result)
     trajectory = tracefile.TRAJECTORY_FILE
@@ -287,28 +294,20 @@ def _deltap_row(prefix: str, label: str, estimate) -> _Row:
 
 
 def cmd_analyze(args, cfg: RunConfig) -> None:
-    import numpy as np
-
     from . import textformat
     from .pipeline import analyze_run
-    from .receiver import noise_power_reduction_curve
 
     traces, cfg = _load_analysis_inputs(args, cfg)
-    # Finite samples can still square past the float range.  The first sum
-    # that overflows is refused, by what set the samples, before any level
-    # is printed.
+    # Samples no level can be formed from (too large to square, or without
+    # noise power) are refused, by what set them, before any level is printed.
     try:
-        with np.errstate(over="raise", invalid="raise"):
-            report = analyze_run(traces, cfg)
-    except FloatingPointError as exc:
+        report = analyze_run(traces, cfg)
+    except AnalysisError as exc:
         if _sidecar(args):
             raise DomainError(
-                f"= {cfg.synth.voltage_scale!r} gives samples too large to analyse ({exc})",
-                field="voltage_scale",
+                f"= {cfg.synth.voltage_scale!r} gives {exc}", field="voltage_scale"
             ) from None
-        raise DataFormatError(
-            f"{', '.join(args.inputs)}: samples too large to analyse ({exc})"
-        ) from None
+        raise DataFormatError(f"{', '.join(args.inputs)}: {exc}") from None
 
     rows = [
         ([("n_shots", str(report.n_shots))], f"{'shots analyzed':34s}: {report.n_shots}"),
@@ -365,8 +364,11 @@ def cmd_analyze(args, cfg: RunConfig) -> None:
             if psd is not None
         ]
     if args.emit_deltap_curve:
-        t_grid = np.linspace(0.0, t_ambient, 256)
-        curve = noise_power_reduction_curve(cfg.receiver, t_ambient, t_grid)
+        t_grid = _linear_axis(0.0, t_ambient, 256)
+        curve = [noise_power_reduction_db(cfg.receiver, t, t_ambient) for t in t_grid]
+        bad = [(f"deltap_db at t_mode_k {t!r}", value)
+               for t, value in zip(t_grid, curve) if not math.isfinite(value)]
+        _refuse_non_finite(cfg, bad[:1], "receiver")
         tables.append((
             "deltap_curve.csv", ("t_mode_k", "deltap_db"), zip(t_grid, curve),
             "level-vs-temperature curve",

@@ -109,7 +109,9 @@ def analyze_run(
     section one `window_samples` window.  The ambient, cooled and warm-up
     sections, then the window, are checked in that order before any sample
     is read: the first that fails is refused with a `DomainError` on its
-    field.  `disconnect_time_s` defaults to the configured cooling duration.
+    field.  Samples whose sums of squares overflow, or whose cooled or ambient
+    section holds no power, then raise `AnalysisError`.  `disconnect_time_s`
+    defaults to the configured cooling duration.
     """
     acfg = cfg.analysis
     if disconnect_time_s is None:
@@ -152,30 +154,38 @@ def analyze_run(
 
     seg = acfg.psd_segment_samples
     psd_fits = seg <= min(n_cooled, n_ambient)
-    tables = analysis.tabulate_shots(
-        traces, cooled, ambient, warmup, acfg.window_samples, width, seg if psd_fits else None
-    )
-    ambient_level = analysis.pooled_level(tables.ambient_sums, n_ambient)
-    deltap_direct = analysis.segment_deltap(
-        analysis.pooled_level(tables.cooled_sums, n_cooled), ambient_level
-    )
-
+    band = (acfg.band_low_hz, acfg.band_high_hz)
     deltap_band = None
-    if psd_fits:
-        try:
-            deltap_band = analysis.band_averaged_deltap(
-                tables.cold_psd, tables.ambient_psd, (acfg.band_low_hz, acfg.band_high_hz)
+    # Finite samples can still square past the float range: the first sum
+    # that overflows is refused before any level is formed.
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            tables = analysis.tabulate_shots(
+                traces, cooled, ambient, warmup, acfg.window_samples, width,
+                seg if psd_fits else None,
             )
-        except (DomainError, AnalysisError) as exc:
-            notes.append(f"band-averaged level unavailable: {exc}")
-    else:
-        notes.append(
-            "sections shorter than one spectral segment; band-averaged level skipped"
-        )
+            ambient_level = analysis.pooled_level(tables.ambient_sums, n_ambient)
+            deltap_direct = analysis.segment_deltap(
+                analysis.pooled_level(tables.cooled_sums, n_cooled), ambient_level
+            )
+            if psd_fits:
+                try:
+                    deltap_band = analysis.band_averaged_deltap(
+                        tables.cold_psd, tables.ambient_psd, band
+                    )
+                except (DomainError, AnalysisError) as exc:
+                    notes.append(f"band-averaged level unavailable: {exc}")
+            else:
+                notes.append(
+                    "sections shorter than one spectral segment; band-averaged level skipped"
+                )
+            series_t, series_db = analysis.deltap_series(
+                traces.times_s[warmup], tables.warmup_sums, ambient_level[0],
+                acfg.window_samples,
+            )
+    except FloatingPointError as exc:
+        raise AnalysisError(f"samples too large to analyse ({exc})") from None
 
-    series_t, series_db = analysis.deltap_series(
-        traces.times_s[warmup], tables.warmup_sums, ambient_level[0], acfg.window_samples
-    )
     # The one test of whether the warm-up fit counts: it returned and
     # converged.  Otherwise the depth is None, the warm-up time NaN, and
     # `warmup_note` says why.

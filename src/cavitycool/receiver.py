@@ -175,19 +175,3 @@ def infer_mode_temperature(
     at_zero = system_output_noise_kelvin(chain, 0.0)
     per_kelvin = system_output_noise_kelvin(chain, 1.0) - at_zero
     return max(0.0, (10.0 ** (deltap_db / 10.0) * reference - at_zero) / per_kelvin)
-
-
-def noise_power_reduction_curve(
-    chain: ReceiverChain,
-    t_ambient_k: float,
-    t_mode_grid_k: "numpy.typing.ArrayLike",
-) -> "numpy.ndarray":
-    """Vectorised `noise_power_reduction_db` over a grid of mode temperatures."""
-    import numpy as np
-
-    grid = np.asarray(t_mode_grid_k, dtype=float)
-    if grid.size == 0:
-        raise DomainError("temperature grid must be non-empty")
-    num = system_output_noise_kelvin(chain, grid)
-    den = system_output_noise_kelvin(chain, t_ambient_k, reference=True)
-    return 10.0 * np.log10(num / den)

@@ -163,14 +163,16 @@ class BathPort:
 
     def delivered_temperature_k(self) -> float:
         """Noise temperature this port presents to the mode, after link loss."""
-        if self.link_loss_db == 0:
-            return self.load_temperature_k
-        return link_output_temperature(
-            self.link_loss_db,
-            self.load_temperature_k,
-            self.link_temperature_k,
-            self.loss_model,
-        )
+        return _delivered_k(self, self.load_temperature_k)
+
+
+def _delivered_k(port: BathPort, load_temperature_k: float) -> float:
+    """What `port` delivers with its load at `load_temperature_k`."""
+    if port.link_loss_db == 0:
+        return load_temperature_k
+    return link_output_temperature(
+        port.link_loss_db, load_temperature_k, port.link_temperature_k, port.loss_model
+    )
 
 
 @dataclass(frozen=True)
@@ -196,6 +198,16 @@ class BathSet:
         return sum(p.coupling for p in self.ports)
 
 
+def _weighted_temperature(intrinsic_k: float, pairs: Iterable[tuple[float, float]]) -> float:
+    """(T_0 + sum(kappa_i * T_i')) / (1 + sum(kappa_i)) over (coupling, delivered
+    temperature) pairs, summed in port order."""
+    weighted, total = intrinsic_k, 0
+    for coupling, delivered in pairs:
+        weighted += coupling * delivered
+        total += coupling
+    return weighted / (1.0 + total)
+
+
 def mode_temperature(baths: BathSet) -> float:
     """Steady-state mode temperature of a cavity in the given environment.
 
@@ -206,10 +218,10 @@ def mode_temperature(baths: BathSet) -> float:
 
     where T_0 is the intrinsic (wall) temperature.
     """
-    weighted = baths.intrinsic_temperature_k
-    for port in baths.ports:
-        weighted += port.coupling * port.delivered_temperature_k()
-    return weighted / (1.0 + baths.total_coupling())
+    return _weighted_temperature(
+        baths.intrinsic_temperature_k,
+        [(port.coupling, port.delivered_temperature_k()) for port in baths.ports],
+    )
 
 
 def sweep_mode_temperature(
@@ -222,7 +234,8 @@ def sweep_mode_temperature(
 
     The port at `port_index` is swept; every other port and the intrinsic
     bath stay fixed.  Returns one row per coupling, holding one mode
-    temperature per load temperature.
+    temperature per load temperature: each is `mode_temperature` of the
+    bath set with the swept port at that coupling and load, bit for bit.
     """
     couplings = [float(k) for k in couplings]
     loads = [float(t) for t in load_temperatures_k]
@@ -233,22 +246,12 @@ def sweep_mode_temperature(
     if not 0 <= port_index < len(baths.ports):
         raise DomainError(f"port index {port_index} out of range")
 
+    pairs = [(p.coupling, p.delivered_temperature_k()) for p in baths.ports]
+    head, tail = pairs[:port_index], pairs[port_index + 1:]
     swept = baths.ports[port_index]
-    fixed_weighted = baths.intrinsic_temperature_k + sum(
-        p.coupling * p.delivered_temperature_k()
-        for i, p in enumerate(baths.ports)
-        if i != port_index
-    )
-    fixed_coupling = sum(
-        p.coupling for i, p in enumerate(baths.ports) if i != port_index
-    )
-
-    # Link mixing is affine in the load temperature, so the delivered
-    # temperature for every grid load follows from two evaluations.
-    t0 = replace(swept, load_temperature_k=0.0).delivered_temperature_k()
-    t1 = replace(swept, load_temperature_k=1.0).delivered_temperature_k()
-    delivered = [t0 + (t1 - t0) * x for x in loads]
+    delivered = [_delivered_k(swept, load) for load in loads]
+    intrinsic = baths.intrinsic_temperature_k
     return [
-        [(fixed_weighted + k * d) / (1.0 + fixed_coupling + k) for d in delivered]
+        [_weighted_temperature(intrinsic, [*head, (k, d), *tail]) for d in delivered]
         for k in couplings
     ]

@@ -346,6 +346,15 @@ def test_band_deltap_needs_a_bin_and_gives_no_stderr_from_one():
     assert math.isnan(est.stderr_db)
 
 
+def test_band_deltap_refuses_zero_band_power():
+    f = np.linspace(0.0, 5e6, 100)
+    sd = SpectralDensity(f, np.full(100, 1e-9))
+    silent = SpectralDensity(f, np.zeros(100))
+    for cold, ambient in ((silent, sd), (sd, silent)):
+        with pytest.raises(AnalysisError, match="^non-positive band power; cannot form"):
+            band_averaged_deltap(cold, ambient, (1e6, 3e6))
+
+
 def test_band_deltap_edge_bins_do_not_hang_on_the_last_bit_of_the_spacing():
     # The default band [5, 10] MHz falls exactly on bins 64 and 128 of a
     # 256-point segment at 20 MS/s.  Identical spectra on the grids of
@@ -487,6 +496,12 @@ def test_fit_respects_exclusion_window():
     assert fit.collapsed_single
     assert abs(fit.tau1_s - 9e-6) / 9e-6 < 1e-6
     assert fit.n_points == int(np.sum(t >= 2e-6))
+
+
+def test_fit_refuses_equal_times():
+    t = np.full(20, 5e-6)
+    with pytest.raises(AnalysisError, match="^degenerate time axis$"):
+        fit_biexponential(t, np.full(20, -1.0), 2e-6)
 
 
 def test_fit_drops_non_finite_points():

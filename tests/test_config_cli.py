@@ -2042,6 +2042,74 @@ def test_cli_in_bound_extremes_exit_named_or_finite(tmp_path, capsys, body, seed
         assert code == 4 or "[receiver] " in err or "[synth] voltage_scale " in err
 
 
+@pytest.mark.parametrize("voltage_scale", [5e151, 1e80])
+def test_analyze_run_refuses_overflowing_samples_with_one_package_error(voltage_scale):
+    # In process these returned NaN levels after numpy RuntimeWarnings
+    # (5e151) or raised OverflowError from the band variance (1e80).
+    cfg = default_run_config()
+    cfg = replace(cfg, n_shots=3, synth=replace(cfg.synth, voltage_scale=voltage_scale))
+    sim = simulate_run(cfg)
+    with pytest.raises(AnalysisError, match=r"^samples too large to analyse \(overflow "):
+        analyze_run(sim.traces, cfg, sim.disconnect_time_s)
+
+
+@pytest.mark.parametrize("body", [
+    "[synth]\nvoltage_scale = 0\nn_shots = 4\n",
+    _NOISELESS_BATHS + _IDEAL_RECEIVER + "[synth]\nn_shots = 4\n",
+], ids=["no-voltage-scale", "noiseless-bench"])
+def test_cli_simulate_refuses_a_run_without_noise(tmp_path, capsys, body):
+    # Both simulated with exit 0, and `analyze` then exited 5 naming no
+    # key or file.
+    ini = _ini(tmp_path, body)
+    run = tmp_path / "run"
+    assert cli.main(["simulate", "--config", ini, "--out", str(run)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and not run.exists()
+    assert err.startswith(
+        f"config error: {ini}: non-positive sample variance at the cooled mode temperature "
+        "= 0.0, sample variance at the ambient mode temperature = 0.0: the closed form has "
+        "no positive value for [synth] voltage_scale; [receiver] lna_gain_linear, "
+    )
+    assert "; [mode] wall_temperature_k; [port.cooling] coupling, " in err
+
+
+def test_cli_analyze_names_the_files_of_samples_without_noise_power(tmp_path, capsys):
+    # A library run without noise holds only its switch transients, which
+    # the ensemble mean removes: no section has power to form a level from.
+    cfg = default_run_config()
+    cfg = replace(cfg, n_shots=4, synth=replace(cfg.synth, voltage_scale=0.0))
+    run = tmp_path / "run"
+    meta = tracefile.write_run(str(run), cfg, simulate_run(cfg))
+    traces = [str(run / f"trace_{i:03d}.csv") for i in range(4)]
+    assert cli.main(["analyze", *traces, "--porcelain"]) == 4
+    assert capsys.readouterr() == ("", (
+        f"data format error: {', '.join(traces)}: non-positive section power; "
+        "cannot form a level ratio\n"
+    ))
+    assert cli.main(["analyze", meta, "--porcelain"]) == 2
+    assert capsys.readouterr() == ("", (
+        f"config error: {meta}: [synth] voltage_scale = 0.0 gives non-positive section "
+        "power; cannot form a level ratio\n"
+    ))
+
+
+def test_cli_deltap_curve_of_an_ideal_receiver_is_refused_before_any_row(tmp_path, capsys):
+    # Its 0 K point is -inf dB; the curve wrote a `0.0,-inf` row after a
+    # RuntimeWarning.
+    ini = _ini(tmp_path, _IDEAL_RECEIVER + "[synth]\nn_shots = 40\n")
+    run, emitted = tmp_path / "run", tmp_path / "emitted"
+    assert cli.main(["simulate", "--config", ini, "--out", str(run)]) == 0
+    capsys.readouterr()
+    argv = ["analyze", str(run / "run.meta"), "--porcelain", "--out", str(emitted)]
+    assert cli.main([*argv, "--emit-series", "--emit-deltap-curve"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and not emitted.exists()
+    assert err.startswith(
+        f"config error: {run / 'run.meta'}: non-finite deltap_db at t_mode_k 0.0 = -inf: "
+        "the closed form has no finite value for [receiver] lna_gain_linear, "
+    )
+
+
 def _one_port_run(tmp_path, capsys, n_shots=20):
     ini = _ini(tmp_path, (
         "[port.cold]\ncoupling = 3.8\nload_temperature_k = 18.4\n"

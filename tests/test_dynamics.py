@@ -309,6 +309,16 @@ def test_evolution_validation():
         evolve_occupancy(mode, baths, schedule, 160e-6, -1e-7)
 
 
+def test_evolution_refuses_a_grid_too_fine_to_count():
+    # 160 us every 1e-320 s is more samples than a float can count; the
+    # refusal comes before any grid is allocated.
+    mode = _bench_mode()
+    baths = _bench_baths()
+    schedule = build_protocol(40e-6, 160e-6)
+    with pytest.raises(DomainError, match="^no finite sample grid of 0.00016 s every 1e-320 s$"):
+        evolve_occupancy(mode, baths, schedule, 160e-6, 1e-320)
+
+
 def test_all_ports_schedule_holds_the_steady_state():
     mode = _bench_mode()
     baths = _bench_baths()

@@ -208,82 +208,75 @@ def test_array_commands_still_run_and_load_numpy(tmp_path):
     assert [("numpy" in step[2]) for step in steps] == [False, False, False, True, True]
 
 
-# The names the package root exported when it imported every module
-# eagerly, by the module it took each from, less those since removed.
-_EXPORTED = {
-    "analysis": [
-        "BiExpFit", "DeltaPEstimate", "SpectralDensity", "band_averaged_deltap",
-        "fit_biexponential", "segment_deltap",
-    ],
-    "config": [
-        "AnalysisConfig", "ProtocolConfig", "RunConfig", "config_digest",
-        "config_from_items", "config_items", "default_run_config",
-        "load_run_config", "with_seed",
-    ],
-    "constants": ["BOLTZMANN_K", "IEEE_T0", "PLANCK_H"],
-    "dynamics": [
-        "CavityMode", "PhotonTrajectory", "ScheduleEvent",
-        "SwitchSchedule", "build_protocol", "evolve_occupancy",
-        "relaxation_rate", "relaxation_time",
-    ],
-    "errors": [
-        "AnalysisError", "CavityCoolError", "ConfigError", "DataFormatError",
-        "DomainError",
-    ],
-    "pipeline": ["AnalysisReport", "SimulationResult", "analyze_run", "simulate_run"],
-    "receiver": [
-        "LnaNoiseParameters", "ReceiverChain", "infer_mode_temperature",
-        "noise_power_reduction_curve", "noise_power_reduction_db",
-        "noise_power_reduction_floor_db", "system_output_noise_kelvin",
-    ],
-    "synth": [
-        "NoiseTrace", "SynthConfig", "shot_seed", "switch_artifact_waveform",
-        "synthesize_shot_ensemble", "synthesize_trace",
-    ],
-    "thermal": [
-        "BathPort", "BathSet", "LossModel", "link_output_temperature",
-        "mode_temperature", "photon_occupancy", "sweep_mode_temperature",
-    ],
-}
-_SUBMODULES = [*_EXPORTED, "cli", "tracefile"]
+_SUBMODULES = [
+    "analysis", "cli", "config", "constants", "dynamics", "errors",
+    "pipeline", "receiver", "synth", "textformat", "thermal", "tracefile",
+]
 
-# Prints [names missing from dir(), whether `dir` and an unknown name
-# loaded numpy, the AttributeError text, names or submodules that resolve
-# to another object than their module's].
+# Prints [submodules missing from dir(), the AttributeError text of each
+# refused name, whether numpy was loaded by then, submodules that resolve
+# to another object than the imported module, names the root binds].
 _RESOLVE = """
 import importlib, json, sys
 import cavitycool
 
-exported, submodules = json.loads(sys.argv[1])
-listed = set(dir(cavitycool))
-missing = sorted({*submodules, *(n for names in exported.values() for n in names)} - listed)
-try:
-    cavitycool.no_such_name
-    error = None
-except AttributeError as exc:
-    error = str(exc)
-numpy_before = "numpy" in sys.modules
+submodules, refused = json.loads(sys.argv[1])
+missing = sorted(set(submodules) - set(dir(cavitycool)))
+errors = []
+for name in refused:
+    try:
+        getattr(cavitycool, name)
+        errors.append(None)
+    except AttributeError as exc:
+        errors.append(str(exc))
+for name in ["config", "constants", "errors", "receiver", "textformat", "thermal"]:
+    getattr(cavitycool, name)
+numpy_loaded = "numpy" in sys.modules
 wrong = [
-    name for module, names in exported.items() for name in names
-    if getattr(cavitycool, name) is not getattr(
-        importlib.import_module(f"cavitycool.{module}"), name)
-]
-wrong += [
     name for name in submodules
     if getattr(cavitycool, name) is not importlib.import_module(f"cavitycool.{name}")
 ]
-print(json.dumps([missing, numpy_before, error, wrong]))
+bound = sorted(set(vars(cavitycool)) & set(refused))
+print(json.dumps([missing, errors, numpy_loaded, wrong, bound]))
 """
 
 
-def test_package_root_resolves_every_former_export_and_submodule():
-    missing, numpy_loaded, error, wrong = _python(
-        "-c", _RESOLVE, json.dumps([_EXPORTED, _SUBMODULES])
+def test_package_root_resolves_each_submodule_and_refuses_every_other_name():
+    # Every public name is imported from the module that defines it; the
+    # root binds none of them, so a wrapper put on a module attribute
+    # cannot be cached here.
+    refused = ["no_such_name", "simulate_run", "analyze_run", "mode_temperature",
+               "default_run_config", "CavityCoolError", "BOLTZMANN_K"]
+    missing, errors, numpy_loaded, wrong, bound = _python(
+        "-c", _RESOLVE, json.dumps([_SUBMODULES, refused])
     )
     assert missing == []
+    assert errors == [f"module 'cavitycool' has no attribute {name!r}" for name in refused]
     assert not numpy_loaded
-    assert error == "module 'cavitycool' has no attribute 'no_such_name'"
     assert wrong == []
+    assert bound == []
+
+
+def test_no_file_imports_a_name_from_the_package_root():
+    # `from cavitycool import <submodule>` is a submodule import, and
+    # `__version__` lives in the root; any other name would be a public
+    # name taken from the root instead of its module.
+    root = _SRC.parent
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    sources = {path.name: path.read_text(encoding="utf-8") for path in
+               [*root.glob("src/cavitycool/*.py"), *root.glob("tests/*.py")]}
+    for i, block in enumerate(readme.split("```python\n")[1:]):
+        sources[f"README.md block {i}"] = block.split("\n```", 1)[0]
+    found = [
+        f"{name}: {alias.name}"
+        for name, text in sources.items()
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, ast.ImportFrom)
+        and (node.module == "cavitycool" or (node.level == 1 and node.module is None))
+        for alias in node.names
+        if alias.name not in (*_SUBMODULES, "__version__")
+    ]
+    assert found == []
 
 
 def test_package_root_refuses_the_photon_scale_and_rk4_names():

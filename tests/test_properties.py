@@ -309,7 +309,7 @@ _QUICK_TABLES_SHA256 = {
     "warmup_series.csv": "7849ab64bf65eadbfa22e262e20b13cc660c399cd066e8b7a8fcf16ab6c86dfb",
     "psd_cold.csv": "81d5b7260dcd9498157c19dd8017777f0ec1961f6822bacbb05bce1d4a5bf19d",
     "psd_ambient.csv": "af71ed30aaa993e6afa879aee981cf149df1a200d10c2252396e80d5086ea640",
-    "deltap_curve.csv": "267fcfefb94d44d132d6a14483dae74ee819bfef8209cd5a1b863971a031aafe",
+    "deltap_curve.csv": "1c3d1728eae624585a4e8dab41c8040e8fbe74489629142882b0d91f3152819b",
 }
 
 
@@ -343,7 +343,7 @@ port.monitoring.delivered_k=222.5581048601723
 port.monitoring.weight=0.1724137931034483
 """
 _STEADY_HUMAN_SHA256 = "46f7f06626e3f1910be16599a02c5531a81864ded8dcadda1a8da915358aa443"
-_SWEEP_SHA256 = "65fd9dfd39d434684c870d0b5a8b3b3c93ba9a7be083703aa70471d4c961d130"
+_SWEEP_SHA256 = "3239172346eb9873a7dff481f230eb1eba907b35c12a40d45b73f6307bf2057d"
 
 
 def test_default_steady_and_sweep_outputs_pinned(tmp_path, capsys):
@@ -396,6 +396,17 @@ def test_steady_and_sweep_bytes_hold_under_cpu_masks(tmp_path, mask):
     )
     assert (sweep.returncode, sweep.stderr) == (0, "")
     assert hashlib.sha256((tmp_path / "sweep.csv").read_bytes()).hexdigest() == _SWEEP_SHA256
+    # The traces move under the numpy mask, but the level-vs-temperature
+    # curve is closed form, so it must not.
+    ini = tmp_path / "two.ini"
+    ini.write_text("[synth]\nn_shots = 2\n", encoding="utf-8")
+    run = tmp_path / "run"
+    for argv in (["simulate", "--config", str(ini), "--out", str(run)],
+                 ["analyze", str(run / "run.meta"), "--emit-deltap-curve", "--out", str(run)]):
+        proc = subprocess.run([*cli_argv, *argv], capture_output=True, text=True, env=env)
+        assert (proc.returncode, proc.stderr) == (0, "")
+    curve = hashlib.sha256((run / "deltap_curve.csv").read_bytes()).hexdigest()
+    assert curve == _QUICK_TABLES_SHA256["deltap_curve.csv"]
 
 
 def _subnormal_or_finite():

@@ -15,7 +15,6 @@ from cavitycool.receiver import (
     LnaNoiseParameters,
     ReceiverChain,
     infer_mode_temperature,
-    noise_power_reduction_curve,
     noise_power_reduction_db,
     noise_power_reduction_floor_db,
     system_output_noise_kelvin,
@@ -145,8 +144,8 @@ def test_reduction_zero_at_equal_temperatures():
 
 def test_reduction_monotone_in_mode_temperature():
     chain = _simple_chain()
-    grid = np.linspace(0.0, 300.0, 40)
-    curve = noise_power_reduction_curve(chain, 256.279052430086, grid)
+    grid = np.linspace(0.0, 300.0, 40).tolist()
+    curve = [noise_power_reduction_db(chain, t, 256.279052430086) for t in grid]
     assert np.all(np.diff(curve) > 0)
     assert curve[0] == pytest.approx(
         noise_power_reduction_floor_db(chain, 256.279052430086), rel=1e-12

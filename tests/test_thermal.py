@@ -7,6 +7,7 @@ precision, not model uncertainty.
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -152,6 +153,11 @@ def test_link_linear_rejects_loss_at_breakdown():
         link_output_temperature(6.0, 18.4, 290.0, LossModel.LINEAR)
 
 
+def test_link_refuses_a_model_that_is_not_a_loss_model():
+    with pytest.raises(DomainError, match="^unknown loss model 'exact'$"):
+        link_output_temperature(0.1, 18.4, 290.0, "exact")
+
+
 def test_link_negative_loss_rejected():
     with pytest.raises(DomainError):
         link_output_temperature(-0.1, 18.4, 290.0, LossModel.EXACT)
@@ -295,25 +301,21 @@ def test_more_coupling_cools_further():
 
 
 def test_sweep_grid_matches_scalar_evaluations():
+    # Each cell is `mode_temperature` of the swept bath set, bit for bit,
+    # whichever port is swept and whatever its loss model.
     baths = _bench_bath_set()
     couplings = np.array([1.0, 3.8, 7.5])
-    loads = np.array([10.0, 18.4, 77.0, 150.0])
-    grid = sweep_mode_temperature(baths, 0, couplings, loads)
-    assert len(grid) == 3 and all(len(row) == 4 for row in grid)
-    for i, kappa in enumerate(couplings):
-        for j, t_load in enumerate(loads):
-            ports = (
-                BathPort(
-                    coupling=float(kappa),
-                    load_temperature_k=float(t_load),
-                    link_loss_db=0.19,
-                    link_temperature_k=290.0,
-                    loss_model=LossModel.LINEAR,
-                ),
-                baths.ports[1],
-            )
-            expected = mode_temperature(BathSet(290.0, ports))
-            assert math.isclose(grid[i][j], expected, rel_tol=1e-12)
+    loads = np.array([10.0, 18.4, 77.0, 150.0, 290.0])
+    for index in (0, 1):
+        grid = sweep_mode_temperature(baths, index, couplings, loads)
+        assert len(grid) == 3 and all(len(row) == 5 for row in grid)
+        for i, kappa in enumerate(couplings):
+            for j, t_load in enumerate(loads):
+                ports = list(baths.ports)
+                ports[index] = replace(
+                    ports[index], coupling=float(kappa), load_temperature_k=float(t_load)
+                )
+                assert grid[i][j] == mode_temperature(replace(baths, ports=tuple(ports)))
 
 
 def test_sweep_rejects_bad_port_index():
