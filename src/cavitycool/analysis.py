@@ -38,7 +38,8 @@ class _Boxcar:
     """
 
     def __init__(self, n_samples: int, width: int, block_shots: int):
-        self.width = width
+        # From 2 n_samples - 1 on, every window covers its whole row.
+        self.width = width = min(width, 2 * n_samples - 1)
         self.lead, trail = (width - 1) // 2, width // 2
         idx = np.arange(n_samples)
         self.counts = (
@@ -299,6 +300,7 @@ class ShotTables(NamedTuple):
     cooled_sums: np.ndarray  # each shot's sum of squares over the cooled span
     ambient_sums: np.ndarray  # the same over the ambient span
     warmup_sums: np.ndarray  # the same over each whole warm-up window
+    mean_sums: tuple[float, float]  # the shot mean's over the cooled and ambient spans
     cold_psd: "SpectralDensity | None"  # as ensemble_spectral_density
     ambient_psd: "SpectralDensity | None"
 
@@ -319,7 +321,8 @@ def tabulate_shots(
     sums of squares over the `cooled` and `ambient` sample columns fill
     one entry per shot, and over each whole `window_samples` window of
     the `warmup` columns one row per shot of the table `deltap_series`
-    takes.  With `segment_samples`, the block passes through the boxcar
+    takes; those of the mean over the cooled and ambient columns are 0
+    for one shot.  With `segment_samples`, the block passes through the boxcar
     of `extract_noise` when `width` is two or more, and the Welch
     densities of its cooled and ambient columns fill one row per shot
     each.  Every result equals, bit for bit, that of the public stage
@@ -328,7 +331,7 @@ def tabulate_shots(
     v = trace.voltages_v
     n_shots = trace.n_shots
     block_shots = min(n_shots, _BLOCK_SHOTS)
-    mean = v.mean(axis=0) if n_shots >= 2 else None
+    mean = v.mean(axis=0) if n_shots >= 2 else np.zeros(len(trace))
     residuals = np.empty((block_shots, len(trace)))
     boxcar = None
     if segment_samples is not None and width >= 2:
@@ -346,7 +349,7 @@ def tabulate_shots(
     for start in range(0, n_shots, _BLOCK_SHOTS):
         rows = v[start : start + _BLOCK_SHOTS]
         shots = slice(start, start + len(rows))
-        if mean is not None:
+        if n_shots >= 2:
             rows = np.subtract(rows, mean, out=residuals[: len(rows)])
         np.sum(rows[:, cooled] ** 2, axis=1, out=cooled_sums[shots])
         np.sum(rows[:, ambient] ** 2, axis=1, out=ambient_sums[shots])
@@ -356,7 +359,8 @@ def tabulate_shots(
         for table, span in zip(psds, (cooled, ambient)):
             table.add(start, rows[:, span])
     cold_psd, ambient_psd = [table.density() for table in psds] or [None, None]
-    return ShotTables(cooled_sums, ambient_sums, warmup_sums, cold_psd, ambient_psd)
+    mean_sums = (float(np.sum(mean[cooled] ** 2)), float(np.sum(mean[ambient] ** 2)))
+    return ShotTables(cooled_sums, ambient_sums, warmup_sums, mean_sums, cold_psd, ambient_psd)
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,9 @@ from .config import (
     RunConfig,
     _key_names,
     _named,
+    _refuse_non_finite,
+    _sample_variances,
+    _steady_temperatures,
     config_digest,
     config_items,
     default_run_config,
@@ -29,8 +32,8 @@ from .config import (
     with_seed,
 )
 from .errors import AnalysisError, ConfigError, DataFormatError, DomainError
-from .receiver import noise_power_reduction_db, system_output_noise_kelvin
-from .thermal import mode_temperature, photon_occupancy, sweep_mode_temperature
+from .receiver import noise_power_reduction_db
+from .thermal import photon_occupancy, sweep_mode_temperature
 
 def _fmt(value: float) -> str:
     return repr(float(value))
@@ -91,30 +94,6 @@ def _where(args, field: "str | None" = None) -> str:
     if sidecar and not (path and _key_names(f"analysis.{field}")):
         path = sidecar
     return f"{path}: " if path else ""
-
-
-def _refuse_non_finite(
-    cfg: RunConfig, results: list[tuple[str, float]], *sources: str, positive: bool = False
-) -> None:
-    """Refuse closed-form `results`, (output key, value) pairs, that are not finite
-    (or, with `positive`, not > 0) although every value is in bounds, naming
-    `sources`: fields of `cfg` or options."""
-    need = "positive" if positive else "finite"
-    bad = [f"{key} = {value!r}" for key, value in results
-           if not (value > 0 if positive else math.isfinite(value))]
-    if bad:
-        keys = [name for f in sources for name in _key_names(f, cfg.baths.ports) or [f]]
-        bad, keys = ", ".join(bad), "; ".join(keys)
-        raise DomainError(f"non-{need} {bad}: the closed form has no {need} value for {keys}")
-
-
-def _steady_temperatures(cfg: RunConfig) -> tuple[float, float]:
-    """The mode temperatures with every port connected and with the persistent
-    ports alone, refused when they overflow."""
-    cooled = mode_temperature(cfg.baths)
-    ambient = mode_temperature(cfg.baths.subset(cfg.persistent_port_indices()))
-    _refuse_non_finite(cfg, [("t_mode_cooled_k", cooled), ("t_mode_ambient_k", ambient)], "baths")
-    return cooled, ambient
 
 
 def cmd_steady(args, cfg: RunConfig) -> None:
@@ -230,18 +209,8 @@ def cmd_simulate(args, cfg: RunConfig) -> None:
 
     if args.seed is not None:
         cfg = with_seed(cfg, args.seed)
-    # Each sample is drawn with variance voltage_scale^2 * S(T), where the
-    # receiver output noise S is affine in the mode temperature T, which
-    # stays between its two steady values; so both ends bound every sample.
-    noise, variance = [], []
-    for name, t_mode in zip(("cooled", "ambient"), _steady_temperatures(cfg)):
-        s = system_output_noise_kelvin(cfg.receiver, t_mode)
-        sigma = cfg.synth.voltage_scale * math.sqrt(s)
-        noise.append((f"receiver output noise at the {name} mode temperature", s))
-        variance.append((f"sample variance at the {name} mode temperature", sigma * sigma))
-    _refuse_non_finite(cfg, noise, "receiver", "baths")
-    _refuse_non_finite(cfg, variance, "voltage_scale", "receiver", "baths")
     # A run without noise has no level for `analyze` to form.
+    variance = _sample_variances(cfg)
     _refuse_non_finite(cfg, variance, "voltage_scale", "receiver", "baths", positive=True)
     result = simulate_run(cfg)
     meta_path = tracefile.write_run(args.out, cfg, result)
@@ -379,8 +348,12 @@ def cmd_analyze(args, cfg: RunConfig) -> None:
         rows.append(([(name.replace(".csv", "_csv"), path)], f"{label} written to {path}"))
 
     _emit(args, rows)
+    # An estimate the run did not give exits 5 after the rows, with its note;
+    # a failed inversion's is the last.
     if report.warmup_note is not None:
         raise AnalysisError(report.warmup_note)
+    if math.isnan(t_mode):
+        raise AnalysisError(report.notes[-1])
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -20,18 +20,23 @@ import configparser
 from functools import lru_cache, reduce
 import math
 import os
+import sys
 from dataclasses import dataclass, replace
 from typing import Mapping
 
 from .errors import ConfigError, DomainError, bounded, check_bounds
-from .receiver import LnaNoiseParameters, ReceiverChain
-from .thermal import BathPort, BathSet, CavityMode, LossModel
+from .receiver import LnaNoiseParameters, ReceiverChain, system_output_noise_kelvin
+from .thermal import BathPort, BathSet, CavityMode, LossModel, mode_temperature
 
 PORT_ROLE_COOLING = "cooling"
 PORT_ROLE_MONITORING = "monitoring"
 
 # Seeds are 64-bit: the SplitMix64 state of `synth.shot_seed`.
 _MASK64 = (1 << 64) - 1
+
+# The most samples of a grid: numpy sizes an array of 8-byte samples in
+# bytes as a signed machine integer.
+_MAX_GRID_SAMPLES = sys.maxsize // 8
 
 
 def grid_sample_count(duration_s: float, sample_interval_s: float) -> int:
@@ -148,8 +153,11 @@ class RunConfig:
         of = f"intervals of [synth] sample_interval_s = {dt!r}"
         if not math.isfinite(trace / dt):
             raise DomainError(f"{cover} a finite number of {of}")
-        if grid_sample_count(trace, dt) < 11:
+        n = grid_sample_count(trace, dt)
+        if n < 11:
             raise DomainError(f"{cover} at least 10 {of}")
+        if n > _MAX_GRID_SAMPLES:
+            raise DomainError(f"{cover} at most {_MAX_GRID_SAMPLES - 1} {of}")
 
     def persistent_port_indices(self) -> tuple[int, ...]:
         """Ports that stay connected after the cold path disconnects."""
@@ -274,6 +282,47 @@ def _named(exc: DomainError, prefix: str = "") -> str:
     """A refusal's text, naming its field, at attribute path `prefix`, by its keys."""
     names = _key_names(f"{prefix}{exc.field}") if exc.field else []
     return f"{'; '.join(names)} {exc.reason}" if names else str(exc)
+
+
+def _refuse_non_finite(
+    cfg: RunConfig, results: list[tuple[str, float]], *sources: str, positive: bool = False
+) -> None:
+    """Refuse closed-form `results`, (output key, value) pairs, that are not finite
+    (or, with `positive`, not > 0) although every value is in bounds, naming
+    `sources`: fields of `cfg` or options."""
+    need = "positive" if positive else "finite"
+    bad = [f"{key} = {value!r}" for key, value in results
+           if not (value > 0 if positive else math.isfinite(value))]
+    if bad:
+        keys = [name for f in sources for name in _key_names(f, cfg.baths.ports) or [f]]
+        bad, keys = ", ".join(bad), "; ".join(keys)
+        raise DomainError(f"non-{need} {bad}: the closed form has no {need} value for {keys}")
+
+
+def _steady_temperatures(cfg: RunConfig) -> tuple[float, float]:
+    """The mode temperatures with every port connected and with the persistent
+    ports alone, refused when they overflow."""
+    cooled = mode_temperature(cfg.baths)
+    ambient = mode_temperature(cfg.baths.subset(cfg.persistent_port_indices()))
+    _refuse_non_finite(cfg, [("t_mode_cooled_k", cooled), ("t_mode_ambient_k", ambient)], "baths")
+    return cooled, ambient
+
+
+def _sample_variances(cfg: RunConfig) -> list[tuple[str, float]]:
+    """The (label, value) sample variances of a run at its cooled and ambient
+    mode temperatures, refused, as the receiver output noise there, when not
+    finite.  Each sample is drawn with variance voltage_scale^2 * S(T), where
+    the receiver output noise S is affine in the mode temperature T, which
+    stays between its two steady values; so both ends bound every sample."""
+    noise, variance = [], []
+    for name, t_mode in zip(("cooled", "ambient"), _steady_temperatures(cfg)):
+        s = system_output_noise_kelvin(cfg.receiver, t_mode)
+        sigma = cfg.synth.voltage_scale * math.sqrt(s)
+        noise.append((f"receiver output noise at the {name} mode temperature", s))
+        variance.append((f"sample variance at the {name} mode temperature", sigma * sigma))
+    _refuse_non_finite(cfg, noise, "receiver", "baths")
+    _refuse_non_finite(cfg, variance, "voltage_scale", "receiver", "baths")
+    return variance
 
 
 def _make(node: dict, prefix: str = ""):

@@ -95,35 +95,6 @@ class PhotonTrajectory:
         return len(self.times_s)
 
 
-def _segments(
-    baths: BathSet, schedule: SwitchSchedule, duration_s: float
-) -> list[tuple[float, float, BathSet]]:
-    """Resolve the schedule into (t_start, t_end, connected baths) spans;
-    the first starts at t = 0 < duration_s, so there is at least one."""
-    spans = []
-    for i, event in enumerate(schedule.events):
-        if event.time_s >= duration_s:
-            break
-        t_end = (
-            schedule.events[i + 1].time_s
-            if i + 1 < len(schedule.events)
-            else duration_s
-        )
-        spans.append((event.time_s, min(t_end, duration_s), baths.subset(event.active_ports)))
-    return spans
-
-
-def _validated_grid(duration_s: float, sample_interval_s: float) -> np.ndarray:
-    if duration_s <= 0:
-        raise DomainError("duration must be positive")
-    if sample_interval_s <= 0:
-        raise DomainError("sample interval must be positive")
-    n = grid_sample_count(duration_s, sample_interval_s)
-    if n < 2:
-        raise DomainError("duration shorter than one sample interval")
-    return np.arange(n) * sample_interval_s
-
-
 def evolve_occupancy(
     mode: CavityMode,
     baths: BathSet,
@@ -138,25 +109,36 @@ def evolve_occupancy(
     span's `mode_temperature`; span entry values are carried exactly, so
     event times need not fall on the sample grid.
     """
-    times = _validated_grid(duration_s, sample_interval_s)
-    spans = _segments(baths, schedule, duration_s)
-    starts = np.array([t_start for t_start, _, _ in spans])
-    rates = np.array([relaxation_rate(mode, sub) for _, _, sub in spans])
-    fastest = rates.max()
-    limit = MAX_STEP_FRACTION / fastest
+    if duration_s <= 0:
+        raise DomainError("duration must be positive")
+    if sample_interval_s <= 0:
+        raise DomainError("sample interval must be positive")
+    n = grid_sample_count(duration_s, sample_interval_s)
+    if n < 2:
+        raise DomainError("duration shorter than one sample interval")
+    times = np.arange(n) * sample_interval_s
+    # One span per event before the end, up to the next one's start; the
+    # first is at t = 0, so there is one, and every sample has a span.
+    events = [event for event in schedule.events if event.time_s < duration_s]
+    starts = np.array([event.time_s for event in events])
+    subsets = [baths.subset(event.active_ports) for event in events]
+    rates = np.array([relaxation_rate(mode, sub) for sub in subsets])
+    fastest = float(rates.max())
+    # A rate that underflows to 0 relaxes nothing: no step is too coarse.
+    limit = MAX_STEP_FRACTION / fastest if fastest else math.inf
     if sample_interval_s > limit:
         raise DomainError(
             f"must be <= {limit:.3e} s ({MAX_STEP_FRACTION} of the fastest relaxation "
             f"time {1.0 / fastest:.3e} s), got {sample_interval_s!r}",
             field="sample_interval_s",
         )
-    targets = np.array([mode_temperature(sub) for _, _, sub in spans])
-    entry = np.empty(len(spans))
+    targets = np.array([mode_temperature(sub) for sub in subsets])
+    entry = np.empty(len(events))
     temp = targets[0]
-    for k, (t_start, t_end, _) in enumerate(spans):
+    for k, t_end in enumerate([*starts[1:], duration_s]):
         entry[k] = temp
-        temp = targets[k] + (temp - targets[k]) * math.exp(-rates[k] * (t_end - t_start))
-    idx = np.clip(np.searchsorted(starts, times, side="right") - 1, 0, None)
+        temp = targets[k] + (temp - targets[k]) * math.exp(-rates[k] * (t_end - starts[k]))
+    idx = np.searchsorted(starts, times, side="right") - 1
     temperature = targets[idx] + (entry[idx] - targets[idx]) * np.exp(
         -rates[idx] * (times - starts[idx])
     )

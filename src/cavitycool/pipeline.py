@@ -16,7 +16,7 @@ import numpy as np
 # attribute (a test's monkeypatch, a tracing wrapper) reaches every call,
 # also when this module is first imported while the attribute is replaced.
 from . import analysis, dynamics, receiver, synth
-from .config import RunConfig
+from .config import RunConfig, _sample_variances
 from .dynamics import PhotonTrajectory, SwitchSchedule, build_protocol
 from .errors import AnalysisError, DomainError
 from .synth import NoiseTrace
@@ -37,8 +37,10 @@ def simulate_run(cfg: RunConfig) -> SimulationResult:
     All ports cool from t = 0; at the end of the cooling window the
     non-persistent ports disconnect and the trace continues to its
     configured length.  Each schedule event gets one switch transient:
-    two, or one when the cooling time is 0.
+    two, or one when the cooling time is 0.  Draws that overflow raise
+    `DomainError` before anything is drawn; a run without noise is drawn.
     """
+    _sample_variances(cfg)
     proto = cfg.protocol
     cool_ports = tuple(range(len(cfg.baths.ports)))
     hold_ports = cfg.persistent_port_indices()
@@ -110,8 +112,9 @@ def analyze_run(
     sections, then the window, are checked in that order before any sample
     is read: the first that fails is refused with a `DomainError` on its
     field.  Samples whose sums of squares overflow, or whose cooled or ambient
-    section holds no power, then raise `AnalysisError`.  `disconnect_time_s`
-    defaults to the configured cooling duration.
+    section holds no power or only the rounding error of identical shots,
+    then raise `AnalysisError`.  `disconnect_time_s` defaults to the
+    configured cooling duration.
     """
     acfg = cfg.analysis
     if disconnect_time_s is None:
@@ -164,10 +167,21 @@ def analyze_run(
                 traces, cooled, ambient, warmup, acfg.window_samples, width,
                 seg if psd_fits else None,
             )
+            cooled_level = analysis.pooled_level(tables.cooled_sums, n_cooled)
             ambient_level = analysis.pooled_level(tables.ambient_sums, n_ambient)
-            deltap_direct = analysis.segment_deltap(
-                analysis.pooled_level(tables.cooled_sums, n_cooled), ambient_level
-            )
+            deltap_direct = analysis.segment_deltap(cooled_level, ambient_level)
+            # The mean of n copies of a value is off by at most about n eps of
+            # it, so copies of one shot leave a residual power of at most
+            # (n eps)^2 that of their mean, where noise leaves about n - 1 times it.
+            floor = (traces.n_shots * np.finfo(float).eps) ** 2
+            for name, (power, count), mean_sum in zip(
+                ("cooled", "ambient"), (cooled_level, ambient_level), tables.mean_sums
+            ):
+                if power * count <= floor * traces.n_shots * mean_sum:
+                    raise AnalysisError(
+                        f"identical shots: the {name} section's residual power is at "
+                        "the rounding floor of the shot mean; cannot form a level ratio"
+                    )
             if psd_fits:
                 try:
                     deltap_band = analysis.band_averaged_deltap(

@@ -122,14 +122,15 @@ def _read_only(values) -> np.ndarray:
     return view
 
 
-def switch_artifact_waveform(cfg: SynthConfig) -> np.ndarray:
+def switch_artifact_waveform(cfg: SynthConfig, max_samples: "int | None" = None) -> np.ndarray:
     """The deterministic transient added at each switch instant.
 
     A critically damped two-cycle ring, identical for every seed:
     A * sin(4 pi u / d) * exp(-3 u / d) sampled on the trace grid
-    for 0 <= u < d.
+    for 0 <= u < d, or over its first `max_samples` samples.
     """
     n = max(1, int(round(cfg.artifact_duration_s / cfg.sample_interval_s)))
+    n = n if max_samples is None else min(n, max_samples)
     u = np.arange(n) * cfg.sample_interval_s / cfg.artifact_duration_s
     return cfg.artifact_amplitude_v * np.sin(4.0 * math.pi * u) * np.exp(-3.0 * u)
 
@@ -218,7 +219,7 @@ def _synthesize(
             )
 
     if cfg.artifact_amplitude_v > 0:
-        wave = switch_artifact_waveform(cfg)
+        wave = switch_artifact_waveform(cfg, n)
         for t_switch in switch_times_s:
             start = int(np.searchsorted(times, t_switch - 1e-15, side="left"))
             stop = min(start + len(wave), n)

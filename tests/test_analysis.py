@@ -113,6 +113,16 @@ def test_extract_noise_matches_direct_truncated_mean(n_shots, n):
         assert np.array_equal(out.times_s, trace.times_s)
 
 
+def test_extract_noise_windows_past_twice_the_record_are_the_whole_record():
+    # From 2 n - 1 samples on, every window holds the whole row; a width of
+    # 1e300 s over 50 ns samples was a running sum too large to allocate.
+    trace = _white(40, 1.0, 5)
+    whole = extract_noise(trace, 79).voltages_v
+    for width in (80, 85, 10**300):
+        assert np.array_equal(extract_noise(trace, width).voltages_v, whole)
+    assert np.allclose(whole, trace.voltages_v - trace.voltages_v.mean(), rtol=0, atol=1e-12)
+
+
 def test_extract_noise_single_sample_width_is_identity_smoother():
     trace = _white(500, 1.0, 3)
     out = extract_noise(trace, 1)

@@ -48,3 +48,18 @@ def test_no_wrapper_is_left_when_the_array_layer_loads_inside_the_traced_run():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == []
+
+
+def test_the_benchmark_s_file_round_trip_checks_its_outputs():
+    # One default 600-shot CLI simulate and analyze: the benchmark checks
+    # the porcelain against in-process `analyze_run` and that the output
+    # digests repeat, and exits 0 only when every check passed.
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "run.py"), "--workload", "file_roundtrip",
+         "--seed", "1", "--seconds", "0.5", "--trace", "0"],
+        capture_output=True, text=True, cwd=PERFBENCH.parent, check=False,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0
+    assert result["attempted"] >= 1

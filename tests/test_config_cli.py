@@ -520,6 +520,28 @@ def test_cli_simulate_refuses_a_non_finite_receiver_noise(tmp_path, capsys, body
     assert captured.out == ""
     assert captured.err == f"config error: {ini}: non-finite {refused}\n"
     assert not out.exists()
+    # The library refuses the run too, with the text the CLI prints after
+    # the file; it drew inf samples, or warned of an overflow.
+    with pytest.raises(DomainError) as refused_in_process:
+        simulate_run(load_run_config(ini))
+    assert captured.err == f"config error: {ini}: {refused_in_process.value}\n"
+
+
+@pytest.mark.parametrize("body, trace, dt", [
+    ("[protocol]\ntrace_length_s = 1e300\n", "1e+300", "5e-08"),
+    ("[synth]\nsample_interval_s = 1e-300\n", "0.00016", "1e-300"),
+], ids=["long-trace", "fine-step"])
+def test_cli_refuses_a_grid_too_large_to_index(tmp_path, capsys, body, trace, dt):
+    # Both loaded, and `simulate` died building the grid with numpy's
+    # `ValueError: Maximum allowed size exceeded`, exit 1.
+    ini = _ini(tmp_path, body)
+    out = tmp_path / "run"
+    assert cli.main(["simulate", "--config", ini, "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", (
+        f"config error: {ini}: [protocol] trace_length_s = {trace} must cover at most "
+        f"{sys.maxsize // 8 - 1} intervals of [synth] sample_interval_s = {dt}\n"
+    ))
+    assert not out.exists()
 
 
 def test_cli_simulate_names_the_sample_interval_over_its_ceiling(tmp_path, capsys):
@@ -2091,6 +2113,71 @@ def test_cli_analyze_names_the_files_of_samples_without_noise_power(tmp_path, ca
         f"config error: {meta}: [synth] voltage_scale = 0.0 gives non-positive section "
         "power; cannot form a level ratio\n"
     ))
+
+
+def _copies_of_one_shot(tmp_path, copies):
+    """Paths of `copies` copies of shot 0 of a 2-shot default run."""
+    cfg = replace(default_run_config(), n_shots=2)
+    run = tmp_path / "source"
+    tracefile.write_run(str(run), cfg, simulate_run(cfg))
+    shot = (run / "trace_000.csv").read_bytes()
+    paths = [tmp_path / f"copy_{i}.csv" for i in range(copies)]
+    for path in paths:
+        path.write_bytes(shot)
+    return [str(path) for path in paths]
+
+
+_IDENTICAL = (
+    "identical shots: the cooled section's residual power is at the rounding floor "
+    "of the shot mean; cannot form a level ratio"
+)
+
+
+@pytest.mark.parametrize("copies", [3, 5])
+def test_cli_analyze_refuses_copies_of_one_shot(tmp_path, capsys, copies):
+    # The mean of 3 or 5 equal samples rounds, so their residuals were
+    # about 1e-33 of their power, and `analyze` exited 0 with a converged
+    # fit and an inferred mode temperature.
+    traces = _copies_of_one_shot(tmp_path, copies)
+    assert cli.main(["analyze", *traces, "--porcelain"]) == 4
+    assert capsys.readouterr() == ("", f"data format error: {', '.join(traces)}: {_IDENTICAL}\n")
+    cfg = replace(default_run_config(), n_shots=copies)
+    shots = tracefile.read_trace_ensemble(traces)
+    with pytest.raises(AnalysisError, match=f"^{_IDENTICAL}$"):
+        analyze_run(shots, cfg)
+
+
+def test_cli_analyze_names_voltage_scale_for_a_sidecar_of_identical_shots(tmp_path, capsys):
+    # Three copies: the mean of two or four equal values is exact, and
+    # leaves no section power at all.
+    ini = _ini(tmp_path, "[synth]\nn_shots = 3\n")
+    run = tmp_path / "run"
+    assert cli.main(["simulate", "--config", ini, "--out", str(run)]) == 0
+    capsys.readouterr()
+    meta = run / "run.meta"
+    shot = (run / "trace_000.csv").read_bytes()
+    for i in (1, 2):
+        (run / f"trace_{i:03d}.csv").write_bytes(shot)
+    assert cli.main(["analyze", str(meta), "--porcelain"]) == 2
+    assert capsys.readouterr() == ("", (
+        f"config error: {meta}: [synth] voltage_scale = 1.0 gives {_IDENTICAL}\n"
+    ))
+
+
+def test_cli_analyze_exits_5_when_no_mode_temperature_gives_the_level(tmp_path, capsys):
+    # A gain of 1e-300 leaves the receiver output without the mode: the
+    # floor is 0 dB and a measured -0.06 dB has no temperature.  `analyze`
+    # printed t_mode_inferred_k=nan and exited 0.
+    ini = _ini(tmp_path, "[receiver]\nlna_gain_linear = 1e-300\n[synth]\nn_shots = 3\n")
+    run = tmp_path / "run"
+    assert cli.main(["simulate", "--config", ini, "--out", str(run)]) == 0
+    capsys.readouterr()
+    assert cli.main(["analyze", str(run / "run.meta"), "--porcelain"]) == 5
+    out, err = capsys.readouterr()
+    d = _porcelain(out)
+    assert d["t_mode_inferred_k"] == "nan" and d["fit_converged"] == "true"
+    assert d["note.0"].startswith("mode temperature inversion unavailable: reduction ")
+    assert err == f"analysis error: {d['note.0']}\n"
 
 
 def test_cli_deltap_curve_of_an_ideal_receiver_is_refused_before_any_row(tmp_path, capsys):

@@ -132,6 +132,8 @@ def test_protocol_validation():
         build_protocol(-1e-6, 160e-6)
     with pytest.raises(DomainError):
         build_protocol(40e-6, 30e-6)
+    with pytest.raises(DomainError, match="^trace length must be positive$"):
+        build_protocol(0.0, 0.0)
     with pytest.raises(DomainError):
         SwitchSchedule(
             (ScheduleEvent(1e-6, (0,)),)
@@ -307,6 +309,28 @@ def test_evolution_validation():
         evolve_occupancy(mode, baths, schedule, -1.0, 1e-7)
     with pytest.raises(DomainError):
         evolve_occupancy(mode, baths, schedule, 160e-6, -1e-7)
+    with pytest.raises(DomainError, match="^duration shorter than one sample interval$"):
+        evolve_occupancy(mode, baths, schedule, 1e-7, 2e-7)
+
+
+def test_an_event_at_the_trace_end_starts_no_span():
+    # The disconnect at the last sample: the trace holds the cooled state.
+    mode = _bench_mode()
+    baths = _bench_baths()
+    schedule = build_protocol(160e-6, 160e-6)
+    traj = evolve_occupancy(mode, baths, schedule, 160e-6, 50e-9)
+    assert len(traj) == 3201
+    assert np.all(traj.temperature_k == mode_temperature(baths))
+
+
+def test_a_rate_that_underflows_to_zero_allows_any_step():
+    # 2 pi f (1 + couplings) / Q underflows to 0 at f = 5e-324 Hz: the step
+    # ceiling divided by it and numpy warned of a division by zero.
+    mode = dataclasses.replace(_bench_mode(), frequency_hz=5e-324)
+    baths = _bench_baths()
+    assert relaxation_rate(mode, baths) == 0.0
+    traj = evolve_occupancy(mode, baths, build_protocol(40e-6, 160e-6), 160e-6, 1e-6)
+    assert np.allclose(traj.temperature_k, mode_temperature(baths), rtol=1e-12, atol=0.0)
 
 
 def test_evolution_refuses_a_grid_too_fine_to_count():

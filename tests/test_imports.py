@@ -296,3 +296,13 @@ def test_package_root_refuses_the_photon_scale_and_rk4_names():
             getattr(cavitycool, name)
     analysis = cavitycool.analysis
     assert all(callable(getattr(analysis, name)) for name in reference_stages)
+
+
+def test_the_cli_takes_the_draw_check_from_the_configuration():
+    # `simulate_run` runs the receiver-noise and sample-variance check
+    # itself, so the CLI neither defines it nor evaluates the closed forms.
+    from cavitycool import cli, config
+
+    for name in ("_refuse_non_finite", "_steady_temperatures", "_sample_variances"):
+        assert getattr(cli, name) is getattr(config, name)
+    assert not {"system_output_noise_kelvin", "mode_temperature"} & vars(cli).keys()

@@ -1,12 +1,17 @@
 """Round-trip properties and pinned digests of the on-disk formats."""
 
+import contextlib
+import csv
 import hashlib
+import io
 import math
 import os
 import platform
+import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -16,6 +21,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from cavitycool import cli, tracefile
 from cavitycool.config import (
+    _PORT_SCHEMA,
+    _SCHEMA,
     ProtocolConfig,
     config_digest,
     config_from_items,
@@ -461,3 +468,85 @@ def test_readme_library_example_runs(capsys):
     printed = capsys.readouterr().out.split()
     assert len(printed) == 2
     assert all(math.isfinite(float(value)) for value in printed)
+
+
+# Every float key of a run configuration file, the default ports' included.
+_FLOAT_KEYS = [f"{section}.{key}" for section, key, kind, _ in _SCHEMA if kind is float] + [
+    f"port.{port.name}.{key}"
+    for port in default_run_config().baths.ports
+    for key, kind, _ in _PORT_SCHEMA
+    if kind is float
+]
+_EXTREMES = (5e-324, 1e-300, 1e300)
+
+
+def _cli(argv):
+    """(exit code, stdout, stderr) of one in-process command, with every
+    warning raised as an error."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_finite_or_named(argv, files, where):
+    """Run `argv`: exit 0 prints only finite numbers and writes only finite
+    CSV cells (the CSVs of `files`, a directory); exit 2 or 4 names a key or
+    a file under `where`; exit 5 carries a printed note, the estimate that
+    did not come and why."""
+    code, out, err = _cli(argv)
+    values = [line.partition("=")[2] for line in out.splitlines()]
+    if code == 0:
+        assert all(math.isfinite(float(v)) for v in values if _is_float(v)), (argv, out)
+        for path in Path(files).glob("*.csv"):
+            with open(path, newline="", encoding="utf-8") as fh:
+                cells = [cell for row in list(csv.reader(fh))[1:] for cell in row]
+            assert all(math.isfinite(float(cell)) for cell in cells), (argv, path)
+    elif code == 5:
+        notes = [v for line, v in zip(out.splitlines(), values) if line.startswith("note.")]
+        assert err in [f"analysis error: {note}\n" for note in notes], (argv, err)
+    else:
+        assert code in (2, 4), (argv, code, err)
+        assert re.search(r"\[[\w.]+\] \w", err) or where in err, (argv, err)
+    return code
+
+
+def _is_float(text):
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(_FLOAT_KEYS), st.sampled_from(_EXTREMES), st.sampled_from((2, 3)))
+@example("protocol.trace_length_s", 1e300, 3)  # numpy's grid limit: exit 1
+@example("synth.sample_interval_s", 1e-300, 3)
+@example("mode.frequency_hz", 5e-324, 3)  # a relaxation rate of 0: a RuntimeWarning
+@example("receiver.lna_gain_linear", 1e-300, 3)  # t_mode_inferred_k=nan, exit 0
+@example("synth.artifact_duration_s", 1e300, 3)  # a transient too long to allocate
+@example("analysis.boxcar_width_s", 1e300, 3)  # a running sum too long to allocate
+@example("receiver.reference_impedance_ohm", 5e-324, 2)  # inf samples, exit 0
+@example("synth.voltage_scale", 1e300, 3)
+def test_every_command_exits_finite_or_named_at_an_extreme_key(key, value, n_shots):
+    # A small run (2 or 3 shots of the default 3,201 samples) with one float
+    # key pushed to an in-bound extreme, through every command in process:
+    # no traceback and no RuntimeWarning, and each exit is finite or named.
+    items = dict(config_items(default_run_config()))
+    items.update({key: repr(value), "synth.n_shots": str(n_shots)})
+    with tempfile.TemporaryDirectory() as tmp:
+        ini = os.path.join(tmp, "extreme.ini")
+        Path(ini).write_text(_as_ini(items.items()), encoding="utf-8")
+        run, emitted, swept = (os.path.join(tmp, name) for name in ("run", "emitted", "swept"))
+        given_config = ["--config", ini, "--porcelain"]
+        _assert_finite_or_named(["steady", *given_config], tmp, tmp)
+        _assert_finite_or_named(["sweep", *given_config, "--out", swept], swept, tmp)
+        if _assert_finite_or_named(["simulate", *given_config, "--out", run], run, tmp) == 0:
+            _assert_finite_or_named(
+                ["analyze", os.path.join(run, "run.meta"), "--porcelain", "--out", emitted,
+                 "--emit-series", "--emit-psd", "--emit-deltap-curve"],
+                emitted, tmp,
+            )

@@ -105,6 +105,10 @@ def test_system_output_noise_scalar_path_matches_the_array_path_bit_for_bit():
             assert system_output_noise_kelvin(chain, 250, reference=reference) == (
                 system_output_noise_kelvin(chain, np.array([250.0]), reference=reference)[0]
             )
+            # A 0-d array is a scalar too.
+            got = system_output_noise_kelvin(chain, np.array(250.0), reference=reference)
+            assert type(got) is float
+            assert got == system_output_noise_kelvin(chain, 250.0, reference=reference)
 
 
 def test_system_output_noise_refuses_negative_scalars_and_arrays_alike():
@@ -205,6 +209,9 @@ def test_inversion_rejects_out_of_range():
     for value in (math.nan, -math.inf):
         with pytest.raises(DomainError, match="finite"):
             infer_mode_temperature(chain, value, 256.0)
+    for ambient in (0.0, -1.0):
+        with pytest.raises(DomainError, match="^ambient reference temperature must be positive$"):
+            infer_mode_temperature(chain, -1.0, ambient)
 
 
 def test_port_reflection_reduces_mode_contribution():

@@ -425,6 +425,28 @@ def test_flicker_raises_low_frequency_power():
     assert psd_f[high].mean() < 1.5 * psd_w[high].mean()
 
 
+def test_flicker_of_a_one_sample_record_uses_one_source():
+    # No octave fits one sample: the bank falls back to one source at
+    # half Nyquist, normalised as any other.
+    cfg = SynthConfig(sample_interval_s=1e-7, one_over_f_corner_hz=1e6, rng_seed=3)
+    trace = synthesize_trace(_flat_trajectory(cfg, 1, 100.0), _chain(), cfg)
+    assert trace.voltages_v.shape == (1, 1)
+    assert np.isfinite(trace.voltages_v).all()
+
+
+def test_artifact_waveform_cut_to_a_record_is_its_head():
+    # A transient longer than the record is sampled only where the record
+    # holds it: 1e300 s of it was an array too large to allocate.
+    cfg = SynthConfig(artifact_duration_s=2e-6, artifact_amplitude_v=1.0)
+    assert np.array_equal(switch_artifact_waveform(cfg, 7), switch_artifact_waveform(cfg)[:7])
+    assert len(switch_artifact_waveform(cfg, 100)) == 20
+    endless = replace(cfg, artifact_duration_s=1e300)
+    assert len(switch_artifact_waveform(endless, 50)) == 50
+    traj = _flat_trajectory(endless, 50, 100.0)
+    trace = synthesize_trace(traj, _chain(), endless, switch_times_s=(0.0,))
+    assert np.isfinite(trace.voltages_v).all()
+
+
 def test_trajectory_grid_must_match_config():
     # The trace takes its length from the trajectory, whose samples must
     # sit on k * sample_interval_s.
@@ -482,6 +504,8 @@ def test_noise_trace_validation_and_slicing():
     assert trace.n_shots == 3
     assert len(trace) == 100
     assert trace.sample_interval_s == pytest.approx(1e-7)
+    with pytest.raises(DomainError, match="^need at least two samples for an interval$"):
+        NoiseTrace(times[:1], volts[:, :1]).sample_interval_s
     # Exactly representable grid (steps of 0.5) for crisp half-open slicing.
     exact = NoiseTrace(np.arange(100) * 0.5, np.arange(300.0).reshape(3, 100))
     part = exact.slice_time(10.0, 25.0)

@@ -324,6 +324,22 @@ def test_sweep_rejects_bad_port_index():
         sweep_mode_temperature(baths, 2, [1.0], [18.4])
 
 
+@pytest.mark.parametrize("couplings, loads, reason", [
+    ([], [18.4], "non-empty"),
+    ([1.0], [], "non-empty"),
+    ([-1.0], [18.4], "non-negative"),
+    ([1.0], [-18.4], "non-negative"),
+])
+def test_sweep_rejects_empty_or_negative_axes(couplings, loads, reason):
+    with pytest.raises(DomainError, match=f"^sweep axes must be {reason}$"):
+        sweep_mode_temperature(_bench_bath_set(), 0, couplings, loads)
+
+
+def test_subset_rejects_a_port_index_out_of_range():
+    with pytest.raises(DomainError, match=r"^port index out of range: \(0, 2\)$"):
+        _bench_bath_set().subset((0, 2))
+
+
 def test_port_validation():
     with pytest.raises(DomainError):
         BathPort(coupling=-1.0, load_temperature_k=18.4)
