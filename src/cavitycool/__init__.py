@@ -1,10 +1,10 @@
 """Mode-temperature prediction, switching-protocol simulation, and
 noise-trace analysis for pre-cooled microwave cavity modes.
 
-The package has two layers.  The closed-form layer (`constants`,
-`errors`, `thermal`, `receiver`, `config`, `textformat` and this package
-root) is pure Python, so `import cavitycool`, `cavitycool steady`,
-`cavitycool sweep`, `--version` and `--help` load no numpy.  The array
+The package has two layers.  The closed-form layer (`errors`,
+`thermal`, `receiver`, `config`, `textformat` and this package root) is
+pure Python, so `import cavitycool`, `cavitycool steady`, `cavitycool
+sweep`, `--version` and `--help` load no numpy.  The array
 layer (`dynamics`, `synth`, `analysis`, `pipeline`, `tracefile`) imports
 numpy; `simulate` and `analyze` load it on first use.  scipy is imported only inside 1/f
 synthesis, so only a `simulate` with 1/f noise on pays its load of
@@ -20,8 +20,8 @@ from importlib import import_module as _import_module
 __version__ = "0.1.0"
 
 _SUBMODULES = (
-    "analysis", "cli", "config", "constants", "dynamics", "errors",
-    "pipeline", "receiver", "synth", "textformat", "thermal", "tracefile",
+    "analysis", "cli", "config", "dynamics", "errors", "pipeline",
+    "receiver", "synth", "textformat", "thermal", "tracefile",
 )
 
 

@@ -348,12 +348,9 @@ def cmd_analyze(args, cfg: RunConfig) -> None:
         rows.append(([(name.replace(".csv", "_csv"), path)], f"{label} written to {path}"))
 
     _emit(args, rows)
-    # An estimate the run did not give exits 5 after the rows, with its note;
-    # a failed inversion's is the last.
-    if report.warmup_note is not None:
-        raise AnalysisError(report.warmup_note)
-    if math.isnan(t_mode):
-        raise AnalysisError(report.notes[-1])
+    # A run that fails exits 5 after its rows, naming its input and the note.
+    if report.failure is not None:
+        raise AnalysisError(f"{', '.join(args.inputs)}: {report.failure}")
 
 
 def build_parser() -> argparse.ArgumentParser:

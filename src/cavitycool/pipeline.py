@@ -66,7 +66,14 @@ def simulate_run(cfg: RunConfig) -> SimulationResult:
 
 @dataclass
 class AnalysisReport:
-    """Everything the reduction recovers from one shot ensemble."""
+    """Everything the reduction recovers from one shot ensemble.
+
+    `notes` says, in order, what the run could not give and why.
+    `failure` is the first of them that fails the run, or None when every
+    estimate counts: a warm-up fit that did not return or did not converge
+    (then `depth_db` is None and the warm-up time NaN), else a failed
+    mode-temperature inversion (then `t_mode_inferred_k` is NaN).
+    """
 
     deltap_direct: analysis.DeltaPEstimate
     deltap_band: "analysis.DeltaPEstimate | None"
@@ -78,11 +85,11 @@ class AnalysisReport:
     depth_db: "analysis.DeltaPEstimate | None"
     warmup_time_s: float
     warmup_stderr_s: float
-    warmup_note: "str | None"  # the note saying why the warm-up fit does not count
     t_mode_inferred_k: float
     t_ambient_reference_k: float
     n_shots: int
     notes: list[str]
+    failure: "str | None"
 
 
 def analyze_run(
@@ -202,10 +209,10 @@ def analyze_run(
 
     # The one test of whether the warm-up fit counts: it returned and
     # converged.  Otherwise the depth is None, the warm-up time NaN, and
-    # `warmup_note` says why.
+    # its note is the run's failure.
     fit = None
     depth = None
-    warmup_note = None
+    failure = None
     warmup_time = warmup_stderr = float("nan")
     try:
         fit = analysis.fit_biexponential(series_t, series_db, acfg.exclude_before_s)
@@ -214,8 +221,8 @@ def analyze_run(
         depth = analysis.DeltaPEstimate(fit.a1_db, fit.a1_stderr_db)
         warmup_time, warmup_stderr = fit.tau1_s, fit.tau1_stderr_s
     except AnalysisError as exc:
-        warmup_note = f"warm-up fit unavailable: {exc}"
-        notes.append(warmup_note)
+        failure = f"warm-up fit unavailable: {exc}"
+        notes.append(failure)
 
     t_ambient_ref = mode_temperature(cfg.baths.subset(cfg.persistent_port_indices()))
     try:
@@ -224,7 +231,9 @@ def analyze_run(
         )
     except DomainError as exc:
         t_mode = float("nan")
-        notes.append(f"mode temperature inversion unavailable: {exc}")
+        note = f"mode temperature inversion unavailable: {exc}"
+        notes.append(note)
+        failure = failure or note
 
     return AnalysisReport(
         deltap_direct=deltap_direct,
@@ -237,9 +246,9 @@ def analyze_run(
         depth_db=depth,
         warmup_time_s=warmup_time,
         warmup_stderr_s=warmup_stderr,
-        warmup_note=warmup_note,
         t_mode_inferred_k=t_mode,
         t_ambient_reference_k=t_ambient_ref,
         n_shots=traces.n_shots,
         notes=notes,
+        failure=failure,
     )

@@ -13,8 +13,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .constants import IEEE_T0
 from .errors import DomainError, bounded, check_bounds
+
+# The noise-figure convention's reference temperature: the default of
+# `[receiver] reference_temperature_k`, which a configuration may change.
+IEEE_T0 = 290.0  # K
 
 
 def _check_passive(obj, *names: str) -> None:
@@ -135,11 +138,6 @@ def noise_power_reduction_db(
     return 10.0 * math.log10(ratio) if ratio else -math.inf
 
 
-def noise_power_reduction_floor_db(chain: ReceiverChain, t_ambient_k: float) -> float:
-    """Largest reduction the chain can register: the mode at 0 K."""
-    return noise_power_reduction_db(chain, 0.0, t_ambient_k)
-
-
 def infer_mode_temperature(
     chain: ReceiverChain, deltap_db: float, t_ambient_k: float
 ) -> float:
@@ -160,7 +158,7 @@ def infer_mode_temperature(
         raise DomainError("ambient reference temperature must be positive")
     if not math.isfinite(deltap_db):
         raise DomainError(f"reduction must be finite, got {deltap_db}")
-    floor = noise_power_reduction_floor_db(chain, t_ambient_k)
+    floor = noise_power_reduction_db(chain, 0.0, t_ambient_k)  # the mode at 0 K
     if deltap_db < floor:
         raise DomainError(
             f"reduction {deltap_db:.3f} dB exceeds the receiver floor "

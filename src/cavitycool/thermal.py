@@ -16,8 +16,11 @@ import warnings
 from dataclasses import dataclass, replace
 from typing import Iterable
 
-from .constants import BOLTZMANN_K, PLANCK_H
 from .errors import DomainError, bounded, check_bounds
+
+# 2019 SI exact values, fixed by definition.
+PLANCK_H = 6.62607015e-34  # J s
+BOLTZMANN_K = 1.380649e-23  # J/K
 
 # Decibels per neper: the linear loss model writes the power transmission
 # 10**(-L/10) as 1 - L/DB_PER_NEPER, which is accurate for small L.

@@ -1822,12 +1822,12 @@ def test_cli_analyze_nonconvergence_exit_code(tmp_path, capsys):
     assert rc == 5
     captured = capsys.readouterr()
     # The levels that need no fit are still printed, and the note, also on
-    # stderr, gives the cause.
+    # stderr after the run's input, gives the cause.
     d = _porcelain(captured.out)
     assert {"deltap_direct_db", "deltap_direct_stderr_db", "deltap_band_db"} <= d.keys()
     note = "warm-up fit unavailable: need at least 8 usable points after exclusion, have 1"
     assert d["note.0"] == note
-    assert captured.err == f"analysis error: {note}\n"
+    assert captured.err == f"analysis error: {out / 'run.meta'}: {note}\n"
     assert "fit_a1_db" not in d and "depth_fit_db" not in d
 
 
@@ -1856,7 +1856,7 @@ def test_analyze_without_a_fit_gives_the_note_s_cause_on_stderr(
     assert cli.main(["analyze", str(meta), "--config", ini, "--porcelain"]) == 5
     out, err = capsys.readouterr()
     assert _porcelain(out)["note.0"] == f"warm-up fit unavailable: {cause}"
-    assert err == f"analysis error: warm-up fit unavailable: {cause}\n"
+    assert err == f"analysis error: {meta}: warm-up fit unavailable: {cause}\n"
 
 
 def test_unconverged_fit_gives_no_depth_and_analyze_exits_5(tmp_path, capsys, monkeypatch):
@@ -1888,7 +1888,9 @@ def test_unconverged_fit_gives_no_depth_and_analyze_exits_5(tmp_path, capsys, mo
     assert d["warmup_time_s"] == d["warmup_stderr_s"] == "nan"
     assert "depth_fit_db" not in d
     assert "warm-up fit unavailable: exponential fit did not converge" in d.values()
-    assert err == "analysis error: warm-up fit unavailable: exponential fit did not converge\n"
+    assert err == (
+        f"analysis error: {meta}: warm-up fit unavailable: exponential fit did not converge\n"
+    )
 
 
 @pytest.mark.parametrize("disconnect, key", [
@@ -2003,10 +2005,32 @@ def test_degenerate_warmup_fit_covariance_is_a_note(tmp_path):
     cfg = with_seed(load_run_config(ini), 102)
     report = analyze_run(simulate_run(cfg).traces, cfg)
     assert report.depth_db is None and report.fit is None
-    assert report.warmup_note.startswith(
+    assert report.failure.startswith(
         "warm-up fit unavailable: fit covariance has a negative or non-finite variance at tau = "
     )
-    assert report.warmup_note in report.notes
+    assert report.failure in report.notes
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason=(
+        "a converged fit counts however small its amplitude: without cooling, "
+        "seed 3 gives a warm-up time of 3.06 us and a depth of 0.77 +/- 1.51 dB "
+        "drawn from the noise, and analyze exits 0"
+    ),
+)
+def test_analyze_of_a_run_without_cooling_reports_no_warmup_time(tmp_path, capsys):
+    # The cooling port decoupled: the mode never leaves ambient, so there is
+    # no warm-up to time, and a fitted time constant is noise.
+    ini = _ini(tmp_path, _DECOUPLED_PORTS + "[synth]\nn_shots = 40\n")
+    run = tmp_path / "run"
+    assert cli.main(["simulate", "--config", ini, "--out", str(run), "--seed", "3"]) == 0
+    capsys.readouterr()
+    meta = run / "run.meta"
+    assert cli.main(["analyze", str(meta), "--porcelain"]) == 5
+    out, err = capsys.readouterr()
+    assert _porcelain(out)["warmup_time_s"] == "nan"
+    assert err.startswith(f"analysis error: {meta}: warm-up fit unavailable: ")
 
 
 _IDEAL_RECEIVER = (
@@ -2056,7 +2080,7 @@ def test_cli_in_bound_extremes_exit_named_or_finite(tmp_path, capsys, body, seed
     if code == 0:
         assert err == "" and all(math.isfinite(float(value)) for value in numbers)
     elif code == 5:
-        assert err.startswith("analysis error: warm-up fit unavailable: ")
+        assert err.startswith(f"analysis error: {', '.join(inputs)}: warm-up fit unavailable: ")
     else:
         assert out == ""
         files = (f"{ini}: ", f"{run / 'run.meta'}: ", f"{run / 'trace_000.csv'}, ")
@@ -2177,7 +2201,7 @@ def test_cli_analyze_exits_5_when_no_mode_temperature_gives_the_level(tmp_path, 
     d = _porcelain(out)
     assert d["t_mode_inferred_k"] == "nan" and d["fit_converged"] == "true"
     assert d["note.0"].startswith("mode temperature inversion unavailable: reduction ")
-    assert err == f"analysis error: {d['note.0']}\n"
+    assert err == f"analysis error: {run / 'run.meta'}: {d['note.0']}\n"
 
 
 def test_cli_deltap_curve_of_an_ideal_receiver_is_refused_before_any_row(tmp_path, capsys):

@@ -4,8 +4,8 @@ scipy's import costs about a second, far more than `steady`, `sweep` or
 `analyze` compute.  The package imports it only inside the 1/f
 synthesis that filters with it; the Welch PSD and the warm-up fit are
 numpy.  numpy's import costs more than `steady` or `sweep` computes, so
-the closed-form layer (`constants`, `errors`, `thermal`, `receiver`,
-`config`, `textformat`, `cli` and the package root) imports it only
+the closed-form layer (`errors`, `thermal`, `receiver`, `config`,
+`textformat`, `cli` and the package root) imports it only
 inside the functions that compute with arrays.  The pytest process has both loaded
 already, so each command runs in a fresh interpreter.
 """
@@ -144,7 +144,7 @@ def test_analysis_has_no_scipy_import():
 
 
 _CLOSED_FORM = (
-    "constants", "errors", "thermal", "receiver", "config", "textformat", "cli", "__init__",
+    "errors", "thermal", "receiver", "config", "textformat", "cli", "__init__",
 )
 
 
@@ -209,8 +209,8 @@ def test_array_commands_still_run_and_load_numpy(tmp_path):
 
 
 _SUBMODULES = [
-    "analysis", "cli", "config", "constants", "dynamics", "errors",
-    "pipeline", "receiver", "synth", "textformat", "thermal", "tracefile",
+    "analysis", "cli", "config", "dynamics", "errors", "pipeline",
+    "receiver", "synth", "textformat", "thermal", "tracefile",
 ]
 
 # Prints [submodules missing from dir(), the AttributeError text of each
@@ -229,7 +229,7 @@ for name in refused:
         errors.append(None)
     except AttributeError as exc:
         errors.append(str(exc))
-for name in ["config", "constants", "errors", "receiver", "textformat", "thermal"]:
+for name in ["config", "errors", "receiver", "textformat", "thermal"]:
     getattr(cavitycool, name)
 numpy_loaded = "numpy" in sys.modules
 wrong = [
@@ -255,6 +255,16 @@ def test_package_root_resolves_each_submodule_and_refuses_every_other_name():
     assert not numpy_loaded
     assert wrong == []
     assert bound == []
+
+
+def test_package_submodule_tuple_names_every_module_file():
+    # The root's tuple is kept by hand: a module added or removed without
+    # it would not resolve as `cavitycool.<module>`, or resolve to nothing.
+    import cavitycool
+
+    files = {path.stem for path in (_SRC / "cavitycool").glob("*.py")} - {"__init__"}
+    assert set(cavitycool._SUBMODULES) == files
+    assert len(cavitycool._SUBMODULES) == len(files)
 
 
 def test_no_file_imports_a_name_from_the_package_root():

@@ -494,8 +494,9 @@ def _cli(argv):
 def _assert_finite_or_named(argv, files, where):
     """Run `argv`: exit 0 prints only finite numbers and writes only finite
     CSV cells (the CSVs of `files`, a directory); exit 2 or 4 names a key or
-    a file under `where`; exit 5 carries a printed note, the estimate that
-    did not come and why."""
+    a file under `where`; exit 5, which only `analyze` gives, names its one
+    input, `argv[1]`, and carries a printed note, the estimate that did not
+    come and why."""
     code, out, err = _cli(argv)
     values = [line.partition("=")[2] for line in out.splitlines()]
     if code == 0:
@@ -506,7 +507,7 @@ def _assert_finite_or_named(argv, files, where):
             assert all(math.isfinite(float(cell)) for cell in cells), (argv, path)
     elif code == 5:
         notes = [v for line, v in zip(out.splitlines(), values) if line.startswith("note.")]
-        assert err in [f"analysis error: {note}\n" for note in notes], (argv, err)
+        assert err in [f"analysis error: {argv[1]}: {note}\n" for note in notes], (argv, err)
     else:
         assert code in (2, 4), (argv, code, err)
         assert re.search(r"\[[\w.]+\] \w", err) or where in err, (argv, err)

@@ -16,7 +16,6 @@ from cavitycool.receiver import (
     ReceiverChain,
     infer_mode_temperature,
     noise_power_reduction_db,
-    noise_power_reduction_floor_db,
     system_output_noise_kelvin,
 )
 
@@ -134,7 +133,7 @@ def test_reduction_reference_values():
 def test_reduction_floor_reference():
     chain = _simple_chain()
     assert math.isclose(
-        noise_power_reduction_floor_db(chain, 255.4),
+        noise_power_reduction_db(chain, 0.0, 255.4),
         -13.2610450842238,
         rel_tol=1e-10,
     )
@@ -152,7 +151,7 @@ def test_reduction_monotone_in_mode_temperature():
     curve = [noise_power_reduction_db(chain, t, 256.279052430086) for t in grid]
     assert np.all(np.diff(curve) > 0)
     assert curve[0] == pytest.approx(
-        noise_power_reduction_floor_db(chain, 256.279052430086), rel=1e-12
+        noise_power_reduction_db(chain, 0.0, 256.279052430086), rel=1e-12
     )
 
 
@@ -203,7 +202,7 @@ def test_inversion_rejects_out_of_range():
     chain = _simple_chain()
     with pytest.raises(DomainError):
         infer_mode_temperature(chain, 0.5, 256.0)
-    floor = noise_power_reduction_floor_db(chain, 256.0)
+    floor = noise_power_reduction_db(chain, 0.0, 256.0)
     with pytest.raises(DomainError):
         infer_mode_temperature(chain, floor - 0.5, 256.0)
     for value in (math.nan, -math.inf):

@@ -14,6 +14,8 @@ import pytest
 
 from cavitycool.errors import DomainError
 from cavitycool.thermal import (
+    BOLTZMANN_K,
+    PLANCK_H,
     BathPort,
     BathSet,
     CavityMode,
@@ -23,7 +25,6 @@ from cavitycool.thermal import (
     photon_occupancy,
     sweep_mode_temperature,
 )
-from cavitycool.constants import BOLTZMANN_K, PLANCK_H
 
 
 def test_occupancy_reference_values():
