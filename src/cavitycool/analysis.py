@@ -2,10 +2,10 @@
 
 The pipeline mirrors how switched-cooling measurements are actually
 reduced: average repeated shots to isolate and subtract deterministic
-transients, strip slow structure with a short boxcar so only noise
-remains, then compare mean-square levels between the cooled and ambient
-sections, either broadband in time, band-averaged in frequency, or
-window-by-window through the warm-up.  The warm-up series is fitted with
+transients, so that only noise remains, then compare the residual's
+mean-square levels between the cooled and ambient sections, either
+broadband in time, band-averaged in frequency, or window-by-window
+through the warm-up.  The warm-up series is fitted with
 the exact single-relaxation model, a level ratio 1 + A exp(-t/tau) against
 ambient, which ties the curve back to the moment the cold path
 disconnects.
@@ -231,10 +231,10 @@ def segment_deltap(
 ) -> DeltaPEstimate:
     """Broadband cooled-vs-ambient level from two pooled time sections.
 
-    Each section is its `pooled_mean_square` result, (mean square,
-    sample count).  The standard error uses the Gaussian mean-square
-    scatter 2/n per section; mild sample correlation from boxcar
-    extraction makes it a slight underestimate.
+    Each section is its `pooled_level` result, (mean square, sample
+    count).  The standard error uses the Gaussian mean-square scatter
+    2/n per section, which holds for independent samples; correlated
+    samples (1/f noise) make it an underestimate.
     """
     ms_cold, n_cold = cooled
     ms_amb, n_amb = ambient
@@ -311,7 +311,6 @@ def tabulate_shots(
     ambient: slice,
     warmup: slice,
     window_samples: int,
-    width: int,
     segment_samples: "int | None",
 ) -> ShotTables:
     """One pass over the shots, a block of them at a time, in shot order.
@@ -322,21 +321,15 @@ def tabulate_shots(
     one entry per shot, and over each whole `window_samples` window of
     the `warmup` columns one row per shot of the table `deltap_series`
     takes; those of the mean over the cooled and ambient columns are 0
-    for one shot.  With `segment_samples`, the block passes through the boxcar
-    of `extract_noise` when `width` is two or more, and the Welch
-    densities of its cooled and ambient columns fill one row per shot
+    for one shot.  With `segment_samples`, the Welch densities of the
+    same residuals' cooled and ambient columns fill one row per shot
     each.  Every result equals, bit for bit, that of the public stage
     run on the whole ensemble, and no ensemble-sized array is made.
     """
     v = trace.voltages_v
     n_shots = trace.n_shots
-    block_shots = min(n_shots, _BLOCK_SHOTS)
     mean = v.mean(axis=0) if n_shots >= 2 else np.zeros(len(trace))
-    residuals = np.empty((block_shots, len(trace)))
-    boxcar = None
-    if segment_samples is not None and width >= 2:
-        boxcar = _Boxcar(len(trace), width, block_shots)
-        extracted = np.empty((block_shots, len(trace)))
+    residuals = np.empty((min(n_shots, _BLOCK_SHOTS), len(trace)))
     cooled_sums = np.empty(n_shots)
     ambient_sums = np.empty(n_shots)
     warmup_sums = np.empty((n_shots, (warmup.stop - warmup.start) // window_samples))
@@ -354,8 +347,6 @@ def tabulate_shots(
         np.sum(rows[:, cooled] ** 2, axis=1, out=cooled_sums[shots])
         np.sum(rows[:, ambient] ** 2, axis=1, out=ambient_sums[shots])
         _window_sums(rows[:, warmup], window_samples, warmup_sums[shots])
-        if boxcar is not None:
-            rows = boxcar.residual(rows, out=extracted[: len(rows)])
         for table, span in zip(psds, (cooled, ambient)):
             table.add(start, rows[:, span])
     cold_psd, ambient_psd = [table.density() for table in psds] or [None, None]

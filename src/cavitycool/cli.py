@@ -4,7 +4,8 @@ Four subcommands cover the workflow: `steady` for closed-form mode
 temperatures and occupancies, `sweep` for a (coupling, cold-load) grid,
 `simulate` for protocol trace generation, `analyze` for trace
 reduction.  Exit codes: 0 success, 2 configuration problem, 3 I/O
-failure, 4 malformed data file, 5 estimator non-convergence.
+failure, 4 malformed data file, 5 an estimate that does not count: a
+failed, unconverged or uncooled warm-up fit, or a failed inversion.
 """
 
 from __future__ import annotations

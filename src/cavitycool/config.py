@@ -106,7 +106,6 @@ class ProtocolConfig:
 class AnalysisConfig:
     """Windows and estimator knobs for the trace reduction."""
 
-    boxcar_width_s: float = bounded("> 0", default=100e-9)
     band_low_hz: float = bounded(">= 0", default=5e6)
     band_high_hz: float = bounded("> 0", default=10e6)
     window_samples: int = bounded(">= 1", default=60)
@@ -196,7 +195,6 @@ _SCHEMA = (
     ("synth", "artifact_amplitude_v", float, "synth.artifact_amplitude_v"),
     ("synth", "voltage_scale", float, "synth.voltage_scale"),
     ("synth", "n_shots", int, "n_shots"),
-    ("analysis", "boxcar_width_s", float, "analysis.boxcar_width_s"),
     ("analysis", "band_low_hz", float, "analysis.band_low_hz"),
     ("analysis", "band_high_hz", float, "analysis.band_high_hz"),
     ("analysis", "window_samples", int, "analysis.window_samples"),

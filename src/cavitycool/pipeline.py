@@ -64,15 +64,24 @@ def simulate_run(cfg: RunConfig) -> SimulationResult:
     return SimulationResult(trajectory, traces, schedule, proto.cool_duration_s)
 
 
+# The warm-up fit counts only when the direct level lies this many standard
+# errors below 0 dB (one-sided Wald test of "no cooling").  Uncooled, level /
+# stderr had sd <= 1.40 and none of 3,000 seeded 2- to 150-shot runs fell below
+# -4.34 (a Gaussian of sd 1.40 passes -6 once in 1e5); with the default
+# cooling the highest of 200 seeds was -7.4 at one shot and -10.3 at two.
+_COOLING_Z = 6.0
+
+
 @dataclass
 class AnalysisReport:
     """Everything the reduction recovers from one shot ensemble.
 
     `notes` says, in order, what the run could not give and why.
     `failure` is the first of them that fails the run, or None when every
-    estimate counts: a warm-up fit that did not return or did not converge
-    (then `depth_db` is None and the warm-up time NaN), else a failed
-    mode-temperature inversion (then `t_mode_inferred_k` is NaN).
+    estimate counts: a warm-up fit that did not return, did not converge
+    or times a run whose direct level shows no cooling (then `depth_db` is
+    None and the warm-up time NaN), else a failed mode-temperature
+    inversion (then `t_mode_inferred_k` is NaN).
     """
 
     deltap_direct: analysis.DeltaPEstimate
@@ -101,11 +110,8 @@ def analyze_run(
 
     The shot-ensemble mean is subtracted when two or more shots are
     available (removing switch transients and any coherent signal).
-    Time-domain level estimates work on those residuals directly, since
-    a mean-square ratio needs the full noise variance.  The spectral
-    path additionally applies the configured boxcar extraction when its
-    window spans at least two samples; the extraction transfer function
-    is common to both spectra and cancels in the band ratio.
+    Every estimate, the time-domain levels, the warm-up series and the
+    two spectra, works on those residuals.
 
     One pass over blocks of shots (`analysis.tabulate_shots`) yields
     every shot's sums of squares over the cooled and ambient spans and
@@ -131,11 +137,6 @@ def analyze_run(
     if traces.n_shots < 2:
         notes.append(
             "single shot: deterministic transients cannot be separated from noise"
-        )
-    width = max(1, round(acfg.boxcar_width_s / traces.sample_interval_s))
-    if width < 2:
-        notes.append(
-            "boxcar width rounds to one sample; spectral extraction skipped"
         )
 
     d, t_end = disconnect_time_s, float(traces.times_s[-1])
@@ -171,8 +172,7 @@ def analyze_run(
     try:
         with np.errstate(over="raise", invalid="raise"):
             tables = analysis.tabulate_shots(
-                traces, cooled, ambient, warmup, acfg.window_samples, width,
-                seg if psd_fits else None,
+                traces, cooled, ambient, warmup, acfg.window_samples, seg if psd_fits else None
             )
             cooled_level = analysis.pooled_level(tables.cooled_sums, n_cooled)
             ambient_level = analysis.pooled_level(tables.ambient_sums, n_ambient)
@@ -208,8 +208,8 @@ def analyze_run(
         raise AnalysisError(f"samples too large to analyse ({exc})") from None
 
     # The one test of whether the warm-up fit counts: it returned and
-    # converged.  Otherwise the depth is None, the warm-up time NaN, and
-    # its note is the run's failure.
+    # converged, and the direct level shows cooling.  Otherwise the depth
+    # is None, the warm-up time NaN, and its note is the run's failure.
     fit = None
     depth = None
     failure = None
@@ -218,6 +218,12 @@ def analyze_run(
         fit = analysis.fit_biexponential(series_t, series_db, acfg.exclude_before_s)
         if not fit.converged:
             raise AnalysisError("exponential fit did not converge")
+        value, stderr = deltap_direct
+        if not value <= -_COOLING_Z * stderr:
+            raise AnalysisError(
+                f"no cooling detected (deltap_direct_db = {value:.3f} +/- {stderr:.3f}, "
+                f"need <= -{_COOLING_Z:g} standard errors)"
+            )
         depth = analysis.DeltaPEstimate(fit.a1_db, fit.a1_stderr_db)
         warmup_time, warmup_stderr = fit.tau1_s, fit.tau1_stderr_s
     except AnalysisError as exc:

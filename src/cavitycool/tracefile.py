@@ -57,7 +57,7 @@ _GRID_TOLERANCE = 1e-6
 
 _TRACE_HEADER_LINE = ",".join(TRACE_HEADER) + "\n"
 
-_RUN_FORMAT = "cavitycool-run/3"
+_RUN_FORMAT = "cavitycool-run/4"
 TRAJECTORY_FILE = "trajectory.csv"
 
 

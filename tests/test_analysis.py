@@ -702,3 +702,30 @@ def test_closure_warmup_estimates_unbiased():
         depths.append(report.depth_db.value_db)
     assert abs(np.mean(taus) / tau_true - 1.0) < 0.03
     assert abs(np.mean(depths) - predicted_db) < 0.1
+
+
+def test_closure_band_level_unbiased():
+    # The band level reads the same mean-subtracted residuals as the direct
+    # level: over 12 seeds of 150 shots at the bench default (1/f off) its
+    # mean lies within 3 standard errors of the predicted level change.
+    from dataclasses import replace
+
+    from cavitycool.config import default_run_config, with_seed
+    from cavitycool.pipeline import analyze_run, simulate_run
+    from cavitycool.receiver import noise_power_reduction_db
+    from cavitycool.thermal import mode_temperature
+
+    base = replace(default_run_config(), n_shots=150)
+    assert base.synth.one_over_f_corner_hz == 0.0
+    ambient_baths = base.baths.subset(base.persistent_port_indices())
+    predicted_db = noise_power_reduction_db(
+        base.receiver, mode_temperature(base.baths), mode_temperature(ambient_baths)
+    )
+    assert predicted_db == pytest.approx(-3.47327, abs=5e-6)
+    levels = []
+    for seed in range(900, 912):
+        cfg = with_seed(base, seed)
+        sim = simulate_run(cfg)
+        levels.append(analyze_run(sim.traces, cfg, sim.disconnect_time_s).deltap_band.value_db)
+    stderr = np.std(levels, ddof=1) / math.sqrt(len(levels))
+    assert abs(np.mean(levels) - predicted_db) < 3.0 * stderr

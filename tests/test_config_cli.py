@@ -86,8 +86,6 @@ def test_protocol_config_validation():
 
 def test_analysis_config_validation():
     with pytest.raises(DomainError):
-        AnalysisConfig(boxcar_width_s=0.0)
-    with pytest.raises(DomainError):
         AnalysisConfig(band_low_hz=10e6, band_high_hz=5e6)
     with pytest.raises(DomainError):
         AnalysisConfig(band_low_hz=-1.0)
@@ -631,7 +629,7 @@ def test_cli_surface_pinned():
             "inputs", "--emit-series", "--emit-psd", "--emit-deltap-curve",
         ]),
     }
-    assert (len(_SCHEMA), len(_PORT_SCHEMA)) == (34, 6)
+    assert (len(_SCHEMA), len(_PORT_SCHEMA)) == (33, 6)
 
 
 @pytest.mark.parametrize("argv", [
@@ -1050,8 +1048,8 @@ def test_analyze_run_recovers_protocol():
 
 def _composed_report(traces, cfg, disconnect_time_s):
     """analyze_run's estimates from the public stages, each run on the
-    whole ensemble: mean subtraction, the two pooled levels, boxcar
-    extraction, the two spectra, the warm-up series and its fit."""
+    whole ensemble: mean subtraction, the two pooled levels, the two
+    spectra of the residuals, the warm-up series and its fit."""
     acfg = cfg.analysis
     residuals = traces
     if traces.n_shots >= 2:
@@ -1061,9 +1059,7 @@ def _composed_report(traces, cfg, disconnect_time_s):
     ambient_span = (disconnect_time_s + acfg.ambient_settle_s, t_end + 1e-12)
     cooled = analysis.pooled_mean_square(residuals, *cooled_span)
     ambient = analysis.pooled_mean_square(residuals, *ambient_span)
-    width = max(1, round(acfg.boxcar_width_s / traces.sample_interval_s))
-    extracted = residuals if width < 2 else analysis.extract_noise(residuals, width)
-    sections = [extracted.slice_time(*span) for span in (cooled_span, ambient_span)]
+    sections = [residuals.slice_time(*span) for span in (cooled_span, ambient_span)]
     psds = [None, None]
     if acfg.psd_segment_samples <= min(map(len, sections)):
         psds = [
@@ -1120,8 +1116,6 @@ _PASS_CASES = {
     "65-shots": (_case_config(65), None),
     "one-over-f": (_case_config(33, synth={"one_over_f_corner_hz": 1e6}), None),
     "disconnect-30us": (_case_config(33), 30e-6),
-    "width-1": (_case_config(33, analysis_items={"boxcar_width_s": 1e-9}), None),
-    "width-7": (_case_config(33, analysis_items={"boxcar_width_s": 3.5e-7}), None),
     "psd-skipped": (_case_config(33, analysis_items={"psd_segment_samples": 1000}), None),
     "single-shot": (_case_config(1), None),
     "one-warmup-sample": (
@@ -1140,7 +1134,6 @@ _PASS_CASES = {
 }
 # The note that shows a case reached its branch of the pass.
 _PASS_NOTES = {
-    "width-1": "spectral extraction skipped",
     "psd-skipped": "band-averaged level skipped",
     "single-shot": "single shot",
     "one-warmup-sample": "at least 8 usable points",
@@ -1171,7 +1164,7 @@ def test_analyze_run_equals_the_composed_public_stages(case):
 
 
 @pytest.mark.parametrize("case", [
-    "65-shots", "width-1", "single-shot", "one-warmup-sample",
+    "65-shots", "single-shot", "one-warmup-sample",
     *(f"{n}-shots-{name}-window" for n in (31, 33, 69) for name in ("one", "partial")),
 ])
 def test_report_does_not_depend_on_the_block_size(monkeypatch, case):
@@ -1198,8 +1191,8 @@ def _traced_peak(call):
 
 def test_analyze_run_memory_stays_under_half_its_input():
     # Beside its input, analyze_run holds per-shot tables and one block of
-    # residuals and extracted noise (about 0.32x the input at the
-    # defaults); one ensemble-sized temporary would pass 1x.
+    # residuals (about 0.21x the input at the defaults); one ensemble-sized
+    # temporary would pass 1x.
     cfg = default_run_config()
     traces = simulate_run(cfg).traces
     peak, _ = _traced_peak(lambda: analyze_run(traces, cfg))
@@ -1220,15 +1213,6 @@ def test_analyze_run_single_shot_note():
     report = analyze_run(result.traces, cfg)
     assert report.n_shots == 1
     assert any("single shot" in note for note in report.notes)
-
-
-def test_analyze_run_notes_skipped_extraction():
-    base = default_run_config()
-    cfg = replace(
-        base, n_shots=2, analysis=replace(base.analysis, boxcar_width_s=50e-9)
-    )
-    report = analyze_run(simulate_run(cfg).traces, cfg)
-    assert any("extraction skipped" in note for note in report.notes)
 
 
 def test_analyze_run_notes_short_spectral_sections():
@@ -1446,7 +1430,7 @@ def test_cli_simulate_analyze_round_trip(tmp_path, capsys):
     # nothing derived from them: the trace names follow from synth.n_shots
     meta = tracefile.read_key_values(str(out / "run.meta"))
     assert list(meta.items()) == [
-        ("format", "cavitycool-run/3"), ("config_digest", config_digest(cfg)),
+        ("format", "cavitycool-run/4"), ("config_digest", config_digest(cfg)),
         *config_items(cfg),
     ]
     assert meta["config_digest"] == d["config_digest"]
@@ -1521,11 +1505,11 @@ def test_cli_analyze_data_error_exit_codes(tmp_path, capsys):
     assert "i/o error" in capsys.readouterr().err
 
     meta = tmp_path / "run.meta"
-    meta.write_text("format=cavitycool-run/3\n")
+    meta.write_text("format=cavitycool-run/4\n")
     assert cli.main(["analyze", str(meta)]) == 4
     assert f"{meta}: section [mode] missing key" in capsys.readouterr().err
 
-    meta.write_text("format=cavitycool-run/3\ntrace_files=missing.csv\n")
+    meta.write_text("format=cavitycool-run/4\ntrace_files=missing.csv\n")
     assert cli.main(["analyze", str(meta)]) == 4
     assert f"{meta}: unknown key 'trace_files'" in capsys.readouterr().err
 
@@ -1655,7 +1639,7 @@ def test_cli_analyze_names_the_key_of_an_out_of_range_sidecar_value(tmp_path, ca
     "master_seed=4\n", "trace_files=trace_000.csv,trace_001.csv,trace_002.csv,trace_003.csv\n",
 ], ids=["copy", "trace-list"])
 def test_cli_analyze_rejects_a_leftover_sidecar_line(tmp_path, capsys, line):
-    # a cavitycool-run/3 sidecar holds only the format, the digest and the
+    # a cavitycool-run/4 sidecar holds only the format, the digest and the
     # configuration: a line that cavitycool-run/2 also wrote is unknown
     meta = _four_shot_meta(tmp_path, capsys)
     head, digest, rest = meta.read_text().split("\n", 2)
@@ -1672,7 +1656,7 @@ def test_cli_analyze_rejects_a_leftover_sidecar_line(tmp_path, capsys, line):
 def test_cli_analyze_rejects_a_sidecar_of_another_format(tmp_path, capsys, line):
     meta = _four_shot_meta(tmp_path, capsys)
     text = meta.read_text()
-    assert text.startswith("format=cavitycool-run/3\n")
+    assert text.startswith("format=cavitycool-run/4\n")
     # the format line is checked first, whatever else the file lacks or
     # holds: here its digest and a configuration key, and a stray key
     rest = [
@@ -1685,29 +1669,32 @@ def test_cli_analyze_rejects_a_sidecar_of_another_format(tmp_path, capsys, line)
     found = line.strip().partition("=")[2] or "(none)"
     assert captured.out == ""
     assert captured.err == (
-        f"data format error: {meta}: format={found}, expected cavitycool-run/3\n"
+        f"data format error: {meta}: format={found}, expected cavitycool-run/4\n"
     )
 
 
 def test_cli_analyze_rejects_a_sidecar_of_the_previous_format(tmp_path, capsys):
+    # cavitycool-run/3 also recorded `analysis.boxcar_width_s`, and
     # cavitycool-run/2 also copied five configuration values to lines of
     # their own and listed the trace files
     meta = _four_shot_meta(tmp_path, capsys)
     head, digest, rest = meta.read_text().split("\n", 2)
-    assert head == "format=cavitycool-run/3"
+    assert head == "format=cavitycool-run/4"
     recorded = tracefile.read_key_values(str(meta))
     copies = "".join(f"{copy}={recorded[key]}\n" for copy, key in _FORMER_COPIES.items())
     names = ",".join(f"trace_{i:03d}.csv" for i in range(4))
-    meta.write_text(
-        f"format=cavitycool-run/2\n{digest}\n{copies}"
-        f"trajectory_file=trajectory.csv\ntrace_files={names}\n{rest}"
-    )
-    assert cli.main(["analyze", str(meta), "--porcelain"]) == 4
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (
-        f"data format error: {meta}: format=cavitycool-run/2, expected cavitycool-run/3\n"
-    )
+    for found, text in (
+        ("cavitycool-run/3", f"{digest}\nanalysis.boxcar_width_s=1e-07\n{rest}"),
+        ("cavitycool-run/2", f"{digest}\n{copies}trajectory_file=trajectory.csv\n"
+                             f"trace_files={names}\n{rest}"),
+    ):
+        meta.write_text(f"format={found}\n{text}")
+        assert cli.main(["analyze", str(meta), "--porcelain"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"data format error: {meta}: format={found}, expected cavitycool-run/4\n"
+        )
 
 
 def test_cli_analyze_rejects_traces_off_the_run_grid(tmp_path, capsys):
@@ -1981,8 +1968,7 @@ def test_band_level_past_nyquist_is_a_note():
                   analysis=replace(cfg.analysis, psd_segment_samples=64))
     report = analyze_run(simulate_run(cfg).traces, cfg)
     assert report.deltap_band is None and report.cold_psd is not None
-    assert report.notes[:2] == [
-        "boxcar width rounds to one sample; spectral extraction skipped",
+    assert report.notes[:1] == [
         "band-averaged level unavailable: band upper edge 10000000.0 Hz extends past "
         "the spectrum (5000000.0000000475 Hz)",
     ]
@@ -2011,14 +1997,6 @@ def test_degenerate_warmup_fit_covariance_is_a_note(tmp_path):
     assert report.failure in report.notes
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason=(
-        "a converged fit counts however small its amplitude: without cooling, "
-        "seed 3 gives a warm-up time of 3.06 us and a depth of 0.77 +/- 1.51 dB "
-        "drawn from the noise, and analyze exits 0"
-    ),
-)
 def test_analyze_of_a_run_without_cooling_reports_no_warmup_time(tmp_path, capsys):
     # The cooling port decoupled: the mode never leaves ambient, so there is
     # no warm-up to time, and a fitted time constant is noise.
@@ -2032,6 +2010,28 @@ def test_analyze_of_a_run_without_cooling_reports_no_warmup_time(tmp_path, capsy
     assert _porcelain(out)["warmup_time_s"] == "nan"
     assert err.startswith(f"analysis error: {meta}: warm-up fit unavailable: ")
 
+
+
+@pytest.mark.parametrize("n_shots", [2, 3, 4])
+def test_small_cooled_runs_keep_their_warmup_time(tmp_path, capsys, n_shots):
+    # The no-cooling test must not refuse real cooling however few the
+    # shots: every converged fit of seeds 0-19 counts (their direct levels
+    # lie 10 or more standard errors below 0 dB), and seed 0 exits 0.
+    cfg = default_run_config()
+    converged = 0
+    for seed in range(20):
+        run = replace(with_seed(cfg, seed), n_shots=n_shots)
+        report = analyze_run(simulate_run(run).traces, run)
+        if report.fit is not None and report.fit.converged:
+            converged += 1
+            assert report.failure is None, (seed, report.failure)
+    assert converged >= 14
+    ini = _ini(tmp_path, f"[synth]\nn_shots = {n_shots}\n")
+    out = tmp_path / "run"
+    assert cli.main(["simulate", "--config", ini, "--out", str(out), "--seed", "0"]) == 0
+    capsys.readouterr()
+    assert cli.main(["analyze", str(out / "run.meta"), "--porcelain"]) == 0
+    assert _porcelain(capsys.readouterr().out)["warmup_time_s"] != "nan"
 
 _IDEAL_RECEIVER = (
     "[receiver]\nlna_t_min_k = 0\nlna_noise_resistance_ohm = 0\npost_stage_noise_k = 0\n"
@@ -2191,7 +2191,8 @@ def test_cli_analyze_names_voltage_scale_for_a_sidecar_of_identical_shots(tmp_pa
 def test_cli_analyze_exits_5_when_no_mode_temperature_gives_the_level(tmp_path, capsys):
     # A gain of 1e-300 leaves the receiver output without the mode: the
     # floor is 0 dB and a measured -0.06 dB has no temperature.  `analyze`
-    # printed t_mode_inferred_k=nan and exited 0.
+    # printed t_mode_inferred_k=nan and exited 0.  The level shows no
+    # cooling either, so the fit's note, which fails the run, comes first.
     ini = _ini(tmp_path, "[receiver]\nlna_gain_linear = 1e-300\n[synth]\nn_shots = 3\n")
     run = tmp_path / "run"
     assert cli.main(["simulate", "--config", ini, "--out", str(run)]) == 0
@@ -2200,7 +2201,8 @@ def test_cli_analyze_exits_5_when_no_mode_temperature_gives_the_level(tmp_path, 
     out, err = capsys.readouterr()
     d = _porcelain(out)
     assert d["t_mode_inferred_k"] == "nan" and d["fit_converged"] == "true"
-    assert d["note.0"].startswith("mode temperature inversion unavailable: reduction ")
+    assert d["note.0"].startswith("warm-up fit unavailable: no cooling detected ")
+    assert d["note.1"].startswith("mode temperature inversion unavailable: reduction ")
     assert err == f"analysis error: {run / 'run.meta'}: {d['note.0']}\n"
 
 
