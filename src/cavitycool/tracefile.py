@@ -12,27 +12,35 @@ shots and the `run.meta` sidecar: the `format` and `config_digest` lines,
 then the run's `config_items`.  The sidecar holds nothing else; the file
 names follow from the configuration.
 
-A run writes and reads one trace file per shot, all on one time grid, so
-both directions handle the time column once per grid.  `write_trace_csv`
-keeps the grid's line starts in a one-entry cache keyed by the grid's
-float64 bytes; each start carries the newline that ends the line before,
-the first also the header, so a file is one join of the starts
-interleaved with the voltages' reprs.  `read_trace_csv` keeps the last
-time column it parsed and reuses its array when the next file's time
-fields are equal to it, text for text, so neither cache ever returns
-another grid.
+Both directions convert floats with `orjson`, which prints Python's
+shortest round-trip digits (Ryu) and parses with correct rounding, so
+the files and the values read back are the same as with `repr` and
+`float()`; it is imported here only.
+
+`write_trace_csv` formats a shot's voltages with one `orjson.dumps`.
+orjson's text equals `repr` for 0 and for 1e-4 <= |v| < 1e16; any other
+voltage, and NaN and +-inf, is written with `repr`, and so is every
+voltage of a shot where most lie outside that range.  A run writes one
+trace file per shot, all on one grid, whose times lie mostly below 1e-4,
+so the times are written with `repr` once per grid: a one-entry cache
+keyed by the grid's float64 bytes holds the grid's line starts, each
+carrying the newline that ends the line before, the first also the
+header.  A file is one join of the starts interleaved with the voltages.
 
 `read_trace_csv` first tries a whole-file fast path.  It takes only a
 file with the exact header line, ASCII text, LF endings, no `"` and no
 carriage return, and a final newline, whose commas and newlines
 alternate starting with a comma: so every line holds exactly one comma
-and none is blank.  It splits the bytes at both separators without
-decoding them and converts each column with `np.array(..., dtype=float)`,
-which calls `float()` on every field and so takes and refuses exactly
-what the line reader does.  Any other file, or a field that `float()`
-refuses, goes to the validating line reader, which names the row.  Both
-check the parsed samples with `_checked_trace`, so both return the same
-array or raise the same error.
+and none is blank.  It turns the body's newlines into commas and parses
+both columns with one `orjson.loads`, when the body holds only the bytes
+of a JSON number and no integer -0, which orjson reads as 0.  JSON
+numbers are a subset of what `float()` takes; when orjson refuses one
+(`1.`, `+1`, `01`, `inf`, an overflow, ...), `float()` converts every
+field instead, and so takes and refuses exactly what the line reader
+does.  Any other file, or a field that `float()` refuses, goes to the
+validating line reader, which names the row.  All three check the parsed
+samples with `_checked_trace`, so all return the same array or raise
+the same error.
 """
 
 from __future__ import annotations
@@ -43,6 +51,7 @@ import os
 from typing import Sequence
 
 import numpy as np
+import orjson
 
 from .config import RunConfig, config_digest, config_from_items, config_items, grid_sample_count
 from .errors import ConfigError, DataFormatError
@@ -75,6 +84,21 @@ def _time_fields(grid_bytes: bytes) -> tuple[str, ...]:
     return tuple(starts)
 
 
+def _voltage_fields(volts: np.ndarray) -> list[str]:
+    """The `repr` of each of `volts`, a 1-D float64 array."""
+    # orjson's text equals repr only for 0 and 1e-4 <= |v| < 1e16.
+    a = np.abs(volts)
+    other = np.flatnonzero(~(((a >= 1e-4) & (a < 1e16)) | (volts == 0)))
+    # Where most lie outside, repr alone costs less than orjson and repr.
+    if 2 * len(other) > len(volts):
+        return list(map(repr, volts.tolist()))
+    text = orjson.dumps(volts, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode()
+    fields = text.split(",") if text else []
+    for i, v in zip(other.tolist(), volts[other].tolist()):
+        fields[i] = repr(v)
+    return fields
+
+
 def write_trace_csv(path: str, times_s: np.ndarray, voltages_v: np.ndarray) -> None:
     """Write one shot: its samples `voltages_v` on the grid `times_s`."""
     starts = _time_fields(np.asarray(times_s, dtype=float).tobytes())
@@ -82,7 +106,7 @@ def write_trace_csv(path: str, times_s: np.ndarray, voltages_v: np.ndarray) -> N
     parts[0::2] = starts
     # An extended slice takes exactly one voltage per sample, and raises
     # ValueError on any other count.
-    parts[1::2] = map(repr, np.asarray(voltages_v, dtype=float).tolist())
+    parts[1::2] = _voltage_fields(np.ascontiguousarray(voltages_v, dtype=float))
     with open(path, "wb") as fh:
         fh.write("".join(parts).encode("ascii"))
 
@@ -127,35 +151,32 @@ def _plain_trace(path: str, data: bytes) -> NoiseTrace | None:
         newlines = np.flatnonzero(body == ord("\n"))
         if np.max(np.diff(newlines, prepend=-1)) > limit:
             return None
-    fields = data[head:-1].replace(b"\n", b",").split(b",")
-    times = _time_column(fields[0::2])
-    if times is None:
-        return None
-    try:
-        volts = np.array(fields[1::2], dtype=float)
-    except ValueError:
-        return None
+    text = data[head:-1].replace(b"\n", b",")
+    pairs = _json_numbers(text)
+    if pairs is None:
+        try:
+            pairs = np.array(text.split(b","), dtype=float)
+        except ValueError:
+            return None
+    times, volts = pairs.reshape(-1, 2).T.copy()
     # No line is blank, so sample i sits on line i + 2.
     return _checked_trace(path, times, volts, range(2, len(volts) + 2))
 
 
-# The last time column `_time_column` parsed: its fields and its array.
-_last_time_column: tuple[list[bytes], np.ndarray] = ([], np.empty(0))
+# The bytes a JSON number is spelled with, and the comma between two.
+_NUMBER_BYTES = b"0123456789+-.eE,"
 
 
-def _time_column(fields: list[bytes]) -> np.ndarray | None:
-    """The read-only array that the time column `fields` spells, or None
-    when `float()` refuses a field."""
-    global _last_time_column
-    if fields == _last_time_column[0]:
-        return _last_time_column[1]
-    try:
-        t = np.array(fields, dtype=float)
-    except ValueError:
+def _json_numbers(text: bytes) -> np.ndarray | None:
+    """The comma-separated numbers `text` as `float()` reads them, when
+    `orjson` takes each as a JSON number; None otherwise."""
+    # orjson reads the integer -0 as 0, where float() keeps the sign.
+    if text.translate(None, _NUMBER_BYTES) or b"-0," in text or text.endswith(b"-0"):
         return None
-    t.flags.writeable = False
-    _last_time_column = (fields, t)
-    return t
+    try:
+        return np.array(orjson.loads(b"[" + text + b"]"), dtype=float)
+    except orjson.JSONDecodeError:
+        return None
 
 
 def _checked_trace(path: str, times, volts, lines: Sequence[int]) -> NoiseTrace:

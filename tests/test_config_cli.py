@@ -3,6 +3,7 @@
 import argparse
 import csv
 import dataclasses
+import decimal
 import math
 import subprocess
 import sys
@@ -839,12 +840,27 @@ _HEAD = "time_s,voltage_v\n"
     (_HEAD, "need at least 2 samples, got 0"),
     (_HEAD + "0.0,1.5\x00\n1e-07,-2.0\n", "line 2: non-numeric sample"),
     (_HEAD + "0.0," + "0" * 140000 + "1\n1e-07,-2.0\n", "field larger than field limit"),
+    # float() takes these and orjson refuses them.
+    (_HEAD + "0.0,1.\n1e-07,-2.0\n", [1.0, -2.0]),
+    (_HEAD + "0.0,.5\n1e-07,-2.0\n", [0.5, -2.0]),
+    (_HEAD + "0.0,+1\n1e-07,-2.0\n", [1.0, -2.0]),
+    (_HEAD + "0.0,01\n1e-07,-2.0\n", [1.0, -2.0]),
+    (_HEAD + "0.0,1E5\n1e-07,-2.0\n", [100000.0, -2.0]),
+    (_HEAD + "0.0,inf\n1e-07,-2.0\n", "line 2: non-finite sample"),
+    (_HEAD + "0.0,1e400\n1e-07,-2.0\n", "line 2: non-finite sample"),
+    # JSON values that are not numbers are no samples.
+    (_HEAD + "0.0,true\n1e-07,-2.0\n", "line 2: non-numeric sample"),
+    (_HEAD + "0.0,null\n1e-07,-2.0\n", "line 2: non-numeric sample"),
+    (_HEAD + "0.0,[1]\n1e-07,-2.0\n", "line 2: non-numeric sample"),
+    (_HEAD + "0.0,1.5\n1e-07,-2.0\n2e-07,[]\n", "line 4: non-numeric sample"),
 ], ids=[
     "plain", "blank-line", "crlf", "quoted", "spaces", "header-spaces", "hash-line",
     "underscore", "non-ascii-digit", "three-then-one-field", "one-then-three-field",
     "no-final-newline",
     "nan", "inf-time", "non-increasing", "non-uniform", "one-sample", "no-sample",
     "nul", "oversized-field",
+    "trailing-point", "leading-point", "plus-sign", "leading-zero", "capital-exponent",
+    "inf", "overflow", "json-true", "json-null", "json-array", "json-empty-array",
 ])
 def test_read_trace_fast_path_agrees_with_line_reader(tmp_path, text, expected):
     path = tmp_path / "trace.csv"
@@ -882,18 +898,63 @@ def test_read_trace_fast_path_checks_line_lengths_against_a_lowered_field_limit(
     assert back.times_s.tolist() == [k * 1e-7 for k in range(40)]
 
 
-def test_read_trace_reuses_a_time_column_only_when_its_text_is_equal(tmp_path):
-    # 1e-07 and 1.0e-07 are one value spelled two ways: the second file's
-    # column is parsed afresh, and a repeat of it reuses that parse.
+def test_read_trace_reads_one_time_spelled_two_ways_as_one_value(tmp_path):
+    # 1e-07 and 1.0e-07 are one value spelled two ways.
     paths = []
     for name, middle in (("a.csv", "1e-07"), ("b.csv", "1.0e-07"), ("c.csv", "1.0e-07")):
         path = tmp_path / name
         path.write_bytes(f"{_HEAD}0.0,1.5\n{middle},-2.0\n2e-07,0.5\n".encode())
         paths.append(str(path))
     a, b, c = (tracefile.read_trace_csv(path).times_s for path in paths)
-    assert a.tolist() == b.tolist() == [0.0, 1e-07, 2e-07]
-    assert not np.shares_memory(a, b)
-    assert np.shares_memory(b, c)
+    assert a.tolist() == b.tolist() == c.tolist() == [0.0, 1e-07, 2e-07]
+
+
+@pytest.mark.parametrize("body", [
+    "0.0,-0\n1e-07,-2.0\n", "0.0,1.5\n1e-07,-0\n", "0.0,-0.0\n1e-07,-0e0\n",
+], ids=["first-integer", "last-integer", "float"])
+def test_read_trace_keeps_the_sign_of_negative_zero(tmp_path, body):
+    # orjson reads the integer -0 as 0; float() keeps its sign.
+    path = tmp_path / "trace.csv"
+    path.write_bytes((_HEAD + body).encode())
+    volts = tracefile.read_trace_csv(str(path)).voltages_v[0]
+    lines = tracefile._read_trace_lines(str(path)).voltages_v[0]
+    assert volts.tobytes() == lines.tobytes()
+    assert math.copysign(1.0, volts[volts == 0][0]) == -1.0
+
+
+def _halfway(x: float) -> str:
+    """The exact decimal halfway between `x` and the next double up."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 800  # exact: a double's decimal has at most 767 digits
+        mid = (decimal.Decimal(x) + decimal.Decimal(math.nextafter(x, math.inf))) / 2
+    return format(mid, "e")
+
+
+def test_read_trace_json_path_parses_as_float_does():
+    # The reprs of random doubles, the exact halfway points between
+    # neighbouring doubles (decimal and integer), and random digit strings,
+    # all JSON numbers: orjson takes every one and rounds it as float() does.
+    rng = np.random.default_rng(17)
+    doubles = rng.integers(0, 2**64, size=5000, dtype=np.uint64).view(np.float64)
+    doubles = doubles[np.isfinite(doubles)].tolist()
+    spread = np.exp(rng.uniform(-70.0, 70.0, size=2000)).tolist()
+    digits = [
+        "".join(map(str, rng.integers(0, 10, size=n))).lstrip("0") or "0"
+        for n in rng.integers(1, 26, size=2000)
+    ]
+    fields = [
+        *map(repr, doubles),
+        *(_halfway(x) for x in spread),
+        *(_halfway(-x) for x in spread[:200]),
+        *(str(2**k + 2 ** (k - 53) * m) for k in range(53, 200) for m in (1, 3)),
+        *(f"{d[:1]}.{d[1:] or '0'}e{e}" for d, e in zip(digits, rng.integers(-30, 30, 2000))),
+        *digits,
+        *(_halfway(x) for x in (5e-324, 2.2250738585072014e-308, 1e-300)),
+    ]
+    text = ",".join(fields).encode()
+    parsed = tracefile._json_numbers(text)
+    assert parsed is not None
+    assert parsed.tobytes() == np.array([float(f) for f in fields]).tobytes()
 
 
 def test_read_trace_takes_written_files_without_the_line_reader(tmp_path, monkeypatch):

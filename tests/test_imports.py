@@ -1,4 +1,4 @@
-"""Which commands load numpy and scipy.
+"""Which commands load numpy, scipy and orjson.
 
 scipy's import costs about a second, far more than `steady`, `sweep` or
 `analyze` compute.  The package imports it only inside the 1/f
@@ -6,8 +6,10 @@ synthesis that filters with it; the Welch PSD and the warm-up fit are
 numpy.  numpy's import costs more than `steady` or `sweep` computes, so
 the closed-form layer (`errors`, `thermal`, `receiver`, `config`,
 `textformat`, `cli` and the package root) imports it only
-inside the functions that compute with arrays.  The pytest process has both loaded
-already, so each command runs in a fresh interpreter.
+inside the functions that compute with arrays.  orjson converts the
+floats of trace files, so only `tracefile` imports it.  The pytest
+process has all three loaded already, so each command runs in a fresh
+interpreter.
 """
 
 import ast
@@ -174,6 +176,32 @@ def test_import_steady_sweep_version_and_help_load_no_numpy(tmp_path):
         ["--version", 0, []],
         ["--help", 0, []],
     ]
+
+
+def test_only_tracefile_imports_orjson():
+    found = []
+    for path in sorted((_SRC / "cavitycool").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += [f"{path.name}:{line}" for line in _import_lines(ast.walk(tree), "orjson")]
+    assert [name.split(":")[0] for name in found] == ["tracefile.py"]
+
+
+def test_import_steady_sweep_version_and_help_load_no_orjson(tmp_path):
+    run = tmp_path / "run"
+    steps = _fresh_run(
+        ["steady", "--porcelain"],
+        ["sweep", "--porcelain", "--out", str(tmp_path / "sweep")],
+        ["--version"],
+        ["--help"],
+        ["simulate", "--config", _small_run_ini(tmp_path, 0),
+         "--out", str(run), "--porcelain"],
+        package="orjson",
+    )
+    assert [step[:2] for step in steps] == [
+        ["import", 0], ["steady", 0], ["sweep", 0], ["--version", 0], ["--help", 0],
+        ["simulate", 0],
+    ]
+    assert [("orjson" in step[2]) for step in steps] == [False] * 5 + [True]
 
 
 def test_import_steady_sweep_and_version_load_no_hashlib(tmp_path):

@@ -8,6 +8,7 @@ import math
 import os
 import platform
 import re
+import struct
 import subprocess
 import sys
 import tempfile
@@ -173,7 +174,41 @@ def test_trace_writer_matches_the_per_sample_formula(drawn):
             assert path.read_bytes() == _formula_trace_bytes(times.tolist(), row)
 
 
-@pytest.mark.parametrize("n_volts", [2, 4])
+# Voltages as float64 bit patterns: repr's text around both edges of the
+# range where orjson prints the same text (1e-4 and 1e16, each +-1 ulp),
+# subnormals, signed zeros, NaN and +-inf.
+_EDGE_VOLTS = [
+    math.nextafter(edge, toward) * sign
+    for edge in (1e-4, 1e16)
+    for toward in (0.0, edge, math.inf)
+    for sign in (1.0, -1.0)
+] + [5e-324, -5e-324, 2.225073858507201e-308, 0.0, -0.0, math.nan, math.inf, -math.inf]
+
+
+# The writer takes orjson's text for most voltages of a shot only where
+# most lie inside the range, so rows mix in such voltages of either sign.
+_IN_RANGE = st.floats(1e-4, 1e16, exclude_max=True).flatmap(lambda v: st.sampled_from([v, -v]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(
+    st.integers(0, 2**64 - 1).map(lambda bits: struct.unpack("<d", struct.pack("<Q", bits))[0])
+    | st.sampled_from(_EDGE_VOLTS)
+    | _IN_RANGE,
+    max_size=40,
+))
+@example([])
+@example(_EDGE_VOLTS)
+@example(_EDGE_VOLTS + [1.5, -2.25e-3, 6.02e15] * len(_EDGE_VOLTS))
+def test_trace_writer_prints_each_voltage_as_its_repr(volts):
+    times = np.arange(len(volts)) * 5e-8
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.csv"
+        tracefile.write_trace_csv(str(path), times, np.array(volts, dtype=float))
+        assert path.read_bytes() == _formula_trace_bytes(times.tolist(), volts)
+
+
+@pytest.mark.parametrize("n_volts", [0, 2, 4])
 def test_trace_writer_refuses_a_voltage_count_off_the_grid(tmp_path, n_volts):
     path = tmp_path / "trace.csv"
     with pytest.raises(ValueError):
