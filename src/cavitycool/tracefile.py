@@ -19,13 +19,13 @@ the files and the values read back are the same as with `repr` and
 
 `write_trace_csv` formats a shot's voltages with one `orjson.dumps`.
 orjson's text equals `repr` for 0 and for 1e-4 <= |v| < 1e16; any other
-voltage, and NaN and +-inf, is written with `repr`, and so is every
-voltage of a shot where most lie outside that range.  A run writes one
-trace file per shot, all on one grid, whose times lie mostly below 1e-4,
-so the times are written with `repr` once per grid: a one-entry cache
-keyed by the grid's float64 bytes holds the grid's line starts, each
-carrying the newline that ends the line before, the first also the
-header.  A file is one join of the starts interleaved with the voltages.
+voltage, and NaN and +-inf, is written with `repr` in its place.  A run
+writes one trace file per shot, all on one grid, whose times lie mostly
+below 1e-4, so the times are written with `repr` once per grid: a
+one-entry cache keyed by the grid's float64 bytes holds the grid's line
+starts, each carrying the newline that ends the line before, the first
+also the header.  A file is one join of the starts interleaved with the
+voltages.
 
 `read_trace_csv` first tries a whole-file fast path.  It takes only a
 file with the exact header line, ASCII text, LF endings, no `"` and no
@@ -89,9 +89,6 @@ def _voltage_fields(volts: np.ndarray) -> list[str]:
     # orjson's text equals repr only for 0 and 1e-4 <= |v| < 1e16.
     a = np.abs(volts)
     other = np.flatnonzero(~(((a >= 1e-4) & (a < 1e16)) | (volts == 0)))
-    # Where most lie outside, repr alone costs less than orjson and repr.
-    if 2 * len(other) > len(volts):
-        return list(map(repr, volts.tolist()))
     text = orjson.dumps(volts, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode()
     fields = text.split(",") if text else []
     for i, v in zip(other.tolist(), volts[other].tolist()):

@@ -185,8 +185,8 @@ _EDGE_VOLTS = [
 ] + [5e-324, -5e-324, 2.225073858507201e-308, 0.0, -0.0, math.nan, math.inf, -math.inf]
 
 
-# The writer takes orjson's text for most voltages of a shot only where
-# most lie inside the range, so rows mix in such voltages of either sign.
+# The writer takes orjson's text only inside the range, so rows mix in
+# such voltages of either sign beside the patched ones.
 _IN_RANGE = st.floats(1e-4, 1e16, exclude_max=True).flatmap(lambda v: st.sampled_from([v, -v]))
 
 
