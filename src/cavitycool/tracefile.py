@@ -27,20 +27,27 @@ starts, each carrying the newline that ends the line before, the first
 also the header.  A file is one join of the starts interleaved with the
 voltages.
 
-`read_trace_csv` first tries a whole-file fast path.  It takes only a
-file with the exact header line, ASCII text, LF endings, no `"` and no
-carriage return, and a final newline, whose commas and newlines
-alternate starting with a comma: so every line holds exactly one comma
-and none is blank.  It turns the body's newlines into commas and parses
-both columns with one `orjson.loads`, when the body holds only the bytes
-of a JSON number and no integer -0, which orjson reads as 0.  JSON
-numbers are a subset of what `float()` takes; when orjson refuses one
-(`1.`, `+1`, `01`, `inf`, an overflow, ...), `float()` converts every
-field instead, and so takes and refuses exactly what the line reader
-does.  Any other file, or a field that `float()` refuses, goes to the
-validating line reader, which names the row.  All three check the parsed
-samples with `_checked_trace`, so all return the same array or raise
-the same error.
+`read_trace_csv` first tries a whole-file fast path, for a file with the
+exact header line and a final newline.  One translate deletes the bytes
+a JSON number is spelled with (digits and `+-.eE`) from the body; when
+`",\n"` once per line is left, every line holds two such fields around
+one comma, in ASCII with LF endings.  The body's newlines become commas,
+and the first of these tiers that takes every field parses them:
+
+1. JSON: one `orjson.loads` of both columns fills one array.  orjson
+   reads the integer -0 as 0 where `float()` keeps the sign, so a first
+   field spelled -0, or a later field parsed as zero in a text that
+   holds `-0`, passes the text on.
+2. `float()` converts every field when orjson refuses one (`1.`, `+1`,
+   `01`, an overflow, ...), or when the translate left other bytes but
+   the text is ASCII with no CR and no `"`, and its commas and newlines
+   alternate from a comma.  So it takes and refuses exactly what the
+   line reader does (`nan`, `1_0`, a tab beside a number, ...).
+3. The validating line reader takes any other file, or a field that
+   `float()` refuses, and names the row.
+
+All three check the parsed samples with `_checked_trace`, so all return
+the same array or raise the same error.
 """
 
 from __future__ import annotations
@@ -64,7 +71,7 @@ TRAJECTORY_HEADER = ("time_s", "temperature_k")
 # Allowed relative wobble of the sample spacing inside a trace file.
 _GRID_TOLERANCE = 1e-6
 
-_TRACE_HEADER_LINE = ",".join(TRACE_HEADER) + "\n"
+_TRACE_HEADER_BYTES = (",".join(TRACE_HEADER) + "\n").encode()
 
 _RUN_FORMAT = "cavitycool-run/4"
 TRAJECTORY_FILE = "trajectory.csv"
@@ -125,54 +132,68 @@ def _plain_trace(path: str, data: bytes) -> NoiseTrace | None:
     """The trace in `data`, the bytes of `path`, when it has the plain
     layout the module docstring gives and every field parses; None sends
     the file to `_read_trace_lines`."""
-    head = len(_TRACE_HEADER_LINE)
-    if (
-        not data.startswith(_TRACE_HEADER_LINE.encode())
-        or not data.endswith(b"\n")
-        or not data.isascii()
-        or b"\r" in data
-        or b'"' in data
-    ):
+    if not data.startswith(_TRACE_HEADER_BYTES) or not data.endswith(b"\n"):
         return None
-    body = np.frombuffer(data, dtype=np.uint8)[head:]
-    # At least 1 line, and commas and newlines alternate starting with a
-    # comma (the body ends with a newline), so every line has exactly one
-    # comma and none is blank.
-    seps = body[(body == ord(",")) | (body == ord("\n"))]
-    if len(seps) < 2 or np.any(seps[0::2] != ord(",")) or np.any(seps[1::2] != ord("\n")):
-        return None
+    body = data[len(_TRACE_HEADER_BYTES):]
+    # Any space, quote, CR, non-ASCII byte, blank line, or line with no or
+    # two commas is left over.  An empty body matches with n = 0 and gets
+    # the line reader's error from `_checked_trace`.
+    seps = body.translate(None, _NUMBER_BYTES)
+    n = len(seps) // 2
+    numbers = seps == b",\n" * n
+    if not numbers:
+        # float() takes other fields, on the same layout.
+        seps = body.translate(None, _NOT_SEPARATORS)
+        n = len(seps) // 2
+        if seps != b",\n" * n or not body.isascii() or b"\r" in body or b'"' in body:
+            return None
     # No line is longer than the csv module's field limit; only a body
     # longer than the limit can hold such a line.
     limit = csv.field_size_limit()
     if len(body) > limit:
-        newlines = np.flatnonzero(body == ord("\n"))
+        newlines = np.flatnonzero(np.frombuffer(body, dtype=np.uint8) == ord("\n"))
         if np.max(np.diff(newlines, prepend=-1)) > limit:
             return None
-    text = data[head:-1].replace(b"\n", b",")
-    pairs = _json_numbers(text)
+    text = body[:-1].replace(b"\n", b",")
+    pairs = _json_numbers(text, 2 * n) if numbers else None
     if pairs is None:
-        try:
-            pairs = np.array(text.split(b","), dtype=float)
-        except ValueError:
-            return None
-    times, volts = pairs.reshape(-1, 2).T.copy()
+        pairs = _float_numbers(text)
+    if pairs is None:
+        return None
     # No line is blank, so sample i sits on line i + 2.
-    return _checked_trace(path, times, volts, range(2, len(volts) + 2))
+    return _checked_trace(path, pairs[0::2], pairs[1::2], range(2, n + 2))
 
 
-# The bytes a JSON number is spelled with, and the comma between two.
-_NUMBER_BYTES = b"0123456789+-.eE,"
+# The bytes a JSON number is spelled with.
+_NUMBER_BYTES = b"0123456789+-.eE"
+# Every byte but the comma and the newline.
+_NOT_SEPARATORS = bytes(b for b in range(256) if b not in b",\n")
 
 
-def _json_numbers(text: bytes) -> np.ndarray | None:
-    """The comma-separated numbers `text` as `float()` reads them, when
-    `orjson` takes each as a JSON number; None otherwise."""
-    # orjson reads the integer -0 as 0, where float() keeps the sign.
-    if text.translate(None, _NUMBER_BYTES) or b"-0," in text or text.endswith(b"-0"):
+def _json_numbers(text: bytes, count: int) -> np.ndarray | None:
+    """The `count` comma-separated numbers `text`, spelled with
+    `_NUMBER_BYTES` only, as `float()` reads them, when `orjson` takes each
+    as a JSON number; None otherwise."""
+    # orjson reads the integer -0 as 0, where float() keeps the sign.  Only
+    # a field parsed as zero can be one: the first field is checked at
+    # once, and the text is searched only when a later one parsed as zero.
+    if text[:3] in (b"-0,", b"-0"):
         return None
     try:
-        return np.array(orjson.loads(b"[" + text + b"]"), dtype=float)
+        numbers = np.fromiter(orjson.loads(b"[" + text + b"]"), float, count=count)
     except orjson.JSONDecodeError:
+        return None
+    if not numbers[1:].all() and (b"-0," in text or text.endswith(b"-0")):
+        return None
+    return numbers
+
+
+def _float_numbers(text: bytes) -> np.ndarray | None:
+    """The comma-separated numbers `text` as `float()` reads them; None
+    when it refuses one."""
+    try:
+        return np.array(text.split(b","), dtype=float)
+    except ValueError:
         return None
 
 

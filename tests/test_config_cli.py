@@ -909,17 +909,29 @@ def test_read_trace_reads_one_time_spelled_two_ways_as_one_value(tmp_path):
     assert a.tolist() == b.tolist() == c.tolist() == [0.0, 1e-07, 2e-07]
 
 
-@pytest.mark.parametrize("body", [
-    "0.0,-0\n1e-07,-2.0\n", "0.0,1.5\n1e-07,-0\n", "0.0,-0.0\n1e-07,-0e0\n",
-], ids=["first-integer", "last-integer", "float"])
-def test_read_trace_keeps_the_sign_of_negative_zero(tmp_path, body):
-    # orjson reads the integer -0 as 0; float() keeps its sign.
+@pytest.mark.parametrize("body, negative_zeros", [
+    ("0.0,-0\n1e-07,-2.0\n", 1),
+    ("0.0,1.5\n1e-07,-0\n", 1),
+    ("0.0,-0.0\n1e-07,-0e0\n", 2),
+    ("-0,1.5\n1e-07,-2.0\n", 1),
+    ("0.0,0.0\n1e-07,-0\n2e-07,1.5\n", 1),
+    ("0.0,1.5\n1e-07,0.0\n2e-07,-0\n", 1),
+    ("0.0,1e-0\n1e-07,-2.0\n2e-07,1e-0\n", 0),
+], ids=[
+    "first-integer", "last-integer", "float", "first-time", "beside-a-zero",
+    "last-after-a-zero", "exponent",
+])
+def test_read_trace_keeps_the_sign_of_negative_zero(tmp_path, body, negative_zeros):
+    # orjson reads the integer -0 as 0; float() keeps its sign.  1e-0 spells
+    # -0 without being a zero.
     path = tmp_path / "trace.csv"
     path.write_bytes((_HEAD + body).encode())
-    volts = tracefile.read_trace_csv(str(path)).voltages_v[0]
-    lines = tracefile._read_trace_lines(str(path)).voltages_v[0]
-    assert volts.tobytes() == lines.tobytes()
-    assert math.copysign(1.0, volts[volts == 0][0]) == -1.0
+    back = tracefile.read_trace_csv(str(path))
+    lines = tracefile._read_trace_lines(str(path))
+    assert back.times_s.tobytes() == lines.times_s.tobytes()
+    assert back.voltages_v.tobytes() == lines.voltages_v.tobytes()
+    fields = np.concatenate([back.times_s, back.voltages_v[0]])
+    assert np.count_nonzero(np.signbit(fields[fields == 0])) == negative_zeros
 
 
 def _halfway(x: float) -> str:
@@ -952,7 +964,7 @@ def test_read_trace_json_path_parses_as_float_does():
         *(_halfway(x) for x in (5e-324, 2.2250738585072014e-308, 1e-300)),
     ]
     text = ",".join(fields).encode()
-    parsed = tracefile._json_numbers(text)
+    parsed = tracefile._json_numbers(text, len(fields))
     assert parsed is not None
     assert parsed.tobytes() == np.array([float(f) for f in fields]).tobytes()
 
@@ -965,6 +977,26 @@ def test_read_trace_takes_written_files_without_the_line_reader(tmp_path, monkey
     back = tracefile.read_trace_csv(path)
     assert np.array_equal(back.times_s, times)
     assert np.array_equal(back.voltages_v[0], volts)
+
+
+def _refuse_float_tier(text):
+    raise AssertionError("a trace file went to the float() tier")
+
+
+def test_analyze_reads_a_simulated_run_on_the_json_tier_alone(tmp_path, capsys, monkeypatch):
+    # Every file a run writes is plain JSON numbers; one that fell to the
+    # float() tier or the line reader would read the same values, slower.
+    ini = _ini(tmp_path, "[synth]\nn_shots = 40\nrng_seed = 7\n")
+    out = tmp_path / "run"
+    assert cli.main(["simulate", "--config", ini, "--out", str(out)]) == 0
+    monkeypatch.setattr(tracefile, "_read_trace_lines", _refuse_line_reader)
+    monkeypatch.setattr(tracefile, "_float_numbers", _refuse_float_tier)
+    assert cli.main(["analyze", str(out / "run.meta"), "--porcelain"]) == 0
+    assert "n_shots=40\n" in capsys.readouterr().out
+    cfg, traces = tracefile.read_run(str(out / "run.meta"))
+    simulated = simulate_run(cfg).traces
+    assert traces.times_s.tobytes() == simulated.times_s.tobytes()
+    assert traces.voltages_v.tobytes() == simulated.voltages_v.tobytes()
 
 
 @pytest.mark.parametrize("body, expected", [

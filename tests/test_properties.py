@@ -216,9 +216,10 @@ def test_trace_writer_refuses_a_voltage_count_off_the_grid(tmp_path, n_volts):
     assert not path.exists()
 
 
-_FIELDS = st.sampled_from(
-    ["1.5", "-2.0", " 3 ", "1_0", "nan", "-inf", '"4.0"', "x", "", "\u0661"]
-)
+_FIELDS = st.sampled_from([
+    "1.5", "-2.0", " 3 ", "1_0", "nan", "-inf", '"4.0"', "x", "", "\u0661",
+    "-0", "0", "1.", "+1", "01", "1e400", "\t2", "\u00e9",
+])
 
 
 def _read_outcome(read, path):
