@@ -29,38 +29,6 @@ _DB = 10.0 / math.log(10.0)
 _BLOCK_SHOTS = 32
 
 
-class _Boxcar:
-    """Centered running mean over `width` samples of rows of `n_samples`.
-
-    Sample i is averaged over [i - (width - 1)//2, i + width//2], and
-    windows truncate at the row edges.  The running-sum scratch holds up
-    to `block_shots` rows and is reused from one block to the next.
-    """
-
-    def __init__(self, n_samples: int, width: int, block_shots: int):
-        # From 2 n_samples - 1 on, every window covers its whole row.
-        self.width = width = min(width, 2 * n_samples - 1)
-        self.lead, trail = (width - 1) // 2, width // 2
-        idx = np.arange(n_samples)
-        self.counts = (
-            np.minimum(idx + trail, n_samples - 1) - np.maximum(idx - self.lead, 0) + 1
-        )
-        # Running sum with `lead` zeros in front and the row total repeated
-        # `trail` times behind, so every window sum, truncated ones
-        # included, is csum[:, i + width] - csum[:, i].
-        self.csum = np.zeros((block_shots, n_samples + width))
-
-    def residual(self, rows: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Write each row minus its running mean into `out`, and return it."""
-        n, lead = rows.shape[1], self.lead
-        csum = self.csum[: len(rows)]
-        np.cumsum(rows, axis=1, out=csum[:, lead + 1 : lead + 1 + n])
-        csum[:, lead + 1 + n :] = csum[:, lead + n, None]
-        np.subtract(csum[:, self.width :], csum[:, :n], out=out)
-        out /= self.counts
-        return np.subtract(rows, out, out=out)
-
-
 def extract_noise(trace: NoiseTrace, width: int) -> NoiseTrace:
     """Every shot's residual after subtracting a centered running mean
     over `width` samples.
@@ -72,9 +40,21 @@ def extract_noise(trace: NoiseTrace, width: int) -> NoiseTrace:
     """
     if width < 1:
         raise DomainError("boxcar width must be at least one sample")
-    v = trace.voltages_v
-    boxcar = _Boxcar(len(trace), width, trace.n_shots)
-    return NoiseTrace(trace.times_s, boxcar.residual(v, out=np.empty(v.shape)))
+    v, n = trace.voltages_v, len(trace)
+    # From 2 n - 1 on, every window covers its whole row.
+    width = min(width, 2 * n - 1)
+    lead, trail = (width - 1) // 2, width // 2
+    idx = np.arange(n)
+    counts = np.minimum(idx + trail, n - 1) - np.maximum(idx - lead, 0) + 1
+    # Running sum with `lead` zeros in front and the row total repeated
+    # `trail` times behind, so every window sum, truncated ones included,
+    # is csum[:, i + width] - csum[:, i].
+    csum = np.zeros((trace.n_shots, n + width))
+    np.cumsum(v, axis=1, out=csum[:, lead + 1 : lead + 1 + n])
+    csum[:, lead + 1 + n :] = csum[:, lead + n, None]
+    out = np.subtract(csum[:, width:], csum[:, :n])
+    out /= counts
+    return NoiseTrace(trace.times_s, np.subtract(v, out, out=out))
 
 
 def subtract_mean_artifact(trace: NoiseTrace) -> NoiseTrace:

@@ -27,27 +27,21 @@ starts, each carrying the newline that ends the line before, the first
 also the header.  A file is one join of the starts interleaved with the
 voltages.
 
-`read_trace_csv` first tries a whole-file fast path, for a file with the
-exact header line and a final newline.  One translate deletes the bytes
-a JSON number is spelled with (digits and `+-.eE`) from the body; when
-`",\n"` once per line is left, every line holds two such fields around
-one comma, in ASCII with LF endings.  The body's newlines become commas,
-and the first of these tiers that takes every field parses them:
+`read_trace_csv` takes one of two paths; both check the parsed samples
+with `_checked_trace`, so both return the same array or raise the same
+error:
 
-1. JSON: one `orjson.loads` of both columns fills one array.  orjson
-   reads the integer -0 as 0 where `float()` keeps the sign, so a first
-   field spelled -0, or a later field parsed as zero in a text that
-   holds `-0`, passes the text on.
-2. `float()` converts every field when orjson refuses one (`1.`, `+1`,
-   `01`, an overflow, ...), or when the translate left other bytes but
-   the text is ASCII with no CR and no `"`, and its commas and newlines
-   alternate from a comma.  So it takes and refuses exactly what the
-   line reader does (`nan`, `1_0`, a tab beside a number, ...).
-3. The validating line reader takes any other file, or a field that
-   `float()` refuses, and names the row.
-
-All three check the parsed samples with `_checked_trace`, so all return
-the same array or raise the same error.
+1. JSON, for a file with the exact header line and a final newline.  One
+   translate deletes the bytes a JSON number is spelled with (digits and
+   `+-.eE`) from the body; when `",\n"` once per line is left, every line
+   holds two such fields around one comma, in ASCII with LF endings.  The
+   body's newlines become commas, and one `orjson.loads` of both columns
+   fills one array.  orjson reads the integer -0 as 0 where `float()`
+   keeps the sign, so a first field spelled -0, or a later field parsed
+   as zero in a text that holds `-0`, passes the file on, as does a field
+   orjson refuses (`1.`, `+1`, `01`, an overflow, ...).
+2. The validating line reader takes any other file, converts each field
+   with `float()`, and names the row of the first fault.
 """
 
 from __future__ import annotations
@@ -130,8 +124,8 @@ def read_trace_csv(path: str) -> NoiseTrace:
 
 def _plain_trace(path: str, data: bytes) -> NoiseTrace | None:
     """The trace in `data`, the bytes of `path`, when it has the plain
-    layout the module docstring gives and every field parses; None sends
-    the file to `_read_trace_lines`."""
+    layout the module docstring gives and orjson takes every field; None
+    sends the file to `_read_trace_lines`."""
     if not data.startswith(_TRACE_HEADER_BYTES) or not data.endswith(b"\n"):
         return None
     body = data[len(_TRACE_HEADER_BYTES):]
@@ -140,13 +134,8 @@ def _plain_trace(path: str, data: bytes) -> NoiseTrace | None:
     # the line reader's error from `_checked_trace`.
     seps = body.translate(None, _NUMBER_BYTES)
     n = len(seps) // 2
-    numbers = seps == b",\n" * n
-    if not numbers:
-        # float() takes other fields, on the same layout.
-        seps = body.translate(None, _NOT_SEPARATORS)
-        n = len(seps) // 2
-        if seps != b",\n" * n or not body.isascii() or b"\r" in body or b'"' in body:
-            return None
+    if seps != b",\n" * n:
+        return None
     # No line is longer than the csv module's field limit; only a body
     # longer than the limit can hold such a line.
     limit = csv.field_size_limit()
@@ -155,9 +144,7 @@ def _plain_trace(path: str, data: bytes) -> NoiseTrace | None:
         if np.max(np.diff(newlines, prepend=-1)) > limit:
             return None
     text = body[:-1].replace(b"\n", b",")
-    pairs = _json_numbers(text, 2 * n) if numbers else None
-    if pairs is None:
-        pairs = _float_numbers(text)
+    pairs = _json_numbers(text, 2 * n)
     if pairs is None:
         return None
     # No line is blank, so sample i sits on line i + 2.
@@ -166,8 +153,6 @@ def _plain_trace(path: str, data: bytes) -> NoiseTrace | None:
 
 # The bytes a JSON number is spelled with.
 _NUMBER_BYTES = b"0123456789+-.eE"
-# Every byte but the comma and the newline.
-_NOT_SEPARATORS = bytes(b for b in range(256) if b not in b",\n")
 
 
 def _json_numbers(text: bytes, count: int) -> np.ndarray | None:
@@ -186,15 +171,6 @@ def _json_numbers(text: bytes, count: int) -> np.ndarray | None:
     if not numbers[1:].all() and (b"-0," in text or text.endswith(b"-0")):
         return None
     return numbers
-
-
-def _float_numbers(text: bytes) -> np.ndarray | None:
-    """The comma-separated numbers `text` as `float()` reads them; None
-    when it refuses one."""
-    try:
-        return np.array(text.split(b","), dtype=float)
-    except ValueError:
-        return None
 
 
 def _checked_trace(path: str, times, volts, lines: Sequence[int]) -> NoiseTrace:

@@ -979,18 +979,13 @@ def test_read_trace_takes_written_files_without_the_line_reader(tmp_path, monkey
     assert np.array_equal(back.voltages_v[0], volts)
 
 
-def _refuse_float_tier(text):
-    raise AssertionError("a trace file went to the float() tier")
-
-
 def test_analyze_reads_a_simulated_run_on_the_json_tier_alone(tmp_path, capsys, monkeypatch):
     # Every file a run writes is plain JSON numbers; one that fell to the
-    # float() tier or the line reader would read the same values, slower.
+    # line reader would read the same values, slower.
     ini = _ini(tmp_path, "[synth]\nn_shots = 40\nrng_seed = 7\n")
     out = tmp_path / "run"
     assert cli.main(["simulate", "--config", ini, "--out", str(out)]) == 0
     monkeypatch.setattr(tracefile, "_read_trace_lines", _refuse_line_reader)
-    monkeypatch.setattr(tracefile, "_float_numbers", _refuse_float_tier)
     assert cli.main(["analyze", str(out / "run.meta"), "--porcelain"]) == 0
     assert "n_shots=40\n" in capsys.readouterr().out
     cfg, traces = tracefile.read_run(str(out / "run.meta"))
@@ -1000,11 +995,10 @@ def test_analyze_reads_a_simulated_run_on_the_json_tier_alone(tmp_path, capsys, 
 
 
 @pytest.mark.parametrize("body, expected", [
-    ("0.0,nan\n1e-07,-2.0\n", "line 2: non-finite sample"),
     ("0.0,1.5\n1e-07,0.0\n1e-07,0.0\n", "line 4: sample times must be strictly increasing"),
     ("0.0,0.0\n1e-07,0.0\n3e-07,0.0\n", "sample grid is not uniform"),
     ("0.0,1.5\n", "need at least 2 samples, got 1"),
-], ids=["nan", "non-increasing", "non-uniform", "one-sample"])
+], ids=["non-increasing", "non-uniform", "one-sample"])
 def test_read_trace_refuses_plain_files_without_the_line_reader(
     tmp_path, monkeypatch, body, expected
 ):

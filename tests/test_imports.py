@@ -9,7 +9,8 @@ the closed-form layer (`errors`, `thermal`, `receiver`, `config`,
 inside the functions that compute with arrays.  orjson converts the
 floats of trace files, so only `tracefile` imports it.  The pytest
 process has all three loaded already, so each command runs in a fresh
-interpreter.
+interpreter.  The source is also parsed for module-level private names
+that nothing in the package uses.
 """
 
 import ast
@@ -344,3 +345,58 @@ def test_the_cli_takes_the_draw_check_from_the_configuration():
     for name in ("_refuse_non_finite", "_steady_temperatures", "_sample_variances"):
         assert getattr(cli, name) is getattr(config, name)
     assert not {"system_output_noise_kelvin", "mode_temperature"} & vars(cli).keys()
+
+
+def _private_definitions(tree):
+    """(name, node) for each module-level private name, dunders aside, that
+    `tree` defines by def, class or assignment."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, ast.Assign):
+            targets = [
+                leaf.id
+                for target in node.targets
+                for leaf in ast.walk(target)
+                if isinstance(leaf, ast.Name)
+            ]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            targets = [node.target.id]
+        else:
+            continue
+        for name in targets:
+            if name.startswith("_") and not (name.startswith("__") and name.endswith("__")):
+                yield name, node
+
+
+def _references(tree):
+    """(name, node) for each name `tree` reads, as a name, an attribute or
+    an imported name."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            yield node.id, node
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node
+        elif isinstance(node, ast.alias):
+            yield node.name, node
+
+
+def test_every_module_level_private_name_is_used_in_the_package():
+    # A helper whose last caller goes with a deleted branch would stay
+    # behind unused; a use inside its own definition does not count.
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted((_SRC / "cavitycool").glob("*.py"))
+    }
+    references = {name: list(_references(tree)) for name, tree in trees.items()}
+    unused = []
+    for file, tree in trees.items():
+        for name, definition in _private_definitions(tree):
+            inside = {id(node) for node in ast.walk(definition)}
+            if not any(
+                ref == name and (other != file or id(node) not in inside)
+                for other, refs in references.items()
+                for ref, node in refs
+            ):
+                unused.append(f"{file}: {name}")
+    assert unused == [], f"module-level private names used nowhere: {', '.join(unused)}"

@@ -227,7 +227,8 @@ def _read_outcome(read, path):
         trace = read(path)
     except DataFormatError as exc:
         return str(exc)
-    return trace.times_s.tolist(), trace.voltages_v.tolist()
+    # Bytes, so that a zero read with the wrong sign differs.
+    return trace.times_s.tobytes(), trace.voltages_v.tobytes()
 
 
 @settings(max_examples=150, deadline=None)
@@ -236,6 +237,12 @@ def _read_outcome(read, path):
     newline=st.sampled_from(["\n", "\r\n"]),
     final=st.booleans(),
 )
+# Whole plain files that orjson refuses, so the fast path hands each one to
+# the line reader: quirk 4 is none, and quirk 3 keeps the drawn time.
+@example(rows=[("0", "1.", 4), ("0", "+1", 4), ("0", "1.", 4)], newline="\n", final=True)
+@example(rows=[("0", " 3 ", 4), ("0", "1_0", 4)], newline="\n", final=True)
+@example(rows=[("0", "nan", 4), ("0", "nan", 4)], newline="\n", final=True)
+@example(rows=[("-0", "1.5", 3), ("0", "-2.0", 4)], newline="\n", final=True)
 def test_trace_reader_fast_path_matches_line_reader(rows, newline, final):
     # Rows on the grid k * 1e-7, each with a 1 in 3 chance of a quirk: a
     # blank line before it, a wrong separator, or an off-grid time.
