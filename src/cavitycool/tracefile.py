@@ -32,14 +32,16 @@ with `_checked_trace`, so both return the same array or raise the same
 error:
 
 1. JSON, for a file with the exact header line and a final newline.  One
-   translate deletes the bytes a JSON number is spelled with (digits and
-   `+-.eE`) from the body; when `",\n"` once per line is left, every line
-   holds two such fields around one comma, in ASCII with LF endings.  The
-   body's newlines become commas, and one `orjson.loads` of both columns
-   fills one array.  orjson reads the integer -0 as 0 where `float()`
-   keeps the sign, so a first field spelled -0, or a later field parsed
-   as zero in a text that holds `-0`, passes the file on, as does a field
-   orjson refuses (`1.`, `+1`, `01`, an overflow, ...).
+   translate over the whole file deletes the bytes a JSON number is
+   spelled with (digits and `+-.eE`); when what is left is the header's
+   residue followed by `",\n"` once per line, every line holds two such
+   fields around one comma, in ASCII with LF endings.  One `replace` turns
+   the newlines into commas in a `bytearray`, whose header end becomes `[`
+   and last byte `]`, and one `orjson.loads` of a `memoryview` on that
+   array fills one array with both columns.  orjson reads the integer -0
+   as 0 where `float()` keeps the sign, so a first field spelled -0, or a
+   later field parsed as zero in a text that holds `-0`, passes the file
+   on, as does a field orjson refuses (`1.`, `+1`, `01`, an overflow, ...).
 2. The validating line reader takes any other file, converts each field
    with `float()`, and names the row of the first fault.
 """
@@ -128,47 +130,55 @@ def _plain_trace(path: str, data: bytes) -> NoiseTrace | None:
     sends the file to `_read_trace_lines`."""
     if not data.startswith(_TRACE_HEADER_BYTES) or not data.endswith(b"\n"):
         return None
-    body = data[len(_TRACE_HEADER_BYTES):]
     # Any space, quote, CR, non-ASCII byte, blank line, or line with no or
-    # two commas is left over.  An empty body matches with n = 0 and gets
-    # the line reader's error from `_checked_trace`.
-    seps = body.translate(None, _NUMBER_BYTES)
-    n = len(seps) // 2
-    if seps != b",\n" * n:
+    # two commas is left over.  An empty body matches with n = 0, has no
+    # numbers for orjson and goes to the line reader.
+    seps = data.translate(None, _NUMBER_BYTES)
+    n = (len(seps) - len(_HEADER_RESIDUE)) // 2
+    if seps != _HEADER_RESIDUE + b",\n" * n:
         return None
     # No line is longer than the csv module's field limit; only a body
     # longer than the limit can hold such a line.
+    start = len(_TRACE_HEADER_BYTES)
     limit = csv.field_size_limit()
-    if len(body) > limit:
-        newlines = np.flatnonzero(np.frombuffer(body, dtype=np.uint8) == ord("\n"))
+    if len(data) - start > limit:
+        body = np.frombuffer(data, dtype=np.uint8, offset=start)
+        newlines = np.flatnonzero(body == ord("\n"))
         if np.max(np.diff(newlines, prepend=-1)) > limit:
             return None
-    text = body[:-1].replace(b"\n", b",")
-    pairs = _json_numbers(text, 2 * n)
+    # The body's newlines become commas, the one ending the header `[` and
+    # the last one `]`: a JSON array of both columns, read in place.
+    text = bytearray(data.replace(b"\n", b","))
+    text[start - 1] = ord("[")
+    text[-1] = ord("]")
+    pairs = _json_numbers(memoryview(text)[start - 1:], 2 * n)
     if pairs is None:
         return None
     # No line is blank, so sample i sits on line i + 2.
     return _checked_trace(path, pairs[0::2], pairs[1::2], range(2, n + 2))
 
 
-# The bytes a JSON number is spelled with.
+# The bytes a JSON number is spelled with, and what deleting them leaves
+# of the header line.
 _NUMBER_BYTES = b"0123456789+-.eE"
+_HEADER_RESIDUE = _TRACE_HEADER_BYTES.translate(None, _NUMBER_BYTES)
 
 
-def _json_numbers(text: bytes, count: int) -> np.ndarray | None:
-    """The `count` comma-separated numbers `text`, spelled with
+def _json_numbers(text: memoryview, count: int) -> np.ndarray | None:
+    """The `count` numbers of `text`, a JSON array of numbers spelled with
     `_NUMBER_BYTES` only, as `float()` reads them, when `orjson` takes each
     as a JSON number; None otherwise."""
     # orjson reads the integer -0 as 0, where float() keeps the sign.  Only
     # a field parsed as zero can be one: the first field is checked at
     # once, and the text is searched only when a later one parsed as zero.
-    if text[:3] in (b"-0,", b"-0"):
+    if text[1:4] in (b"-0,", b"-0]"):
         return None
     try:
-        numbers = np.fromiter(orjson.loads(b"[" + text + b"]"), float, count=count)
+        numbers = np.fromiter(orjson.loads(text), float, count=count)
     except orjson.JSONDecodeError:
         return None
-    if not numbers[1:].all() and (b"-0," in text or text.endswith(b"-0")):
+    # `in` on a memoryview matches single bytes, so the search takes a copy.
+    if not numbers[1:].all() and (b"-0," in bytes(text) or text[-3:] == b"-0]"):
         return None
     return numbers
 

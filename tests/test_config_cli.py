@@ -963,8 +963,10 @@ def test_read_trace_json_path_parses_as_float_does():
         *digits,
         *(_halfway(x) for x in (5e-324, 2.2250738585072014e-308, 1e-300)),
     ]
-    text = ",".join(fields).encode()
-    parsed = tracefile._json_numbers(text, len(fields))
+    # The form the fast path hands over: a memoryview on a bytearray that
+    # holds the header, its newline turned into the array's `[`.
+    text = bytearray(b"time_s,voltage_v[" + ",".join(fields).encode() + b"]")
+    parsed = tracefile._json_numbers(memoryview(text)[len(_HEAD) - 1:], len(fields))
     assert parsed is not None
     assert parsed.tobytes() == np.array([float(f) for f in fields]).tobytes()
 
@@ -977,6 +979,19 @@ def test_read_trace_takes_written_files_without_the_line_reader(tmp_path, monkey
     back = tracefile.read_trace_csv(path)
     assert np.array_equal(back.times_s, times)
     assert np.array_equal(back.voltages_v[0], volts)
+
+
+def test_read_trace_memory_stays_under_five_times_the_file(tmp_path):
+    # The fast path holds the file, its bracketed text, orjson's list of
+    # Python floats and the array they fill, about 4.6x a default shot's
+    # file; one more file-sized copy at the peak would pass 5x.
+    traces = simulate_run(_small_config(1)).traces
+    assert traces.times_s.size == 3201
+    path = tmp_path / "trace.csv"
+    tracefile.write_trace_csv(str(path), traces.times_s, traces.voltages_v[0])
+    peak, back = _traced_peak(lambda: tracefile.read_trace_csv(str(path)))
+    assert back.voltages_v.tobytes() == traces.voltages_v.tobytes()
+    assert peak <= 5 * path.stat().st_size
 
 
 def test_analyze_reads_a_simulated_run_on_the_json_tier_alone(tmp_path, capsys, monkeypatch):

@@ -243,6 +243,9 @@ def _read_outcome(read, path):
 @example(rows=[("0", " 3 ", 4), ("0", "1_0", 4)], newline="\n", final=True)
 @example(rows=[("0", "nan", 4), ("0", "nan", 4)], newline="\n", final=True)
 @example(rows=[("-0", "1.5", 3), ("0", "-2.0", 4)], newline="\n", final=True)
+# A -0 that ends the JSON text, and a -0 time behind a zero voltage.
+@example(rows=[("0", "1.5", 4), ("0", "-0", 4)], newline="\n", final=True)
+@example(rows=[("0", "1.5", 4), ("0", "0", 4), ("-0", "2.0", 3)], newline="\n", final=True)
 def test_trace_reader_fast_path_matches_line_reader(rows, newline, final):
     # Rows on the grid k * 1e-7, each with a 1 in 3 chance of a quirk: a
     # blank line before it, a wrong separator, or an off-grid time.
