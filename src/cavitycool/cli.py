@@ -24,7 +24,6 @@ from .config import (
     _key_names,
     _named,
     _refuse_non_finite,
-    _sample_variances,
     _steady_temperatures,
     config_digest,
     config_items,
@@ -207,6 +206,7 @@ def cmd_sweep(args, cfg: RunConfig) -> None:
 def cmd_simulate(args, cfg: RunConfig) -> None:
     from . import tracefile
     from .pipeline import simulate_run
+    from .synth import _sample_variances
 
     if args.seed is not None:
         cfg = with_seed(cfg, args.seed)

@@ -1,8 +1,6 @@
 """Run configuration: one key schema for loading, checking and dumping.
 
-A run configuration bundles everything a protocol run needs: the mode,
-its thermal environment, the receiver chain, protocol timing, trace
-synthesis knobs, and analysis windows.  Files follow configparser syntax
+`RunConfig` bundles a run's records.  Files follow configparser syntax
 with one section per group and repeated `[port.<name>]` sections for the
 baths; every key carries its unit as a suffix.  Unknown sections or keys
 are rejected.  `_SCHEMA` and `_PORT_SCHEMA` are the only list of keys.
@@ -12,6 +10,10 @@ its class, and a refusal at load names its keys as the file spells them.
 A run's defaults come from the bundled `data/bench.defaults`; the
 dataclasses' field defaults serve direct construction from Python, and
 only `SynthConfig`'s differ from that file (see its docstring).
+Refusals name keys through `_key_names`; `_refuse_non_finite` and
+`_steady_temperatures` serve every command.  No receiver noise is
+computed here and no numpy imported: `simulate`'s draw check lives with
+the noise model in `synth`.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from dataclasses import dataclass, replace
 from typing import Mapping
 
 from .errors import ConfigError, DomainError, bounded, check_bounds
-from .receiver import LnaNoiseParameters, ReceiverChain, system_output_noise_kelvin
+from .receiver import LnaNoiseParameters, ReceiverChain
 from .thermal import BathPort, BathSet, CavityMode, LossModel, mode_temperature
 
 PORT_ROLE_COOLING = "cooling"
@@ -56,8 +58,8 @@ class SynthConfig:
     so its sample count, from the mode-temperature trajectory it is
     drawn for, which must be sampled every sample_interval_s from t = 0.
     voltage_scale is the detector calibration in volts per sqrt(kelvin)
-    of receiver output noise; the per-sample standard deviation is
-    voltage_scale * sqrt(system output noise in K).  A corner frequency
+    of receiver output noise; `synth.sample_sigma` gives the per-sample
+    standard deviation it sets at a mode temperature.  A corner frequency
     of 0 disables the 1/f component.  The artifact fields shape the
     deterministic transient added at each switch instant; the instants
     themselves are not configuration but come from the schedule
@@ -124,6 +126,11 @@ class AnalysisConfig:
 
 @dataclass(frozen=True)
 class RunConfig:
+    """One protocol run: the mode and its baths, the receiver chain, the
+    protocol timing, synthesis knobs, shot count and analysis windows.
+    Each port cools or monitors under a unique key-safe name, and the
+    trace spans at least 10 sample intervals."""
+
     mode: CavityMode
     baths: BathSet
     receiver: ReceiverChain
@@ -304,23 +311,6 @@ def _steady_temperatures(cfg: RunConfig) -> tuple[float, float]:
     ambient = mode_temperature(cfg.baths.subset(cfg.persistent_port_indices()))
     _refuse_non_finite(cfg, [("t_mode_cooled_k", cooled), ("t_mode_ambient_k", ambient)], "baths")
     return cooled, ambient
-
-
-def _sample_variances(cfg: RunConfig) -> list[tuple[str, float]]:
-    """The (label, value) sample variances of a run at its cooled and ambient
-    mode temperatures, refused, as the receiver output noise there, when not
-    finite.  Each sample is drawn with variance voltage_scale^2 * S(T), where
-    the receiver output noise S is affine in the mode temperature T, which
-    stays between its two steady values; so both ends bound every sample."""
-    noise, variance = [], []
-    for name, t_mode in zip(("cooled", "ambient"), _steady_temperatures(cfg)):
-        s = system_output_noise_kelvin(cfg.receiver, t_mode)
-        sigma = cfg.synth.voltage_scale * math.sqrt(s)
-        noise.append((f"receiver output noise at the {name} mode temperature", s))
-        variance.append((f"sample variance at the {name} mode temperature", sigma * sigma))
-    _refuse_non_finite(cfg, noise, "receiver", "baths")
-    _refuse_non_finite(cfg, variance, "voltage_scale", "receiver", "baths")
-    return variance
 
 
 def _make(node: dict, prefix: str = ""):

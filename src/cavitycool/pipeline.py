@@ -16,7 +16,7 @@ import numpy as np
 # attribute (a test's monkeypatch, a tracing wrapper) reaches every call,
 # also when this module is first imported while the attribute is replaced.
 from . import analysis, dynamics, receiver, synth
-from .config import RunConfig, _sample_variances
+from .config import RunConfig
 from .dynamics import PhotonTrajectory, SwitchSchedule, build_protocol
 from .errors import AnalysisError, DomainError
 from .synth import NoiseTrace
@@ -40,7 +40,7 @@ def simulate_run(cfg: RunConfig) -> SimulationResult:
     two, or one when the cooling time is 0.  Draws that overflow raise
     `DomainError` before anything is drawn; a run without noise is drawn.
     """
-    _sample_variances(cfg)
+    synth._sample_variances(cfg)
     proto = cfg.protocol
     cool_ports = tuple(range(len(cfg.baths.ports)))
     hold_ports = cfg.persistent_port_indices()

@@ -26,7 +26,7 @@ from typing import Iterable
 import numpy as np
 
 from . import receiver
-from .config import _MASK64, SynthConfig
+from .config import _MASK64, RunConfig, SynthConfig, _refuse_non_finite, _steady_temperatures
 from .dynamics import PhotonTrajectory
 from .errors import DomainError
 from .receiver import ReceiverChain
@@ -97,12 +97,6 @@ class NoiseTrace:
     def n_shots(self) -> int:
         return self.voltages_v.shape[0]
 
-    @property
-    def sample_interval_s(self) -> float:
-        if len(self.times_s) < 2:
-            raise DomainError("need at least two samples for an interval")
-        return float(self.times_s[1] - self.times_s[0])
-
     def time_columns(self, t_start_s: float, t_stop_s: float) -> slice:
         """The sample columns with t_start_s <= t < t_stop_s, perhaps none."""
         lo, hi = np.searchsorted(self.times_s, (t_start_s, t_stop_s)).tolist()
@@ -135,42 +129,62 @@ def switch_artifact_waveform(cfg: SynthConfig, max_samples: "int | None" = None)
     return cfg.artifact_amplitude_v * np.sin(4.0 * math.pi * u) * np.exp(-3.0 * u)
 
 
-def _flicker_component(
-    rng: np.random.Generator, n: int, dt: float, corner_hz: float, white_variance: float
-) -> np.ndarray:
-    """1/f-like voltage component from a bank of octave-spaced relaxation
-    (first-order filtered) sources.
+def sample_sigma(chain: ReceiverChain, cfg: SynthConfig, t_mode_k):
+    """The run's one white-noise model: the per-sample standard deviation in
+    volts at mode temperature t_mode_k, a float (giving a float) or an array,
+    voltage_scale * sqrt(S) with S the receiver output noise in kelvin."""
+    # Through the module, as `pipeline` calls its stages.
+    noise_k = receiver.system_output_noise_kelvin(chain, t_mode_k)
+    sqrt = np.sqrt if isinstance(noise_k, np.ndarray) else math.sqrt
+    return cfg.voltage_scale * sqrt(noise_k)
 
-    Normalised so the summed one-sided power spectral density equals the
-    white floor `2 * dt * white_variance` at the corner frequency.
-    """
+
+def _sample_variances(cfg: RunConfig) -> list[tuple[str, float]]:
+    """The (label, value) sample variances of a run, `sample_sigma` squared at
+    its cooled and ambient mode temperatures, refused, as the receiver output
+    noise there, when not finite.  Both bound every sample: the noise is affine
+    in the mode temperature, which stays between its two steady values."""
+    noise, variance = [], []
+    for name, t_mode in zip(("cooled", "ambient"), _steady_temperatures(cfg)):
+        s = receiver.system_output_noise_kelvin(cfg.receiver, t_mode)
+        sigma = sample_sigma(cfg.receiver, cfg.synth, t_mode)
+        noise.append((f"receiver output noise at the {name} mode temperature", s))
+        variance.append((f"sample variance at the {name} mode temperature", sigma * sigma))
+    _refuse_non_finite(cfg, noise, "receiver", "baths")
+    _refuse_non_finite(cfg, variance, "voltage_scale", "receiver", "baths")
+    return variance
+
+
+def _flicker_source(n: int, dt: float, corner_hz: float, white_variance: float):
+    """The 1/f-like component of an n-sample record as a function of its
+    generator: a bank of octave-spaced relaxation (first-order filtered)
+    sources, built once for all records, each drawn as a stationary start
+    plus n drive samples.  The bank's summed one-sided power spectral
+    density equals the white floor `2 * dt * white_variance` at the corner."""
     from scipy import signal
 
-    nyquist = 0.5 / dt
-    lowest_useful = 1.0 / (n * dt)
-    freqs = []
-    f = nyquist / 2.0
-    while f >= lowest_useful / 2.0 and len(freqs) < _MAX_FLICKER_SOURCES:
-        freqs.append(f)
-        f /= 2.0
-    if not freqs:
-        freqs = [nyquist / 2.0]
-
-    total = np.zeros(n)
+    nyquist, lowest_useful = 0.5 / dt, 1.0 / (n * dt)
+    freqs = [nyquist / 2.0]
+    while freqs[-1] / 2.0 >= lowest_useful / 2.0 and len(freqs) < _MAX_FLICKER_SOURCES:
+        freqs.append(freqs[-1] / 2.0)
+    poles = [math.exp(-2.0 * math.pi * f_k * dt) for f_k in freqs]
     # One-sided PSD of the summed bank at the corner, for unit sources.
-    density = 0.0
-    z = 2.0 * math.pi * corner_hz * dt
-    for f_k in freqs:
-        a = math.exp(-2.0 * math.pi * f_k * dt)
-        s2 = 1.0 - a * a
-        x0 = rng.standard_normal()
-        drive = rng.standard_normal(n)
-        # x[j] = a x[j-1] + sqrt(s2) w[j], started from a stationary draw.
-        x, _ = signal.lfilter([math.sqrt(s2)], [1.0, -a], drive, zi=np.array([a * x0]))
-        total += x
-        density += s2 * 2.0 * dt / (1.0 - 2.0 * a * math.cos(z) + a * a)
-    white_floor = 2.0 * dt * white_variance
-    return math.sqrt(white_floor / density) * total
+    density, z = 0.0, 2.0 * math.pi * corner_hz * dt
+    for a in poles:
+        density += (1.0 - a * a) * 2.0 * dt / (1.0 - 2.0 * a * math.cos(z) + a * a)
+    gain = math.sqrt(2.0 * dt * white_variance / density)
+
+    def draw(rng: np.random.Generator) -> np.ndarray:
+        total = np.zeros(n)
+        for a in poles:
+            x0 = rng.standard_normal()
+            # x[j] = a x[j-1] + sqrt(1 - a^2) w[j], started from a stationary draw.
+            x, _ = signal.lfilter([math.sqrt(1.0 - a * a)], [1.0, -a],
+                                  rng.standard_normal(n), zi=np.array([a * x0]))
+            total += x
+        return gain * total
+
+    return draw
 
 
 def _synthesize(
@@ -191,15 +205,13 @@ def _synthesize(
     switch_times_s = tuple(switch_times_s)
     if any(t < 0 for t in switch_times_s):
         raise DomainError("switch times must be >= 0")
-    n = len(trajectory)
-    times = np.arange(n) * cfg.sample_interval_s
-    if not np.allclose(trajectory.times_s, times, rtol=0.0, atol=cfg.sample_interval_s * 1e-6):
+    n, dt, corner = len(trajectory), cfg.sample_interval_s, cfg.one_over_f_corner_hz
+    times = np.arange(n) * dt
+    if not np.allclose(trajectory.times_s, times, rtol=0.0, atol=dt * 1e-6):
         raise DomainError("trajectory grid is not k * sample_interval_s")
 
-    # Through the module, as `pipeline` calls its stages.
-    sysnoise_k = receiver.system_output_noise_kelvin(chain, trajectory.temperature_k)
-    sigma = cfg.voltage_scale * np.sqrt(sysnoise_k)
-    reference_variance = float(sigma[-1] ** 2)
+    sigma = sample_sigma(chain, cfg, trajectory.temperature_k)
+    flicker = _flicker_source(n, dt, corner, float(sigma[-1] ** 2)) if corner > 0 else None
 
     # One generator for the ensemble, re-keyed before each row: a fresh
     # state (counter 0, empty buffer) with key [seed, 0] is the state of
@@ -213,10 +225,8 @@ def _synthesize(
         bits.state = fresh
         rng.standard_normal(out=row)
         row *= sigma
-        if cfg.one_over_f_corner_hz > 0:
-            row += _flicker_component(
-                rng, n, cfg.sample_interval_s, cfg.one_over_f_corner_hz, reference_variance
-            )
+        if flicker:
+            row += flicker(rng)
 
     if cfg.artifact_amplitude_v > 0:
         wave = switch_artifact_waveform(cfg, n)

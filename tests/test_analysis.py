@@ -229,7 +229,7 @@ def test_spectral_density_matches_scipy_welch(n_shots, segment, whole_trace):
     trace = _trace(rng.standard_normal((n_shots, n)), dt=5e-8)
     freqs, psd = ensemble_spectral_density(trace, segment_samples=segment)
     ref_freqs, ref = signal.welch(
-        trace.voltages_v, fs=1.0 / trace.sample_interval_s, window="hann",
+        trace.voltages_v, fs=1.0 / (trace.times_s[1] - trace.times_s[0]), window="hann",
         nperseg=segment, noverlap=segment // 2, detrend=False,
     )
     np.testing.assert_allclose(freqs, ref_freqs, rtol=1e-12, atol=0)
@@ -277,7 +277,7 @@ def test_blocked_passes_match_the_whole_ensemble_bytes(n_shots):
         assert out.tobytes() == _whole_ensemble_extract_noise(v, width).tobytes()
     for segment in (8, 9, 256):
         density = ensemble_spectral_density(trace, segment).density
-        expected = _whole_ensemble_density(v, segment, trace.sample_interval_s)
+        expected = _whole_ensemble_density(v, segment, trace.times_s[1] - trace.times_s[0])
         assert density.tobytes() == expected.tobytes()
     # The series pools the per-shot window table over shots in shot order,
     # also over a section of one sample, where `.mean(axis=0)` would sum

@@ -14,6 +14,7 @@ that nothing in the package uses.
 """
 
 import ast
+import inspect
 import json
 import os
 import subprocess
@@ -337,14 +338,72 @@ def test_package_root_refuses_the_photon_scale_and_rk4_names():
     assert all(callable(getattr(analysis, name)) for name in reference_stages)
 
 
-def test_the_cli_takes_the_draw_check_from_the_configuration():
-    # `simulate_run` runs the receiver-noise and sample-variance check
-    # itself, so the CLI neither defines it nor evaluates the closed forms.
-    from cavitycool import cli, config
+def test_the_draw_check_squares_the_noise_model_at_the_steady_temperatures():
+    # `simulate` refuses a run by the variances it would draw with: the
+    # model's sigma at the two steady mode temperatures, squared, bit for
+    # bit, and the draw's array sigma there is the same.  The CLI evaluates
+    # none of the closed forms behind the check.
+    from dataclasses import replace
 
-    for name in ("_refuse_non_finite", "_steady_temperatures", "_sample_variances"):
+    import numpy as np
+
+    from cavitycool import cli, config, synth
+
+    base = config.default_run_config()
+    for cfg in (base, replace(base, synth=replace(base.synth, voltage_scale=1e-3))):
+        temperatures = config._steady_temperatures(cfg)
+        sigmas = [synth.sample_sigma(cfg.receiver, cfg.synth, t) for t in temperatures]
+        assert all(type(sigma) is float for sigma in sigmas)
+        drawn = synth.sample_sigma(cfg.receiver, cfg.synth, np.array(temperatures))
+        assert drawn.tolist() == sigmas
+        assert synth._sample_variances(cfg) == [
+            (f"sample variance at the {name} mode temperature", sigma * sigma)
+            for name, sigma in zip(("cooled", "ambient"), sigmas)
+        ]
+    for name in ("_refuse_non_finite", "_steady_temperatures"):
         assert getattr(cli, name) is getattr(config, name)
-    assert not {"system_output_noise_kelvin", "mode_temperature"} & vars(cli).keys()
+    closed_forms = {"system_output_noise_kelvin", "mode_temperature", "_sample_variances"}
+    assert not closed_forms & vars(cli).keys()
+
+
+def _receiver_functions_bound_by_name(module):
+    """Functions of `receiver` that `module`'s source binds by name."""
+    from cavitycool import receiver
+
+    path = _SRC / "cavitycool" / f"{module}.py"
+    return [
+        alias.name
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and node.module in ("receiver", "cavitycool.receiver")
+        for alias in node.names
+        if inspect.isfunction(getattr(receiver, alias.name, None))
+    ]
+
+
+def test_config_imports_no_function_from_receiver():
+    # The configuration is the schema: the receiver physics of the draw
+    # check lives with the noise model in `synth`.
+    assert _receiver_functions_bound_by_name("config") == []
+
+
+def test_the_noise_model_calls_the_receiver_through_its_module():
+    # A by-name binding made while a tracing wrapper replaces the module
+    # attribute would keep that wrapper after tracing ends.
+    assert _receiver_functions_bound_by_name("synth") == []
+    tree = ast.parse((_SRC / "cavitycool" / "synth.py").read_text(encoding="utf-8"))
+    uses = {
+        ast.unparse(node)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute))
+        and (node.id if isinstance(node, ast.Name) else node.attr)
+        == "system_output_noise_kelvin"
+    }
+    assert uses == {"receiver.system_output_noise_kelvin"}
+    model = next(
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "sample_sigma"
+    )
+    assert "receiver.system_output_noise_kelvin" in ast.unparse(model)
 
 
 def _private_definitions(tree):

@@ -16,6 +16,7 @@ from cavitycool.receiver import LnaNoiseParameters, ReceiverChain, system_output
 from cavitycool.synth import (
     NoiseTrace,
     SynthConfig,
+    sample_sigma,
     shot_seed,
     switch_artifact_waveform,
     synthesize_shot_ensemble,
@@ -299,7 +300,7 @@ def test_ensemble_rows_match_an_independent_philox_oracle(monkeypatch):
     n, n_shots = 301, 41
     traj = _step_trajectory(cfg, n, 108.0, 256.0)
     chain = _chain()
-    sigma = cfg.voltage_scale * np.sqrt(system_output_noise_kelvin(chain, traj.temperature_k))
+    sigma = sample_sigma(chain, cfg, traj.temperature_k)
     philox = np.random.Philox
     built = []
 
@@ -503,9 +504,6 @@ def test_noise_trace_validation_and_slicing():
     trace = NoiseTrace(times, volts)
     assert trace.n_shots == 3
     assert len(trace) == 100
-    assert trace.sample_interval_s == pytest.approx(1e-7)
-    with pytest.raises(DomainError, match="^need at least two samples for an interval$"):
-        NoiseTrace(times[:1], volts[:, :1]).sample_interval_s
     # Exactly representable grid (steps of 0.5) for crisp half-open slicing.
     exact = NoiseTrace(np.arange(100) * 0.5, np.arange(300.0).reshape(3, 100))
     part = exact.slice_time(10.0, 25.0)
