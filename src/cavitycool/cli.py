@@ -206,14 +206,13 @@ def cmd_sweep(args, cfg: RunConfig) -> None:
 def cmd_simulate(args, cfg: RunConfig) -> None:
     from . import tracefile
     from .pipeline import simulate_run
-    from .synth import _sample_variances
 
     if args.seed is not None:
         cfg = with_seed(cfg, args.seed)
-    # A run without noise has no level for `analyze` to form.
-    variance = _sample_variances(cfg)
-    _refuse_non_finite(cfg, variance, "voltage_scale", "receiver", "baths", positive=True)
     result = simulate_run(cfg)
+    # A run without noise has no level for `analyze` to form.
+    variances = result.sample_variances
+    _refuse_non_finite(cfg, variances, "voltage_scale", "receiver", "baths", positive=True)
     meta_path = tracefile.write_run(args.out, cfg, result)
     trajectory = tracefile.TRAJECTORY_FILE
     digest = config_digest(cfg)

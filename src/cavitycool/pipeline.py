@@ -25,10 +25,15 @@ from .thermal import mode_temperature
 
 @dataclass
 class SimulationResult:
+    """One simulated run: the mode-temperature trajectory, the shot
+    ensemble drawn on its grid, the switch schedule, the disconnect time,
+    and the (label, value) sample variances the draw's noise is bounded by."""
+
     trajectory: PhotonTrajectory
     traces: NoiseTrace
     schedule: SwitchSchedule
     disconnect_time_s: float
+    sample_variances: list[tuple[str, float]]
 
 
 def simulate_run(cfg: RunConfig) -> SimulationResult:
@@ -40,7 +45,7 @@ def simulate_run(cfg: RunConfig) -> SimulationResult:
     two, or one when the cooling time is 0.  Draws that overflow raise
     `DomainError` before anything is drawn; a run without noise is drawn.
     """
-    synth._sample_variances(cfg)
+    variances = synth._sample_variances(cfg)
     proto = cfg.protocol
     cool_ports = tuple(range(len(cfg.baths.ports)))
     hold_ports = cfg.persistent_port_indices()
@@ -61,7 +66,7 @@ def simulate_run(cfg: RunConfig) -> SimulationResult:
     traces = synth.synthesize_shot_ensemble(
         trajectory, cfg.receiver, cfg.synth, cfg.n_shots, switch_times_s
     )
-    return SimulationResult(trajectory, traces, schedule, proto.cool_duration_s)
+    return SimulationResult(trajectory, traces, schedule, proto.cool_duration_s, variances)
 
 
 # The warm-up fit counts only when the direct level lies this many standard

@@ -17,15 +17,15 @@ shortest round-trip digits (Ryu) and parses with correct rounding, so
 the files and the values read back are the same as with `repr` and
 `float()`; it is imported here only.
 
-`write_trace_csv` formats a shot's voltages with one `orjson.dumps`.
-orjson's text equals `repr` for 0 and for 1e-4 <= |v| < 1e16; any other
-voltage, and NaN and +-inf, is written with `repr` in its place.  A run
-writes one trace file per shot, all on one grid, whose times lie mostly
-below 1e-4, so the times are written with `repr` once per grid: a
-one-entry cache keyed by the grid's float64 bytes holds the grid's line
-starts, each carrying the newline that ends the line before, the first
-also the header.  A file is one join of the starts interleaved with the
-voltages.
+`write_trace_csv` and `write_trajectory_csv` write a grid file: a header,
+then one `time,value` line per sample.  The values go through one
+`orjson.dumps`, whose text equals `repr` for 0 and for 1e-4 <= |v| < 1e16;
+any other value, and NaN and +-inf, takes its `repr` instead.  A run's
+trajectory and traces share one grid, mostly below 1e-4 s, so its times
+are written with `repr` once: a one-entry cache keyed by the grid's
+float64 bytes holds its line starts, each with the newline that ends the
+line before.  The header is not cached, so every grid file of a run takes
+the same entry.  A file is one join of the header, starts and values.
 
 `read_trace_csv` takes one of two paths; both check the parsed samples
 with `_checked_trace`, so both return the same array or raise the same
@@ -78,37 +78,38 @@ def _fmt(value: float) -> str:
 
 
 @functools.lru_cache(maxsize=1)
-def _time_fields(grid_bytes: bytes) -> tuple[str, ...]:
-    """The line starts of a trace file on the float64 grid `grid_bytes`:
-    for each sample a newline, its time and a comma, the first behind the
-    header; then the newline that ends the last line."""
-    starts = [f"\n{t!r}," for t in np.frombuffer(grid_bytes).tolist()] + ["\n"]
-    starts[0] = ",".join(TRACE_HEADER) + starts[0]
-    return tuple(starts)
+def _line_starts(grid_bytes: bytes) -> tuple[str, ...]:
+    """A newline, time and comma per sample of the float64 grid `grid_bytes`, then a newline."""
+    return tuple([f"\n{t!r}," for t in np.frombuffer(grid_bytes).tolist()] + ["\n"])
 
 
-def _voltage_fields(volts: np.ndarray) -> list[str]:
-    """The `repr` of each of `volts`, a 1-D float64 array."""
+def _value_fields(values: np.ndarray) -> list[str]:
+    """The `repr` of each of `values`, a 1-D float64 array."""
     # orjson's text equals repr only for 0 and 1e-4 <= |v| < 1e16.
-    a = np.abs(volts)
-    other = np.flatnonzero(~(((a >= 1e-4) & (a < 1e16)) | (volts == 0)))
-    text = orjson.dumps(volts, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode()
+    a = np.abs(values)
+    other = np.flatnonzero(~(((a >= 1e-4) & (a < 1e16)) | (values == 0)))
+    text = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode()
     fields = text.split(",") if text else []
-    for i, v in zip(other.tolist(), volts[other].tolist()):
+    for i, v in zip(other.tolist(), values[other].tolist()):
         fields[i] = repr(v)
     return fields
 
 
-def write_trace_csv(path: str, times_s: np.ndarray, voltages_v: np.ndarray) -> None:
-    """Write one shot: its samples `voltages_v` on the grid `times_s`."""
-    starts = _time_fields(np.asarray(times_s, dtype=float).tobytes())
-    parts = [""] * (2 * len(starts) - 1)
-    parts[0::2] = starts
-    # An extended slice takes exactly one voltage per sample, and raises
-    # ValueError on any other count.
-    parts[1::2] = _voltage_fields(np.ascontiguousarray(voltages_v, dtype=float))
+def _write_grid_csv(path: str, header: Sequence[str], times_s, values) -> None:
+    """Write `header`, then a `time,value` line per sample of `values` on `times_s`."""
+    starts = _line_starts(np.asarray(times_s, dtype=float).tobytes())
+    parts = [""] * (2 * len(starts))
+    parts[0] = ",".join(header)
+    parts[1::2] = starts
+    # An extended slice takes one value per sample, or raises ValueError.
+    parts[2::2] = _value_fields(np.ascontiguousarray(values, dtype=float))
     with open(path, "wb") as fh:
         fh.write("".join(parts).encode("ascii"))
+
+
+def write_trace_csv(path: str, times_s: np.ndarray, voltages_v: np.ndarray) -> None:
+    """Write one shot: its samples `voltages_v` on the grid `times_s`."""
+    _write_grid_csv(path, TRACE_HEADER, times_s, voltages_v)
 
 
 def read_trace_csv(path: str) -> NoiseTrace:
@@ -267,8 +268,7 @@ def read_trace_ensemble(paths: Sequence[str]) -> NoiseTrace:
 
 def write_trajectory_csv(path: str, trajectory) -> None:
     """Write `trajectory.csv`: time and mode temperature."""
-    columns = (trajectory.times_s, trajectory.temperature_k)
-    write_table_csv(path, TRAJECTORY_HEADER, np.array(columns, dtype=float).T.tolist())
+    _write_grid_csv(path, TRAJECTORY_HEADER, trajectory.times_s, trajectory.temperature_k)
 
 
 def _trace_names(cfg: RunConfig) -> list[str]:

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import cavitycool
-from cavitycool import analysis, cli, tracefile
+from cavitycool import analysis, cli, synth, tracefile
 from cavitycool.config import (
     _PORT_SCHEMA,
     _SCHEMA,
@@ -2219,6 +2219,18 @@ def test_cli_simulate_refuses_a_run_without_noise(tmp_path, capsys, body):
         "no positive value for [synth] voltage_scale; [receiver] lna_gain_linear, "
     )
     assert "; [mode] wall_temperature_k; [port.cooling] coupling, " in err
+
+
+def test_cli_simulate_evaluates_the_draw_check_once(tmp_path, monkeypatch, capsys):
+    # `simulate` refuses a run by the variances the run drew with, so the
+    # check behind them runs once.
+    calls = []
+    checked = synth._sample_variances
+    monkeypatch.setattr(synth, "_sample_variances", lambda cfg: calls.append(cfg) or checked(cfg))
+    ini = _ini(tmp_path, "[synth]\nn_shots = 2\n")
+    assert cli.main(["simulate", "--config", ini, "--out", str(tmp_path / "run")]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1
 
 
 def test_cli_analyze_names_the_files_of_samples_without_noise_power(tmp_path, capsys):

@@ -342,7 +342,8 @@ def test_the_draw_check_squares_the_noise_model_at_the_steady_temperatures():
     # `simulate` refuses a run by the variances it would draw with: the
     # model's sigma at the two steady mode temperatures, squared, bit for
     # bit, and the draw's array sigma there is the same.  The CLI evaluates
-    # none of the closed forms behind the check.
+    # none of the closed forms behind the check: it takes the variances
+    # from the run, and imports nothing from `synth`.
     from dataclasses import replace
 
     import numpy as np
@@ -364,6 +365,50 @@ def test_the_draw_check_squares_the_noise_model_at_the_steady_temperatures():
         assert getattr(cli, name) is getattr(config, name)
     closed_forms = {"system_output_noise_kelvin", "mode_temperature", "_sample_variances"}
     assert not closed_forms & vars(cli).keys()
+    cli_source = (_SRC / "cavitycool" / "cli.py").read_text(encoding="utf-8")
+    from_synth = [
+        ast.unparse(node)
+        for node in ast.walk(ast.parse(cli_source))
+        if isinstance(node, ast.ImportFrom) and (
+            node.module in ("synth", "cavitycool.synth")
+            or any(alias.name == "synth" for alias in node.names)
+        )
+        or isinstance(node, ast.Import) and any(a.name == "cavitycool.synth" for a in node.names)
+    ]
+    assert from_synth == []
+
+
+def test_every_package_dataclass_has_its_own_docstring():
+    # Without one, `dataclasses` builds the class's `__doc__` from its
+    # signature each time the module is imported.
+    undocumented = [
+        f"{path.name}: {node.name}"
+        for path in sorted((_SRC / "cavitycool").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ClassDef)
+        and any(
+            ast.unparse(getattr(d, "func", d)) in ("dataclass", "dataclasses.dataclass")
+            for d in node.decorator_list
+        )
+        and ast.get_docstring(node) is None
+    ]
+    assert undocumented == []
+
+
+def test_tracefile_writes_no_table_but_still_exports_the_table_writer():
+    # Every CSV of a run directory goes through the one grid writer; the
+    # table writer is only re-exported, under the name callers use.
+    from cavitycool import textformat, tracefile
+
+    tree = ast.parse((_SRC / "cavitycool" / "tracefile.py").read_text(encoding="utf-8"))
+    calls = [
+        ast.unparse(node)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and ast.unparse(node.func).split(".")[-1] == "write_table_csv"
+    ]
+    assert calls == []
+    assert tracefile.write_table_csv is textformat.write_table_csv
 
 
 def _receiver_functions_bound_by_name(module):

@@ -31,6 +31,7 @@ from cavitycool.config import (
     default_run_config,
     load_run_config,
 )
+from cavitycool.dynamics import PhotonTrajectory
 from cavitycool.errors import DataFormatError
 from cavitycool.receiver import (
     LnaNoiseParameters,
@@ -141,11 +142,11 @@ def test_trace_csv_round_trip_is_exact(drawn):
     assert np.array_equal(back.voltages_v, [volts])
 
 
-def _formula_trace_bytes(times, volts):
-    """A trace file's bytes by the per-sample formula: the header line,
+def _formula_trace_bytes(times, volts, header=tracefile.TRACE_HEADER):
+    """A grid file's bytes by the per-sample formula: the header line,
     then one `t!r,v!r` line per sample."""
     lines = "".join(f"{t!r},{v!r}\n" for t, v in zip(times, volts))
-    return (",".join(tracefile.TRACE_HEADER) + "\n" + lines).encode("utf-8")
+    return (",".join(header) + "\n" + lines).encode("utf-8")
 
 
 # Any float, and the spellings repr switches between: signed zero, the
@@ -200,12 +201,22 @@ _IN_RANGE = st.floats(1e-4, 1e16, exclude_max=True).flatmap(lambda v: st.sampled
 @example([])
 @example(_EDGE_VOLTS)
 @example(_EDGE_VOLTS + [1.5, -2.25e-3, 6.02e15] * len(_EDGE_VOLTS))
+@example([0.0, 5e-324, 1e-5, 1e16, math.nan, math.inf])
 def test_trace_writer_prints_each_voltage_as_its_repr(volts):
+    # The trajectory goes through the same writer, with the drawn values
+    # as its temperatures.
     times = np.arange(len(volts)) * 5e-8
+    values = np.array(volts, dtype=float)
+    writers = [
+        (tracefile.TRACE_HEADER, lambda path: tracefile.write_trace_csv(path, times, values)),
+        (tracefile.TRAJECTORY_HEADER, lambda path: tracefile.write_trajectory_csv(
+            path, PhotonTrajectory(times, values))),
+    ]
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "trace.csv"
-        tracefile.write_trace_csv(str(path), times, np.array(volts, dtype=float))
-        assert path.read_bytes() == _formula_trace_bytes(times.tolist(), volts)
+        path = Path(tmp) / "grid.csv"
+        for header, write in writers:
+            write(str(path))
+            assert path.read_bytes() == _formula_trace_bytes(times.tolist(), volts, header)
 
 
 @pytest.mark.parametrize("n_volts", [0, 2, 4])
