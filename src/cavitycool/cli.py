@@ -16,7 +16,7 @@ import os
 import sys
 from dataclasses import replace
 
-from . import __version__
+from . import __version__, textformat
 from .config import (
     _MASK64,
     PORT_ROLE_COOLING,
@@ -33,10 +33,8 @@ from .config import (
 )
 from .errors import AnalysisError, ConfigError, DataFormatError, DomainError
 from .receiver import noise_power_reduction_db
+from .textformat import _fmt
 from .thermal import photon_occupancy, sweep_mode_temperature
-
-def _fmt(value: float) -> str:
-    return repr(float(value))
 
 
 def _finite_float(text: str) -> float:
@@ -157,8 +155,6 @@ def _geometric_axis(start: float, stop: float, num: int) -> list[float]:
 
 
 def cmd_sweep(args, cfg: RunConfig) -> None:
-    from . import textformat
-
     if args.coupling_min <= 0 or args.coupling_max < args.coupling_min:
         raise ConfigError("need 0 < coupling-min <= coupling-max")
     if args.cold_min < 0 or args.cold_max < args.cold_min:
@@ -263,7 +259,6 @@ def _deltap_row(prefix: str, label: str, estimate) -> _Row:
 
 
 def cmd_analyze(args, cfg: RunConfig) -> None:
-    from . import textformat
     from .pipeline import analyze_run
 
     traces, cfg = _load_analysis_inputs(args, cfg)

@@ -7,9 +7,11 @@ are rejected.  `_SCHEMA` and `_PORT_SCHEMA` are the only list of keys.
 A value's range is a bound on the dataclass field that holds it
 (`errors.bounded`), a rule that ties values together is written out in
 its class, and a refusal at load names its keys as the file spells them.
-A run's defaults come from the bundled `data/bench.defaults`; the
-dataclasses' field defaults serve direct construction from Python, and
-only `SynthConfig`'s differ from that file (see its docstring).
+A run's defaults come from the bundled `data/bench.defaults`, read
+where a load uses them, without a cache; the dataclasses' field defaults
+serve direct construction from Python, and only `SynthConfig`'s differ
+from that file (see its docstring).  Files are decoded by
+`textformat._read_text`, the package's one text decoder.
 Refusals name keys through `_key_names`; `_refuse_non_finite` and
 `_steady_temperatures` serve every command.  No receiver noise is
 computed here and no numpy imported: `simulate`'s draw check lives with
@@ -19,15 +21,16 @@ the noise model in `synth`.
 from __future__ import annotations
 
 import configparser
-from functools import lru_cache, reduce
+from functools import reduce
 import math
 import os
 import sys
 from dataclasses import dataclass, replace
 from typing import Mapping
 
-from .errors import ConfigError, DomainError, bounded, check_bounds
+from .errors import ConfigError, DataFormatError, DomainError, bounded, check_bounds
 from .receiver import LnaNoiseParameters, ReceiverChain
+from .textformat import _fmt, _read_text
 from .thermal import BathPort, BathSet, CavityMode, LossModel, mode_temperature
 
 PORT_ROLE_COOLING = "cooling"
@@ -241,7 +244,7 @@ _DEFAULTS_PATH = os.path.join(os.path.dirname(__file__), "data", "bench.defaults
 
 def _format(kind: type, value) -> str:
     if kind is float:
-        return repr(float(value))
+        return _fmt(value)
     return value.value if kind is LossModel else str(value)
 
 
@@ -357,23 +360,15 @@ def _build(raw: Mapping[str, Mapping[str, str]]) -> RunConfig:
 
 
 def _read_ini(path: str) -> dict[str, dict[str, str]]:
+    """A config file's `{section: {key: text}}`; ConfigError names its file and line."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            parser.read_file(fh)
-        except configparser.Error as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
-        except UnicodeDecodeError as exc:
-            raise ConfigError(
-                f"{path}: byte 0x{exc.object[exc.start]:02x} is not UTF-8 text"
-            ) from None
+    try:
+        parser.read_file(_read_text(path, newline=None), source=path)
+    except configparser.Error as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+    except DataFormatError as exc:
+        raise ConfigError(str(exc)) from None
     return {section: dict(parser.items(section)) for section in parser.sections()}
-
-
-@lru_cache(maxsize=None)
-def _default_raw() -> dict[str, dict[str, str]]:
-    # Shared between calls: callers copy before changing anything.
-    return _read_ini(_DEFAULTS_PATH)
 
 
 def default_run_config() -> RunConfig:
@@ -385,7 +380,7 @@ def default_run_config() -> RunConfig:
     cable sit at room temperature in front of a cold LNA.  The values
     are those of the bundled `data/bench.defaults`.
     """
-    return _build(_default_raw())
+    return _build(_read_ini(_DEFAULTS_PATH))
 
 
 def load_run_config(path: str) -> RunConfig:
@@ -397,11 +392,9 @@ def load_run_config(path: str) -> RunConfig:
     ConfigError naming the file, and the section and key of the value.
     """
     user = _read_ini(path)
-    own_ports = any(section.startswith("port.") for section in user)
-    raw = {
-        section: dict(entries) for section, entries in _default_raw().items()
-        if not (own_ports and section.startswith("port."))
-    }
+    raw = _read_ini(_DEFAULTS_PATH)
+    if any(section.startswith("port.") for section in user):
+        raw = {section: raw[section] for section in raw if not section.startswith("port.")}
     for section, entries in user.items():
         raw.setdefault(section, {}).update(entries)
     try:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import grid_sample_count
+from .config import ProtocolConfig, grid_sample_count
 from .errors import DomainError
 from .thermal import BathSet, CavityMode, mode_temperature
 
@@ -52,24 +52,14 @@ class SwitchSchedule:
 
 
 def build_protocol(
-    cool_duration_s: float,
-    trace_length_s: float,
-    cool_ports: tuple[int, ...] = (0, 1),
-    hold_ports: tuple[int, ...] = (1,),
+    protocol: ProtocolConfig, cool_ports: tuple[int, ...], hold_ports: tuple[int, ...]
 ) -> SwitchSchedule:
     """The canonical schedule: cooling ports from t = 0, hold ports from
-    t = cool_duration_s (the hold ports alone when that is 0)."""
-    if cool_duration_s < 0:
-        raise DomainError("cooling time must be >= 0")
-    if trace_length_s <= 0:
-        raise DomainError("trace length must be positive")
-    if cool_duration_s > trace_length_s:
-        raise DomainError(
-            "protocol events extend past the trace "
-            f"({cool_duration_s} > {trace_length_s} s)"
-        )
-    cool = [ScheduleEvent(0.0, tuple(cool_ports))] if cool_duration_s > 0 else []
-    return SwitchSchedule([*cool, ScheduleEvent(cool_duration_s, tuple(hold_ports))])
+    t = cool_duration_s (the hold ports alone when that is 0).  The timing
+    is the one `ProtocolConfig` has checked."""
+    cool_s = protocol.cool_duration_s
+    cool = [ScheduleEvent(0.0, tuple(cool_ports))] if cool_s > 0 else []
+    return SwitchSchedule([*cool, ScheduleEvent(cool_s, tuple(hold_ports))])
 
 
 def relaxation_rate(mode: CavityMode, baths: BathSet) -> float:

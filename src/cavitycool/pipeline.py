@@ -16,11 +16,10 @@ import numpy as np
 # attribute (a test's monkeypatch, a tracing wrapper) reaches every call,
 # also when this module is first imported while the attribute is replaced.
 from . import analysis, dynamics, receiver, synth
-from .config import RunConfig
+from .config import RunConfig, _steady_temperatures
 from .dynamics import PhotonTrajectory, SwitchSchedule, build_protocol
 from .errors import AnalysisError, DomainError
 from .synth import NoiseTrace
-from .thermal import mode_temperature
 
 
 @dataclass
@@ -47,14 +46,8 @@ def simulate_run(cfg: RunConfig) -> SimulationResult:
     """
     variances = synth._sample_variances(cfg)
     proto = cfg.protocol
-    cool_ports = tuple(range(len(cfg.baths.ports)))
-    hold_ports = cfg.persistent_port_indices()
-    schedule = build_protocol(
-        proto.cool_duration_s,
-        proto.trace_length_s,
-        cool_ports=cool_ports,
-        hold_ports=hold_ports,
-    )
+    all_ports = tuple(range(len(cfg.baths.ports)))
+    schedule = build_protocol(proto, all_ports, cfg.persistent_port_indices())
     trajectory = dynamics.evolve_occupancy(
         cfg.mode,
         cfg.baths,
@@ -125,15 +118,19 @@ def analyze_run(
     pools its table in shot order, and the report is that of the public
     stages composed on the whole ensemble, bit for bit.
 
-    Each section must start inside the trace and hold a sample, the warm-up
-    section one `window_samples` window.  The ambient, cooled and warm-up
-    sections, then the window, are checked in that order before any sample
-    is read: the first that fails is refused with a `DomainError` on its
-    field.  Samples whose sums of squares overflow, or whose cooled or ambient
+    The ambient reference is the run's steady ambient mode temperature;
+    steady temperatures that overflow are refused first, with the
+    `DomainError` of `config._steady_temperatures`.  Each section must
+    start inside the trace and hold a sample, the warm-up section one
+    `window_samples` window.  The ambient, cooled and warm-up sections,
+    then the window, are checked in that order before any sample is read:
+    the first that fails is refused with a `DomainError` on its field.
+    Samples whose sums of squares overflow, or whose cooled or ambient
     section holds no power or only the rounding error of identical shots,
     then raise `AnalysisError`.  `disconnect_time_s` defaults to the
     configured cooling duration.
     """
+    _, t_ambient_ref = _steady_temperatures(cfg)
     acfg = cfg.analysis
     if disconnect_time_s is None:
         disconnect_time_s = cfg.protocol.cool_duration_s
@@ -235,7 +232,6 @@ def analyze_run(
         failure = f"warm-up fit unavailable: {exc}"
         notes.append(failure)
 
-    t_ambient_ref = mode_temperature(cfg.baths.subset(cfg.persistent_port_indices()))
     try:
         t_mode = receiver.infer_mode_temperature(
             cfg.receiver, deltap_direct.value_db, t_ambient_ref

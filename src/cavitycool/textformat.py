@@ -1,7 +1,7 @@
 """Plain-text files that need no numpy: float tables and key=value sidecars.
 
-A table CSV has a header line and one line per row, every value a
-Python float in shortest round-trip (repr) form, with LF endings.  A
+A table CSV has a header line and one line per row, every value in
+`_fmt` form (a float's shortest round-trip repr), with LF endings.  A
 sidecar holds plain `key=value` lines.  Writers are deterministic:
 identical inputs produce byte-identical files.  `sweep` writes its
 table from here, so it loads no numpy; `tracefile` builds the run
@@ -16,11 +16,16 @@ from typing import Iterable, Sequence
 from .errors import DataFormatError
 
 
+def _fmt(value: float) -> str:
+    """The one float text: the shortest round-trip form of `float(value)`."""
+    return repr(float(value))
+
+
 def write_table_csv(
     path: str, header: Sequence[str], rows: Iterable[Sequence[float]]
 ) -> None:
-    """Write `header` and `rows`, each value as the repr of its `float()`."""
-    body = (",".join([repr(float(value)) for value in row]) for row in rows)
+    """Write `header` and `rows`, each value as its `_fmt` text."""
+    body = (",".join([_fmt(value) for value in row]) for row in rows)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join([",".join(header), *body, ""]))
 

@@ -59,7 +59,7 @@ import orjson
 from .config import RunConfig, config_digest, config_from_items, config_items, grid_sample_count
 from .errors import ConfigError, DataFormatError
 from .synth import NoiseTrace
-from .textformat import _read_text, read_key_values, write_key_values, write_table_csv
+from .textformat import _fmt, _read_text, read_key_values, write_key_values, write_table_csv
 
 TRACE_HEADER = ("time_s", "voltage_v")
 TRAJECTORY_HEADER = ("time_s", "temperature_k")
@@ -71,10 +71,6 @@ _TRACE_HEADER_BYTES = (",".join(TRACE_HEADER) + "\n").encode()
 
 _RUN_FORMAT = "cavitycool-run/4"
 TRAJECTORY_FILE = "trajectory.csv"
-
-
-def _fmt(value: float) -> str:
-    return repr(float(value))
 
 
 @functools.lru_cache(maxsize=1)

@@ -463,6 +463,32 @@ def test_cli_steady_refuses_a_mode_temperature_that_overflows(tmp_path, capsys):
     )
 
 
+def test_analyze_refuses_steady_temperatures_that_overflow(tmp_path, capsys):
+    # coupling * load_temperature_k overflows at both ports: analyze printed
+    # t_mode_inferred_k=inf and t_ambient_reference_k=inf with exit 0.
+    out = tmp_path / "run"
+    ini = _ini(tmp_path, "[synth]\nn_shots = 3\n")
+    assert cli.main(["simulate", "--config", ini, "--out", str(out), "--porcelain"]) == 0
+    capsys.readouterr()
+    huge = _ini(tmp_path, (
+        "[port.cooling]\ncoupling = 1e308\nload_temperature_k = 18.4\nrole = cooling\n"
+        "[port.monitoring]\ncoupling = 1e308\nload_temperature_k = 18.4\nrole = monitoring\n"
+    ), "huge.ini")
+    paths = [str(out / f"trace_{i:03d}.csv") for i in range(3)]
+    refusal = (
+        "non-finite t_mode_cooled_k = nan, t_mode_ambient_k = inf: the closed form has no "
+        f"finite value for [mode] wall_temperature_k; [port.cooling] {_PORT_KEYS}; "
+        f"[port.monitoring] {_PORT_KEYS}"
+    )
+    assert cli.main(["analyze", *paths, "--config", huge, "--porcelain"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"config error: {huge}: {refusal}\n"
+    with pytest.raises(DomainError) as exc:
+        analyze_run(tracefile.read_trace_ensemble(paths), load_run_config(huge))
+    assert str(exc.value) == refusal
+
+
 def test_cli_steady_refuses_an_occupancy_that_overflows(tmp_path, capsys):
     # hf/kT underflows to 0, which divided by zero.
     ini = _ini(tmp_path, "[mode]\nfrequency_hz = 1e-300\n")
@@ -1453,8 +1479,20 @@ def test_cli_non_utf8_config_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.ini"
     bad.write_bytes(b"[synth]\nn_shots = \xff\n")
     assert cli.main(["steady", "--config", str(bad), "--porcelain"]) == 2
-    err = capsys.readouterr().err
-    assert f"config error: {bad}: byte 0xff is not UTF-8 text" in err
+    assert capsys.readouterr().err == (
+        f"config error: {bad}: line 2: byte 0xff is not UTF-8 text\n"
+    )
+
+
+def test_cli_config_syntax_error_names_the_file_it_came_from(tmp_path, capsys):
+    # configparser names the file only when told it: a decoded text read
+    # without its source reads "While reading from '<???>'".
+    ini = _ini(tmp_path, "[synth]\nn_shots = 3\n[synth]\nn_shots = 4\n")
+    assert cli.main(["steady", "--config", ini, "--porcelain"]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: {ini}: While reading from {ini!r} [line  3]: "
+        "section 'synth' already exists\n"
+    )
 
 
 @pytest.mark.parametrize("command, option, text", [

@@ -8,6 +8,7 @@ import math
 import numpy as np
 import pytest
 
+from cavitycool.config import ProtocolConfig
 from cavitycool.dynamics import (
     ScheduleEvent,
     SwitchSchedule,
@@ -24,6 +25,11 @@ from cavitycool.thermal import (
     LossModel,
     mode_temperature,
 )
+
+
+def _protocol(cool_duration_s, trace_length_s):
+    """The bench schedule: both ports cool, then the monitoring port (1) holds."""
+    return build_protocol(ProtocolConfig(cool_duration_s, trace_length_s), (0, 1), (1,))
 
 
 def _rk4_temperature(mode, baths, schedule, times):
@@ -117,23 +123,18 @@ def test_relaxation_rate_scales_with_coupling():
 
 
 def test_protocol_is_cool_then_hold():
-    schedule = build_protocol(40e-6, 160e-6)
+    schedule = _protocol(40e-6, 160e-6)
     assert [(e.time_s, e.active_ports) for e in schedule.events] == [
         (0.0, (0, 1)),
         (40e-6, (1,)),
     ]
     # With no cooling time only the hold configuration is scheduled.
-    schedule = build_protocol(0.0, 160e-6)
+    schedule = _protocol(0.0, 160e-6)
     assert [(e.time_s, e.active_ports) for e in schedule.events] == [(0.0, (1,))]
 
 
 def test_protocol_validation():
-    with pytest.raises(DomainError):
-        build_protocol(-1e-6, 160e-6)
-    with pytest.raises(DomainError):
-        build_protocol(40e-6, 30e-6)
-    with pytest.raises(DomainError, match="^trace length must be positive$"):
-        build_protocol(0.0, 0.0)
+    # The timing refusals are `ProtocolConfig`'s (tests/test_config_cli.py).
     with pytest.raises(DomainError):
         SwitchSchedule(
             (ScheduleEvent(1e-6, (0,)),)
@@ -171,7 +172,7 @@ def test_event_validation():
 def test_evolution_reaches_segment_steady_states():
     mode = _bench_mode()
     baths = _bench_baths()
-    schedule = build_protocol(60e-6, 260e-6)
+    schedule = _protocol(60e-6, 260e-6)
     traj = evolve_occupancy(mode, baths, schedule, 260e-6, 20e-9)
 
     cooled = mode_temperature(baths)
@@ -213,7 +214,7 @@ def test_warm_up_tail_time_constant():
     # monitoring-only relaxation time.
     mode = _bench_mode()
     baths = _bench_baths()
-    schedule = build_protocol(40e-6, 200e-6)
+    schedule = _protocol(40e-6, 200e-6)
     traj = evolve_occupancy(mode, baths, schedule, 200e-6, 50e-9)
     ambient = mode_temperature(baths.subset((1,)))
     sel = (traj.times_s >= 45e-6) & (traj.times_s <= 80e-6)
@@ -251,7 +252,7 @@ def test_settled_trajectory_reads_mode_temperature():
     mode = _bench_mode()
     baths = _bench_baths()
     # 480 us after the disconnect is over 50 relaxation times.
-    schedule = build_protocol(20e-6, 500e-6)
+    schedule = _protocol(20e-6, 500e-6)
     traj = evolve_occupancy(mode, baths, schedule, 500e-6, 100e-9)
     plateau = traj.times_s < 20e-6
     assert np.all(traj.temperature_k[plateau] == mode_temperature(baths))
@@ -268,7 +269,7 @@ def test_settled_trajectory_reads_mode_temperature():
 def test_rk4_matches_closed_form():
     mode = _bench_mode()
     baths = _bench_baths()
-    schedule = build_protocol(40e-6, 160e-6)
+    schedule = _protocol(40e-6, 160e-6)
     closed = evolve_occupancy(mode, baths, schedule, 160e-6, 100e-9)
     rk4 = _rk4_temperature(mode, baths, schedule, closed.times_s)
     assert np.allclose(rk4, closed.temperature_k, rtol=1e-9, atol=0.0)
@@ -294,7 +295,7 @@ def test_rk4_matches_closed_form_off_grid_switch():
 def test_step_size_guard():
     mode = _bench_mode()
     baths = _bench_baths()
-    schedule = build_protocol(40e-6, 160e-6)
+    schedule = _protocol(40e-6, 160e-6)
     # Fastest tau in this schedule is ~3.1 us; a 1 us step exceeds the
     # enforced tenth-of-tau ceiling.
     with pytest.raises(DomainError):
@@ -304,7 +305,7 @@ def test_step_size_guard():
 def test_evolution_validation():
     mode = _bench_mode()
     baths = _bench_baths()
-    schedule = build_protocol(40e-6, 160e-6)
+    schedule = _protocol(40e-6, 160e-6)
     with pytest.raises(DomainError):
         evolve_occupancy(mode, baths, schedule, -1.0, 1e-7)
     with pytest.raises(DomainError):
@@ -317,7 +318,7 @@ def test_an_event_at_the_trace_end_starts_no_span():
     # The disconnect at the last sample: the trace holds the cooled state.
     mode = _bench_mode()
     baths = _bench_baths()
-    schedule = build_protocol(160e-6, 160e-6)
+    schedule = _protocol(160e-6, 160e-6)
     traj = evolve_occupancy(mode, baths, schedule, 160e-6, 50e-9)
     assert len(traj) == 3201
     assert np.all(traj.temperature_k == mode_temperature(baths))
@@ -329,7 +330,7 @@ def test_a_rate_that_underflows_to_zero_allows_any_step():
     mode = dataclasses.replace(_bench_mode(), frequency_hz=5e-324)
     baths = _bench_baths()
     assert relaxation_rate(mode, baths) == 0.0
-    traj = evolve_occupancy(mode, baths, build_protocol(40e-6, 160e-6), 160e-6, 1e-6)
+    traj = evolve_occupancy(mode, baths, _protocol(40e-6, 160e-6), 160e-6, 1e-6)
     assert np.allclose(traj.temperature_k, mode_temperature(baths), rtol=1e-12, atol=0.0)
 
 
@@ -338,7 +339,7 @@ def test_evolution_refuses_a_grid_too_fine_to_count():
     # refusal comes before any grid is allocated.
     mode = _bench_mode()
     baths = _bench_baths()
-    schedule = build_protocol(40e-6, 160e-6)
+    schedule = _protocol(40e-6, 160e-6)
     with pytest.raises(DomainError, match="^no finite sample grid of 0.00016 s every 1e-320 s$"):
         evolve_occupancy(mode, baths, schedule, 160e-6, 1e-320)
 

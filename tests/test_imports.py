@@ -411,6 +411,33 @@ def test_tracefile_writes_no_table_but_still_exports_the_table_writer():
     assert tracefile.write_table_csv is textformat.write_table_csv
 
 
+def test_each_run_rule_is_written_in_one_module():
+    # Config files are decoded by the one text decoder, floats are spelled
+    # by the one float text, and the protocol timing is checked by
+    # ProtocolConfig alone, with no port order assumed by the schedule.
+    from cavitycool import cli, textformat, tracefile
+
+    sources = {
+        path.stem: path.read_text(encoding="utf-8")
+        for path in sorted((_SRC / "cavitycool").glob("*.py"))
+    }
+    opens = [
+        node.lineno
+        for node in ast.walk(ast.parse(sources["config"]))
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "open"
+    ]
+    assert opens == [], f"config.py calls open() at lines {opens}"
+    assert cli._fmt is tracefile._fmt is textformat._fmt
+    spelled = [name for name, text in sources.items() if "repr(float(" in text]
+    assert spelled == ["textformat"]
+    build = next(
+        node for node in ast.parse(sources["dynamics"]).body
+        if isinstance(node, ast.FunctionDef) and node.name == "build_protocol"
+    )
+    assert build.args.defaults == [] and build.args.kw_defaults == []
+    assert not any(isinstance(node, ast.Raise) for node in ast.walk(build))
+
+
 def _receiver_functions_bound_by_name(module):
     """Functions of `receiver` that `module`'s source binds by name."""
     from cavitycool import receiver
