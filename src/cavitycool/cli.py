@@ -14,15 +14,13 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import replace
 
 from . import __version__, textformat
 from .config import (
-    _MASK64,
     PORT_ROLE_COOLING,
     RunConfig,
-    _key_names,
     _named,
+    _read_ini,
     _refuse_non_finite,
     _steady_temperatures,
     config_digest,
@@ -45,17 +43,6 @@ def _finite_float(text: str) -> float:
         value = math.nan
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"invalid finite float value: {text!r}")
-    return value
-
-
-def _seed(text: str) -> int:
-    """Type of --seed: a 64-bit master seed."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if not 0 <= value <= _MASK64:
-        raise argparse.ArgumentTypeError(f"invalid seed: {text!r} (need 0 to {_MASK64})")
     return value
 
 
@@ -87,9 +74,9 @@ def _sidecar(args) -> "str | None":
 
 def _where(args, field: "str | None" = None) -> str:
     """The prefix that names, in a refusal, the file that set `field`: a
-    sidecar sets every key but the [analysis] keys that --config gives."""
+    sidecar sets every key but the [analysis] keys that --config spells."""
     path, sidecar = args.config, _sidecar(args)
-    if sidecar and not (path and _key_names(f"analysis.{field}")):
+    if sidecar and not (path and field in _read_ini(path).get("analysis", {})):
         path = sidecar
     return f"{path}: " if path else ""
 
@@ -200,16 +187,18 @@ def cmd_sweep(args, cfg: RunConfig) -> None:
 
 
 def cmd_simulate(args, cfg: RunConfig) -> None:
-    from . import tracefile
+    from . import synth, tracefile
     from .pipeline import simulate_run
 
     if args.seed is not None:
-        cfg = with_seed(cfg, args.seed)
-    result = simulate_run(cfg)
-    # A run without noise has no level for `analyze` to form.
-    variances = result.sample_variances
+        try:
+            cfg = with_seed(cfg, args.seed)
+        except DomainError as exc:
+            raise ConfigError(f"--seed {exc.reason}") from None
+    # A run without noise has no level for `analyze` to form: refused before the draw.
+    variances = synth._sample_variances(cfg)
     _refuse_non_finite(cfg, variances, "voltage_scale", "receiver", "baths", positive=True)
-    meta_path = tracefile.write_run(args.out, cfg, result)
+    meta_path = tracefile.write_run(args.out, cfg, simulate_run(cfg))
     trajectory = tracefile.TRAJECTORY_FILE
     digest = config_digest(cfg)
     items = [
@@ -225,11 +214,11 @@ def cmd_simulate(args, cfg: RunConfig) -> None:
     _emit(args, [(items, line)])
 
 
-def _load_analysis_inputs(args, cfg: RunConfig):
+def _load_analysis_inputs(args, cfg: "RunConfig | None"):
     """Resolve analyze inputs: either one .meta sidecar or trace CSVs.
 
-    A sidecar supplies the run and its configuration: `--config` may
-    change only its [analysis] keys.
+    A sidecar supplies the run and its configuration: `--config` is read
+    over it and may change only its [analysis] keys.
     """
     from . import tracefile
 
@@ -239,6 +228,7 @@ def _load_analysis_inputs(args, cfg: RunConfig):
     recorded, traces = tracefile.read_run(meta_path)
     if args.config is None:
         return traces, recorded
+    cfg = load_run_config(args.config, recorded)
     run, given = dict(config_items(recorded)), dict(config_items(cfg))
     for key in dict.fromkeys([*run, *given]):
         if not key.startswith("analysis.") and run.get(key) != given.get(key):
@@ -247,7 +237,7 @@ def _load_analysis_inputs(args, cfg: RunConfig):
                 f"--config gives {given.get(key, '(none)')}; only "
                 "[analysis] keys may differ from the run"
             )
-    return traces, replace(recorded, analysis=cfg.analysis)
+    return traces, cfg
 
 
 def _deltap_row(prefix: str, label: str, estimate) -> _Row:
@@ -258,7 +248,7 @@ def _deltap_row(prefix: str, label: str, estimate) -> _Row:
     return items, f"{label:34s}: {estimate.value_db:8.3f} +/- {estimate.stderr_db:.3f} dB"
 
 
-def cmd_analyze(args, cfg: RunConfig) -> None:
+def cmd_analyze(args, cfg: "RunConfig | None") -> None:
     from .pipeline import analyze_run
 
     traces, cfg = _load_analysis_inputs(args, cfg)
@@ -400,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common, writes],
         help="run the switching protocol and write trace CSVs",
     )
-    p.add_argument("--seed", type=_seed, metavar="N", help="override the master RNG seed")
+    p.add_argument("--seed", type=int, metavar="N", help="override the master RNG seed")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser(
@@ -428,7 +418,9 @@ def main(argv: "list[str] | None" = None) -> int:
     """Run one command; the one place that turns its outcome into an exit code."""
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_run_config(args.config) if args.config else default_run_config()
+        cfg = None
+        if not _sidecar(args):  # `analyze` reads --config over the sidecar's run
+            cfg = load_run_config(args.config) if args.config else default_run_config()
         args.func(args, cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

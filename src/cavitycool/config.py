@@ -7,10 +7,10 @@ are rejected.  `_SCHEMA` and `_PORT_SCHEMA` are the only list of keys.
 A value's range is a bound on the dataclass field that holds it
 (`errors.bounded`), a rule that ties values together is written out in
 its class, and a refusal at load names its keys as the file spells them.
-A run's defaults come from the bundled `data/bench.defaults`, read
-where a load uses them, without a cache; the dataclasses' field defaults
-serve direct construction from Python, and only `SynthConfig`'s differ
-from that file (see its docstring).  Files are decoded by
+A file is read over the bundled `data/bench.defaults` (read where a load
+uses them, without a cache) or over a recorded run.  The field defaults
+serve direct construction from Python; only `SynthConfig`'s differ from
+that file (see its docstring).  Files are decoded by
 `textformat._read_text`, the package's one text decoder.
 Refusals name keys through `_key_names`; `_refuse_non_finite` and
 `_steady_temperatures` serve every command.  No receiver noise is
@@ -383,16 +383,27 @@ def default_run_config() -> RunConfig:
     return _build(_read_ini(_DEFAULTS_PATH))
 
 
-def load_run_config(path: str) -> RunConfig:
-    """Parse a configuration file, overriding the built-in defaults.
+def _sections(items) -> dict[str, dict[str, str]]:
+    """`{section: {key: text}}` of (`section.key`, text) pairs; ConfigError names a bad one."""
+    raw: dict[str, dict[str, str]] = {}
+    for name, text in items:
+        section, dot, key = name.rpartition(".")
+        if not dot:
+            raise ConfigError(f"unknown key '{name}'")
+        raw.setdefault(section, {})[key] = text
+    return raw
 
-    Sections may be omitted (their defaults survive), but any [port.*]
-    section replaces the whole default port list.  Unknown sections,
+
+def load_run_config(path: str, base: "RunConfig | None" = None) -> RunConfig:
+    """Parse a configuration file over `base`, or over the built-in defaults.
+
+    Sections may be omitted (the base's values survive), but any [port.*]
+    section replaces the whole base port list.  Unknown sections,
     unknown keys, and malformed or out-of-range values raise
     ConfigError naming the file, and the section and key of the value.
     """
     user = _read_ini(path)
-    raw = _read_ini(_DEFAULTS_PATH)
+    raw = _read_ini(_DEFAULTS_PATH) if base is None else _sections(config_items(base))
     if any(section.startswith("port.") for section in user):
         raw = {section: raw[section] for section in raw if not section.startswith("port.")}
     for section, entries in user.items():
@@ -409,13 +420,7 @@ def config_from_items(items: Mapping[str, str]) -> RunConfig:
     Every key must be a configuration key, `section.key`: ConfigError
     names the first that is not, and a missing key.
     """
-    raw: dict[str, dict[str, str]] = {}
-    for name, text in items.items():
-        section, dot, key = name.rpartition(".")
-        if not dot:
-            raise ConfigError(f"unknown key '{name}'")
-        raw.setdefault(section, {})[key] = text
-    return _build(raw)
+    return _build(_sections(items.items()))
 
 
 def with_seed(cfg: RunConfig, seed: int) -> RunConfig:

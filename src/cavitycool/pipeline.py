@@ -25,14 +25,12 @@ from .synth import NoiseTrace
 @dataclass
 class SimulationResult:
     """One simulated run: the mode-temperature trajectory, the shot
-    ensemble drawn on its grid, the switch schedule, the disconnect time,
-    and the (label, value) sample variances the draw's noise is bounded by."""
+    ensemble drawn on its grid, the switch schedule and the disconnect time."""
 
     trajectory: PhotonTrajectory
     traces: NoiseTrace
     schedule: SwitchSchedule
     disconnect_time_s: float
-    sample_variances: list[tuple[str, float]]
 
 
 def simulate_run(cfg: RunConfig) -> SimulationResult:
@@ -44,7 +42,7 @@ def simulate_run(cfg: RunConfig) -> SimulationResult:
     two, or one when the cooling time is 0.  Draws that overflow raise
     `DomainError` before anything is drawn; a run without noise is drawn.
     """
-    variances = synth._sample_variances(cfg)
+    synth._sample_variances(cfg)
     proto = cfg.protocol
     all_ports = tuple(range(len(cfg.baths.ports)))
     schedule = build_protocol(proto, all_ports, cfg.persistent_port_indices())
@@ -59,7 +57,7 @@ def simulate_run(cfg: RunConfig) -> SimulationResult:
     traces = synth.synthesize_shot_ensemble(
         trajectory, cfg.receiver, cfg.synth, cfg.n_shots, switch_times_s
     )
-    return SimulationResult(trajectory, traces, schedule, proto.cool_duration_s, variances)
+    return SimulationResult(trajectory, traces, schedule, proto.cool_duration_s)
 
 
 # The warm-up fit counts only when the direct level lies this many standard

@@ -160,6 +160,31 @@ def test_bundled_defaults_match_builtin():
     assert load_run_config(str(bundled)) == default_run_config()
 
 
+def test_field_defaults_match_the_bench_and_the_port_schema():
+    # The values a run takes from the bundled file are also field defaults
+    # for direct construction; each pair must agree, SynthConfig's four
+    # standalone knobs aside.
+    bench = default_run_config()
+    fields = {f.name: f for f in dataclasses.fields(BathPort)}
+    omitted = {key: value for key, _, value in _PORT_SCHEMA if value is not None}
+    assert omitted == {name: fields[name].default for name in omitted}
+    assert set(omitted) == {"link_loss_db", "link_temperature_k", "loss_model"}
+    assert AnalysisConfig() == bench.analysis and ProtocolConfig() == bench.protocol
+    chain = bench.receiver
+    assert replace(
+        chain, lna=LnaNoiseParameters(chain.lna.t_min_k, chain.lna.noise_resistance_ohm,
+                                      chain.lna.gamma_opt)
+    ) == chain
+    assert ReceiverChain(chain.lna, chain.lna_gain_linear, chain.post_stage_noise_k) == chain
+    differ = {
+        f.name for f in dataclasses.fields(SynthConfig)
+        if getattr(SynthConfig(), f.name) != getattr(bench.synth, f.name)
+    }
+    assert differ == {
+        "sample_interval_s", "rng_seed", "one_over_f_corner_hz", "artifact_amplitude_v"
+    }
+
+
 def test_load_scalar_overrides(tmp_path):
     path = _ini(tmp_path, """\
 [mode]
@@ -1463,16 +1488,33 @@ def test_cli_config_error_exit_codes(tmp_path, capsys):
     assert rc == 2
     assert "config error" in capsys.readouterr().err
 
-    # --seed is checked as it is parsed, like every float option: it is an
-    # option, not the [synth] rng_seed key of any file.
+    # --seed must be an integer as it is parsed; its range is [synth]
+    # rng_seed's bound (test_cli_seed_is_held_to_the_rng_seed_bound).
     out = tmp_path / "out"
-    for seed in ("-1", str(2 ** 64), "3.5"):
-        with pytest.raises(SystemExit) as exited:
-            cli.main(["simulate", "--seed", seed, "--out", str(out)])
-        assert exited.value.code == 2
-        err = capsys.readouterr().err
-        assert f"argument --seed: invalid seed: '{seed}' (need 0 to {2 ** 64 - 1})" in err
+    with pytest.raises(SystemExit) as exited:
+        cli.main(["simulate", "--seed", "3.5", "--out", str(out)])
+    assert exited.value.code == 2
+    assert "argument --seed: invalid int value: '3.5'" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("seed, bound", [
+    ("-1", ">= 0"), (str(2 ** 64), f"<= {2 ** 64 - 1}"),
+])
+def test_cli_seed_is_held_to_the_rng_seed_bound(tmp_path, capsys, seed, bound):
+    # The range of --seed is the bound of the field it sets, checked there
+    # once: the CLI restated it as an argparse type of its own, which
+    # printed a usage message instead.
+    ini = _ini(tmp_path, "[synth]\nn_shots = 2\n")
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", ini, "--seed", seed, "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"config error: --seed must be {bound}, got {seed}\n")
+    assert not out.exists()
+    top = str(2 ** 64 - 1)
+    assert cli.main(["simulate", "--config", ini, "--seed", top, "--out", str(out),
+                     "--porcelain"]) == 0
+    capsys.readouterr()
+    assert f"synth.rng_seed={top}\n" in (out / "run.meta").read_text()
 
 
 def test_cli_non_utf8_config_exits_2(tmp_path, capsys):
@@ -2259,15 +2301,33 @@ def test_cli_simulate_refuses_a_run_without_noise(tmp_path, capsys, body):
     assert "; [mode] wall_temperature_k; [port.cooling] coupling, " in err
 
 
-def test_cli_simulate_evaluates_the_draw_check_once(tmp_path, monkeypatch, capsys):
-    # `simulate` refuses a run by the variances the run drew with, so the
-    # check behind them runs once.
+def test_cli_simulate_refuses_a_run_without_noise_before_the_draw(
+    tmp_path, monkeypatch, capsys
+):
+    # The refusal came after simulate_run had drawn the whole ensemble.
     calls = []
-    checked = synth._sample_variances
-    monkeypatch.setattr(synth, "_sample_variances", lambda cfg: calls.append(cfg) or checked(cfg))
-    ini = _ini(tmp_path, "[synth]\nn_shots = 2\n")
-    assert cli.main(["simulate", "--config", ini, "--out", str(tmp_path / "run")]) == 0
-    capsys.readouterr()
+    draw = synth.synthesize_shot_ensemble
+    monkeypatch.setattr(
+        synth, "synthesize_shot_ensemble", lambda *args: calls.append(args) or draw(*args)
+    )
+    ini = _ini(tmp_path, "[synth]\nvoltage_scale = 0\nn_shots = 4\n")
+    run = tmp_path / "run"
+    assert cli.main(["simulate", "--config", ini, "--out", str(run)]) == 2
+    assert calls == [] and not run.exists()
+    assert capsys.readouterr() == ("", (
+        f"config error: {ini}: non-positive sample variance at the cooled mode temperature "
+        "= 0.0, sample variance at the ambient mode temperature = 0.0: the closed form has "
+        "no positive value for [synth] voltage_scale; [receiver] lna_gain_linear, "
+        "lna_t_min_k, lna_noise_resistance_ohm, lna_gamma_opt_real, lna_gamma_opt_imag, "
+        "reference_impedance_ohm, reference_temperature_k, post_stage_noise_k, "
+        "cavity_reflection_real, cavity_reflection_imag, cavity_reflection_ref_real, "
+        "cavity_reflection_ref_imag, image_noise_k; [mode] wall_temperature_k; "
+        "[port.cooling] coupling, load_temperature_k, link_loss_db, link_temperature_k; "
+        "[port.monitoring] coupling, load_temperature_k, link_loss_db, link_temperature_k\n"
+    ))
+    # A library run without noise is still drawn.
+    cfg = default_run_config()
+    simulate_run(replace(cfg, n_shots=2, synth=replace(cfg.synth, voltage_scale=0.0)))
     assert len(calls) == 1
 
 
@@ -2412,14 +2472,72 @@ def test_cli_analyze_takes_config_from_meta(tmp_path, capsys):
 
 
 def test_cli_analyze_rejects_config_that_differs_from_meta(tmp_path, capsys):
-    ini, meta = _one_port_run(tmp_path, capsys, n_shots=2)
-    other = _ini(tmp_path, "[synth]\nn_shots = 2\nrng_seed = 7\n", "other.ini")
-    assert cli.main(["analyze", str(meta), "--config", other]) == 2
-    err = capsys.readouterr().err
-    assert err == (
-        f"config error: {meta} records port.cold.coupling=3.8, but --config gives "
-        "(none); only [analysis] keys may differ from the run\n"
-    )
+    # FILE is read over the run, so only what it spells can differ; a port
+    # section replaces the run's ports, whose keys it then gives as none.
+    ini = _ini(tmp_path, "[synth]\nn_shots = 2\n")
+    meta = tmp_path / "run" / "run.meta"
+    assert cli.main(["simulate", "--config", ini, "--out", str(meta.parent)]) == 0
+    capsys.readouterr()
+    for body, records, gives in [
+        ("[synth]\nrng_seed = 7\n", "synth.rng_seed=20260817", "7"),
+        ("[port.cold]\ncoupling = 3.8\nload_temperature_k = 18.4\nrole = cooling\n",
+         "port.cooling.coupling=3.8", "(none)"),
+    ]:
+        other = _ini(tmp_path, body, "other.ini")
+        assert cli.main(["analyze", str(meta), "--config", other]) == 2
+        assert capsys.readouterr() == ("", (
+            f"config error: {meta} records {records}, but --config gives "
+            f"{gives}; only [analysis] keys may differ from the run\n"
+        ))
+
+
+@pytest.mark.parametrize("run, given, seed, changed", [
+    ("[synth]\nn_shots = 20\n", "[analysis]\nwindow_samples = 30\n", ["--seed", "5"],
+     {"window_samples": 30}),
+    ("[synth]\nn_shots = 20\n[analysis]\nfit_window_s = 25e-6\n",
+     "[synth]\nn_shots = 20\n[analysis]\nwindow_samples = 30\n", [], {"window_samples": 30}),
+    ("[synth]\nn_shots = 20\n[analysis]\nband_low_hz = 1e6\nband_high_hz = 4e6\n",
+     "[analysis]\nband_high_hz = 4.5e6\n", [], {"band_high_hz": 4.5e6}),
+], ids=["analysis-only-file-on-a-seeded-run", "run-keeps-unspelled-analysis-keys",
+        "valid-over-the-run-only"])
+def test_cli_analyze_reads_config_over_the_run(tmp_path, capsys, run, given, seed, changed):
+    # FILE was read over the bench defaults: the first was refused for the
+    # default seed, the second fitted the default 30 us, not the run's
+    # 25 us, and the third was refused for the default band_low_hz = 5e6.
+    out = tmp_path / "run"
+    assert cli.main(["simulate", "--config", _ini(tmp_path, run), "--out", str(out), *seed]) == 0
+    capsys.readouterr()
+    meta = str(out / "run.meta")
+    argv = ["analyze", meta, "--config", _ini(tmp_path, given, "given.ini"), "--porcelain"]
+    assert cli.main(argv) == 0
+    d = _porcelain(capsys.readouterr().out)
+    cfg, traces = tracefile.read_run(meta)
+    report = analyze_run(traces, replace(cfg, analysis=replace(cfg.analysis, **changed)))
+    assert {
+        "deltap_direct_db": repr(report.deltap_direct.value_db),
+        "deltap_band_db": repr(report.deltap_band.value_db),
+        "fit_a1_db": repr(report.fit.a1_db),
+        "warmup_time_s": repr(report.warmup_time_s),
+        "t_mode_inferred_k": repr(report.t_mode_inferred_k),
+    }.items() <= d.items()
+
+
+def test_cli_analyze_names_the_sidecar_for_a_run_key_config_does_not_spell(
+    tmp_path, capsys
+):
+    # The run's own fit window leaves no warm-up section; FILE sets only
+    # another [analysis] key, so the refusal names the sidecar.
+    ini = _ini(tmp_path, "[synth]\nn_shots = 4\n[analysis]\nfit_window_s = 1e-9\n")
+    out = tmp_path / "run"
+    assert cli.main(["simulate", "--config", ini, "--out", str(out)]) == 0
+    capsys.readouterr()
+    given = _ini(tmp_path, "[analysis]\nwindow_samples = 30\n", "given.ini")
+    meta = out / "run.meta"
+    assert cli.main(["analyze", str(meta), "--config", given]) == 2
+    assert capsys.readouterr() == ("", (
+        f"config error: {meta}: [analysis] fit_window_s = 1e-09 s leaves no warm-up section "
+        "after the disconnect at 4e-05 s (the trace ends at 0.00015999999999999999 s)\n"
+    ))
 
 
 def test_cli_analyze_rejects_inconsistent_meta_config(tmp_path, capsys):

@@ -341,9 +341,9 @@ def test_package_root_refuses_the_photon_scale_and_rk4_names():
 def test_the_draw_check_squares_the_noise_model_at_the_steady_temperatures():
     # `simulate` refuses a run by the variances it would draw with: the
     # model's sigma at the two steady mode temperatures, squared, bit for
-    # bit, and the draw's array sigma there is the same.  The CLI evaluates
-    # none of the closed forms behind the check: it takes the variances
-    # from the run, and imports nothing from `synth`.
+    # bit, and the draw's array sigma there is the same.  The CLI binds
+    # none of the closed forms behind the check by name: it calls the check
+    # through the `synth` module, before the draw.
     from dataclasses import replace
 
     import numpy as np
@@ -375,7 +375,29 @@ def test_the_draw_check_squares_the_noise_model_at_the_steady_temperatures():
         )
         or isinstance(node, ast.Import) and any(a.name == "cavitycool.synth" for a in node.names)
     ]
-    assert from_synth == []
+    assert from_synth == ["from . import synth, tracefile"]
+
+
+def test_cli_inputs_are_checked_by_their_source():
+    # --seed is held to [synth] rng_seed's bound, not to a copy of it, and
+    # a simulated run keeps no copy of the draw check's variances.
+    import dataclasses
+
+    from cavitycool import pipeline
+
+    tree = ast.parse((_SRC / "cavitycool" / "cli.py").read_text(encoding="utf-8"))
+    assert "_MASK64" not in {name for name, _ in _references(tree)}
+    seed_types = [
+        ast.unparse(keyword.value)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and node.args
+        and isinstance(node.args[0], ast.Constant) and node.args[0].value == "--seed"
+        for keyword in node.keywords if keyword.arg == "type"
+    ]
+    assert seed_types == ["int"]
+    assert [f.name for f in dataclasses.fields(pipeline.SimulationResult)] == [
+        "trajectory", "traces", "schedule", "disconnect_time_s"
+    ]
 
 
 def test_every_package_dataclass_has_its_own_docstring():
