@@ -14,13 +14,12 @@ disconnects.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import AnalysisError, DomainError
+from .errors import AnalysisError, DomainError, Record
 from .synth import NoiseTrace
 
 _DB = 10.0 / math.log(10.0)
@@ -334,8 +333,7 @@ def tabulate_shots(
     return ShotTables(cooled_sums, ambient_sums, warmup_sums, mean_sums, cold_psd, ambient_psd)
 
 
-@dataclass(frozen=True)
-class BiExpFit:
+class BiExpFit(Record):
     """Result of the warm-up fit of 1 + A exp(-t/tau) to the level ratio.
 
     `a1_db` is the fitted level at the disconnect, 10 log10(1 + A), and

@@ -4,9 +4,11 @@
 with one section per group and repeated `[port.<name>]` sections for the
 baths; every key carries its unit as a suffix.  Unknown sections or keys
 are rejected.  `_SCHEMA` and `_PORT_SCHEMA` are the only list of keys.
-A value's range is a bound on the dataclass field that holds it
-(`errors.bounded`), a rule that ties values together is written out in
-its class, and a refusal at load names its keys as the file spells them.
+Each class is a frozen `errors.Record`.  A value's range is a bound on
+the record field that holds it (`errors.bounded`), a rule that ties
+values together is written out in its class's `__post_init__`, which
+`errors.replace` runs again, and a refusal at load names its keys as the
+file spells them.
 A file is read over the bundled `data/bench.defaults` (read where a load
 uses them, without a cache) or over a recorded run.  The field defaults
 serve direct construction from Python; only `SynthConfig`'s differ from
@@ -25,10 +27,11 @@ from functools import reduce
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
 from typing import Mapping
 
-from .errors import ConfigError, DataFormatError, DomainError, bounded, check_bounds
+from .errors import (
+    ConfigError, DataFormatError, DomainError, Record, bounded, check_bounds, replace,
+)
 from .receiver import LnaNoiseParameters, ReceiverChain
 from .textformat import _fmt, _read_text
 from .thermal import BathPort, BathSet, CavityMode, LossModel, mode_temperature
@@ -53,8 +56,7 @@ def grid_sample_count(duration_s: float, sample_interval_s: float) -> int:
     return math.floor(intervals) + 1
 
 
-@dataclass(frozen=True)
-class SynthConfig:
+class SynthConfig(Record):
     """Knobs for trace synthesis.
 
     The record length is not one of them: a trace takes its grid, and
@@ -90,8 +92,7 @@ class SynthConfig:
             )
 
 
-@dataclass(frozen=True)
-class ProtocolConfig:
+class ProtocolConfig(Record):
     """Timing of the cool / disconnect sequence: the cold load is
     disconnected at cool_duration_s, the one instant the analysis needs."""
 
@@ -107,8 +108,7 @@ class ProtocolConfig:
             )
 
 
-@dataclass(frozen=True)
-class AnalysisConfig:
+class AnalysisConfig(Record):
     """Windows and estimator knobs for the trace reduction."""
 
     band_low_hz: float = bounded(">= 0", default=5e6)
@@ -127,8 +127,7 @@ class AnalysisConfig:
             raise DomainError(f"[analysis] band_low_hz = {low!r} must be < band_high_hz = {high!r}")
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(Record):
     """One protocol run: the mode and its baths, the receiver chain, the
     protocol timing, synthesis knobs, shot count and analysis windows.
     Each port cools or monitors under a unique key-safe name, and the

@@ -9,12 +9,11 @@ closed-form piecewise exponential.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .config import ProtocolConfig, grid_sample_count
-from .errors import DomainError
+from .errors import DomainError, Record
 from .thermal import BathSet, CavityMode, mode_temperature
 
 # Enforced ceiling on the sample interval, as a fraction of the fastest
@@ -22,8 +21,7 @@ from .thermal import BathSet, CavityMode, mode_temperature
 MAX_STEP_FRACTION = 0.1
 
 
-@dataclass(frozen=True)
-class ScheduleEvent:
+class ScheduleEvent(Record):
     """A switching instant: which ports are connected from this time on."""
 
     time_s: float
@@ -36,8 +34,7 @@ class ScheduleEvent:
             raise DomainError(f"duplicate port index in {self.active_ports}")
 
 
-@dataclass(frozen=True)
-class SwitchSchedule:
+class SwitchSchedule(Record):
     """Ordered switching events; strictly increasing times, first at t = 0."""
 
     events: tuple[ScheduleEvent, ...]
@@ -73,8 +70,7 @@ def relaxation_time(mode: CavityMode, baths: BathSet) -> float:
     return 1.0 / relaxation_rate(mode, baths)
 
 
-@dataclass(frozen=True)
-class PhotonTrajectory:
+class PhotonTrajectory(Record):
     """Sampled mode-temperature history on the scale of `mode_temperature`,
     so a settled trajectory sits at the closed-form temperature."""
 

@@ -8,8 +8,6 @@ mode temperature.  The CLI subcommands are thin wrappers over these.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 # The stages are called through their modules, so a replaced module
@@ -18,12 +16,11 @@ import numpy as np
 from . import analysis, dynamics, receiver, synth
 from .config import RunConfig, _steady_temperatures
 from .dynamics import PhotonTrajectory, SwitchSchedule, build_protocol
-from .errors import AnalysisError, DomainError
+from .errors import AnalysisError, DomainError, Record
 from .synth import NoiseTrace
 
 
-@dataclass
-class SimulationResult:
+class SimulationResult(Record):
     """One simulated run: the mode-temperature trajectory, the shot
     ensemble drawn on its grid, the switch schedule and the disconnect time."""
 
@@ -68,8 +65,7 @@ def simulate_run(cfg: RunConfig) -> SimulationResult:
 _COOLING_Z = 6.0
 
 
-@dataclass
-class AnalysisReport:
+class AnalysisReport(Record):
     """Everything the reduction recovers from one shot ensemble.
 
     `notes` says, in order, what the run could not give and why.

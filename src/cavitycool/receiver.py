@@ -11,9 +11,8 @@ of the chain, so all of that bookkeeping lives here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .errors import DomainError, bounded, check_bounds
+from .errors import DomainError, Record, bounded, check_bounds
 
 # The noise-figure convention's reference temperature: the default of
 # `[receiver] reference_temperature_k`, which a configuration may change.
@@ -28,8 +27,7 @@ def _check_passive(obj, *names: str) -> None:
             raise DomainError(f"must have magnitude < 1, got {value!r}", field=name)
 
 
-@dataclass(frozen=True)
-class LnaNoiseParameters:
+class LnaNoiseParameters(Record):
     """Four-parameter noise model of a low-noise amplifier.
 
     t_min_k is the minimum achievable noise temperature, reached when the
@@ -60,8 +58,7 @@ def _mismatch_k(lna: LnaNoiseParameters, gamma_source: complex) -> float:
     return scale * abs(gamma_source - lna.gamma_opt) ** 2 / abs(1.0 + lna.gamma_opt) ** 2
 
 
-@dataclass(frozen=True)
-class ReceiverChain:
+class ReceiverChain(Record):
     """Everything after the cavity's monitoring port.
 
     lna_gain_linear is the front-end LNA power gain (linear, not dB) and

@@ -20,7 +20,6 @@ steps are documented so the stream can be reproduced outside Python.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -28,7 +27,7 @@ import numpy as np
 from . import receiver
 from .config import _MASK64, RunConfig, SynthConfig, _refuse_non_finite, _steady_temperatures
 from .dynamics import PhotonTrajectory
-from .errors import DomainError
+from .errors import DomainError, Record
 from .receiver import ReceiverChain
 
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
@@ -59,8 +58,7 @@ def shot_seed(master_seed: int, shot_index: int) -> int:
     return (z ^ (z >> 31)) & _MASK64
 
 
-@dataclass
-class NoiseTrace:
+class NoiseTrace(Record):
     """A shot ensemble: row i of `voltages_v`, shape (n_shots, n_samples),
     is shot i sampled on the common 1-D grid `times_s`.  A single record
     is a one-row ensemble.
@@ -73,8 +71,8 @@ class NoiseTrace:
     voltages_v: np.ndarray
 
     def __post_init__(self) -> None:
-        self.times_s = _read_only(self.times_s)
-        self.voltages_v = _read_only(self.voltages_v)
+        object.__setattr__(self, "times_s", _read_only(self.times_s))
+        object.__setattr__(self, "voltages_v", _read_only(self.voltages_v))
         if self.voltages_v.ndim != 2 or self.voltages_v.shape[1:] != self.times_s.shape:
             raise DomainError("voltages must be (n_shots, n_samples) on a 1-D time grid")
         if self.n_shots < 1:

@@ -13,10 +13,9 @@ from __future__ import annotations
 import enum
 import math
 import warnings
-from dataclasses import dataclass, replace
 from typing import Iterable
 
-from .errors import DomainError, bounded, check_bounds
+from .errors import DomainError, Record, bounded, check_bounds, replace
 
 # 2019 SI exact values, fixed by definition.
 PLANCK_H = 6.62607015e-34  # J s
@@ -126,8 +125,7 @@ def link_output_temperature(
     raise DomainError(f"unknown loss model {model!r}")
 
 
-@dataclass(frozen=True)
-class CavityMode:
+class CavityMode(Record):
     """A single cavity mode: resonance frequency and unloaded quality factor."""
 
     frequency_hz: float = bounded("> 0")
@@ -141,8 +139,7 @@ class CavityMode:
         return 2.0 * math.pi * self.frequency_hz
 
 
-@dataclass(frozen=True)
-class BathPort:
+class BathPort(Record):
     """One external bath coupled to the mode through a lossy link.
 
     `coupling` is the coupling coefficient (ratio of external to intrinsic
@@ -178,8 +175,7 @@ def _delivered_k(port: BathPort, load_temperature_k: float) -> float:
     )
 
 
-@dataclass(frozen=True)
-class BathSet:
+class BathSet(Record):
     """The mode's thermal environment: intrinsic walls plus coupled ports."""
 
     intrinsic_temperature_k: float = bounded(">= 0")

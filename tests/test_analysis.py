@@ -708,9 +708,8 @@ def test_closure_band_level_unbiased():
     # The band level reads the same mean-subtracted residuals as the direct
     # level: over 12 seeds of 150 shots at the bench default (1/f off) its
     # mean lies within 3 standard errors of the predicted level change.
-    from dataclasses import replace
-
     from cavitycool.config import default_run_config, with_seed
+    from cavitycool.errors import replace
     from cavitycool.pipeline import analyze_run, simulate_run
     from cavitycool.receiver import noise_power_reduction_db
     from cavitycool.thermal import mode_temperature
@@ -744,9 +743,8 @@ def test_closure_with_a_port_match_that_changes_between_states(reference):
     # The cooled state sees cavity_reflection = 0.5, the ambient state the
     # reference match.  With equal matches seeds 100-104 of 150 shots lie
     # within 2.5 standard errors of the predicted level.
-    from dataclasses import replace
-
     from cavitycool.config import _steady_temperatures, default_run_config, with_seed
+    from cavitycool.errors import replace
     from cavitycool.pipeline import analyze_run, simulate_run
     from cavitycool.receiver import noise_power_reduction_db
 

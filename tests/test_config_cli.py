@@ -2,13 +2,11 @@
 
 import argparse
 import csv
-import dataclasses
 import decimal
 import math
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import replace
 from functools import reduce
 from pathlib import Path
 
@@ -37,6 +35,9 @@ from cavitycool.errors import (
     ConfigError,
     DataFormatError,
     DomainError,
+    Record,
+    fields,
+    replace,
 )
 from cavitycool.pipeline import analyze_run, simulate_run
 from cavitycool.receiver import LnaNoiseParameters, ReceiverChain, noise_power_reduction_db
@@ -165,9 +166,9 @@ def test_field_defaults_match_the_bench_and_the_port_schema():
     # for direct construction; each pair must agree, SynthConfig's four
     # standalone knobs aside.
     bench = default_run_config()
-    fields = {f.name: f for f in dataclasses.fields(BathPort)}
+    port_fields = {f.name: f for f in fields(BathPort)}
     omitted = {key: value for key, _, value in _PORT_SCHEMA if value is not None}
-    assert omitted == {name: fields[name].default for name in omitted}
+    assert omitted == {name: port_fields[name].default for name in omitted}
     assert set(omitted) == {"link_loss_db", "link_temperature_k", "loss_model"}
     assert AnalysisConfig() == bench.analysis and ProtocolConfig() == bench.protocol
     chain = bench.receiver
@@ -177,7 +178,7 @@ def test_field_defaults_match_the_bench_and_the_port_schema():
     ) == chain
     assert ReceiverChain(chain.lna, chain.lna_gain_linear, chain.post_stage_noise_k) == chain
     differ = {
-        f.name for f in dataclasses.fields(SynthConfig)
+        f.name for f in fields(SynthConfig)
         if getattr(SynthConfig(), f.name) != getattr(bench.synth, f.name)
     }
     assert differ == {
@@ -267,7 +268,7 @@ def test_load_rejects_malformed_input(tmp_path):
 
 
 def test_load_wraps_out_of_range_values(tmp_path):
-    # a value that parses but violates a dataclass invariant comes back
+    # a value that parses but violates a record invariant comes back
     # as ConfigError, not DomainError, with the file named
     path = _ini(tmp_path, "[protocol]\ncool_duration_s = 500e-6\n")
     with pytest.raises(ConfigError) as refused:
@@ -344,7 +345,7 @@ def _out_of_range(bound):
 
 def _bound_cases():
     """(section, key, kind, holder, field, bound) for each bound of each key,
-    the bound read from the dataclass field that holds the key's value in
+    the bound read from the record field that holds the key's value in
     `holder`, a part of the default configuration; a port is `[port.cool]`."""
     cfg = default_run_config()
     cases = [
@@ -354,9 +355,9 @@ def _bound_cases():
     cases += [("port.cool", key, kind, cfg.baths.ports[0], key) for key, kind, _ in _PORT_SCHEMA]
     return [
         pytest.param(*case, bound, id=f"{case[0].split('.')[0]}.{case[1]}{bound.replace(' ', '')}")
-        for case in cases if dataclasses.is_dataclass(case[3])
-        for f in dataclasses.fields(case[3]) if f.name == case[4]
-        for bound in f.metadata.get("bounds", ())
+        for case in cases if isinstance(case[3], Record)
+        for f in fields(case[3]) if f.name == case[4]
+        for bound in f.bounds
     ]
 
 
@@ -718,9 +719,9 @@ def test_every_config_value_has_one_schema_row():
     bounded = set()
     for cls in (CavityMode, BathPort, BathSet, LnaNoiseParameters, ReceiverChain,
                 ProtocolConfig, SynthConfig, AnalysisConfig, RunConfig):
-        for field in dataclasses.fields(cls):
+        for field in fields(cls):
             name = f"{cls.__name__}.{field.name}"
-            if field.metadata.get("bounds"):
+            if field.bounds:
                 bounded.add(name)
             elif field.type in ("float", "int", "complex"):
                 assert name in _UNBOUNDED, name
@@ -731,7 +732,7 @@ def test_every_config_value_has_one_schema_row():
     for prefix, cls in (
         ("protocol", ProtocolConfig), ("synth", SynthConfig), ("analysis", AnalysisConfig),
     ):
-        for field in dataclasses.fields(cls):
+        for field in fields(cls):
             assert paths.count(f"{prefix}.{field.name}") == 1, (cls.__name__, field.name)
     cfg = default_run_config()
     for path in paths:
@@ -739,8 +740,8 @@ def test_every_config_value_has_one_schema_row():
         if leaf in ("real", "imag"):
             *parents, leaf = parents
         holder = reduce(getattr, parents, cfg)
-        assert leaf in {field.name for field in dataclasses.fields(holder)}, path
-    port_fields = {field.name for field in dataclasses.fields(BathPort)}
+        assert leaf in {field.name for field in fields(holder)}, path
+    port_fields = {field.name for field in fields(BathPort)}
     assert [row[0] for row in _PORT_SCHEMA if row[0] not in port_fields] == []
 
 
@@ -1231,7 +1232,7 @@ def _composed_report(traces, cfg, disconnect_time_s):
 
 
 def _fit_bytes(fit):
-    return b"" if fit is None else np.array(dataclasses.astuple(fit)).tobytes()
+    return b"" if fit is None else np.array([getattr(fit, f.name) for f in fields(fit)]).tobytes()
 
 
 def _report_bytes(report):

@@ -2,7 +2,6 @@
 and the agreement of the closed form with a Runge-Kutta oracle.
 """
 
-import dataclasses
 import math
 
 import numpy as np
@@ -17,7 +16,7 @@ from cavitycool.dynamics import (
     relaxation_rate,
     relaxation_time,
 )
-from cavitycool.errors import DomainError
+from cavitycool.errors import DomainError, fields, replace
 from cavitycool.thermal import (
     BathPort,
     BathSet,
@@ -154,7 +153,7 @@ def test_schedule_event_holds_only_time_and_ports():
     import cavitycool
     from cavitycool import dynamics
 
-    assert [f.name for f in dataclasses.fields(ScheduleEvent)] == [
+    assert [f.name for f in fields(ScheduleEvent)] == [
         "time_s", "active_ports",
     ]
     for holder in (cavitycool, dynamics):
@@ -327,7 +326,7 @@ def test_an_event_at_the_trace_end_starts_no_span():
 def test_a_rate_that_underflows_to_zero_allows_any_step():
     # 2 pi f (1 + couplings) / Q underflows to 0 at f = 5e-324 Hz: the step
     # ceiling divided by it and numpy warned of a division by zero.
-    mode = dataclasses.replace(_bench_mode(), frequency_hz=5e-324)
+    mode = replace(_bench_mode(), frequency_hz=5e-324)
     baths = _bench_baths()
     assert relaxation_rate(mode, baths) == 0.0
     traj = evolve_occupancy(mode, baths, _protocol(40e-6, 160e-6), 160e-6, 1e-6)

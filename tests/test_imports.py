@@ -1,4 +1,4 @@
-"""Which commands load numpy, scipy and orjson.
+"""Which commands load numpy, scipy, orjson, dataclasses and inspect.
 
 scipy's import costs about a second, far more than `steady`, `sweep` or
 `analyze` compute.  The package imports it only inside the 1/f
@@ -7,9 +7,11 @@ numpy.  numpy's import costs more than `steady` or `sweep` computes, so
 the closed-form layer (`errors`, `thermal`, `receiver`, `config`,
 `textformat`, `cli` and the package root) imports it only
 inside the functions that compute with arrays.  orjson converts the
-floats of trace files, so only `tracefile` imports it.  The pytest
-process has all three loaded already, so each command runs in a fresh
-interpreter.  The source is also parsed for module-level private names
+floats of trace files, so only `tracefile` imports it.  The package's
+records subclass `errors.Record`, so no module imports `dataclasses`,
+whose import (with `inspect`) and class building cost a fresh `steady`
+about 15 ms.  The pytest process has all of these loaded already, so
+each command runs in a fresh interpreter.  The source is also parsed for module-level private names
 that nothing in the package uses.
 """
 
@@ -222,6 +224,35 @@ def test_import_steady_sweep_and_version_load_no_hashlib(tmp_path):
     ]
 
 
+def test_no_module_imports_dataclasses():
+    # The package's records subclass `errors.Record`: one record mechanism.
+    found = []
+    for path in sorted((_SRC / "cavitycool").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += [f"{path.name}:{line}" for line in _import_lines(ast.walk(tree), "dataclasses")]
+    assert found == [], f"dataclasses import at {', '.join(found)}"
+
+
+@pytest.mark.parametrize("package", ["dataclasses", "inspect"])
+def test_import_steady_sweep_version_and_help_load_neither_dataclasses_nor_inspect(
+    tmp_path, package
+):
+    steps = _fresh_run(
+        ["steady", "--porcelain"],
+        ["sweep", "--porcelain", "--out", str(tmp_path / "sweep")],
+        ["--version"],
+        ["--help"],
+        package=package,
+    )
+    assert steps == [
+        ["import", 0, []],
+        ["steady", 0, []],
+        ["sweep", 0, []],
+        ["--version", 0, []],
+        ["--help", 0, []],
+    ]
+
+
 def test_array_commands_still_run_and_load_numpy(tmp_path):
     run = tmp_path / "run"
     steps = _fresh_run(
@@ -344,11 +375,10 @@ def test_the_draw_check_squares_the_noise_model_at_the_steady_temperatures():
     # bit, and the draw's array sigma there is the same.  The CLI binds
     # none of the closed forms behind the check by name: it calls the check
     # through the `synth` module, before the draw.
-    from dataclasses import replace
-
     import numpy as np
 
     from cavitycool import cli, config, synth
+    from cavitycool.errors import replace
 
     base = config.default_run_config()
     for cfg in (base, replace(base, synth=replace(base.synth, voltage_scale=1e-3))):
@@ -381,9 +411,8 @@ def test_the_draw_check_squares_the_noise_model_at_the_steady_temperatures():
 def test_cli_inputs_are_checked_by_their_source():
     # --seed is held to [synth] rng_seed's bound, not to a copy of it, and
     # a simulated run keeps no copy of the draw check's variances.
-    import dataclasses
-
     from cavitycool import pipeline
+    from cavitycool.errors import fields
 
     tree = ast.parse((_SRC / "cavitycool" / "cli.py").read_text(encoding="utf-8"))
     assert "_MASK64" not in {name for name, _ in _references(tree)}
@@ -395,26 +424,9 @@ def test_cli_inputs_are_checked_by_their_source():
         for keyword in node.keywords if keyword.arg == "type"
     ]
     assert seed_types == ["int"]
-    assert [f.name for f in dataclasses.fields(pipeline.SimulationResult)] == [
+    assert [f.name for f in fields(pipeline.SimulationResult)] == [
         "trajectory", "traces", "schedule", "disconnect_time_s"
     ]
-
-
-def test_every_package_dataclass_has_its_own_docstring():
-    # Without one, `dataclasses` builds the class's `__doc__` from its
-    # signature each time the module is imported.
-    undocumented = [
-        f"{path.name}: {node.name}"
-        for path in sorted((_SRC / "cavitycool").glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
-        if isinstance(node, ast.ClassDef)
-        and any(
-            ast.unparse(getattr(d, "func", d)) in ("dataclass", "dataclasses.dataclass")
-            for d in node.decorator_list
-        )
-        and ast.get_docstring(node) is None
-    ]
-    assert undocumented == []
 
 
 def test_tracefile_writes_no_table_but_still_exports_the_table_writer():

@@ -13,7 +13,6 @@ import subprocess
 import sys
 import tempfile
 import warnings
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +31,7 @@ from cavitycool.config import (
     load_run_config,
 )
 from cavitycool.dynamics import PhotonTrajectory
-from cavitycool.errors import DataFormatError
+from cavitycool.errors import DataFormatError, replace
 from cavitycool.receiver import (
     LnaNoiseParameters,
     ReceiverChain,

@@ -4,14 +4,13 @@ component, and switch transients.
 
 import hashlib
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy import signal, stats
 
 from cavitycool.dynamics import PhotonTrajectory
-from cavitycool.errors import DomainError
+from cavitycool.errors import DomainError, replace
 from cavitycool.receiver import LnaNoiseParameters, ReceiverChain, system_output_noise_kelvin
 from cavitycool.synth import (
     NoiseTrace,

@@ -7,12 +7,11 @@ precision, not model uncertainty.
 
 import math
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from cavitycool.errors import DomainError
+from cavitycool.errors import DomainError, replace
 from cavitycool.thermal import (
     BOLTZMANN_K,
     PLANCK_H,
